@@ -50,7 +50,7 @@ from .soliton import (
     SolitonCertificate,
     soliton_fit,
 )
-from .tensor import DEFAULT_TOL, AlgebraTensor, pi_action_dense
+from .tensor import DEFAULT_TOL, AlgebraTensor, _nullspace, pi_action_dense
 
 
 class ConstructionError(ValueError):
@@ -204,16 +204,12 @@ def _is_reductive(u_bracket: AlgebraTensor, tol: float) -> bool:
         return True
     t = u_bracket.dense
     img = t.reshape(-1, n)
-    _, s, vh = np.linalg.svd(img)
+    _, s, vh = np.linalg.svd(img, full_matrices=False)
     rank = int(np.sum(s > tol * max(1.0, s[0] if len(s) else 0.0)))
     derived = vh[:rank].T
     # center: nullspace of x -> ad(x), columns of the (n^2, n) stacked map
     ad_map = np.array([u_bracket.ad(np.eye(n)[i]).reshape(-1) for i in range(n)]).T
-    _, s2, vh2 = np.linalg.svd(ad_map)
-    smax = s2[0] if len(s2) else 0.0
-    cut = tol * max(1.0, smax)
-    null = vh2[np.concatenate([s2, np.zeros(vh2.shape[0] - len(s2))]) <= cut]
-    center = null.T
+    center = _nullspace(ad_map, tol).T
     if rank + center.shape[1] != n:
         return False
     joint = np.concatenate([derived, center], axis=1)

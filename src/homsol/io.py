@@ -115,6 +115,13 @@ def document_from_dict(raw: dict) -> AlgebraDocument:
         if isinstance(c, bool) or not isinstance(c, (int, float)) or not np.isfinite(c):
             raise DocumentError("bad-bracket-entry", f"entry {pos}: c must be a finite number")
         bracket.append({"i": i, "j": j, "k": k, "c": float(c)})
+    summed: dict[tuple[int, int, int], float] = {}
+    for e in bracket:
+        key = (e["i"], e["j"], e["k"])
+        summed[key] = summed.get(key, 0.0) + e["c"]
+    # |mu|^2 over ordered pairs, as AlgebraTensor.norm_sq computes it
+    if not np.isfinite(2.0 * sum(c * c for c in summed.values())):
+        raise DocumentError("bracket-norm-overflow", "|mu|^2 of the bracket is not finite")
     ip = None
     if "ip" in raw:
         dp = dims["dim_h"] + dims["dim_n"]

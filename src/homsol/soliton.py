@@ -31,6 +31,7 @@ from .strata import StratumData, stratum_label
 from .tensor import (
     DEFAULT_TOL,
     AlgebraTensor,
+    _nullspace,
     derivation_algebra,
     moment_map,
     moment_operator,
@@ -92,7 +93,8 @@ def _classify(
     bracket_scale: float,
 ) -> str:
     scale = max(1.0, frob(ric))
-    if residual > SOLITON_RESIDUAL_TOL * scale or der_defect > 1e-6 * bracket_scale:
+    # written so that a NaN residual or defect fails
+    if not (residual <= SOLITON_RESIDUAL_TOL * scale and der_defect <= 1e-6 * bracket_scale):
         return TAG_NONE
     n = ric.shape[0]
     if frob(ric - c * np.eye(n)) <= SOLITON_RESIDUAL_TOL * scale:
@@ -176,25 +178,20 @@ def _block_n(dec: MetricDecomposition, d1: np.ndarray) -> np.ndarray:
 
 
 def constrained_derivations(dec: MetricDecomposition, rank_tol: float = 1e-9) -> np.ndarray:
-    """Basis of {D in Der(g): D = 0 on the k row and column}, orthonormal frame."""
-    n = dec.dim
-    m = pi_matrix(dec.bracket_on)
-    rows = [m]
-    w = max(1.0, dec.bracket.norm)
-    for z in range(dec.dim_k):
-        for a in range(n):
-            r = np.zeros(n * n)
-            r[a * n + z] = w  # D[a, z] = 0
-            rows.append(r[None, :])
-            r2 = np.zeros(n * n)
-            r2[z * n + a] = w  # D[z, a] = 0
-            rows.append(r2[None, :])
-    stacked = np.vstack(rows)
-    u, s, vh = np.linalg.svd(stacked)
-    smax = s[0] if len(s) else 0.0
-    cut = rank_tol * max(1.0, smax)
-    null = vh[np.concatenate([s, np.zeros(vh.shape[0] - len(s))]) <= cut]
-    return null.reshape(-1, n, n)
+    """Basis of {D in Der(g): D = 0 on the k row and column}, orthonormal frame.
+
+    The entries of D in a k row or column are deleted as unknowns: the
+    kernel of pi restricted to the remaining (a, b) columns (economy QR,
+    then SVD of the R factor, with the rank cut of :func:`derivation_algebra`)
+    is scattered back into n x n matrices that are zero on k.
+    """
+    n, nk = dec.dim, dec.dim_k
+    free = np.arange(nk, n)
+    cols = (free[:, None] * n + free[None, :]).reshape(-1)
+    null = _nullspace(pi_matrix(dec.bracket_on)[:, cols], rank_tol)
+    out = np.zeros((len(null), n, n))
+    out[:, nk:, nk:] = null.reshape(-1, n - nk, n - nk)
+    return out
 
 
 def soliton_fit(dec: MetricDecomposition, tol: float = DEFAULT_TOL) -> SolitonCertificate:

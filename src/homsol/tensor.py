@@ -199,7 +199,7 @@ def nilpotency_class(mu: AlgebraTensor, tol: float = DEFAULT_TOL) -> int | None:
     while step <= n + 1:
         # span of [g, W] for the current term W of the series
         img = np.einsum("ijk,ja->iak", t, basis).reshape(-1, n)
-        _, sv, vh = np.linalg.svd(img)
+        _, sv, vh = np.linalg.svd(img, full_matrices=False)
         if len(sv) == 0 or sv[0] <= tol * max(1.0, mu.norm):
             return step
         rank = int(np.sum(sv > tol * sv[0]))
@@ -243,35 +243,46 @@ def pi_matrix(mu: AlgebraTensor) -> np.ndarray:
     """Matrix of a |-> pi(a) mu, rows indexed by (i<j, k), columns by (a, b)."""
     n = mu.dim
     t = mu.dense
-    rows_idx = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    iu, ju = np.triu_indices(n, 1)
+    r = np.arange(len(iu))
+    d = np.arange(n)
     # d(pi(alpha)mu)[i,j,k] / d alpha[a,b] = delta_{ka} T[i,j,b]
     #                                        - delta_{bi} T[a,j,k] - delta_{bj} T[i,a,k]
-    m = np.zeros((len(rows_idx) * n, n * n))
-    for a in range(n):
-        for b in range(n):
-            col = np.zeros((n, n, n))
-            col[:, :, a] += t[:, :, b]
-            col[b, :, :] -= t[a, :, :]
-            col[:, b, :] -= t[:, a, :]
-            rows = np.array([col[i, j] for (i, j) in rows_idx]).reshape(-1)
-            m[:, a * n + b] = rows
-    return m
+    # written into m[row pair, k, a, b]
+    m = np.zeros((len(iu), n, n, n))
+    m[:, d, d, :] += t[iu, ju][:, None, :]
+    m[r, :, :, iu] -= t[:, ju, :].transpose(1, 2, 0)
+    m[r, :, :, ju] -= t[iu, :, :].transpose(0, 2, 1)
+    return m.reshape(len(iu) * n, n * n)
+
+
+def _nullspace(m: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Orthonormal rows spanning ker m, cutting singular values s <= rank_tol max(1, s_max).
+
+    A tall m is first reduced to the square R factor of its economy QR,
+    which has the same singular values and right singular vectors, so the
+    SVD never forms the large left factor (Chan, ACM TOMS 1982).
+    """
+    cols = m.shape[1]
+    if m.shape[0] > cols:
+        m = np.linalg.qr(m, mode="r")
+    _, s, vh = np.linalg.svd(m)
+    cut = rank_tol * max(1.0, s[0] if len(s) else 0.0)
+    return vh[np.concatenate([s, np.zeros(cols - len(s))]) <= cut]
 
 
 def derivation_algebra(mu: AlgebraTensor, rank_tol: float = 1e-9) -> np.ndarray:
     """Orthonormal basis of Der(mu) = ker(a -> pi(a) mu), stacked (m, n, n).
 
-    Orthonormal for the Frobenius pairing tr(A B^t).
+    Orthonormal for the Frobenius pairing tr(A B^t).  The kernel comes from
+    an economy QR of the (n^2(n-1)/2, n^2) matrix of pi followed by an SVD
+    of its n^2 x n^2 R factor; singular values s <= rank_tol max(1, s_max)
+    count as zero.
     """
     n = mu.dim
     if n == 0:
         return np.zeros((0, 0, 0))
-    m = pi_matrix(mu)
-    u, s, vh = np.linalg.svd(m)
-    smax = s[0] if len(s) else 0.0
-    cut = rank_tol * max(1.0, smax)
-    null = vh[np.concatenate([s, np.zeros(vh.shape[0] - len(s))]) <= cut]
-    return null.reshape(-1, n, n)
+    return _nullspace(pi_matrix(mu), rank_tol).reshape(-1, n, n)
 
 
 def derivation_residual(mu: AlgebraTensor, alpha: np.ndarray) -> float:

@@ -277,3 +277,11 @@ def test_cli_verify_all(capsys):
     rep = json.loads(out)
     assert rep["passed"]
     assert len(rep["checks"]) > 60
+
+
+def test_cli_overflowing_bracket_exit_2(capsys, tmp_path):
+    # |mu|^2 = 2e600 overflows; the document is refused instead of fitted
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps(doc_dict(bracket=[{"i": 0, "j": 1, "k": 2, "c": 1e300}])))
+    assert main(["fit", str(f)]) == 2
+    assert "bracket-norm-overflow" in capsys.readouterr().err

@@ -2,18 +2,21 @@ import numpy as np
 import pytest
 
 from homsol.catalog import get
-from homsol.constructions import build_semidirect
+from homsol.constructions import assemble_semidirect, build_semidirect
 from homsol.decomposition import MetricDecomposition, sym
 from homsol.soliton import (
+    TAG_NONE,
     SolitonCertificate,
+    _classify,
     algebraic_soliton_equivalences,
+    constrained_derivations,
     f_operator_check,
     nilsoliton_fit,
     soliton_fit,
     stratum_compatibility_check,
     structure_battery,
 )
-from homsol.tensor import AlgebraTensor, derivation_algebra
+from homsol.tensor import AlgebraTensor, derivation_algebra, pi_matrix
 
 from conftest import random_construction
 
@@ -332,3 +335,53 @@ def test_sphere_fit_einstein_with_isotropy():
     rep = structure_battery(dec, cert)
     assert not rep.applicable  # c > 0
     assert all(c.passed for c in rep.conditions)
+
+
+def test_classify_nan_residual_is_not_detected():
+    ric = -1.5 * np.eye(3)
+    assert _classify(ric, -1.5, np.nan, 0.0, 0.0, 1.0) == TAG_NONE
+    assert _classify(ric, -1.5, 0.0, np.nan, 0.0, 1.0) == TAG_NONE
+
+
+# ---------------------------------------------------------------------------
+# derivations vanishing on k
+# ---------------------------------------------------------------------------
+
+def constrained_derivations_by_penalty(dec, rank_tol=1e-9):
+    """Kernel of pi stacked with weighted rows forcing D = 0 on the k row and column."""
+    n = dec.dim
+    rows = [pi_matrix(dec.bracket_on)]
+    w = max(1.0, dec.bracket.norm)
+    for z in range(dec.dim_k):
+        for a in range(n):
+            for idx in (a * n + z, z * n + a):
+                r = np.zeros((1, n * n))
+                r[0, idx] = w
+                rows.append(r)
+    _, s, vh = np.linalg.svd(np.vstack(rows))
+    cut = rank_tol * max(1.0, s[0] if len(s) else 0.0)
+    return vh[np.concatenate([s, np.zeros(vh.shape[0] - len(s))]) <= cut]
+
+
+def decompositions_with_isotropy():
+    sphere = AlgebraTensor(3, ((0, 1, 2, 1.0), (0, 2, 1, -1.0), (1, 2, 0, 1.0)))
+    decs = [MetricDecomposition(sphere, 1, 2, 0)]
+    rng = np.random.default_rng(2024)
+    while len(decs) < 6:
+        data = random_construction(rng)
+        if data.dim_k:
+            decs.append(assemble_semidirect(data))
+    return decs
+
+
+def test_constrained_derivations_vanish_on_k_and_derive():
+    for dec in decompositions_with_isotropy():
+        assert dec.dim_k > 0
+        basis = constrained_derivations(dec)
+        assert len(basis) == len(constrained_derivations_by_penalty(dec))
+        nk = dec.dim_k
+        for d in basis:
+            assert not np.any(d[:nk, :]) and not np.any(d[:, :nk])
+            assert dec.derivation_residual_on(d) <= 1e-9
+        gram = np.einsum("aij,bij->ab", basis, basis)
+        assert np.allclose(gram, np.eye(len(basis)), atol=1e-12)

@@ -1,8 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from homsol.tensor import (
     AlgebraTensor,
+    _nullspace,
     derivation_algebra,
     derivation_residual,
     jacobi_residual,
@@ -10,6 +17,7 @@ from homsol.tensor import (
     moment_operator,
     nilpotency_class,
     pi_action,
+    pi_matrix,
     tensor_inner,
 )
 
@@ -294,6 +302,123 @@ def test_transpose_of_normal_derivation_is_derivation():
         for d in derivation_algebra(mu):
             if np.max(np.abs(d @ d.T - d.T @ d)) <= 1e-12:
                 assert derivation_residual(mu, d.T) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# kernel layer: pi_matrix and the shared nullspace
+# ---------------------------------------------------------------------------
+
+def pi_matrix_loop(mu):
+    """Column-by-column construction of the pi matrix, one (a, b) at a time."""
+    n = mu.dim
+    t = mu.dense
+    rows_idx = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    m = np.zeros((len(rows_idx) * n, n * n))
+    for a in range(n):
+        for b in range(n):
+            col = np.zeros((n, n, n))
+            col[:, :, a] += t[:, :, b]
+            col[b, :, :] -= t[a, :, :]
+            col[:, b, :] -= t[:, a, :]
+            rows = np.array([col[i, j] for (i, j) in rows_idx]).reshape(-1)
+            m[:, a * n + b] = rows
+    return m
+
+
+def random_skew_bracket(rng, n):
+    t = rng.standard_normal((n, n, n))
+    return AlgebraTensor.from_dense(t - np.swapaxes(t, 0, 1))
+
+
+def test_pi_matrix_equals_loop_bitwise():
+    rng = np.random.default_rng(7)
+    for n in range(2, 10):
+        for mu in (AlgebraTensor(n), random_skew_bracket(rng, n), random_skew_bracket(rng, n)):
+            assert np.array_equal(pi_matrix(mu), pi_matrix_loop(mu))
+
+
+def test_pi_matrix_applies_pi():
+    rng = np.random.default_rng(8)
+    mu = random_skew_bracket(rng, 5)
+    alpha = rng.standard_normal((5, 5))
+    iu, ju = np.triu_indices(5, 1)
+    want = pi_action(alpha, mu).dense[iu, ju].reshape(-1)
+    assert np.allclose(pi_matrix(mu) @ alpha.reshape(-1), want, atol=1e-12)
+
+
+def assert_kernel(m, null, dim):
+    assert null.shape == (dim, m.shape[1])
+    assert np.allclose(null @ null.T, np.eye(dim), atol=1e-12)
+    assert np.linalg.norm(m @ null.T) <= 1e-12 * np.linalg.norm(m)
+
+
+def test_nullspace_wide_matrix():
+    rng = np.random.default_rng(9)
+    m = rng.standard_normal((3, 7))
+    assert_kernel(m, _nullspace(m, 1e-9), 4)
+
+
+def test_nullspace_zero_matrix():
+    for shape in ((6, 4), (2, 5)):
+        null = _nullspace(np.zeros(shape), 1e-9)
+        assert null.shape == (shape[1], shape[1])
+        assert np.allclose(null @ null.T, np.eye(shape[1]), atol=1e-12)
+
+
+def test_nullspace_tall_rank_deficient():
+    rng = np.random.default_rng(10)
+    m = rng.standard_normal((40, 5)) @ rng.standard_normal((5, 12))
+    assert_kernel(m, _nullspace(m, 1e-9), 7)
+
+
+def heis(m):
+    return AlgebraTensor(2 * m + 1, tuple((i, m + i, 2 * m, 1.0) for i in range(m)))
+
+
+def filiform(n, unit):
+    return AlgebraTensor(
+        n,
+        tuple(
+            (0, j, j + 1, 1.0 if unit else float(np.sqrt(j * (n - 1 - j))))
+            for j in range(1, n - 1)
+        ),
+    )
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_heisenberg_derivation_dims(m):
+    assert derivation_algebra(heis(m)).shape[0] == 2 * m * m + 3 * m + 1
+
+
+@pytest.mark.parametrize("n", range(4, 15))
+def test_filiform_derivation_dims(n):
+    for unit in (False, True):
+        assert derivation_algebra(filiform(n, unit)).shape[0] == 2 * n - 1
+
+
+_RSS_SCRIPT = """
+import json, resource, sys
+from homsol.tensor import AlgebraTensor, derivation_algebra
+m = int(sys.argv[1])
+mu = AlgebraTensor(2 * m + 1, tuple((i, m + i, 2 * m, 1.0) for i in range(m)))
+dim = derivation_algebra(mu).shape[0]
+print(json.dumps({"dim": dim, "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
+
+@pytest.mark.parametrize("m, dim, limit_mb", [(11, 276, 150), (15, 496, 500)])
+def test_derivation_algebra_peak_memory(m, dim, limit_mb):
+    # h_23 and h_31 in a fresh process: peak RSS, not wall time, is bounded
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", _RSS_SCRIPT, str(m)],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    got = json.loads(out.stdout.strip().splitlines()[-1])
+    assert got["dim"] == dim
+    assert got["rss_mb"] <= limit_mb
 
 
 # ---------------------------------------------------------------------------

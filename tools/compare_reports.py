@@ -1,0 +1,148 @@
+"""Dump homsol's JSON reports for a source tree, and compare two dumps.
+
+A refactor that claims unchanged behaviour is checked in two steps:
+
+    python tools/compare_reports.py dump --src path/to/old/src --out old.json
+    python tools/compare_reports.py dump --src src --out new.json
+    python tools/compare_reports.py compare old.json new.json
+
+``dump`` runs ``fit``, ``battery`` and ``stratify --json`` on every catalog
+entry and on one round of the generated ladder (Heisenberg ``h_{2m+1}``,
+m = 1..8; their rank-one Einstein extensions, m = 1..7; filiform ``L_n``
+with nilsoliton constants, n = 4..14; unit-constant ``L_n``, n = 5..11),
+plus ``verify-all --json``, all in-process through ``homsol.cli.main``, and
+writes every exit code and report to one JSON file.
+
+``compare`` requires identical exit codes, strings (tags, check names,
+hashes) and booleans (verdicts), identical integers and list lengths, and
+floats equal to 1e-12 absolute or relative.  It prints each difference
+and exits 1 if there is any, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+COMMANDS = ("fit", "battery", "stratify")
+TOL = 1e-12
+
+
+def _document(name: str, dim_h: int, dim_n: int, entries) -> dict:
+    return {
+        "name": name,
+        "dim": dim_h + dim_n,
+        "dim_k": 0,
+        "dim_h": dim_h,
+        "dim_n": dim_n,
+        "bracket": [{"i": i, "j": j, "k": k, "c": c} for i, j, k, c in entries],
+    }
+
+
+def ladder_documents() -> list[dict]:
+    docs = []
+    for m in range(1, 9):
+        heis = [(i, m + i, 2 * m, 1.0) for i in range(m)]
+        docs.append(_document(f"heis-m{m}", 0, 2 * m + 1, heis))
+    for m in range(1, 8):
+        # A = e_0 acts by diag(1/2, ..., 1/2, 1) on h_{2m+1}
+        n = 2 * m + 1
+        ad = [(0, 1 + j, 1 + j, 0.5) for j in range(2 * m)] + [(0, n, n, 1.0)]
+        heis = [(1 + i, 1 + m + i, 1 + 2 * m, 1.0) for i in range(m)]
+        docs.append(_document(f"ext-m{m}", 1, n, ad + heis))
+    for unit, sizes in ((False, range(4, 15)), (True, range(5, 12))):
+        for n in sizes:
+            fil = [
+                (0, j, j + 1, 1.0 if unit else math.sqrt(j * (n - 1 - j))) for j in range(1, n - 1)
+            ]
+            docs.append(_document(f"{'unit' if unit else 'fil'}-n{n}", 0, n, fil))
+    return docs
+
+
+def _run(main, argv: list[str]) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    text = out.getvalue()
+    try:
+        report = json.loads(text)
+    except json.JSONDecodeError:
+        report = text
+    return {"exit": code, "report": report}
+
+
+def dump(src: str) -> dict:
+    sys.path.insert(0, str(Path(src).resolve()))
+    from homsol import catalog
+    from homsol.cli import main
+
+    runs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        targets = sorted(catalog.names())
+        for doc in ladder_documents():
+            path = Path(tmp) / f"{doc['name']}.json"
+            path.write_text(json.dumps(doc, sort_keys=True))
+            targets.append(str(path))
+        for target in targets:
+            label = Path(target).stem
+            for command in COMMANDS:
+                runs[f"{command} {label}"] = _run(main, [command, target, "--json"])
+    runs["verify-all"] = _run(main, ["verify-all", "--json"])
+    return runs
+
+
+def differences(a, b, path: str = "") -> list[str]:
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = [f"{path}/{k}: only in one dump" for k in sorted(set(a) ^ set(b))]
+        for k in sorted(set(a) & set(b)):
+            out += differences(a[k], b[k], f"{path}/{k}")
+        return out
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return [f"{path}: length {len(a)} != {len(b)}"]
+        return [d for i, (x, y) in enumerate(zip(a, b)) for d in differences(x, y, f"{path}[{i}]")]
+    if isinstance(a, float) and isinstance(b, float):
+        gap = abs(a - b)
+        if a == b or gap <= TOL or gap <= TOL * max(abs(a), abs(b)):
+            return []
+        if math.isnan(a) and math.isnan(b):
+            return []
+        return [f"{path}: {a!r} != {b!r}"]
+    if type(a) is not type(b) or a != b:
+        return [f"{path}: {a!r} != {b!r}"]
+    return []
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = ap.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("dump", help="write every report of one source tree to a file")
+    p.add_argument("--src", required=True, help="directory that contains the homsol package")
+    p.add_argument("--out", required=True, help="output JSON file")
+    p = sub.add_parser("compare", help="compare two dumps")
+    p.add_argument("old")
+    p.add_argument("new")
+    args = ap.parse_args(argv)
+
+    if args.command == "dump":
+        runs = dump(args.src)
+        Path(args.out).write_text(json.dumps(runs, sort_keys=True, indent=1))
+        print(f"{len(runs)} reports written to {args.out}")
+        return 0
+    old = json.loads(Path(args.old).read_text())
+    new = json.loads(Path(args.new).read_text())
+    diffs = differences(old, new)
+    for d in diffs:
+        print(d)
+    print(f"{len(old)} vs {len(new)} reports, {len(diffs)} differences")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
