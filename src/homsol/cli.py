@@ -31,7 +31,6 @@ from .io import (
     DocumentError,
     Report,
     document_from_decomposition,
-    document_from_dict,
     load,
     validate,
 )
@@ -48,14 +47,16 @@ from .strata import e_beta_pairing, strata_properties
 from .tensor import AlgebraTensor, DEFAULT_TOL
 
 
-def _default_tol() -> float:
-    env = os.environ.get("HOMSOL_TOL")
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            pass
-    return DEFAULT_TOL
+def _tolerance(flag: float | None) -> float:
+    """--tol, else HOMSOL_TOL, else the default; a tolerance must be finite and positive."""
+    raw = flag if flag is not None else os.environ.get("HOMSOL_TOL") or DEFAULT_TOL
+    try:
+        tol = float(raw)
+        if np.isfinite(tol) and tol > 0.0:
+            return tol
+    except ValueError:
+        pass
+    raise DocumentError("bad-tolerance", f"tolerance {raw!r} is not a finite positive number")
 
 
 def _report(command: str, doc: AlgebraDocument | None, tol: float) -> Report:
@@ -128,6 +129,141 @@ def run_fit(doc: AlgebraDocument, tol: float) -> Report:
     return report
 
 
+Groups = dict[str, list[CheckRecord]]
+
+# verify-all summarises each group of battery and stratify records in one
+# check named after the group, with this anchor
+_GROUP_ANCHORS = {
+    "battery": "structural conditions (i)-(v)",
+    "f-operator": "S(ad_p H + D_p) = t E_beta",
+    "equivalences-agree": "seven algebraic-soliton conditions agree",
+    "stratum-compatibility": "m(mu) = beta and friends",
+    "stratum-properties": "label inequalities",
+    "bracket-pairing": "<pi(E_beta) [.,.]_p, [.,.]_p> >= 0 summand by summand",
+}
+
+
+def _condition_records(conditions, tol: float) -> list[CheckRecord]:
+    return [
+        CheckRecord(name=c.name, anchor=c.anchor, passed=c.passed, value=c.residual, tolerance=tol)
+        for c in conditions
+    ]
+
+
+def _battery(dec, cert, tol: float) -> tuple[Groups, dict]:
+    """Records of the structure battery and its follow-up checks, plus their results."""
+    bat = structure_battery(dec, cert, tol)
+    results = {"forward_direction_applicable": bat.applicable}
+    groups: Groups = {"battery": _condition_records(bat.conditions, tol)}
+
+    fop = f_operator_check(dec, cert, tol)
+    if fop.skipped:
+        groups["f-operator"] = [
+            CheckRecord(
+                name="f-operator-shape",
+                anchor="S(ad_p H + D_p) = t E_beta",
+                passed=True,
+                info={"skipped": fop.reason},
+            )
+        ]
+    else:
+        groups["f-operator"] = [
+            CheckRecord(
+                name="f-operator-shape",
+                anchor="S(ad_p H + D_p) = t E_beta (t I on an abelian part)",
+                passed=fop.passed,
+                value=fop.shape_residual,
+                tolerance=tol,
+                info={"branch": fop.branch, "t": fop.t},
+            ),
+            CheckRecord(
+                name="f-trace-identity",
+                anchor="c tr F + tr F^2 = 0",
+                passed=fop.trace_identity <= tol * max(1.0, cert.c**2),
+                value=fop.trace_identity,
+                tolerance=tol,
+            ),
+        ]
+
+    eq = algebraic_soliton_equivalences(dec, cert)
+    groups["equivalences-agree"] = [
+        CheckRecord(
+            name="algebraic-equivalences-agree",
+            anchor="S(D) in Der(g) <=> ... <=> Ric|_h = c I (seven conditions)",
+            passed=eq.all_agree,
+            info={"verdict": eq.verdict, "residuals": eq.residuals},
+        )
+    ]
+
+    comp = stratum_compatibility_check(dec, cert, tol)
+    if comp.skipped:
+        groups["stratum-compatibility"] = [
+            CheckRecord(
+                name="stratum-compatibility",
+                anchor="m(mu) = beta and friends",
+                passed=True,
+                info={"skipped": comp.reason},
+            )
+        ]
+    else:
+        groups["stratum-compatibility"] = _condition_records(comp.checks, tol)
+        results["mu_scalar_variant_residual"] = comp.mu_scalar_variant_residual
+    return groups, results
+
+
+def _stratify(dec, mu: AlgebraTensor, tol: float) -> tuple[Groups, dict]:
+    """Records of the label checks on the nonzero nilpotent part mu, plus their results."""
+    rep = strata_properties(mu, tol=tol)
+    data = rep.stratum
+    results = {
+        "beta": data.beta,
+        "beta_raw": data.beta_raw,
+        "beta_norm_sq": data.beta_norm_sq,
+        "support": [list(s) for s in data.support],
+        "nice_position": data.nice_position,
+    }
+    properties = [
+        CheckRecord(
+            name="label-trace",
+            anchor="tr beta = -1",
+            passed=abs(data.trace + 1.0) <= tol,
+            value=data.trace,
+            tolerance=tol,
+        )
+    ]
+    for c_ in rep.checks:
+        properties.append(
+            CheckRecord(
+                name=c_.name,
+                anchor=c_.anchor,
+                passed=c_.passed if c_.asserted else True,
+                value=c_.value,
+                tolerance=tol,
+                info={} if c_.asserted else {"skipped": "needs nice position"},
+            )
+        )
+    groups: Groups = {"stratum-properties": properties}
+    if data.nice_position:
+        pairing = e_beta_pairing(dec, tol)
+        results["pairing_terms"] = {
+            "lam0": pairing.lam0_term,
+            "lam1": pairing.lam1_term,
+            "eta": pairing.eta_term,
+            "mu": pairing.mu_term,
+            "total": pairing.total,
+        }
+        groups["bracket-pairing"] = [
+            CheckRecord(
+                name="bracket-pairing-nonnegative",
+                anchor="<pi(E_beta) [.,.]_p, [.,.]_p> >= 0, summand by summand",
+                passed=pairing.summands_nonnegative and pairing.split_defect <= tol,
+                value=pairing.total,
+                tolerance=tol,
+            )
+        ]
+    return groups, results
+
+
 def run_battery(doc: AlgebraDocument, tol: float) -> Report:
     report = _report("battery", doc, tol)
     dec = _validated(report, doc, tol)
@@ -136,80 +272,9 @@ def run_battery(doc: AlgebraDocument, tol: float) -> Report:
     cert = soliton_fit(dec, tol)
     report.classification = cert.tag
     report.results["c"] = cert.c
-
-    bat = structure_battery(dec, cert, tol)
-    report.results["forward_direction_applicable"] = bat.applicable
-    for cond in bat.conditions:
-        report.add(
-            CheckRecord(
-                name=cond.name,
-                anchor=cond.anchor,
-                passed=cond.passed,
-                value=cond.residual,
-                tolerance=tol,
-            )
-        )
-
-    fop = f_operator_check(dec, cert, tol)
-    if fop.skipped:
-        report.add(
-            CheckRecord(
-                name="f-operator-shape",
-                anchor="S(ad_p H + D_p) = t E_beta",
-                passed=True,
-                info={"skipped": fop.reason},
-            )
-        )
-    else:
-        report.add(
-            CheckRecord(
-                name="f-operator-shape",
-                anchor="S(ad_p H + D_p) = t E_beta (t I on an abelian part)",
-                passed=fop.passed,
-                value=fop.shape_residual,
-                tolerance=tol,
-                info={"branch": fop.branch, "t": fop.t},
-            )
-        )
-        report.add(
-            CheckRecord(
-                name="f-trace-identity",
-                anchor="c tr F + tr F^2 = 0",
-                passed=fop.trace_identity <= tol * max(1.0, cert.c**2),
-                value=fop.trace_identity,
-                tolerance=tol,
-            )
-        )
-
-    eq = algebraic_soliton_equivalences(dec, cert)
-    report.add(
-        CheckRecord(
-            name="algebraic-equivalences-agree",
-            anchor="S(D) in Der(g) <=> ... <=> Ric|_h = c I (seven conditions)",
-            passed=eq.all_agree,
-            info={"verdict": eq.verdict, "residuals": eq.residuals},
-        )
-    )
-
-    comp = stratum_compatibility_check(dec, cert, tol)
-    if comp.skipped:
-        report.add(
-            CheckRecord(
-                name="stratum-compatibility",
-                anchor="m(mu) = beta and friends",
-                passed=True,
-                info={"skipped": comp.reason},
-            )
-        )
-    else:
-        for c_ in comp.checks:
-            report.add(
-                CheckRecord(
-                    name=c_.name, anchor=c_.anchor, passed=c_.passed, value=c_.residual,
-                    tolerance=tol,
-                )
-            )
-        report.results["mu_scalar_variant_residual"] = comp.mu_scalar_variant_residual
+    groups, results = _battery(dec, cert, tol)
+    report.results.update(results)
+    report.checks.extend(r for records in groups.values() for r in records)
     return report
 
 
@@ -224,52 +289,24 @@ def run_stratify(doc: AlgebraDocument, tol: float) -> Report:
             {"code": "no-stratum", "detail": "nilpotent part is abelian or empty; no label"}
         )
         return report
-    rep = strata_properties(mu, tol=tol)
-    data = rep.stratum
-    report.results["beta"] = data.beta
-    report.results["beta_raw"] = data.beta_raw
-    report.results["beta_norm_sq"] = data.beta_norm_sq
-    report.results["support"] = [list(s) for s in data.support]
-    report.results["nice_position"] = data.nice_position
-    report.add(
-        CheckRecord(
-            name="label-trace",
-            anchor="tr beta = -1",
-            passed=abs(data.trace + 1.0) <= tol,
-            value=data.trace,
-            tolerance=tol,
-        )
-    )
-    for c_ in rep.checks:
-        report.add(
-            CheckRecord(
-                name=c_.name,
-                anchor=c_.anchor,
-                passed=c_.passed if c_.asserted else True,
-                value=c_.value,
-                tolerance=tol,
-                info={} if c_.asserted else {"skipped": "needs nice position"},
-            )
-        )
-    if data.nice_position:
-        pairing = e_beta_pairing(dec, tol)
-        report.results["pairing_terms"] = {
-            "lam0": pairing.lam0_term,
-            "lam1": pairing.lam1_term,
-            "eta": pairing.eta_term,
-            "mu": pairing.mu_term,
-            "total": pairing.total,
-        }
-        report.add(
-            CheckRecord(
-                name="bracket-pairing-nonnegative",
-                anchor="<pi(E_beta) [.,.]_p, [.,.]_p> >= 0, summand by summand",
-                passed=pairing.summands_nonnegative and pairing.split_defect <= tol,
-                value=pairing.total,
-                tolerance=tol,
-            )
-        )
+    groups, results = _stratify(dec, mu, tol)
+    report.results.update(results)
+    report.checks.extend(r for records in groups.values() for r in records)
     return report
+
+
+def _finite(raw, what: str) -> np.ndarray:
+    """raw as a float array; raises ValueError on a ragged or non-finite value."""
+    arr = np.asarray(raw, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be finite")
+    return arr
+
+
+def _construction_bracket(part: dict, what: str) -> AlgebraTensor:
+    entries = [(e["i"], e["j"], e["k"], e["c"]) for e in part.get("bracket", [])]
+    _finite([e[3] for e in entries], f"{what} bracket constants")
+    return AlgebraTensor(part["dim"], tuple(entries))
 
 
 def _construction_from_dict(raw: dict) -> tuple[str, ConstructionData]:
@@ -278,21 +315,15 @@ def _construction_from_dict(raw: dict) -> tuple[str, ConstructionData]:
             raise DocumentError("missing-keys", f"construction document needs {key!r}")
     nil = raw["nil"]
     red = raw["reductive"]
-    n_bracket = AlgebraTensor(
-        nil["dim"], tuple((e["i"], e["j"], e["k"], e["c"]) for e in nil.get("bracket", []))
-    )
-    u_bracket = AlgebraTensor(
-        red["dim"], tuple((e["i"], e["j"], e["k"], e["c"]) for e in red.get("bracket", []))
-    )
     data = ConstructionData(
-        n_bracket=n_bracket,
-        c=float(raw["c"]),
-        d1=np.asarray(nil["d1"], dtype=float),
-        u_bracket=u_bracket,
+        n_bracket=_construction_bracket(nil, "nil"),
+        c=float(_finite(raw["c"], "c")),
+        d1=_finite(nil["d1"], "d1"),
+        u_bracket=_construction_bracket(red, "reductive"),
         dim_k=int(red.get("dim_k", 0)),
-        theta=np.asarray(raw["theta"], dtype=float),
-        ip_n=np.asarray(nil["ip"], dtype=float) if "ip" in nil else None,
-        ip_h=np.asarray(red["ip"], dtype=float) if "ip" in red else None,
+        theta=_finite(raw["theta"], "theta"),
+        ip_n=_finite(nil["ip"], "nil ip") if nil.get("ip") is not None else None,
+        ip_h=_finite(red["ip"], "reductive ip") if red.get("ip") is not None else None,
     )
     return str(raw["name"]), data
 
@@ -302,11 +333,13 @@ def run_build(path: str, tol: float) -> Report:
     try:
         raw = json.loads(Path(path).read_text())
         name, data = _construction_from_dict(raw)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, DocumentError) as err:
+        violations = validate_construction(data, tol)
+    except (OSError, KeyError, TypeError, ValueError) as err:
+        # ValueError covers malformed JSON, DocumentError, arrays of the wrong shape
+        # and an inner product that is not positive definite (LinAlgError)
         report.errors.append({"code": "bad-construction", "detail": str(err)})
         return report
     report.input_name = name
-    violations = validate_construction(data, tol)
     for v in violations:
         report.add(
             CheckRecord(
@@ -455,42 +488,19 @@ def _verify_one(name: str, tol: float) -> list[CheckRecord]:
             residual=ncert.residual,
         )
 
+    groups: Groups = {}
     if cert.is_soliton and cert.expanding:
-        bat = structure_battery(dec, cert, tol)
-        rec(
-            "battery",
-            "structural conditions (i)-(v)",
-            bat.all_pass,
-            **{c.name: c.residual for c in bat.conditions if not c.passed},
-        )
-        fop = f_operator_check(dec, cert, tol)
-        rec(
-            "f-operator",
-            "S(ad_p H + D_p) = t E_beta",
-            fop.skipped or fop.passed,
-            residual=fop.shape_residual,
-        )
-        eq = algebraic_soliton_equivalences(dec, cert)
-        rec("equivalences-agree", "seven algebraic-soliton conditions agree", eq.all_agree)
-        comp = stratum_compatibility_check(dec, cert, tol)
-        rec(
-            "stratum-compatibility",
-            "m(mu) = beta and friends",
-            comp.skipped or comp.all_pass,
-            **{c.name: c.residual for c in comp.checks if not c.passed},
-        )
-
+        groups.update(_battery(dec, cert, tol)[0])
     mu = dec.blocks().mu_tensor()
-    if mu.norm > 0 and dec.dim_n:
-        srep = strata_properties(mu, tol=tol)
-        rec("stratum-properties", "label inequalities", srep.passed)
-        if srep.stratum.nice_position:
-            pairing = e_beta_pairing(dec, tol)
-            rec(
-                "bracket-pairing",
-                "<pi(E_beta) [.,.]_p, [.,.]_p> >= 0 summand by summand",
-                pairing.summands_nonnegative and pairing.split_defect <= tol,
-            )
+    if mu.norm > 0:
+        groups.update(_stratify(dec, mu, tol)[0])
+    for group, records in groups.items():
+        rec(
+            group,
+            _GROUP_ANCHORS[group],
+            all(r.passed for r in records),
+            **{r.name: r.value for r in records if not r.passed},
+        )
     return checks
 
 
@@ -591,8 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    tol = args.tol if args.tol is not None else _default_tol()
     try:
+        tol = _tolerance(args.tol)
         if args.command == "catalog":
             report = run_catalog(args.dump)
         elif args.command == "verify-all":

@@ -48,9 +48,11 @@ from .soliton import (
     TAG_NONE,
     TAG_SEMI_ALGEBRAIC,
     SolitonCertificate,
+    _certificate_residual,
+    _classify,
     soliton_fit,
 )
-from .tensor import DEFAULT_TOL, AlgebraTensor, _nullspace, pi_action_dense
+from .tensor import DEFAULT_TOL, AlgebraTensor, _nullspace, derivation_residual
 
 
 class ConstructionError(ValueError):
@@ -140,7 +142,7 @@ def validate_construction(data: ConstructionData, tol: float = DEFAULT_TOL) -> l
     r = frob(ric_n - data.c * np.eye(dn) - np.asarray(data.d1))
     if r > SOLITON_RESIDUAL_TOL * max(1.0, frob(ric_n)):
         out.append(Violation("nil-certificate", "Ric_n != c I + D1", r))
-    r = frob(pi_action_dense(np.asarray(data.d1), data.n_bracket.dense))
+    r = derivation_residual(data.n_bracket, np.asarray(data.d1))
     if r > 1e-6 * nscale:
         out.append(Violation("d1-not-derivation", "D1 is not a derivation of n", r))
 
@@ -157,7 +159,7 @@ def validate_construction(data: ConstructionData, tol: float = DEFAULT_TOL) -> l
     worst_der = 0.0
     tu = data.u_bracket.dense
     for a in range(du):
-        worst_der = max(worst_der, frob(pi_action_dense(theta[a], data.n_bracket.dense)))
+        worst_der = max(worst_der, derivation_residual(data.n_bracket, theta[a]))
         for b in range(du):
             lhs = np.einsum("c,cij->ij", tu[a, b], theta)
             rhs = theta[a] @ theta[b] - theta[b] @ theta[a]
@@ -290,7 +292,7 @@ def build_semidirect(data: ConstructionData, tol: float = DEFAULT_TOL) -> BuildR
     d_full = np.zeros((dec.dim, dec.dim))
     d_full[:du, :du] = -ad_u_h
     d_full[dec.sn, dec.sn] = -theta_h + np.asarray(data.d1)
-    resid = frob(direct - data.c * np.eye(dh + dn) - sym(d_full[dec.sp, dec.sp]))
+    resid = _certificate_residual(dec, data.c, d_full)
     der_defect = dec.derivation_residual_on(d_full)
     sym_defect = dec.derivation_residual_on(sym(d_full))
 
@@ -343,12 +345,6 @@ def _require_algebraic(cert: SolitonCertificate):
         raise ValueError("certificate derivation is not symmetric")
 
 
-def _embed_p(dec: MetricDecomposition, x_p: np.ndarray) -> np.ndarray:
-    full = np.zeros(dec.dim)
-    full[dec.sp] = x_p
-    return full
-
-
 def _adapted_h_frame(dec: MetricDecomposition) -> tuple[np.ndarray, float]:
     """Orthogonal g-frame rotating H/|H| into the first h-coordinate."""
     h = dec.mean_curvature()
@@ -389,8 +385,7 @@ def einstein_from_nonunimodular(
     alpha = hnorm / np.sqrt(tr_d1)
 
     # modified generator action, expressed in the adapted basis
-    ad_h = dec.ad_matrix(_embed_p(dec, dec.mean_curvature()))
-    a_mod = frame.T @ (sym(ad_h) + cert.d_full) @ frame
+    a_mod = frame.T @ (sym(dec.ad_mean_curvature()) + cert.d_full) @ frame
 
     t = dec.bracket_on.map_basis(frame).dense.copy()
     ih = dec.dim_k  # H/|H| sits here in the adapted basis
@@ -441,8 +436,7 @@ def restrict_to_unimodular_kernel(
         tol=dec.tol,
     )
 
-    ad_h = dec.ad_matrix(_embed_p(dec, dec.mean_curvature()))
-    d_prime_full = frame.T @ (cert.d_full + sym(ad_h)) @ frame
+    d_prime_full = frame.T @ (cert.d_full + sym(dec.ad_mean_curvature())) @ frame
     h_row = max(frob(d_prime_full[ih, :]), frob(d_prime_full[:, ih]))
     if h_row > 1e-8 * max(1.0, frob(d_prime_full)):
         raise DecompositionError(
@@ -455,19 +449,11 @@ def restrict_to_unimodular_kernel(
             [Violation("dprime-k-block", "D' must vanish on the isotropy block", k_block)]
         )
 
-    ric0 = out.ricci().matrix
-    resid = frob(ric0 - cert.c * np.eye(out.dim_p) - sym(d_prime[out.sp, out.sp]))
+    resid = _certificate_residual(out, cert.c, d_prime)
     der_defect = out.derivation_residual_on(d_prime)
-    certified = (
-        resid <= SOLITON_RESIDUAL_TOL * max(1.0, frob(ric0))
-        and der_defect <= 1e-6 * max(1.0, out.bracket.norm)
-    )
-    if certified and frob(ric0 - cert.c * np.eye(out.dim_p)) <= SOLITON_RESIDUAL_TOL * max(1.0, frob(ric0)):
-        tag = TAG_EINSTEIN
-    elif certified:
-        tag = TAG_ALGEBRAIC
-    else:
-        tag = TAG_NONE
+    # D' is symmetric, so its derivation defect is also its symmetric part's
+    ric0 = out.ricci().matrix
+    tag = _classify(ric0, cert.c, resid, der_defect, der_defect, max(1.0, out.bracket.norm))
     cert0 = SolitonCertificate(
         c=cert.c,
         d_full=d_prime,
@@ -504,20 +490,14 @@ def einstein_extension_unimodular(
         raise ValueError("tr D1 <= 0; the extension scale is undefined")
     alpha = 1.0 / np.sqrt(tr_d1)
 
-    dim = dec.dim
-    nk = dec.dim_k
-    new_dim = dim + 1
-    old_to_new = [i if i < nk else i + 1 for i in range(dim)]
-    ia = nk
+    ia = dec.dim_k
+    new_dim = dec.dim + 1
+    old_to_new = np.delete(np.arange(new_dim), ia)
     t = np.zeros((new_dim, new_dim, new_dim))
-    told = dec.bracket_on.dense
-    for i in range(dim):
-        for j in range(dim):
-            t[old_to_new[i], old_to_new[j], [old_to_new[k] for k in range(dim)]] = told[i, j]
-    ad_a = alpha * cert.d_full
-    for j in range(dim):
-        t[ia, old_to_new[j], [old_to_new[k] for k in range(dim)]] = ad_a[:, j]
-        t[old_to_new[j], ia, [old_to_new[k] for k in range(dim)]] = -ad_a[:, j]
+    t[np.ix_(old_to_new, old_to_new, old_to_new)] = dec.bracket_on.dense
+    ad_a = alpha * cert.d_full  # <[A, e_j], e_k> = ad_a[k, j]
+    t[ia][np.ix_(old_to_new, old_to_new)] = ad_a.T
+    t[:, ia][np.ix_(old_to_new, old_to_new)] = -ad_a.T
     out = MetricDecomposition(
         AlgebraTensor.from_dense(t, zero_tol=1e-14),
         dec.dim_k,

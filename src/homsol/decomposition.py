@@ -29,7 +29,7 @@ symmetrization A -> (A + A^t)/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .tensor import (
     jacobi_residual,
     moment_operator,
     nilpotency_class,
-    pi_action_dense,
 )
 
 
@@ -256,9 +255,6 @@ class MetricDecomposition:
         """ad of a coordinate vector (orthonormal frame) on g."""
         return self.bracket_on.ad(x)
 
-    def to_user_p(self, matrix_on: np.ndarray) -> np.ndarray:
-        return self.frame_p @ matrix_on @ np.linalg.inv(self.frame_p)
-
     def _sym_op(self, m: np.ndarray, role: str) -> SymOperator:
         return SymOperator(matrix=m, role=role, frame=self.frame_p)
 
@@ -311,19 +307,20 @@ class MetricDecomposition:
         h = self.mean_curvature()
         return frob(h[self.sn_p]) if self.dim_n else 0.0
 
-    def ad_p(self, x_p: np.ndarray) -> np.ndarray:
-        """p-block of ad(x) for x in p, orthonormal frame."""
-        full = np.zeros(self.dim)
-        full[self.sp] = x_p
-        return self.ad_matrix(full)[self.sp, self.sp]
+    def ad_mean_curvature(self) -> np.ndarray:
+        """Matrix of ad H on g, orthonormal frame."""
+        if "ad_H" not in self._cache:
+            full = np.zeros(self.dim)
+            full[self.sp] = self.mean_curvature()
+            self._cache["ad_H"] = self.ad_matrix(full)
+        return self._cache["ad_H"]
 
     def ricci(self) -> SymOperator:
         if "ricci" in self._cache:
             return self._cache["ricci"]
         m = moment_operator(self.p_bracket)
         bp = self.killing().p_operator.matrix
-        h = self.mean_curvature()
-        ric = m - 0.5 * bp - sym(self.ad_p(h))
+        ric = m - 0.5 * bp - sym(self.ad_mean_curvature()[self.sp, self.sp])
         op = self._sym_op(ric, "Ricci")
         self._cache["ricci"] = op
         return op
@@ -376,13 +373,9 @@ class MetricDecomposition:
         return worst
 
     def isotropy_mean_curvature_defect(self) -> float:
-        """max over k-basis Z of |[Z, H]| (must vanish)."""
-        hvec = np.zeros(self.dim)
-        hvec[self.sp] = self.mean_curvature()
-        worst = 0.0
-        for z in range(self.dim_k):
-            worst = max(worst, frob(self._ad_on(z) @ hvec))
-        return worst
+        """max over k-basis Z of |[Z, H]| = |ad H (Z)| (must vanish)."""
+        cols = np.linalg.norm(self.ad_mean_curvature()[:, self.sk], axis=0)
+        return float(np.max(cols, initial=0.0))
 
     def mm_from_blocks(self) -> SymOperator:
         """Moment operator assembled blockwise; requires lam1 = 0.
@@ -497,7 +490,7 @@ class MetricDecomposition:
 
     def derivation_residual_on(self, d_on: np.ndarray) -> float:
         """Derivation defect of a matrix given in the orthonormal frame."""
-        return frob(pi_action_dense(d_on, self.bracket_on.dense))
+        return derivation_residual(self.bracket_on, d_on)
 
 
 @dataclass

@@ -119,9 +119,12 @@ def document_from_dict(raw: dict) -> AlgebraDocument:
     for e in bracket:
         key = (e["i"], e["j"], e["k"])
         summed[key] = summed.get(key, 0.0) + e["c"]
-    # |mu|^2 over ordered pairs, as AlgebraTensor.norm_sq computes it
-    if not np.isfinite(2.0 * sum(c * c for c in summed.values())):
-        raise DocumentError("bracket-norm-overflow", "|mu|^2 of the bracket is not finite")
+    # |mu|^2 over ordered pairs, as AlgebraTensor.norm_sq computes it; the
+    # library forms quantities of degree 4 in mu (c^2, tr F^2), so (|mu|^2)^2
+    # must be finite too
+    nrm2 = 2.0 * sum(c * c for c in summed.values())
+    if not np.isfinite(nrm2 * nrm2):
+        raise DocumentError("bracket-norm-overflow", "(|mu|^2)^2 of the bracket is not finite")
     ip = None
     if "ip" in raw:
         dp = dims["dim_h"] + dims["dim_n"]
@@ -239,7 +242,7 @@ class CheckRecord:
 
 
 def _jsonable(v):
-    if isinstance(v, (bool, str)):
+    if v is None or isinstance(v, (bool, str)):
         return v
     if isinstance(v, (int, np.integer)):
         return int(v)

@@ -33,9 +33,9 @@ from .tensor import (
     AlgebraTensor,
     _nullspace,
     derivation_algebra,
+    derivation_residual,
     moment_map,
     moment_operator,
-    pi_action_dense,
     pi_matrix,
 )
 
@@ -84,6 +84,14 @@ def _lstsq_affine(target: np.ndarray, basis_mats: list[np.ndarray]):
     return x, resid
 
 
+def _certified(ric: np.ndarray, residual: float, der_defect: float, bracket_scale: float) -> bool:
+    """Ric = c I + S(D_p) holds and D is a derivation; a NaN residual or defect fails."""
+    return (
+        residual <= SOLITON_RESIDUAL_TOL * max(1.0, frob(ric))
+        and der_defect <= 1e-6 * bracket_scale
+    )
+
+
 def _classify(
     ric: np.ndarray,
     c: float,
@@ -92,12 +100,10 @@ def _classify(
     sym_defect: float,
     bracket_scale: float,
 ) -> str:
-    scale = max(1.0, frob(ric))
-    # written so that a NaN residual or defect fails
-    if not (residual <= SOLITON_RESIDUAL_TOL * scale and der_defect <= 1e-6 * bracket_scale):
+    if not _certified(ric, residual, der_defect, bracket_scale):
         return TAG_NONE
     n = ric.shape[0]
-    if frob(ric - c * np.eye(n)) <= SOLITON_RESIDUAL_TOL * scale:
+    if frob(ric - c * np.eye(n)) <= SOLITON_RESIDUAL_TOL * max(1.0, frob(ric)):
         return TAG_EINSTEIN
     if sym_defect <= 1e-6 * bracket_scale:
         return TAG_ALGEBRAIC
@@ -150,9 +156,7 @@ def _nilsoliton_fit_on(
         c = float(c_fixed)
         x, resid = _lstsq_affine(ric - c * eye, sym_ders)
         d1 = sum(ci * m for ci, m in zip(x, sym_ders)) if sym_ders else np.zeros((n, n))
-    if isinstance(d1, float):
-        d1 = np.zeros((n, n))
-    der_defect = frob(pi_action_dense(d1, mu.dense))
+    der_defect = derivation_residual(mu, d1)
     tag = _classify(ric, c, resid, der_defect, der_defect, max(1.0, mu.norm))
     return SolitonCertificate(
         c=c,
@@ -165,16 +169,16 @@ def _nilsoliton_fit_on(
     )
 
 
-def _embed_p(dec: MetricDecomposition, x_p: np.ndarray) -> np.ndarray:
-    full = np.zeros(dec.dim)
-    full[dec.sp] = x_p
-    return full
+def _canonical_derivation(dec: MetricDecomposition, d1: np.ndarray) -> np.ndarray:
+    """The normal form D = -ad H + diag(0, 0, D1) on g, orthonormal frame."""
+    d = -dec.ad_mean_curvature()
+    d[dec.sn, dec.sn] += d1
+    return d
 
 
-def _block_n(dec: MetricDecomposition, d1: np.ndarray) -> np.ndarray:
-    out = np.zeros((dec.dim, dec.dim))
-    out[dec.sn, dec.sn] = d1
-    return out
+def _certificate_residual(dec: MetricDecomposition, c: float, d: np.ndarray) -> float:
+    """|Ric - c I - S(D_p)| for a derivation D on g, orthonormal frame."""
+    return frob(dec.ricci().matrix - c * np.eye(dec.dim_p) - sym(d[dec.sp, dec.sp]))
 
 
 def constrained_derivations(dec: MetricDecomposition, rank_tol: float = 1e-9) -> np.ndarray:
@@ -202,42 +206,28 @@ def soliton_fit(dec: MetricDecomposition, tol: float = DEFAULT_TOL) -> SolitonCe
     over every derivation vanishing on k.
     """
     ric = dec.ricci().matrix
-    np_dim = dec.dim_p
-    eye = np.eye(np_dim)
+    eye = np.eye(dec.dim_p)
     bracket_scale = max(1.0, dec.bracket.norm)
-
-    h = dec.mean_curvature()
-    ad_g_h = dec.ad_matrix(_embed_p(dec, h))
-    ad_p_h = ad_g_h[dec.sp, dec.sp]
 
     mu = dec.blocks().mu_tensor()
     ders_n = derivation_algebra(mu) if dec.dim_n else np.zeros((0, 0, 0))
     sym_ders = [sym(d) for d in ders_n if frob(sym(d)) > 1e-12]
 
     # canonical family: Ric + S(ad_p H) = c I + diag(0_h, S(D1))
-    target = ric + sym(ad_p_h)
-    mats = [eye] + [
-        np.block(
-            [
-                [np.zeros((dec.dim_h, dec.dim_h)), np.zeros((dec.dim_h, dec.dim_n))],
-                [np.zeros((dec.dim_n, dec.dim_h)), s_],
-            ]
-        )
-        for s_ in sym_ders
-    ]
+    target = ric + sym(dec.ad_mean_curvature()[dec.sp, dec.sp])
+    mats = [eye]
+    for s_ in sym_ders:
+        m = np.zeros_like(eye)
+        m[dec.sn_p, dec.sn_p] = s_
+        mats.append(m)
     x, _ = _lstsq_affine(target, mats)
     c = float(x[0])
     d1 = sum(ci * m for ci, m in zip(x[1:], sym_ders)) if sym_ders else np.zeros((dec.dim_n, dec.dim_n))
-    if isinstance(d1, float):
-        d1 = np.zeros((dec.dim_n, dec.dim_n))
-    d_full = -ad_g_h + _block_n(dec, d1)
-    resid = frob(ric - c * eye - sym(d_full[dec.sp, dec.sp]))
+    d_full = _canonical_derivation(dec, d1)
+    resid = _certificate_residual(dec, c, d_full)
     der_defect = dec.derivation_residual_on(d_full)
 
-    def _valid(r, dd):
-        return r <= SOLITON_RESIDUAL_TOL * max(1.0, frob(ric)) and dd <= 1e-6 * bracket_scale
-
-    if not _valid(resid, der_defect):
+    if not _certified(ric, resid, der_defect, bracket_scale):
         # fall back to the full constrained family
         basis = constrained_derivations(dec)
         sym_p = [sym(b[dec.sp, dec.sp]) for b in basis]
@@ -250,11 +240,9 @@ def soliton_fit(dec: MetricDecomposition, tol: float = DEFAULT_TOL) -> SolitonCe
             if keep
             else np.zeros((dec.dim, dec.dim))
         )
-        if isinstance(d_full2, float):
-            d_full2 = np.zeros((dec.dim, dec.dim))
-        resid2 = frob(ric - c2 * eye - sym(d_full2[dec.sp, dec.sp]))
+        resid2 = _certificate_residual(dec, c2, d_full2)
         der_defect2 = dec.derivation_residual_on(d_full2)
-        if _valid(resid2, der_defect2) or resid2 < resid:
+        if _certified(ric, resid2, der_defect2, bracket_scale) or resid2 < resid:
             c, d_full, resid, der_defect = c2, d_full2, resid2, der_defect2
             d1 = sym(d_full[dec.sn, dec.sn])
 
@@ -378,7 +366,7 @@ def structure_battery(
     if dec.dim_h and dec.dim_n:
         comm = sum(a @ a.T - a.T @ a for a in a_eta)
         r4 = frob(comm)
-        r4b = max(frob(pi_action_dense(a.T, mu.dense)) for a in a_eta)
+        r4b = max(derivation_residual(mu, a.T) for a in a_eta)
     else:
         r4, r4b = 0.0, 0.0
     conditions.append(
@@ -398,10 +386,8 @@ def structure_battery(
         )
     )
 
-    h = dec.mean_curvature()
-    d_full = -dec.ad_matrix(_embed_p(dec, h)) + _block_n(dec, d1)
-    ric = dec.ricci().matrix
-    r5 = frob(ric - c * np.eye(dec.dim_p) - sym(d_full[dec.sp, dec.sp]))
+    d_full = _canonical_derivation(dec, d1)
+    r5 = _certificate_residual(dec, c, d_full)
     conditions.append(
         ConditionResult("ricci-reassembly", "Ric = c I + S(D_p)", r5, r5 <= tol * scale)
     )
@@ -457,68 +443,44 @@ def f_operator_check(
     bb = dec.blocks()
     lam1 = frob(bb.lam1)
     h = dec.mean_curvature()
-    f = sym(dec.ad_p(h) + cert.d_p)
+    f = sym(dec.ad_mean_curvature()[dec.sp, dec.sp] + cert.d_p)
     c = cert.c
     tr_id = abs(c * np.trace(f) + np.trace(f @ f))
     scale = max(1.0, frob(dec.ricci().matrix))
 
-    if dec.dim_n == 0:
-        resid = frob(f)
-        ok = resid <= tol * scale and lam1 <= tol * max(1.0, dec.bracket.norm) and tr_id <= tol * scale**2
-        return FOperatorReport(
-            skipped=False,
-            reason="",
-            lam1_norm=lam1,
-            f=f,
-            branch="empty-n",
-            shape_residual=resid,
-            trace_identity=tr_id,
-            passed=ok,
-        )
-
     mu = bb.mu_tensor()
-    d_n = cert.d_full[dec.sn, dec.sn]
-    hn2 = float(h @ h)
-    if mu.norm <= tol * max(1.0, dec.bracket.norm):
-        t = (hn2 + float(np.trace(d_n))) / dec.dim_n
-        target = np.zeros_like(f)
+    hd = float(h @ h) + float(np.trace(cert.d_full[dec.sn, dec.sn]))  # |H|^2 + tr D_n
+    target = np.zeros_like(f)
+    t, t_ratio, stratum = 0.0, 0.0, None
+    if dec.dim_n == 0:
+        branch = "empty-n"
+    elif mu.norm <= tol * max(1.0, dec.bracket.norm):
+        branch = "abelian-part"
+        t = hd / dec.dim_n
         target[dec.sn_p, dec.sn_p] = t * np.eye(dec.dim_n)
-        resid = frob(f - target)
-        ok = resid <= tol * scale and lam1 <= tol * max(1.0, dec.bracket.norm) and tr_id <= tol * scale**2
-        return FOperatorReport(
-            skipped=False,
-            reason="",
-            lam1_norm=lam1,
-            f=f,
-            branch="abelian-part",
-            t=t,
-            shape_residual=resid,
-            trace_identity=tr_id,
-            passed=ok,
-        )
-
-    stratum = stratum_label(mu)
-    if not stratum.nice_position:
-        return FOperatorReport(
-            skipped=True,
-            reason="nilpotent part is not in nice position; label comparison unavailable",
-            lam1_norm=lam1,
-            stratum=stratum,
-        )
-    nsq = stratum.beta_norm_sq
-    t = -c / nsq
-    denom = -1.0 + nsq * dec.dim_n
-    t_ratio = (hn2 + float(np.trace(d_n))) / denom if abs(denom) > 1e-12 else np.nan
-    e_beta = np.zeros_like(f)
-    e_beta[dec.sn_p, dec.sn_p] = np.diag(stratum.beta_raw) + nsq * np.eye(dec.dim_n)
-    resid = frob(f - t * e_beta)
+    else:
+        stratum = stratum_label(mu)
+        if not stratum.nice_position:
+            return FOperatorReport(
+                skipped=True,
+                reason="nilpotent part is not in nice position; label comparison unavailable",
+                lam1_norm=lam1,
+                stratum=stratum,
+            )
+        branch = "nilpotent-part"
+        nsq = stratum.beta_norm_sq
+        t = -c / nsq
+        denom = -1.0 + nsq * dec.dim_n
+        t_ratio = hd / denom if abs(denom) > 1e-12 else np.nan
+        target[dec.sn_p, dec.sn_p] = t * (np.diag(stratum.beta_raw) + nsq * np.eye(dec.dim_n))
+    resid = frob(f - target)
     ok = resid <= tol * scale and lam1 <= tol * max(1.0, dec.bracket.norm) and tr_id <= tol * scale**2
     return FOperatorReport(
         skipped=False,
         reason="",
         lam1_norm=lam1,
         f=f,
-        branch="nilpotent-part",
+        branch=branch,
         t=t,
         t_ratio_form=t_ratio,
         shape_residual=resid,
@@ -557,20 +519,18 @@ def algebraic_soliton_equivalences(
     On an expanding semi-algebraic soliton these agree (all true or all
     false); evaluating them on anything else is descriptive only.
     """
-    p_dense = dec.p_bracket.dense
-    g_dense = dec.bracket_on.dense
+    p_bracket = dec.p_bracket
     bscale = max(1.0, dec.bracket.norm)
-    h = dec.mean_curvature()
-    ad_p_h = dec.ad_p(h)
+    ad_p_h = dec.ad_mean_curvature()[dec.sp, dec.sp]
     d_full = cert.d_full
     d_p = cert.d_p
     ric = dec.ricci().matrix
     nh = dec.dim_h
 
     res = {
-        "sym-derivation-on-g": frob(pi_action_dense(sym(d_full), g_dense)),
-        "sym-derivation-on-p": frob(pi_action_dense(sym(d_p), p_dense)),
-        "sym-ad-h-derivation": frob(pi_action_dense(sym(ad_p_h), p_dense)),
+        "sym-derivation-on-g": dec.derivation_residual_on(sym(d_full)),
+        "sym-derivation-on-p": derivation_residual(p_bracket, sym(d_p)),
+        "sym-ad-h-derivation": derivation_residual(p_bracket, sym(ad_p_h)),
         "ad-h-normal": frob(ad_p_h @ ad_p_h.T - ad_p_h.T @ ad_p_h),
         "sym-d-vanishes-on-h": frob(sym(d_p[:nh, :nh])),
         "sym-ad-h-vanishes-on-h": frob(sym(ad_p_h[:nh, :nh])),
@@ -652,8 +612,8 @@ def stratum_compatibility_check(
         ConditionResult("u-commutes-with-d1", "[ad u|n, D1] = 0", r, r <= tol * bscale)
     )
 
-    h = dec.mean_curvature()
-    f = sym(dec.ad_p(h) + cert.d_p)
+    ad_h = dec.ad_mean_curvature()
+    f = sym(ad_h[dec.sp, dec.sp] + cert.d_p)
     worst = 0.0
     for i in range(dec.dim_k + dec.dim_h):
         ad_i = dec._ad_on(i)[dec.sp, dec.sp]
@@ -680,9 +640,8 @@ def stratum_compatibility_check(
         )
     )
 
-    ad_h_n = dec.ad_matrix(_embed_p(dec, h))[dec.sn, dec.sn]
     d_n = cert.d_full[dec.sn, dec.sn]
-    r = frob(d1 - sym(ad_h_n + d_n))
+    r = frob(d1 - sym(ad_h[dec.sn, dec.sn] + d_n))
     checks.append(
         ConditionResult("d1-from-certificate", "D1 = S(ad H|n + D|n)", r, r <= tol * scale)
     )

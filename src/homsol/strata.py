@@ -244,6 +244,12 @@ class StrataReport:
         return all(c.passed for c in self.checks if c.asserted)
 
 
+def _label_gram(beta: np.ndarray, der_basis: np.ndarray) -> np.ndarray:
+    """Symmetrised Gram matrix of (D, D') -> <[beta, D], D'> over a stack of derivations."""
+    gram = np.einsum("aij,bij->ab", beta @ der_basis - der_basis @ beta, der_basis)
+    return 0.5 * (gram + gram.T)
+
+
 def strata_properties(
     mu: AlgebraTensor,
     der_basis: np.ndarray | None = None,
@@ -266,14 +272,8 @@ def strata_properties(
     checks: list[PropertyCheck] = []
 
     # <[beta, D], D> >= 0 on Der(mu): PSD of the restricted bilinear form
-    nder = der_basis.shape[0]
-    gram = np.zeros((nder, nder))
-    for a in range(nder):
-        ba = beta @ der_basis[a] - der_basis[a] @ beta
-        for b in range(nder):
-            gram[a, b] = float(np.sum(ba * der_basis[b]))
-    gram = 0.5 * (gram + gram.T)
-    lam_min = float(np.min(np.linalg.eigvalsh(gram))) if nder else 0.0
+    gram = _label_gram(beta, der_basis)
+    lam_min = float(np.min(np.linalg.eigvalsh(gram))) if len(gram) else 0.0
     checks.append(
         PropertyCheck(
             name="bracket-with-label-psd",

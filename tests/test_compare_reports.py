@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -33,3 +34,13 @@ def test_differences_tolerate_roundoff_only():
     assert diff(base, {"exit": 0, "report": report(checks=0)})
     assert diff({"tag": "Einstein"}, {"tag": "AlgebraicSoliton"})
     assert diff({"a": 1}, {"b": 1})
+
+
+def test_construction_documents_build(tmp_path, capsys):
+    from homsol.cli import main
+
+    for doc in compare_reports.construction_documents():
+        path = tmp_path / f"{doc['name']}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["build", str(path), "--json"]) == 0, doc["name"]
+    capsys.readouterr()

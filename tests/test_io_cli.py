@@ -1,8 +1,10 @@
 import json
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
+from homsol import catalog
 from homsol.cli import main
 from homsol.io import DocumentError, document_from_dict, load, validate
 
@@ -285,3 +287,158 @@ def test_cli_overflowing_bracket_exit_2(capsys, tmp_path):
     f.write_text(json.dumps(doc_dict(bracket=[{"i": 0, "j": 1, "k": 2, "c": 1e300}])))
     assert main(["fit", str(f)]) == 2
     assert "bracket-norm-overflow" in capsys.readouterr().err
+
+
+# not nilpotent: [e0,e1] = e2, [e1,e2] = e0 spans a copy of the Euclidean algebra
+NOT_NILPOTENT = [{"i": 0, "j": 1, "k": 2, "c": 1.0}, {"i": 1, "j": 2, "k": 0, "c": 1.0}]
+
+
+def test_cli_not_nilpotent_fails_at_default_tolerance(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("HOMSOL_TOL", raising=False)
+    f = tmp_path / "e2.json"
+    f.write_text(json.dumps(doc_dict(bracket=NOT_NILPOTENT)))
+    code, out = run_cli(capsys, "fit", str(f), "--json")
+    assert code == 2
+    assert [e["code"] for e in json.loads(out)["errors"]] == ["n-not-nilpotent"]
+
+
+@pytest.mark.parametrize(
+    "flag, env",
+    [("nan", None), ("inf", None), ("-1", None), ("0", None), (None, "abc")],
+)
+def test_cli_bad_tolerance_exit_2(capsys, tmp_path, monkeypatch, flag, env):
+    # a NaN, infinite or non-positive tolerance would disable every check
+    monkeypatch.delenv("HOMSOL_TOL", raising=False)
+    if env is not None:
+        monkeypatch.setenv("HOMSOL_TOL", env)
+    f = tmp_path / "e2.json"
+    f.write_text(json.dumps(doc_dict(bracket=NOT_NILPOTENT)))
+    argv = ["fit", str(f), "--json"] + (["--tol", flag] if flag is not None else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error [bad-tolerance]" in captured.err
+
+
+@pytest.mark.parametrize("c", [1e77, 1e100])
+@pytest.mark.parametrize("command", ["fit", "battery"])
+def test_cli_degree_four_overflow_exit_2(capsys, tmp_path, command, c):
+    # |mu|^2 is finite, but c ~ |mu|^2 squared is not
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps(doc_dict(bracket=[{"i": 0, "j": 1, "k": 2, "c": c}])))
+    assert main([command, str(f)]) == 2
+    assert "bracket-norm-overflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "battery"])
+def test_cli_largest_accepted_scale_reports(capsys, tmp_path, command):
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps(doc_dict(bracket=[{"i": 0, "j": 1, "k": 2, "c": 1e76}])))
+    code, out = run_cli(capsys, command, str(f), "--json")
+    assert code in (0, 1)
+    rep = json.loads(out)
+    assert rep["command"] == command and not rep["errors"]
+
+
+def build_doc(**overrides):
+    data = {
+        "name": "cplxhyp2-parts",
+        "c": -1.5,
+        "nil": {
+            "dim": 3,
+            "bracket": [{"i": 0, "j": 1, "k": 2, "c": 1.0}],
+            "d1": np.diag([1.0, 1.0, 2.0]).tolist(),
+        },
+        "reductive": {"dim": 1, "dim_k": 0, "bracket": []},
+        "theta": [np.diag([0.5, 0.5, 1.0]).tolist()],
+    }
+    data.update(overrides)
+    return data
+
+
+def run_build(capsys, tmp_path, data):
+    f = tmp_path / "cons.json"
+    f.write_text(json.dumps(data))
+    code, out = run_cli(capsys, "build", str(f), "--json")
+    return code, json.loads(out)
+
+
+def test_cli_build_parts_of_cplxhyp2(capsys, tmp_path):
+    code, rep = run_build(capsys, tmp_path, build_doc())
+    assert code == 0
+    assert rep["classification"] == "Einstein"
+
+
+def test_cli_build_null_ip_means_identity(capsys, tmp_path):
+    # the construction example in README.md writes "ip": null
+    nil = dict(build_doc()["nil"], ip=None)
+    red = dict(build_doc()["reductive"], ip=None)
+    code, rep = run_build(capsys, tmp_path, build_doc(nil=nil, reductive=red))
+    assert code == 0
+    assert rep["classification"] == "Einstein"
+
+
+def test_cli_build_index_out_of_range_exit_2(capsys, tmp_path):
+    nil = dict(build_doc()["nil"], bracket=[{"i": 0, "j": 1, "k": 7, "c": 1.0}])
+    code, rep = run_build(capsys, tmp_path, build_doc(nil=nil))
+    assert code == 2
+    assert [e["code"] for e in rep["errors"]] == ["bad-construction"]
+
+
+def test_cli_build_ragged_d1_exit_2(capsys, tmp_path):
+    nil = dict(build_doc()["nil"], d1=[[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 2.0]])
+    code, rep = run_build(capsys, tmp_path, build_doc(nil=nil))
+    assert code == 2
+    assert [e["code"] for e in rep["errors"]] == ["bad-construction"]
+
+
+def test_cli_build_nan_constant_exit_2(capsys, tmp_path):
+    code, rep = run_build(capsys, tmp_path, build_doc(c=float("nan")))
+    assert code == 2
+    assert [e["code"] for e in rep["errors"]] == ["bad-construction"]
+    assert rep["classification"] == ""
+
+
+# verify-all summary -> the battery/stratify records it summarises
+STRUCTURE_CONDITIONS = {
+    "hh-inside-u",
+    "reductive-part-ricci",
+    "nilpotent-part-soliton",
+    "adjoint-commutator-sum",
+    "transposed-adjoints-derive",
+    "ricci-reassembly",
+    "reassembled-derivation",
+}
+
+
+def summary_group(command, record):
+    if command == "stratify":
+        return "bracket-pairing" if record == "bracket-pairing-nonnegative" else "stratum-properties"
+    if record in STRUCTURE_CONDITIONS:
+        return "battery"
+    if record in ("f-operator-shape", "f-trace-identity"):
+        return "f-operator"
+    if record == "algebraic-equivalences-agree":
+        return "equivalences-agree"
+    return "stratum-compatibility"
+
+
+def test_cli_verify_all_summaries_match_battery_and_stratify(capsys):
+    _, out = run_cli(capsys, "verify-all", "--json")
+    summaries = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+    groups = {"battery", "f-operator", "equivalences-agree", "stratum-compatibility",
+              "stratum-properties", "bracket-pairing"}
+    compared = 0
+    for name in sorted(catalog.names()):
+        verdicts = defaultdict(list)
+        for command in ("battery", "stratify"):
+            _, out = run_cli(capsys, command, name, "--json")
+            for record in json.loads(out)["checks"]:
+                verdicts[summary_group(command, record["name"])].append(record["passed"])
+        for group in groups:
+            key = f"{name}:{group}"
+            if key in summaries:
+                assert verdicts[group], key
+                assert summaries[key] == all(verdicts[group]), key
+                compared += 1
+    assert compared >= 40

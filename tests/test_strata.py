@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from homsol.strata import (
+    _label_gram,
     min_norm_point,
     nice_position_search,
     pair_weight,
     strata_properties,
     stratum_label,
 )
-from homsol.tensor import AlgebraTensor
+from homsol.tensor import AlgebraTensor, derivation_algebra
 
 HEIS3 = AlgebraTensor(3, ((0, 1, 2, 1.0),))
 FIL4 = AlgebraTensor(4, ((0, 1, 2, 1.0), (0, 2, 3, 1.0)))
@@ -239,3 +240,32 @@ def test_properties_on_non_nilsoliton_direction():
     mu = AlgebraTensor(4, ((0, 1, 2, 1.0), (0, 1, 3, 0.5), (0, 2, 3, 1.0)))
     rep = strata_properties(mu)
     assert rep.passed
+
+
+# ---------------------------------------------------------------------------
+# Gram matrix of <[beta, D], D'> against its loop version
+# ---------------------------------------------------------------------------
+
+def label_gram_loop(beta, der_basis):
+    nder = der_basis.shape[0]
+    gram = np.zeros((nder, nder))
+    for a in range(nder):
+        ba = beta @ der_basis[a] - der_basis[a] @ beta
+        for b in range(nder):
+            gram[a, b] = float(np.sum(ba * der_basis[b]))
+    return 0.5 * (gram + gram.T)
+
+
+def test_label_gram_matches_loop():
+    rng = np.random.default_rng(13)
+    heis7 = AlgebraTensor(7, tuple((i, 3 + i, 6, 1.0) for i in range(3)))
+    cases = [
+        (np.diag(stratum_label(mu).beta_raw), derivation_algebra(mu))
+        for mu in (HEIS3, FIL4, heis7)
+    ]
+    for n in range(1, 8):
+        cases.append((np.diag(rng.standard_normal(n)), rng.standard_normal((2 * n, n, n))))
+    for beta, ders in cases:
+        got, want = _label_gram(beta, ders), label_gram_loop(beta, ders)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(want), initial=0.0))

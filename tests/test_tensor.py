@@ -442,3 +442,64 @@ def test_map_basis_roundtrip():
     f = rng.standard_normal((4, 4)) + 4 * np.eye(4)
     back = FIL4.map_basis(f).map_basis(np.linalg.inv(f))
     assert np.allclose(back.dense, FIL4.dense, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# vectorised canonicalisation and Jacobi residual against their loop versions
+# ---------------------------------------------------------------------------
+
+def from_dense_loop(dense, zero_tol=0.0):
+    """Entry-by-entry canonicalisation over i < j, every k."""
+    n = dense.shape[0]
+    cut = max(zero_tol, 0.0)
+    entries = [
+        (i, j, k, dense[i, j, k])
+        for i in range(n)
+        for j in range(i + 1, n)
+        for k in range(n)
+        if abs(dense[i, j, k]) > cut
+    ]
+    return AlgebraTensor(n, tuple(entries))
+
+
+def jacobi_residual_loop(mu):
+    """Norm of the Jacobiator summed over the i < j < l triples only."""
+    t = mu.dense
+    c = np.einsum("ijk,klm->ijlm", t, t)
+    jac = c + np.transpose(c, (1, 2, 0, 3)) + np.transpose(c, (2, 0, 1, 3))
+    n = mu.dim
+    total = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            for l in range(j + 1, n):
+                total += float(np.sum(jac[i, j, l] ** 2))
+    return float(np.sqrt(total))
+
+
+def sparse_skew_dense(rng, n):
+    """Skew tensor with exact zeros and magnitudes spread over 1e-16..1."""
+    t = rng.standard_normal((n, n, n)) * 10.0 ** rng.uniform(-16, 0, (n, n, n))
+    t[rng.random((n, n, n)) < 0.3] = 0.0
+    return t - np.swapaxes(t, 0, 1)
+
+
+def test_from_dense_entries_equal_loop_exactly():
+    rng = np.random.default_rng(11)
+    for n in range(1, 10):
+        for _ in range(3):
+            dense = sparse_skew_dense(rng, n)
+            for zero_tol in (0.0, 1e-8, 1e-3):
+                got = AlgebraTensor.from_dense(dense, zero_tol=zero_tol)
+                want = from_dense_loop(dense, zero_tol)
+                assert got.entries == want.entries
+                assert np.array_equal(got.dense, want.dense)
+
+
+def test_jacobi_residual_matches_loop():
+    rng = np.random.default_rng(12)
+    brackets = [HEIS3, FIL4, SO3, ABELIAN4, heis(4), filiform(9, False)]
+    for n in range(1, 10):
+        brackets += [random_skew_bracket(rng, n) for _ in range(3)]
+    for mu in brackets:
+        want = jacobi_residual_loop(mu)
+        assert jacobi_residual(mu) == pytest.approx(want, rel=1e-12, abs=1e-15)

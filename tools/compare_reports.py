@@ -9,9 +9,12 @@ A refactor that claims unchanged behaviour is checked in two steps:
 ``dump`` runs ``fit``, ``battery`` and ``stratify --json`` on every catalog
 entry and on one round of the generated ladder (Heisenberg ``h_{2m+1}``,
 m = 1..8; their rank-one Einstein extensions, m = 1..7; filiform ``L_n``
-with nilsoliton constants, n = 4..14; unit-constant ``L_n``, n = 5..11),
-plus ``verify-all --json``, all in-process through ``homsol.cli.main``, and
-writes every exit code and report to one JSON file.
+with nilsoliton constants, n = 4..14; unit-constant ``L_n``, n = 5..11);
+``ricci`` and the three ``extend --variant`` transformations on every
+catalog entry; ``build`` on the construction documents written here
+(``cplxhyp2`` and ``solv12`` assembled from their parts); and
+``verify-all --json``.  Everything runs in-process through
+``homsol.cli.main``, and every exit code and report goes to one JSON file.
 
 ``compare`` requires identical exit codes, strings (tags, check names,
 hashes) and booleans (verdicts), identical integers and list lengths, and
@@ -31,6 +34,7 @@ import tempfile
 from pathlib import Path
 
 COMMANDS = ("fit", "battery", "stratify")
+VARIANTS = ("nonunimodular", "restrict", "unimodular")
 TOL = 1e-12
 
 
@@ -65,6 +69,32 @@ def ladder_documents() -> list[dict]:
     return docs
 
 
+def construction_documents() -> list[dict]:
+    """Semidirect builds u (+) n of two catalog algebras from their parts."""
+    return [
+        {
+            # u = R acting on heis3 by diag(1/2, 1/2, 1): cplxhyp2
+            "name": "cplxhyp2-parts",
+            "c": -1.5,
+            "nil": {
+                "dim": 3,
+                "bracket": [{"i": 0, "j": 1, "k": 2, "c": 1.0}],
+                "d1": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]],
+            },
+            "reductive": {"dim": 1, "dim_k": 0, "bracket": []},
+            "theta": [[[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]]],
+        },
+        {
+            # u = R acting on R^2 by diag(1, 2): solv12
+            "name": "solv12-parts",
+            "c": -5.0,
+            "nil": {"dim": 2, "bracket": [], "d1": [[5.0, 0.0], [0.0, 5.0]]},
+            "reductive": {"dim": 1, "dim_k": 0, "bracket": []},
+            "theta": [[[1.0, 0.0], [0.0, 2.0]]],
+        },
+    ]
+
+
 def _run(main, argv: list[str]) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -93,6 +123,15 @@ def dump(src: str) -> dict:
             label = Path(target).stem
             for command in COMMANDS:
                 runs[f"{command} {label}"] = _run(main, [command, target, "--json"])
+        for name in sorted(catalog.names()):
+            runs[f"ricci {name}"] = _run(main, ["ricci", name, "--json"])
+            for variant in VARIANTS:
+                argv = ["extend", name, "--variant", variant, "--json"]
+                runs[f"extend-{variant} {name}"] = _run(main, argv)
+        for doc in construction_documents():
+            path = Path(tmp) / f"{doc['name']}.json"
+            path.write_text(json.dumps(doc, sort_keys=True))
+            runs[f"build {doc['name']}"] = _run(main, ["build", str(path), "--json"])
     runs["verify-all"] = _run(main, ["verify-all", "--json"])
     return runs
 
