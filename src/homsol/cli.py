@@ -36,10 +36,10 @@ from .io import (
 )
 from .soliton import (
     SOLITON_RESIDUAL_TOL,
+    _canonical_fit,
     algebraic_soliton_equivalences,
     f_operator_check,
     soliton_fit,
-    nilsoliton_fit,
     stratum_compatibility_check,
     structure_battery,
 )
@@ -108,7 +108,7 @@ def run_fit(doc: AlgebraDocument, tol: float) -> Report:
     report.results["derivation"] = cert.d_full
     report.results["flags"] = cert.flags
     if dec.dim_n:
-        ncert = nilsoliton_fit(dec.blocks().mu_tensor(), tol=tol)
+        ncert = _canonical_fit(dec.n_decomposition())
         report.results["nilpotent_part"] = {
             "c": ncert.c,
             "residual": ncert.residual,
@@ -244,7 +244,7 @@ def _stratify(dec, mu: AlgebraTensor, tol: float) -> tuple[Groups, dict]:
         )
     groups: Groups = {"stratum-properties": properties}
     if data.nice_position:
-        pairing = e_beta_pairing(dec, tol)
+        pairing = e_beta_pairing(dec)
         results["pairing_terms"] = {
             "lam0": pairing.lam0_term,
             "lam1": pairing.lam1_term,
@@ -480,7 +480,7 @@ def _verify_one(name: str, tol: float) -> list[CheckRecord]:
             got=cert.c,
         )
     if expected.get("nilsoliton_negative"):
-        ncert = nilsoliton_fit(doc.tensor(), tol=tol)
+        ncert = _canonical_fit(dec.n_decomposition())
         rec(
             "nilsoliton-negative",
             "min over {c I + S(D)} of |Ric - c I - S(D)| > 1e-3",

@@ -45,8 +45,6 @@ from .soliton import (
     SOLITON_RESIDUAL_TOL,
     TAG_ALGEBRAIC,
     TAG_EINSTEIN,
-    TAG_NONE,
-    TAG_SEMI_ALGEBRAIC,
     SolitonCertificate,
     _certificate_residual,
     _classify,
@@ -296,31 +294,12 @@ def build_semidirect(data: ConstructionData, tol: float = DEFAULT_TOL) -> BuildR
     der_defect = dec.derivation_residual_on(d_full)
     sym_defect = dec.derivation_residual_on(sym(d_full))
 
-    scale_h = max(1.0, frob(ad_u_h))
-    scale_t = max(1.0, frob(theta_h))
-    einstein = (
-        frob(sym(ad_u_h)) <= tol * scale_h
-        and frob(np.asarray(data.d1) - sym(theta_h)) <= tol * scale_t
-    )
-    normal = (
-        frob(ad_u_h @ ad_u_h.T - ad_u_h.T @ ad_u_h) <= tol * scale_h**2
-        and frob(theta_h @ theta_h.T - theta_h.T @ theta_h) <= tol * scale_t**2
-    )
-    if resid > SOLITON_RESIDUAL_TOL * max(1.0, frob(direct)):
-        tag = TAG_NONE
-    elif einstein:
-        tag = TAG_EINSTEIN
-    elif normal:
-        tag = TAG_ALGEBRAIC
-    else:
-        tag = TAG_SEMI_ALGEBRAIC
-
     cert = SolitonCertificate(
         c=data.c,
         d_full=d_full,
         d1=np.asarray(data.d1, dtype=float),
         residual=resid,
-        tag=tag,
+        tag=_classify(direct, data.c, resid, der_defect, sym_defect, dec.bracket_on.norm),
         derivation_defect=der_defect,
         sym_derivation_defect=sym_defect,
         dim_k=dk,
@@ -453,7 +432,7 @@ def restrict_to_unimodular_kernel(
     der_defect = out.derivation_residual_on(d_prime)
     # D' is symmetric, so its derivation defect is also its symmetric part's
     ric0 = out.ricci().matrix
-    tag = _classify(ric0, cert.c, resid, der_defect, der_defect, max(1.0, out.bracket.norm))
+    tag = _classify(ric0, cert.c, resid, der_defect, der_defect, out.bracket_on.norm)
     cert0 = SolitonCertificate(
         c=cert.c,
         d_full=d_prime,

@@ -33,9 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .strata import StratumData, stratum_label
 from .tensor import (
     DEFAULT_TOL,
     AlgebraTensor,
+    derivation_algebra,
     derivation_residual,
     jacobi_residual,
     moment_operator,
@@ -431,9 +433,27 @@ class MetricDecomposition:
         )
 
     def n_decomposition(self) -> "MetricDecomposition":
-        """The nilpotent part (n, ip restricted to n) as a standalone algebra."""
-        mu = self.blocks().mu_tensor()
-        return MetricDecomposition(mu, 0, 0, self.dim_n, tol=self.tol)
+        """The nilpotent part (n, ip restricted to n) as a standalone algebra; built once."""
+        if self.dim_k + self.dim_h == 0:
+            return self
+        if "n_dec" not in self._cache:
+            mu = self.blocks().mu_tensor()
+            self._cache["n_dec"] = MetricDecomposition(mu, 0, 0, self.dim_n, tol=self.tol)
+        return self._cache["n_dec"]
+
+    def derivations_n(self) -> np.ndarray:
+        """Orthonormal basis of Der(n), orthonormal frame, stacked (m, n, n); computed once."""
+        if self.dim_k + self.dim_h:
+            return self.n_decomposition().derivations_n()
+        if "der_n" not in self._cache:
+            self._cache["der_n"] = derivation_algebra(self.bracket_on)
+        return self._cache["der_n"]
+
+    def n_stratum(self) -> StratumData:
+        """Stratum label of the nonzero nilpotent part at ``self.tol``; computed once."""
+        if "stratum" not in self._cache:
+            self._cache["stratum"] = stratum_label(self.blocks().mu_tensor(), self.tol)
+        return self._cache["stratum"]
 
     # -- derivation block lemma -------------------------------------------------
 

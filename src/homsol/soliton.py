@@ -15,9 +15,13 @@ by least squares over the relevant affine family:
   to the full family {c I + S(D_p) : D in Der(g), D k = 0, D p in p} when
   the canonical fit fails.
 
-All matrices live in the decomposition's orthonormal frame.  The residual
-threshold separating "soliton" from "not" is 1e-6 on the unit-normalized
-Ricci operator; identities are checked at 1e-9 by default.
+Every family is fitted by one least-squares routine, and every certificate
+is tagged by one classifier.  All matrices live in the decomposition's
+orthonormal frame.  The bounds separating "soliton" from "not" are
+homogeneous in the bracket mu (orthonormal frame): a Ricci residual, of
+degree 2, must be at most 1e-6 max(|Ric|, |c|, |mu|^2), and a derivation
+defect |pi(D) mu|, of degree 3, at most 1e-6 |mu|^3.  Identities are
+checked at 1e-9 by default.
 """
 
 from __future__ import annotations
@@ -27,12 +31,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomposition import MetricDecomposition, frob, sym
-from .strata import StratumData, stratum_label
+from .strata import StratumData
 from .tensor import (
     DEFAULT_TOL,
+    RANK_TOL,
     AlgebraTensor,
     _nullspace,
-    derivation_algebra,
     derivation_residual,
     moment_map,
     moment_operator,
@@ -74,99 +78,29 @@ class SolitonCertificate:
         return self.tag != TAG_NONE
 
 
-def _lstsq_affine(target: np.ndarray, basis_mats: list[np.ndarray]):
-    """Least-squares coefficients fitting target ~ sum_i x_i basis_i."""
-    if not basis_mats:
-        return np.zeros(0), frob(target)
-    cols = np.stack([b.reshape(-1) for b in basis_mats], axis=1)
-    x, *_ = np.linalg.lstsq(cols, target.reshape(-1), rcond=None)
-    resid = frob(target - sum(c * b for c, b in zip(x, basis_mats)))
-    return x, resid
-
-
-def _certified(ric: np.ndarray, residual: float, der_defect: float, bracket_scale: float) -> bool:
-    """Ric = c I + S(D_p) holds and D is a derivation; a NaN residual or defect fails."""
-    return (
-        residual <= SOLITON_RESIDUAL_TOL * max(1.0, frob(ric))
-        and der_defect <= 1e-6 * bracket_scale
-    )
-
-
 def _classify(
     ric: np.ndarray,
     c: float,
     residual: float,
     der_defect: float,
     sym_defect: float,
-    bracket_scale: float,
+    mu_norm: float,
 ) -> str:
-    if not _certified(ric, residual, der_defect, bracket_scale):
+    """Tag of Ric = c I + S(D_p) from its residual and the defects |pi(D) mu|, |pi(S(D)) mu|.
+
+    Bounds scale with the bracket: degree 2 for Ricci residuals, degree 3
+    for derivation defects, with |mu| in the orthonormal frame.  A NaN
+    residual or defect gives NotDetected.
+    """
+    bound = SOLITON_RESIDUAL_TOL * max(frob(ric), abs(c), mu_norm**2)
+    der_bound = 1e-6 * mu_norm**3
+    if not (residual <= bound and der_defect <= der_bound):
         return TAG_NONE
-    n = ric.shape[0]
-    if frob(ric - c * np.eye(n)) <= SOLITON_RESIDUAL_TOL * max(1.0, frob(ric)):
+    if frob(ric - c * np.eye(ric.shape[0])) <= bound:
         return TAG_EINSTEIN
-    if sym_defect <= 1e-6 * bracket_scale:
+    if sym_defect <= der_bound:
         return TAG_ALGEBRAIC
     return TAG_SEMI_ALGEBRAIC
-
-
-def nilsoliton_fit(
-    bracket: AlgebraTensor,
-    ip: np.ndarray | None = None,
-    c_fixed: float | None = None,
-    tol: float = DEFAULT_TOL,
-) -> SolitonCertificate:
-    """Fit Ric = c I + S(D), D in Der, on a metric nilpotent Lie algebra.
-
-    The abelian algebra is flat and the family degenerates there; the
-    reported certificate is then (c, D) = (0, 0), or (c_fixed, -c_fixed I)
-    when an ambient constant is imposed.
-    """
-    dec = MetricDecomposition(bracket, 0, 0, bracket.dim, ip=ip, tol=tol)
-    return _nilsoliton_fit_on(dec, c_fixed=c_fixed, tol=tol)
-
-
-def _nilsoliton_fit_on(
-    dec: MetricDecomposition, c_fixed: float | None, tol: float
-) -> SolitonCertificate:
-    n = dec.dim_n
-    mu = dec.p_bracket
-    ric = dec.ricci().matrix
-    eye = np.eye(n)
-    if mu.norm == 0.0:
-        c = 0.0 if c_fixed is None else c_fixed
-        d1 = ric - c * eye
-        return SolitonCertificate(
-            c=c,
-            d_full=d1,
-            d1=d1,
-            residual=0.0,
-            tag=TAG_EINSTEIN if c == 0.0 else TAG_ALGEBRAIC,
-            derivation_defect=0.0,
-            sym_derivation_defect=0.0,
-        )
-    ders = derivation_algebra(mu)
-    sym_ders = [sym(d) for d in ders if frob(sym(d)) > 1e-12]
-    if c_fixed is None:
-        mats = [eye] + sym_ders
-        x, resid = _lstsq_affine(ric, mats)
-        c = float(x[0]) if len(x) else 0.0
-        d1 = sum(ci * m for ci, m in zip(x[1:], sym_ders)) if sym_ders else np.zeros((n, n))
-    else:
-        c = float(c_fixed)
-        x, resid = _lstsq_affine(ric - c * eye, sym_ders)
-        d1 = sum(ci * m for ci, m in zip(x, sym_ders)) if sym_ders else np.zeros((n, n))
-    der_defect = derivation_residual(mu, d1)
-    tag = _classify(ric, c, resid, der_defect, der_defect, max(1.0, mu.norm))
-    return SolitonCertificate(
-        c=c,
-        d_full=d1,
-        d1=d1,
-        residual=resid,
-        tag=tag,
-        derivation_defect=der_defect,
-        sym_derivation_defect=der_defect,
-    )
 
 
 def _canonical_derivation(dec: MetricDecomposition, d1: np.ndarray) -> np.ndarray:
@@ -181,7 +115,81 @@ def _certificate_residual(dec: MetricDecomposition, c: float, d: np.ndarray) -> 
     return frob(dec.ricci().matrix - c * np.eye(dec.dim_p) - sym(d[dec.sp, dec.sp]))
 
 
-def constrained_derivations(dec: MetricDecomposition, rank_tol: float = 1e-9) -> np.ndarray:
+def _fit(
+    dec: MetricDecomposition,
+    basis: np.ndarray,
+    offset: np.ndarray | None = None,
+    c: float | None = None,
+) -> SolitonCertificate:
+    """Least squares min |Ric - c I - S(D_p)| over D = offset + sum_i x_i B_i.
+
+    ``basis`` stacks matrices on g (orthonormal frame, zero on k); those
+    with S(B_p) = 0 cannot move the fit and are dropped.  ``c`` is fitted
+    unless given.  The certificate's D1 is the symmetric n-block of the
+    fitted part sum_i x_i B_i, without the offset.
+    """
+    eye = np.eye(dec.dim_p)
+    ric = dec.ricci().matrix
+    target = ric if offset is None else ric - sym(offset[dec.sp, dec.sp])
+    kept = [(b, sym(b[dec.sp, dec.sp])) for b in basis]
+    kept = [(b, s_) for b, s_ in kept if frob(s_) > 1e-12]
+    cols = [s_ for _, s_ in kept]
+    if c is None:
+        cols.insert(0, eye)
+    else:
+        target = target - c * eye
+    x = np.zeros(0)
+    if cols:
+        design = np.stack([m.reshape(-1) for m in cols], axis=1)
+        x = np.linalg.lstsq(design, target.reshape(-1), rcond=None)[0]
+    if c is None:
+        c, x = float(x[0]), x[1:]
+    fitted = sum((xi * b for xi, (b, _) in zip(x, kept)), np.zeros((dec.dim, dec.dim)))
+    d = fitted if offset is None else offset + fitted
+    resid = _certificate_residual(dec, c, d)
+    der_defect = dec.derivation_residual_on(d)
+    sym_defect = dec.derivation_residual_on(sym(d))
+    return SolitonCertificate(
+        c=c,
+        d_full=d,
+        d1=sym(fitted[dec.sn, dec.sn]),
+        residual=resid,
+        tag=_classify(ric, c, resid, der_defect, sym_defect, dec.bracket_on.norm),
+        derivation_defect=der_defect,
+        sym_derivation_defect=sym_defect,
+        dim_k=dec.dim_k,
+        dim_h=dec.dim_h,
+    )
+
+
+def _canonical_fit(dec: MetricDecomposition, c: float | None = None) -> SolitonCertificate:
+    """Fit over the normal form D = -ad H + diag(0, 0, S(D1)), D1 in Der(n).
+
+    On a nilpotent algebra H = 0, so this is the nilsoliton fit
+    Ric = c I + S(D1).
+    """
+    ders = dec.derivations_n()
+    basis = np.zeros((len(ders), dec.dim, dec.dim))
+    basis[:, dec.sn, dec.sn] = 0.5 * (ders + np.transpose(ders, (0, 2, 1)))
+    return _fit(dec, basis, offset=-dec.ad_mean_curvature(), c=c)
+
+
+def nilsoliton_fit(
+    bracket: AlgebraTensor,
+    ip: np.ndarray | None = None,
+    c_fixed: float | None = None,
+    tol: float = DEFAULT_TOL,
+) -> SolitonCertificate:
+    """Fit Ric = c I + S(D), D in Der, on a metric nilpotent Lie algebra.
+
+    On the abelian algebra the fit returns (c, D) = (0, 0), or
+    (c_fixed, -c_fixed I) when an ambient constant is imposed.
+    """
+    dec = MetricDecomposition(bracket, 0, 0, bracket.dim, ip=ip, tol=tol)
+    return _canonical_fit(dec, c_fixed)
+
+
+def constrained_derivations(dec: MetricDecomposition) -> np.ndarray:
     """Basis of {D in Der(g): D = 0 on the k row and column}, orthonormal frame.
 
     The entries of D in a k row or column are deleted as unknowns: the
@@ -192,7 +200,7 @@ def constrained_derivations(dec: MetricDecomposition, rank_tol: float = 1e-9) ->
     n, nk = dec.dim, dec.dim_k
     free = np.arange(nk, n)
     cols = (free[:, None] * n + free[None, :]).reshape(-1)
-    null = _nullspace(pi_matrix(dec.bracket_on)[:, cols], rank_tol)
+    null = _nullspace(pi_matrix(dec.bracket_on)[:, cols], RANK_TOL)
     out = np.zeros((len(null), n, n))
     out[:, nk:, nk:] = null.reshape(-1, n - nk, n - nk)
     return out
@@ -205,73 +213,25 @@ def soliton_fit(dec: MetricDecomposition, tol: float = DEFAULT_TOL) -> SolitonCe
     family cannot reproduce the Ricci operator, falls back to least squares
     over every derivation vanishing on k.
     """
-    ric = dec.ricci().matrix
-    eye = np.eye(dec.dim_p)
+    cert = _canonical_fit(dec)
+    if not cert.is_soliton:
+        alt = _fit(dec, constrained_derivations(dec))
+        if alt.is_soliton or alt.residual < cert.residual:
+            cert = alt
+
     bracket_scale = max(1.0, dec.bracket.norm)
-
-    mu = dec.blocks().mu_tensor()
-    ders_n = derivation_algebra(mu) if dec.dim_n else np.zeros((0, 0, 0))
-    sym_ders = [sym(d) for d in ders_n if frob(sym(d)) > 1e-12]
-
-    # canonical family: Ric + S(ad_p H) = c I + diag(0_h, S(D1))
-    target = ric + sym(dec.ad_mean_curvature()[dec.sp, dec.sp])
-    mats = [eye]
-    for s_ in sym_ders:
-        m = np.zeros_like(eye)
-        m[dec.sn_p, dec.sn_p] = s_
-        mats.append(m)
-    x, _ = _lstsq_affine(target, mats)
-    c = float(x[0])
-    d1 = sum(ci * m for ci, m in zip(x[1:], sym_ders)) if sym_ders else np.zeros((dec.dim_n, dec.dim_n))
-    d_full = _canonical_derivation(dec, d1)
-    resid = _certificate_residual(dec, c, d_full)
-    der_defect = dec.derivation_residual_on(d_full)
-
-    if not _certified(ric, resid, der_defect, bracket_scale):
-        # fall back to the full constrained family
-        basis = constrained_derivations(dec)
-        sym_p = [sym(b[dec.sp, dec.sp]) for b in basis]
-        keep = [i for i, s_ in enumerate(sym_p) if frob(s_) > 1e-12]
-        mats = [eye] + [sym_p[i] for i in keep]
-        x, _ = _lstsq_affine(ric, mats)
-        c2 = float(x[0])
-        d_full2 = (
-            sum(ci * basis[i] for ci, i in zip(x[1:], keep))
-            if keep
-            else np.zeros((dec.dim, dec.dim))
-        )
-        resid2 = _certificate_residual(dec, c2, d_full2)
-        der_defect2 = dec.derivation_residual_on(d_full2)
-        if _certified(ric, resid2, der_defect2, bracket_scale) or resid2 < resid:
-            c, d_full, resid, der_defect = c2, d_full2, resid2, der_defect2
-            d1 = sym(d_full[dec.sn, dec.sn])
-
-    sym_defect = dec.derivation_residual_on(sym(d_full))
-    tag = _classify(ric, c, resid, der_defect, sym_defect, bracket_scale)
-
     bb = dec.blocks()
     hh_norm = float(np.sqrt(frob(bb.lam0) ** 2 + frob(bb.lam1) ** 2 + frob(bb.lam2) ** 2))
     kill = dec.killing()
     ev = np.abs(np.linalg.eigvalsh(kill.form)) if dec.dim else np.zeros(0)
     semisimple = bool(ev.size and np.min(ev) > 1e-8 * max(1.0, np.max(ev)))
-    flags = {
+    cert.flags = {
         "solvsoliton-isometric": bool(
-            tag != TAG_NONE and c < 0.0 and hh_norm <= tol * bracket_scale
+            cert.is_soliton and cert.expanding and hh_norm <= tol * bracket_scale
         ),
-        "semisimple-Einstein": bool(tag == TAG_EINSTEIN and semisimple),
+        "semisimple-Einstein": bool(cert.tag == TAG_EINSTEIN and semisimple),
     }
-    return SolitonCertificate(
-        c=c,
-        d_full=d_full,
-        d1=d1,
-        residual=resid,
-        tag=tag,
-        derivation_defect=der_defect,
-        sym_derivation_defect=sym_defect,
-        dim_k=dec.dim_k,
-        dim_h=dec.dim_h,
-        flags=flags,
-    )
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +312,8 @@ def structure_battery(
     )
 
     mu = bb.mu_tensor()
-    if dec.dim_n:
-        nfit = _nilsoliton_fit_on(dec.n_decomposition(), c_fixed=c, tol=tol)
-        r3 = nfit.residual
-        d1 = nfit.d1
-    else:
-        r3 = 0.0
-        d1 = np.zeros((0, 0))
+    nfit = _canonical_fit(dec.n_decomposition(), c)
+    r3, d1 = nfit.residual, nfit.d1
     conditions.append(
         ConditionResult("nilpotent-part-soliton", "Ric_n = c I + D1, D1 in Der(n)", r3, r3 <= tol * scale)
     )
@@ -459,7 +414,7 @@ def f_operator_check(
         t = hd / dec.dim_n
         target[dec.sn_p, dec.sn_p] = t * np.eye(dec.dim_n)
     else:
-        stratum = stratum_label(mu)
+        stratum = dec.n_stratum()
         if not stratum.nice_position:
             return FOperatorReport(
                 skipped=True,
@@ -579,7 +534,7 @@ def stratum_compatibility_check(
     mu = bb.mu_tensor()
     if dec.dim_n == 0 or mu.norm == 0.0:
         return CompatibilityReport(skipped=True, reason="nilpotent part is abelian or empty")
-    stratum = stratum_label(mu)
+    stratum = dec.n_stratum()
     if not stratum.nice_position:
         return CompatibilityReport(
             skipped=True, reason="nilpotent part not in nice position", stratum=stratum

@@ -34,8 +34,16 @@ from .tensor import (
     derivation_residual,
     moment_map,
     pi_action,
+    pi_action_dense,
     tensor_inner,
 )
+
+
+# support entries |c| <= SUPPORT_REL_THRESHOLD * max|c| are dropped
+SUPPORT_REL_THRESHOLD = 1e-12
+# Wolfe's method: optimality slack (relative to the squared point scale) and iteration cap
+MIN_NORM_TOL = 1e-12
+MIN_NORM_MAX_ITER = 10000
 
 
 class ConvergenceError(RuntimeError):
@@ -74,11 +82,7 @@ def _affine_minimizer(pts: np.ndarray) -> np.ndarray:
     return sol[:k]
 
 
-def min_norm_point(
-    points: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 10000,
-) -> MinNormResult:
+def min_norm_point(points: np.ndarray) -> MinNormResult:
     """Minimum-norm point of the convex hull of the rows of ``points``.
 
     Wolfe's method: grow a corral by the most violating vertex, solve the
@@ -91,14 +95,14 @@ def min_norm_point(
     if m == 0:
         raise ValueError("need at least one point")
     scale = max(1.0, float(np.max(np.linalg.norm(pts, axis=1))))
-    eps = tol * scale * scale
+    eps = MIN_NORM_TOL * scale * scale
 
     start = int(np.argmin(np.einsum("ij,ij->i", pts, pts)))
     corral = [start]
     lam = np.array([1.0])
     x = pts[start].copy()
 
-    for it in range(max_iter):
+    for it in range(MIN_NORM_MAX_ITER):
         # optimality: <x, p> >= |x|^2 for every vertex p; among violators,
         # only vertices outside the corral can improve the solution
         scores = pts @ x
@@ -118,17 +122,17 @@ def min_norm_point(
         while True:
             sub = pts[corral]
             alpha = _affine_minimizer(sub)
-            if np.all(alpha > tol):
+            if np.all(alpha > MIN_NORM_TOL):
                 lam = alpha
                 x = sub.T @ alpha
                 break
-            neg = alpha <= tol
+            neg = alpha <= MIN_NORM_TOL
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = lam[neg] / (lam[neg] - alpha[neg])
             theta = float(np.min(ratios[np.isfinite(ratios)], initial=1.0))
             theta = min(max(theta, 0.0), 1.0)
             lam = (1.0 - theta) * lam + theta * alpha
-            keep = lam > tol
+            keep = lam > MIN_NORM_TOL
             if not np.any(keep):
                 keep[int(np.argmax(lam))] = True
             corral = [c for c, k in zip(corral, keep) if k]
@@ -136,7 +140,7 @@ def min_norm_point(
             lam = np.clip(lam, 0.0, None)
             lam /= lam.sum()
             x = pts[corral].T @ lam
-    raise ConvergenceError(f"min-norm point did not converge in {max_iter} iterations")
+    raise ConvergenceError(f"min-norm point did not converge in {MIN_NORM_MAX_ITER} iterations")
 
 
 def _full_coefficients(m: int, corral, lam) -> np.ndarray:
@@ -165,26 +169,22 @@ class StratumData:
         return float(np.sum(self.beta_raw))
 
 
-def support_of(mu: AlgebraTensor, rel_threshold: float = 1e-12) -> tuple[tuple[int, int, int], ...]:
-    """Structure-constant triples with |c| above ``rel_threshold`` * max|c|."""
+def support_of(mu: AlgebraTensor) -> tuple[tuple[int, int, int], ...]:
+    """Structure-constant triples with |c| above ``SUPPORT_REL_THRESHOLD`` * max|c|."""
     if not mu.entries:
         return ()
     cmax = max(abs(c) for _, _, _, c in mu.entries)
-    return tuple((i, j, k) for i, j, k, c in mu.entries if abs(c) > rel_threshold * cmax)
+    return tuple((i, j, k) for i, j, k, c in mu.entries if abs(c) > SUPPORT_REL_THRESHOLD * cmax)
 
 
-def stratum_label(
-    mu: AlgebraTensor,
-    rel_threshold: float = 1e-12,
-    tol: float = DEFAULT_TOL,
-) -> StratumData:
+def stratum_label(mu: AlgebraTensor, tol: float = DEFAULT_TOL) -> StratumData:
     """Label beta of a nonzero bracket plus the nice-position test.
 
     The support threshold is relative to the largest structure constant;
     the support, hence beta, is discontinuous in mu, so the threshold is
     part of the result's meaning.
     """
-    supp = support_of(mu, rel_threshold)
+    supp = support_of(mu)
     if not supp:
         raise ValueError("stratum label is undefined for the zero bracket")
     weights = np.array([pair_weight(i, j, k, mu.dim) for i, j, k in supp])
@@ -205,7 +205,7 @@ def stratum_label(
     )
 
 
-def nice_position_search(mu: AlgebraTensor, rel_threshold: float = 1e-12):
+def nice_position_search(mu: AlgebraTensor):
     """Try basis permutations to land mu in nice position (dim <= 8).
 
     Returns (permuted tensor, permutation) or None.  Convenience only;
@@ -220,7 +220,7 @@ def nice_position_search(mu: AlgebraTensor, rel_threshold: float = 1e-12):
         for i, j, k, c in mu.entries:
             entries.append((perm[i], perm[j], perm[k], c))
         cand = AlgebraTensor(mu.dim, tuple(entries))
-        if stratum_label(cand, rel_threshold).nice_position:
+        if stratum_label(cand).nice_position:
             return cand, perm
     return None
 
@@ -250,12 +250,7 @@ def _label_gram(beta: np.ndarray, der_basis: np.ndarray) -> np.ndarray:
     return 0.5 * (gram + gram.T)
 
 
-def strata_properties(
-    mu: AlgebraTensor,
-    der_basis: np.ndarray | None = None,
-    tol: float = DEFAULT_TOL,
-    rel_threshold: float = 1e-12,
-) -> StrataReport:
+def strata_properties(mu: AlgebraTensor, tol: float = DEFAULT_TOL) -> StrataReport:
     """Evaluate the label inequalities for a nonzero nilpotent bracket.
 
     Always evaluated: PSD of D -> <[beta, D], D> on the derivation algebra,
@@ -264,9 +259,8 @@ def strata_properties(
     and <pi(beta + |beta|^2 I) mu, mu> >= 0 with equality exactly for a
     derivation.
     """
-    data = stratum_label(mu, rel_threshold, tol)
-    if der_basis is None:
-        der_basis = derivation_algebra(mu)
+    data = stratum_label(mu, tol)
+    der_basis = derivation_algebra(mu)
     beta = np.diag(data.beta_raw)
     nsq = data.beta_norm_sq
     checks: list[PropertyCheck] = []
@@ -384,22 +378,21 @@ class PairingReport:
         return abs(self.total - self.direct)
 
 
-def e_beta_pairing(dec, tol: float = DEFAULT_TOL) -> PairingReport:
+def e_beta_pairing(dec) -> PairingReport:
     """Pairing of the p-bracket against its E_beta action, term by term.
 
     E_beta vanishes on h and equals beta + |beta|^2 I on n.  The pairing
     splits over the four bracket components; the h x h -> h term vanishes
     identically, the remaining three are individually nonnegative when the
     nilpotent part is in nice position (refused otherwise, since that is
-    the hypothesis that makes the label usable).
+    the hypothesis that makes the label usable).  The label is the
+    decomposition's own, at its tolerance.
     """
-    from .tensor import pi_action_dense
-
     bb = dec.blocks()
     mu = bb.mu_tensor()
     if dec.dim_n == 0 or mu.norm == 0.0:
         raise ValueError("pairing needs a nonzero nilpotent part")
-    stratum = stratum_label(mu)
+    stratum = dec.n_stratum()
     if not stratum.nice_position:
         raise ValueError("nilpotent part is not in nice position")
 

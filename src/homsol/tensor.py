@@ -29,6 +29,9 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
+# singular values s <= RANK_TOL * max(1, s_max) of a derivation system count as zero
+RANK_TOL = 1e-9
+
 Entry = tuple[int, int, int, float]
 
 
@@ -248,18 +251,18 @@ def _nullspace(m: np.ndarray, rank_tol: float) -> np.ndarray:
     return vh[np.concatenate([s, np.zeros(cols - len(s))]) <= cut]
 
 
-def derivation_algebra(mu: AlgebraTensor, rank_tol: float = 1e-9) -> np.ndarray:
+def derivation_algebra(mu: AlgebraTensor) -> np.ndarray:
     """Orthonormal basis of Der(mu) = ker(a -> pi(a) mu), stacked (m, n, n).
 
     Orthonormal for the Frobenius pairing tr(A B^t).  The kernel comes from
     an economy QR of the (n^2(n-1)/2, n^2) matrix of pi followed by an SVD
-    of its n^2 x n^2 R factor; singular values s <= rank_tol max(1, s_max)
+    of its n^2 x n^2 R factor; singular values s <= RANK_TOL max(1, s_max)
     count as zero.
     """
     n = mu.dim
     if n == 0:
         return np.zeros((0, 0, 0))
-    return _nullspace(pi_matrix(mu), rank_tol).reshape(-1, n, n)
+    return _nullspace(pi_matrix(mu), RANK_TOL).reshape(-1, n, n)
 
 
 def derivation_residual(mu: AlgebraTensor, alpha: np.ndarray) -> float:

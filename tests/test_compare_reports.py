@@ -1,8 +1,10 @@
 import importlib.util
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
+from homsol import catalog
 from homsol.io import document_from_dict, validate
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "compare_reports.py"
@@ -43,4 +45,53 @@ def test_construction_documents_build(tmp_path, capsys):
         path = tmp_path / f"{doc['name']}.json"
         path.write_text(json.dumps(doc))
         assert main(["build", str(path), "--json"]) == 0, doc["name"]
+    capsys.readouterr()
+
+
+def test_scaled_catalog_documents_are_valid():
+    docs = compare_reports.scaled_catalog_documents()
+    assert len(docs) == len(compare_reports.SCALES) * len(catalog.names())
+    for raw in docs:
+        dec, violations = validate(document_from_dict(raw))
+        assert dec is not None and not violations, raw["name"]
+
+
+def test_each_command_computes_der_n_and_the_label_at_most_once(tmp_path, capsys, monkeypatch):
+    import sys
+
+    from homsol import strata, tensor
+    from homsol.cli import main
+
+    calls = Counter()
+    for key, fn in (("der", tensor.derivation_algebra), ("label", strata.stratum_label)):
+
+        def counted(*args, _key=key, _fn=fn, **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "homsol" or name.startswith("homsol."):
+                for attr in [a for a, v in vars(mod).items() if v is fn]:
+                    monkeypatch.setattr(mod, attr, counted)
+
+    targets = sorted(catalog.names())
+    families = set()
+    for doc in compare_reports.ladder_documents():
+        family = doc["name"].split("-")[0]
+        if family not in families:
+            families.add(family)
+            path = tmp_path / f"{doc['name']}.json"
+            path.write_text(json.dumps(doc))
+            targets.append(str(path))
+    assert families == {"heis", "ext", "fil", "unit"}
+    seen = Counter()
+    for target in targets:
+        for command in ("fit", "battery", "stratify"):
+            calls.clear()
+            main([command, target, "--json"])
+            assert calls["der"] <= 1, (command, target)
+            if command == "battery":
+                assert calls["label"] <= 1, target
+            seen.update(calls)
+    assert seen["der"] and seen["label"]  # the counters saw the calls
     capsys.readouterr()

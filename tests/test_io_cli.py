@@ -6,7 +6,7 @@ import pytest
 
 from homsol import catalog
 from homsol.cli import main
-from homsol.io import DocumentError, document_from_dict, load, validate
+from homsol.io import DocumentError, document_from_catalog, document_from_dict, load, validate
 
 
 def doc_dict(**overrides):
@@ -442,3 +442,55 @@ def test_cli_verify_all_summaries_match_battery_and_stratify(capsys):
                 assert summaries[key] == all(verdicts[group]), key
                 compared += 1
     assert compared >= 40
+
+
+# ---------------------------------------------------------------------------
+# verdicts that must not depend on the bracket's scale or on the command
+# ---------------------------------------------------------------------------
+
+def scaled_catalog_document(name, scale):
+    raw = document_from_catalog(catalog.get(name)).to_json_dict()
+    for entry in raw["bracket"]:
+        entry["c"] *= scale
+    return raw
+
+
+@pytest.mark.parametrize(
+    "name", ["nil7", "heis3", "fil4", "solv12", "cplxhyp2", "hyp3", "so3", "abelian3"]
+)
+def test_cli_fit_tag_and_exit_code_are_scale_invariant(capsys, tmp_path, name):
+    code, out = run_cli(capsys, "fit", name, "--json")
+    want = (json.loads(out)["classification"], code)
+    path = tmp_path / f"{name}.json"
+    for scale in (1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6):
+        path.write_text(json.dumps(scaled_catalog_document(name, scale)))
+        code, out = run_cli(capsys, "fit", str(path), "--json")
+        assert (json.loads(out)["classification"], code) == want, scale
+
+
+# 2-step nilpotent algebra whose label misses nice position by a relative
+# gap of 7e-3: nice at --tol 1e-2, not nice at 1e-3 or the default
+NEAR_NICE = doc_dict(
+    name="near-nice",
+    dim=9,
+    dim_n=9,
+    bracket=[
+        {"i": i, "j": j, "k": k, "c": 1.0}
+        for i, j, k in (
+            (0, 1, 8), (0, 2, 8), (0, 3, 6), (0, 4, 6), (0, 4, 8), (1, 2, 5),
+            (1, 4, 7), (1, 4, 8), (2, 3, 6), (2, 3, 8), (2, 4, 7),
+        )
+    ],
+)
+
+
+@pytest.mark.parametrize("tol", ["1e-3", "1e-2"])
+def test_cli_battery_and_stratify_agree_on_nice_position(capsys, tmp_path, tol):
+    path = tmp_path / "near-nice.json"
+    path.write_text(json.dumps(NEAR_NICE))
+    for target in ("heis3", "fil4", "cplxhyp2", str(path)):
+        _, out = run_cli(capsys, "stratify", target, "--json", "--tol", tol)
+        nice = json.loads(out)["results"]["nice_position"]
+        _, out = run_cli(capsys, "battery", target, "--json", "--tol", tol)
+        shape = next(r for r in json.loads(out)["checks"] if r["name"] == "f-operator-shape")
+        assert (shape["info"].get("branch") == "nilpotent-part") == nice, target

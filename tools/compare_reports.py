@@ -11,9 +11,10 @@ entry and on one round of the generated ladder (Heisenberg ``h_{2m+1}``,
 m = 1..8; their rank-one Einstein extensions, m = 1..7; filiform ``L_n``
 with nilsoliton constants, n = 4..14; unit-constant ``L_n``, n = 5..11);
 ``ricci`` and the three ``extend --variant`` transformations on every
-catalog entry; ``build`` on the construction documents written here
-(``cplxhyp2`` and ``solv12`` assembled from their parts); and
-``verify-all --json``.  Everything runs in-process through
+catalog entry; ``fit`` on every catalog entry with the bracket scaled by
+1e-4 and by 1e4, so that a tag that depends on scale shows up; ``build``
+on the construction documents written here (``cplxhyp2`` and ``solv12``
+assembled from their parts); and ``verify-all --json``.  Everything runs in-process through
 ``homsol.cli.main``, and every exit code and report goes to one JSON file.
 
 ``compare`` requires identical exit codes, strings (tags, check names,
@@ -35,6 +36,7 @@ from pathlib import Path
 
 COMMANDS = ("fit", "battery", "stratify")
 VARIANTS = ("nonunimodular", "restrict", "unimodular")
+SCALES = (1e-4, 1e4)
 TOL = 1e-12
 
 
@@ -95,6 +97,22 @@ def construction_documents() -> list[dict]:
     ]
 
 
+def scaled_catalog_documents() -> list[dict]:
+    """Every catalog entry with each bracket constant multiplied by each of SCALES."""
+    from homsol import catalog
+    from homsol.io import document_from_catalog
+
+    docs = []
+    for name in sorted(catalog.names()):
+        for scale in SCALES:
+            raw = document_from_catalog(catalog.get(name)).to_json_dict()
+            raw["name"] = f"{name}-x{scale:g}"
+            for entry in raw["bracket"]:
+                entry["c"] *= scale
+            docs.append(raw)
+    return docs
+
+
 def _run(main, argv: list[str]) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -128,6 +146,10 @@ def dump(src: str) -> dict:
             for variant in VARIANTS:
                 argv = ["extend", name, "--variant", variant, "--json"]
                 runs[f"extend-{variant} {name}"] = _run(main, argv)
+        for doc in scaled_catalog_documents():
+            path = Path(tmp) / f"{doc['name']}.json"
+            path.write_text(json.dumps(doc, sort_keys=True))
+            runs[f"fit {doc['name']}"] = _run(main, ["fit", str(path), "--json"])
         for doc in construction_documents():
             path = Path(tmp) / f"{doc['name']}.json"
             path.write_text(json.dumps(doc, sort_keys=True))
