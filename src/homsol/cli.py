@@ -8,6 +8,7 @@ usage errors.  Reports are deterministic; --json prints one JSON object.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -35,8 +36,8 @@ from .io import (
     validate,
 )
 from .soliton import (
-    SOLITON_RESIDUAL_TOL,
     _canonical_fit,
+    _residual_bound,
     algebraic_soliton_equivalences,
     f_operator_check,
     soliton_fit,
@@ -115,14 +116,13 @@ def run_fit(doc: AlgebraDocument, tol: float) -> Report:
             "tag": ncert.tag,
             "d1": ncert.d1,
         }
-    scale = max(1.0, frob(dec.ricci().matrix))
     report.add(
         CheckRecord(
             name="soliton-detected",
             anchor="Ric = c I + S(D_p) for some D in Der(g), D k = 0",
             passed=cert.is_soliton,
             value=cert.residual,
-            tolerance=SOLITON_RESIDUAL_TOL * scale,
+            tolerance=_residual_bound(dec.ricci().matrix, cert.c, dec.bracket_on.norm),
             info={"tag": cert.tag, "c": cert.c},
         )
     )
@@ -555,7 +555,9 @@ def _fmt(v):
     return str(v)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later ``main`` call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--tol", type=float, default=None, help="residual tolerance (env HOMSOL_TOL)"

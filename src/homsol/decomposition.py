@@ -29,7 +29,7 @@ symmetrization A -> (A + A^t)/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,9 +105,11 @@ class BracketBlocks:
     nu0: np.ndarray  # k x k -> k
     nu1: np.ndarray  # k x h -> h
     nu2: np.ndarray  # k x n -> n
+    mu_bracket: AlgebraTensor = field(repr=False, compare=False)  # mu as a tensor
 
     def mu_tensor(self) -> AlgebraTensor:
-        return AlgebraTensor.from_dense(self.mu)
+        """mu as a tensor: the decomposition's ``n_bracket``, built once."""
+        return self.mu_bracket
 
     def lam0_tensor(self) -> AlgebraTensor:
         return AlgebraTensor.from_dense(self.lam0)
@@ -176,7 +178,9 @@ class MetricDecomposition:
             full = np.eye(self.dim)
             full[self.sp, self.sp] = self.frame_p
             self.frame_g = full
-            self.bracket_on = bracket.map_basis(full)
+            # an identity frame leaves the bracket as it is: share it rather than rebuild it
+            same = np.array_equal(full, np.eye(self.dim))
+            self.bracket_on = bracket if same else bracket.map_basis(full)
             violations += self._structure_violations()
         if check and violations:
             raise DecompositionError(violations)
@@ -215,9 +219,8 @@ class MetricDecomposition:
         out.extend(bad)
 
         if not any(v.code == "n-not-ideal" for v in out):
-            mu = AlgebraTensor.from_dense(t[self.sn, self.sn, self.sn])
             try:
-                if nilpotency_class(mu, self.tol) is None:
+                if nilpotency_class(self.n_bracket, self.tol) is None:
                     out.append(Violation("n-not-nilpotent", "declared n-block is not nilpotent"))
             except ValueError:
                 pass  # jacobi already reported
@@ -266,9 +269,21 @@ class MetricDecomposition:
     def p_bracket(self) -> AlgebraTensor:
         """p-component of the bracket restricted to p x p, orthonormal frame."""
         if "p_bracket" not in self._cache:
-            t = self.bracket_on.dense
-            self._cache["p_bracket"] = AlgebraTensor.from_dense(t[self.sp, self.sp, self.sp])
+            self._cache["p_bracket"] = self._sub_bracket(self.sp)
         return self._cache["p_bracket"]
+
+    @property
+    def n_bracket(self) -> AlgebraTensor:
+        """The n-block of the bracket as an algebra on n, orthonormal frame; built once."""
+        if "n_bracket" not in self._cache:
+            self._cache["n_bracket"] = self._sub_bracket(self.sn)
+        return self._cache["n_bracket"]
+
+    def _sub_bracket(self, s: slice) -> AlgebraTensor:
+        """The bracket's block s x s -> s; the bracket itself when s spans g."""
+        if s.stop - s.start == self.dim:
+            return self.bracket_on
+        return AlgebraTensor.from_dense(self.bracket_on.dense[s, s, s])
 
     def killing(self) -> KillingReport:
         if "killing" in self._cache:
@@ -343,6 +358,7 @@ class MetricDecomposition:
             nu0=t[self.sk, self.sk, self.sk].copy(),
             nu1=t[self.sk, self.sh, self.sh].copy(),
             nu2=t[self.sk, self.sn, self.sn].copy(),
+            mu_bracket=self.n_bracket,
         )
         self._cache["blocks"] = bb
         return bb
@@ -413,11 +429,9 @@ class MetricDecomposition:
         u is a subalgebra exactly when lam1 = 0; the second return value is
         the norm of the discarded h x h -> n component.
         """
-        t = self.bracket_on.dense
         nu = self.dim_k + self.dim_h
-        sub = t[:nu, :nu, :nu]
-        dropped = frob(t[:nu, :nu, self.sn])
-        return AlgebraTensor.from_dense(sub), dropped
+        dropped = frob(self.bracket_on.dense[:nu, :nu, self.sn])
+        return self._sub_bracket(slice(0, nu)), dropped
 
     def u_decomposition(self, check: bool = True) -> "MetricDecomposition":
         """The reductive part (u = k + h, ip restricted to h) with empty n."""
@@ -437,8 +451,7 @@ class MetricDecomposition:
         if self.dim_k + self.dim_h == 0:
             return self
         if "n_dec" not in self._cache:
-            mu = self.blocks().mu_tensor()
-            self._cache["n_dec"] = MetricDecomposition(mu, 0, 0, self.dim_n, tol=self.tol)
+            self._cache["n_dec"] = MetricDecomposition(self.n_bracket, 0, 0, self.dim_n, tol=self.tol)
         return self._cache["n_dec"]
 
     def derivations_n(self) -> np.ndarray:
@@ -452,7 +465,7 @@ class MetricDecomposition:
     def n_stratum(self) -> StratumData:
         """Stratum label of the nonzero nilpotent part at ``self.tol``; computed once."""
         if "stratum" not in self._cache:
-            self._cache["stratum"] = stratum_label(self.blocks().mu_tensor(), self.tol)
+            self._cache["stratum"] = stratum_label(self.n_bracket, self.tol)
         return self._cache["stratum"]
 
     # -- derivation block lemma -------------------------------------------------

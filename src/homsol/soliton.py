@@ -78,6 +78,11 @@ class SolitonCertificate:
         return self.tag != TAG_NONE
 
 
+def _residual_bound(ric: np.ndarray, c: float, mu_norm: float) -> float:
+    """Bound on the residual |Ric - c I - S(D_p)| and the Einstein gap, degree 2 in the bracket."""
+    return SOLITON_RESIDUAL_TOL * max(frob(ric), abs(c), mu_norm**2)
+
+
 def _classify(
     ric: np.ndarray,
     c: float,
@@ -92,7 +97,7 @@ def _classify(
     for derivation defects, with |mu| in the orthonormal frame.  A NaN
     residual or defect gives NotDetected.
     """
-    bound = SOLITON_RESIDUAL_TOL * max(frob(ric), abs(c), mu_norm**2)
+    bound = _residual_bound(ric, c, mu_norm)
     der_bound = 1e-6 * mu_norm**3
     if not (residual <= bound and der_defect <= der_bound):
         return TAG_NONE

@@ -79,9 +79,18 @@ class AlgebraTensor:
         skew_defect = np.max(np.abs(dense + np.swapaxes(dense, 0, 1)))
         if skew_defect > max(zero_tol, 1e-12 * max(1.0, np.max(np.abs(dense)))):
             raise ValueError(f"tensor is not skew-symmetric (defect {skew_defect:.3e})")
+        # the kept strict upper triangle, in C order, is already the canonical entry list
         upper = np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None]
-        i, j, k = np.nonzero(upper & (np.abs(dense) > max(zero_tol, 0.0)))
-        return cls(n, tuple(zip(i.tolist(), j.tolist(), k.tolist(), dense[i, j, k].tolist())))
+        keep = upper & (np.abs(dense) > max(zero_tol, 0.0))
+        i, j, k = np.nonzero(keep)
+        entries = tuple(zip(i.tolist(), j.tolist(), k.tolist(), dense[i, j, k].tolist()))
+        u = np.where(keep, dense, 0.0)
+        skew_dense = u - u.swapaxes(0, 1)
+        skew_dense.setflags(write=False)
+        out = object.__new__(cls)  # no __post_init__: nothing to canonicalize
+        for name, value in (("dim", n), ("entries", entries), ("_dense", skew_dense)):
+            object.__setattr__(out, name, value)
+        return out
 
     @property
     def dense(self) -> np.ndarray:

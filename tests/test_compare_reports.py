@@ -4,8 +4,10 @@ import math
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 from homsol import catalog
-from homsol.io import document_from_dict, validate
+from homsol.io import document_from_catalog, document_from_dict, validate
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "compare_reports.py"
 _spec = importlib.util.spec_from_file_location("compare_reports", _PATH)
@@ -94,4 +96,46 @@ def test_each_command_computes_der_n_and_the_label_at_most_once(tmp_path, capsys
                 assert calls["label"] <= 1, target
             seen.update(calls)
     assert seen["der"] and seen["label"]  # the counters saw the calls
+    capsys.readouterr()
+
+
+def test_each_command_builds_the_n_block_tensor_at_most_once(tmp_path, capsys, monkeypatch):
+    from homsol.cli import main
+    from homsol.tensor import AlgebraTensor
+
+    targets = [(name, document_from_catalog(catalog.get(name))) for name in sorted(catalog.names())]
+    families = set()
+    for raw in compare_reports.ladder_documents():
+        family = raw["name"].split("-")[0]
+        if family not in families:
+            families.add(family)
+            path = tmp_path / f"{raw['name']}.json"
+            path.write_text(json.dumps(raw))
+            targets.append((str(path), document_from_dict(raw)))
+    assert families == {"heis", "ext", "fil", "unit"}
+
+    n_block = np.zeros(0)
+    builds = Counter()
+    from_dense = AlgebraTensor.from_dense.__func__
+
+    def counted(cls, dense, *args, **kwargs):
+        out = from_dense(cls, dense, *args, **kwargs)
+        # a zero n-block cannot be told from other zero tensors, so only nonzero ones count
+        if np.any(n_block) and out.dense.shape == n_block.shape and np.array_equal(out.dense, n_block):
+            builds["n"] += 1
+        return out
+
+    monkeypatch.setattr(AlgebraTensor, "from_dense", classmethod(counted))
+    seen = Counter()
+    for target, doc in targets:
+        dec, _ = validate(doc)
+        mu = dec.blocks().mu_tensor()
+        assert dec.blocks().mu_tensor() is mu, target
+        n_block = dec.bracket_on.dense[dec.sn, dec.sn, dec.sn]
+        for command in ("fit", "battery", "stratify"):
+            builds.clear()
+            main([command, target, "--json"])
+            assert builds["n"] <= 1, (command, target)
+            seen.update(builds)
+    assert seen["n"]  # the counter saw the builds
     capsys.readouterr()

@@ -494,3 +494,72 @@ def test_cli_battery_and_stratify_agree_on_nice_position(capsys, tmp_path, tol):
         _, out = run_cli(capsys, "battery", target, "--json", "--tol", tol)
         shape = next(r for r in json.loads(out)["checks"] if r["name"] == "f-operator-shape")
         assert (shape["info"].get("branch") == "nilpotent-part") == nice, target
+
+
+def test_cli_soliton_detected_record_prints_the_applied_bound(capsys, tmp_path):
+    path = tmp_path / "scaled.json"
+    for name in sorted(catalog.names()):
+        for scale in (1e-4, 1.0, 1e4):
+            path.write_text(json.dumps(scaled_catalog_document(name, scale)))
+            _, out = run_cli(capsys, "fit", str(path), "--json")
+            rec = next(r for r in json.loads(out)["checks"] if r["name"] == "soliton-detected")
+            if rec["passed"]:
+                assert rec["value"] <= rec["tolerance"], (name, scale)
+            if (name, scale) == ("nil7", 1e-4):
+                assert not rec["passed"] and rec["value"] > rec["tolerance"]
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def test_cli_reused_parser_prints_what_a_fresh_parser_prints(capsys, tmp_path, monkeypatch):
+    import argparse
+
+    from homsol import cli
+
+    monkeypatch.delenv("HOMSOL_TOL", raising=False)
+    out_file = tmp_path / "restricted.json"
+    calls = [
+        ["extend", "solv12", "--variant=restrict", "--json", "--out", str(out_file)],
+        ["fit", "solv12", "--json"],
+        ["extend", "solv12", "--variant=restrict", "--json"],
+        ["fit", "heis3", "--json", "--tol", "1e-3"],
+        ["fit", "heis3", "--json"],
+        ["extend", "heis3", "--json"],  # --variant is required
+        ["stratify", "fil4", "--json"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        written = out_file.read_text() if out_file.exists() else None
+        out_file.unlink(missing_ok=True)
+        return code, captured.out, captured.err, written
+
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+
+    constructed = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        constructed.append(self)
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    run(["catalog", "--json"])
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    reused = [run(argv) for argv in calls]
+    assert constructed == []
+    assert reused == fresh
+    assert fresh[0][3] is not None and fresh[1][3] is None and fresh[2][3] is None
+    assert json.loads(fresh[3][1])["config"]["tolerance"] == 1e-3
+    assert json.loads(fresh[4][1])["config"]["tolerance"] == 1e-9
+    assert fresh[5][0] == ("exit", 2)
+    assert fresh[6][0] == 0

@@ -503,3 +503,37 @@ def test_jacobi_residual_matches_loop():
     for mu in brackets:
         want = jacobi_residual_loop(mu)
         assert jacobi_residual(mu) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def from_dense_via_entries(dense, zero_tol=0.0):
+    """The kept strict upper triangle handed to the canonicalizing constructor."""
+    n = dense.shape[0]
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None]
+    i, j, k = np.nonzero(upper & (np.abs(dense) > max(zero_tol, 0.0)))
+    return AlgebraTensor(n, tuple(zip(i.tolist(), j.tolist(), k.tolist(), dense[i, j, k].tolist())))
+
+
+def bits(mu):
+    """Entries with their values as exact hex strings, and the dense array's bytes."""
+    return [(i, j, k, float(c).hex()) for i, j, k, c in mu.entries], mu.dense.tobytes()
+
+
+def test_from_dense_is_bitwise_the_constructor_path():
+    rng = np.random.default_rng(13)
+    for n in range(0, 10):
+        for _ in range(3):
+            skew = sparse_skew_dense(rng, n)
+            lower = np.tril(np.ones((n, n), dtype=bool), -1)[:, :, None] & (skew != 0.0)
+            perturbed = skew.copy()
+            perturbed[lower] *= 1.0 + rng.uniform(-1e-13, 1e-13, np.count_nonzero(lower))
+            signed_zeros = skew.copy()
+            pairs = rng.random(skew.shape) < 0.2
+            signed_zeros[pairs | np.swapaxes(pairs, 0, 1)] = -0.0
+            for dense in (skew, perturbed, signed_zeros):
+                for zero_tol in (0.0, 1e-8, 1e-3):
+                    got = AlgebraTensor.from_dense(dense, zero_tol=zero_tol)
+                    want = from_dense_via_entries(dense, zero_tol)
+                    assert bits(got) == bits(want) and got.dim == n
+                    assert not got.dense.flags.writeable
+                    with pytest.raises(ValueError):
+                        got.dense[...] = 0.0
