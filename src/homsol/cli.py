@@ -44,7 +44,7 @@ from .soliton import (
     stratum_compatibility_check,
     structure_battery,
 )
-from .strata import e_beta_pairing, strata_properties
+from .strata import _pairing, strata_properties
 from .tensor import AlgebraTensor, DEFAULT_TOL
 
 
@@ -244,7 +244,8 @@ def _stratify(dec, mu: AlgebraTensor, tol: float) -> tuple[Groups, dict]:
         )
     groups: Groups = {"stratum-properties": properties}
     if data.nice_position:
-        pairing = e_beta_pairing(dec)
+        # mu is dec's n-block at tol: its label is already in rep, so it is not computed again
+        pairing = _pairing(dec, data)
         results["pairing_terms"] = {
             "lam0": pairing.lam0_term,
             "lam1": pairing.lam1_term,

@@ -37,11 +37,11 @@ from .strata import StratumData, stratum_label
 from .tensor import (
     DEFAULT_TOL,
     AlgebraTensor,
+    _lower_central_length,
     derivation_algebra,
     derivation_residual,
     jacobi_residual,
     moment_operator,
-    nilpotency_class,
 )
 
 
@@ -218,12 +218,10 @@ class MetricDecomposition:
         bad = self._closure_violations(t)
         out.extend(bad)
 
+        # the Jacobi test above is the only one: the n-block's series is run without repeating it
         if not any(v.code == "n-not-ideal" for v in out):
-            try:
-                if nilpotency_class(self.n_bracket, self.tol) is None:
-                    out.append(Violation("n-not-nilpotent", "declared n-block is not nilpotent"))
-            except ValueError:
-                pass  # jacobi already reported
+            if _lower_central_length(self.n_bracket, self.tol) is None:
+                out.append(Violation("n-not-nilpotent", "declared n-block is not nilpotent"))
 
         for z in range(self.dim_k):
             ad_zp = self._ad_on(z)[self.sp, self.sp]

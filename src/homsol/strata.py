@@ -392,7 +392,11 @@ def e_beta_pairing(dec) -> PairingReport:
     mu = bb.mu_tensor()
     if dec.dim_n == 0 or mu.norm == 0.0:
         raise ValueError("pairing needs a nonzero nilpotent part")
-    stratum = dec.n_stratum()
+    return _pairing(dec, dec.n_stratum())
+
+
+def _pairing(dec, stratum: StratumData) -> PairingReport:
+    """e_beta_pairing(dec) for the label ``stratum`` of its nonzero n-block at ``dec.tol``, already in hand."""
     if not stratum.nice_position:
         raise ValueError("nilpotent part is not in nice position")
 

@@ -178,6 +178,11 @@ def nilpotency_class(mu: AlgebraTensor, tol: float = DEFAULT_TOL) -> int | None:
     """
     if not is_lie_bracket(mu, tol):
         raise ValueError(f"not a Lie bracket (Jacobi residual {jacobi_residual(mu):.3e})")
+    return _lower_central_length(mu, tol)
+
+
+def _lower_central_length(mu: AlgebraTensor, tol: float) -> int | None:
+    """nilpotency_class without its Jacobi test, for callers that have made their own."""
     n = mu.dim
     if n == 0:
         return 1
@@ -248,11 +253,14 @@ def pi_matrix(mu: AlgebraTensor) -> np.ndarray:
 def _nullspace(m: np.ndarray, rank_tol: float) -> np.ndarray:
     """Orthonormal rows spanning ker m, cutting singular values s <= rank_tol max(1, s_max).
 
-    A tall m is first reduced to the square R factor of its economy QR,
-    which has the same singular values and right singular vectors, so the
-    SVD never forms the large left factor (Chan, ACM TOMS 1982).
+    Rows of m that are exactly zero constrain nothing and are dropped
+    first: the kernel and the nonzero singular values stay the same.  A
+    tall remainder is then reduced to the square R factor of its economy
+    QR, which has the same singular values and right singular vectors, so
+    the SVD never forms the large left factor (Chan, ACM TOMS 1982).
     """
     cols = m.shape[1]
+    m = m[np.any(m != 0.0, axis=1)]
     if m.shape[0] > cols:
         m = np.linalg.qr(m, mode="r")
     _, s, vh = np.linalg.svd(m)
@@ -264,9 +272,10 @@ def derivation_algebra(mu: AlgebraTensor) -> np.ndarray:
     """Orthonormal basis of Der(mu) = ker(a -> pi(a) mu), stacked (m, n, n).
 
     Orthonormal for the Frobenius pairing tr(A B^t).  The kernel comes from
-    an economy QR of the (n^2(n-1)/2, n^2) matrix of pi followed by an SVD
-    of its n^2 x n^2 R factor; singular values s <= RANK_TOL max(1, s_max)
-    count as zero.
+    the nonzero rows of the (n^2(n-1)/2, n^2) matrix of pi: an economy QR
+    when they outnumber the n^2 columns, then an SVD of the (at most
+    n^2 x n^2) result; singular values s <= RANK_TOL max(1, s_max) count
+    as zero.
     """
     n = mu.dim
     if n == 0:

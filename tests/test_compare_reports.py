@@ -139,3 +139,100 @@ def test_each_command_builds_the_n_block_tensor_at_most_once(tmp_path, capsys, m
             seen.update(builds)
     assert seen["n"]  # the counter saw the builds
     capsys.readouterr()
+
+
+def count_calls(monkeypatch, fns) -> Counter:
+    """Counter of calls to each of ``fns`` (name -> function), wherever a homsol module binds it."""
+    import sys
+
+    calls = Counter()
+    for key, fn in fns.items():
+
+        def counted(*args, _key=key, _fn=fn, **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "homsol" or name.startswith("homsol."):
+                for attr in [a for a, v in vars(mod).items() if v is fn]:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def one_document_per_ladder_family(tmp_path) -> list[str]:
+    paths, families = [], set()
+    for raw in compare_reports.ladder_documents():
+        family = raw["name"].split("-")[0]
+        if family not in families:
+            families.add(family)
+            path = tmp_path / f"{raw['name']}.json"
+            path.write_text(json.dumps(raw))
+            paths.append(str(path))
+    assert families == {"heis", "ext", "fil", "unit"}
+    return paths
+
+
+def test_stratify_computes_the_label_once(tmp_path, capsys, monkeypatch):
+    from homsol import strata
+    from homsol.cli import main
+
+    calls = count_calls(monkeypatch, {"label": strata.stratum_label})
+    targets = [
+        name
+        for name in sorted(catalog.names())
+        if validate(document_from_catalog(catalog.get(name)))[0].n_bracket.norm > 0
+    ]
+    targets += one_document_per_ladder_family(tmp_path)
+    for target in targets:
+        calls.clear()
+        main(["stratify", target, "--json"])
+        assert calls["label"] == 1, target
+    capsys.readouterr()
+
+
+def test_each_decomposition_runs_the_jacobi_test_once(tmp_path, capsys, monkeypatch):
+    from homsol import decomposition, tensor
+    from homsol.cli import main
+
+    calls = count_calls(monkeypatch, {"jacobi": tensor.jacobi_residual})
+    init = decomposition.MetricDecomposition.__init__
+
+    def counted_init(self, *args, **kwargs):
+        calls["init"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(decomposition.MetricDecomposition, "__init__", counted_init)
+    targets = sorted(catalog.names()) + one_document_per_ladder_family(tmp_path)
+    for target in targets:
+        for command in ("fit", "battery", "stratify"):
+            calls.clear()
+            main([command, target, "--json"])
+            assert calls["init"] >= 1 and calls["jacobi"] == calls["init"], (command, target)
+    capsys.readouterr()
+
+
+def test_compare_prints_one_summary_per_report_that_differs(tmp_path, capsys):
+    old = {
+        "fit a": {"exit": 0, "report": {"c": -2.0e8, "d": [1.0, 2.0, 3.0], "tag": "Einstein"}},
+        "fit b": {"exit": 0, "report": {"c": -1.5}},
+        "fit c": {"exit": 0, "report": {"tag": "Einstein", "r": [0.5]}},
+    }
+    new = json.loads(json.dumps(old))
+    new["fit a"]["report"]["d"] = [1.0 + 1e-7, 2.0, 3.0 - 3e-7]
+    new["fit c"]["report"]["tag"] = "NotDetected"
+    paths = []
+    for name, dump in (("old", old), ("new", new)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(dump))
+
+    assert compare_reports.main(["compare", *map(str, paths)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == compare_reports.differences(old, new)
+    assert lines[3] == "3 vs 3 reports, 3 differences"
+    assert lines[4:] == [
+        "summary fit a: floats moved 2, max |delta| 3e-07, max |value| 2e+08",
+        "summary fit c: floats moved 0, max |delta| 0, max |value| 0.5, other differences 1",
+    ]
+    # equal dumps: no difference, no summary, exit 0
+    assert compare_reports.main(["compare", str(paths[0]), str(paths[0])]) == 0
+    assert capsys.readouterr().out.splitlines() == ["3 vs 3 reports, 0 differences"]

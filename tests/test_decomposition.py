@@ -54,6 +54,14 @@ def test_n_must_be_nilpotent():
     assert any(v.code == "n-not-nilpotent" for v in err.value.violations)
 
 
+def test_nilpotency_is_tested_when_the_n_block_fails_jacobi():
+    # [e0,e1] = e2, [e1,e2] = e1 fails Jacobi, and its lower central series stalls at span(e1, e2)
+    mu = AlgebraTensor(3, ((0, 1, 2, 1.0), (1, 2, 1, 1.0)))
+    with pytest.raises(DecompositionError) as err:
+        MetricDecomposition(mu, 0, 0, 3)
+    assert [v.code for v in err.value.violations] == ["jacobi", "n-not-nilpotent"]
+
+
 def test_isotropy_must_act_skewly():
     # [Z, e1] = e1 on a 2-dim p is symmetric, not skew
     mu = AlgebraTensor(3, ((0, 1, 1, 1.0),))

@@ -396,6 +396,79 @@ def test_filiform_derivation_dims(n):
         assert derivation_algebra(filiform(n, unit)).shape[0] == 2 * n - 1
 
 
+def nullspace_full_rows(m, rank_tol):
+    """Reference kernel over every row of m, zero rows included: economy QR, then the SVD."""
+    cols = m.shape[1]
+    if m.shape[0] > cols:
+        m = np.linalg.qr(m, mode="r")
+    _, s, vh = np.linalg.svd(m)
+    cut = rank_tol * max(1.0, s[0] if len(s) else 0.0)
+    return vh[np.concatenate([s, np.zeros(cols - len(s))]) <= cut]
+
+
+def projector(null):
+    return null.T @ null
+
+
+def with_zero_rows(rng, m, extra):
+    """m with `extra` zero rows interleaved at random positions."""
+    out = np.zeros((m.shape[0] + extra, m.shape[1]))
+    keep = np.sort(rng.choice(len(out), m.shape[0], replace=False))
+    out[keep] = m
+    return out
+
+
+def test_nullspace_ignores_interleaved_zero_rows():
+    rng = np.random.default_rng(14)
+    # a wide (3 x 9) and a tall rank-deficient (30 x 9) nonzero part, padded past square
+    wide = rng.standard_normal((3, 9))
+    tall = rng.standard_normal((30, 4)) @ rng.standard_normal((4, 9))
+    for m, rank in ((wide, 3), (tall, 4)):
+        for extra in (1, 20, 200):
+            padded = with_zero_rows(rng, m, extra)
+            got = _nullspace(padded, 1e-9)
+            want = _nullspace(m, 1e-9)
+            assert got.shape == want.shape == (9 - rank, 9)
+            assert np.max(np.abs(projector(got) - projector(want))) <= 1e-12
+            ref = nullspace_full_rows(padded, 1e-9)
+            assert np.max(np.abs(projector(got) - projector(ref))) <= 1e-12
+
+
+def derivation_brackets():
+    """(label, bracket) for every ladder document and every catalog entry, whole and n-block."""
+    from homsol import catalog
+    from homsol.io import document_from_catalog, document_from_dict, validate
+    from test_compare_reports import compare_reports
+
+    docs = [(raw["name"], document_from_dict(raw)) for raw in compare_reports.ladder_documents()]
+    docs += [(name, document_from_catalog(catalog.get(name))) for name in sorted(catalog.names())]
+    for label, doc in docs:
+        dec, _ = validate(doc)
+        yield label, dec.bracket_on
+        if dec.dim_n and dec.dim_n < dec.dim:
+            yield f"{label} n-block", dec.n_bracket
+
+
+def test_derivation_algebra_matches_the_full_row_kernel():
+    seen = 0
+    for label, mu in derivation_brackets():
+        got = derivation_algebra(mu).reshape(-1, mu.dim**2)
+        want = nullspace_full_rows(pi_matrix(mu), 1e-9)
+        assert got.shape == want.shape, label
+        assert np.max(np.abs(projector(got) - projector(want)), initial=0.0) <= 1e-12, label
+        seen += 1
+    assert seen >= 33 + 17
+
+
+def test_derivation_algebra_of_a_rotated_heisenberg_algebra():
+    # a random orthonormal basis makes pi_matrix dense: there are no zero rows to drop
+    rng = np.random.default_rng(15)
+    q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+    mu = heis(4).map_basis(q)
+    assert np.all(np.any(pi_matrix(mu) != 0.0, axis=1))
+    assert derivation_algebra(mu).shape[0] == 45
+
+
 _RSS_SCRIPT = """
 import json, resource, sys
 from homsol.tensor import AlgebraTensor, derivation_algebra

@@ -19,8 +19,11 @@ assembled from their parts); and ``verify-all --json``.  Everything runs in-proc
 
 ``compare`` requires identical exit codes, strings (tags, check names,
 hashes) and booleans (verdicts), identical integers and list lengths, and
-floats equal to 1e-12 absolute or relative.  It prints each difference
-and exits 1 if there is any, 0 otherwise.
+floats equal to 1e-12 absolute or relative.  It prints each difference,
+then the totals, then one summary line per report that differs (the
+number of floats that moved, the largest |delta| and the largest |value|
+in that report, so roundoff can be told from a change of scale), and
+exits 1 if there is any difference, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -159,25 +162,58 @@ def dump(src: str) -> dict:
 
 
 def differences(a, b, path: str = "") -> list[str]:
+    return [text for text, _ in _walk(a, b, path)]
+
+
+def _walk(a, b, path: str):
+    """(text, |a - b|) of each difference; the second item is None unless two floats moved."""
     if isinstance(a, dict) and isinstance(b, dict):
-        out = [f"{path}/{k}: only in one dump" for k in sorted(set(a) ^ set(b))]
+        for k in sorted(set(a) ^ set(b)):
+            yield f"{path}/{k}: only in one dump", None
         for k in sorted(set(a) & set(b)):
-            out += differences(a[k], b[k], f"{path}/{k}")
-        return out
-    if isinstance(a, list) and isinstance(b, list):
+            yield from _walk(a[k], b[k], f"{path}/{k}")
+    elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
-            return [f"{path}: length {len(a)} != {len(b)}"]
-        return [d for i, (x, y) in enumerate(zip(a, b)) for d in differences(x, y, f"{path}[{i}]")]
-    if isinstance(a, float) and isinstance(b, float):
+            yield f"{path}: length {len(a)} != {len(b)}", None
+        else:
+            for i, (x, y) in enumerate(zip(a, b)):
+                yield from _walk(x, y, f"{path}[{i}]")
+    elif isinstance(a, float) and isinstance(b, float):
         gap = abs(a - b)
         if a == b or gap <= TOL or gap <= TOL * max(abs(a), abs(b)):
-            return []
+            return
         if math.isnan(a) and math.isnan(b):
-            return []
-        return [f"{path}: {a!r} != {b!r}"]
-    if type(a) is not type(b) or a != b:
-        return [f"{path}: {a!r} != {b!r}"]
-    return []
+            return
+        yield f"{path}: {a!r} != {b!r}", gap
+    elif type(a) is not type(b) or a != b:
+        yield f"{path}: {a!r} != {b!r}", None
+
+
+def _max_abs(x) -> float:
+    """Largest |value| over the floats inside x (NaN skipped), 0 if there are none."""
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, list):
+        return max((_max_abs(v) for v in x), default=0.0)
+    return abs(x) if isinstance(x, float) and not math.isnan(x) else 0.0
+
+
+def summaries(old: dict, new: dict) -> list[str]:
+    """One line per report present in both dumps that differs: moved floats, largest |delta|, largest |value|."""
+    out = []
+    for name in sorted(set(old) & set(new)):
+        found = list(_walk(old[name], new[name], ""))
+        if not found:
+            continue
+        gaps = [gap for _, gap in found if gap is not None]
+        line = (
+            f"summary {name}: floats moved {len(gaps)}, max |delta| {max(gaps, default=0.0):.3g}, "
+            f"max |value| {max(_max_abs(old[name]), _max_abs(new[name])):.3g}"
+        )
+        if len(found) > len(gaps):
+            line += f", other differences {len(found) - len(gaps)}"
+        out.append(line)
+    return out
 
 
 def main(argv=None) -> int:
@@ -202,6 +238,8 @@ def main(argv=None) -> int:
     for d in diffs:
         print(d)
     print(f"{len(old)} vs {len(new)} reports, {len(diffs)} differences")
+    for line in summaries(old, new):
+        print(line)
     return 1 if diffs else 0
 
 
