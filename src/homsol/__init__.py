@@ -51,6 +51,7 @@ from .strata import (
 )
 from .tensor import (
     AlgebraTensor,
+    Check,
     derivation_algebra,
     jacobi_residual,
     moment_map,
@@ -69,6 +70,7 @@ __all__ = [
     "BuildResult",
     "CATALOG",
     "CatalogEntry",
+    "Check",
     "ConstructionData",
     "ConstructionError",
     "DecompositionError",

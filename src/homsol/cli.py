@@ -28,7 +28,6 @@ from .constructions import (
 from .decomposition import frob
 from .io import (
     AlgebraDocument,
-    CheckRecord,
     DocumentError,
     Report,
     document_from_decomposition,
@@ -44,8 +43,8 @@ from .soliton import (
     stratum_compatibility_check,
     structure_battery,
 )
-from .strata import _pairing, strata_properties
-from .tensor import AlgebraTensor, DEFAULT_TOL
+from .strata import _pairing, _properties
+from .tensor import DEFAULT_TOL, AlgebraTensor, Check
 
 
 def _tolerance(flag: float | None) -> float:
@@ -86,12 +85,8 @@ def run_ricci(doc: AlgebraDocument, tol: float) -> Report:
     report.results["ricci_user_basis"] = ric.user_matrix
     report.results["eigenvalues"] = np.linalg.eigvalsh(ric.matrix)
     report.add(
-        CheckRecord(
-            name="ricci-symmetric",
-            anchor="Ric = Ric^t",
-            passed=ric.symmetry_defect() <= tol,
-            value=ric.symmetry_defect(),
-            tolerance=tol,
+        Check.of_degree(
+            "ricci-symmetric", "Ric = Ric^t", ric.symmetry_defect(), tol, dec.bracket_on.norm, 2
         )
     )
     return report
@@ -116,20 +111,22 @@ def run_fit(doc: AlgebraDocument, tol: float) -> Report:
             "tag": ncert.tag,
             "d1": ncert.d1,
         }
+    bound = _residual_bound(dec.ricci().matrix, cert.c, dec.bracket_on.norm)
+    # NotDetected with the residual in bound: D is no derivation, so there is no certificate
+    value = cert.residual if cert.is_soliton or not cert.residual <= bound else np.inf
     report.add(
-        CheckRecord(
-            name="soliton-detected",
-            anchor="Ric = c I + S(D_p) for some D in Der(g), D k = 0",
-            passed=cert.is_soliton,
-            value=cert.residual,
-            tolerance=_residual_bound(dec.ricci().matrix, cert.c, dec.bracket_on.norm),
-            info={"tag": cert.tag, "c": cert.c},
+        Check(
+            "soliton-detected",
+            "Ric = c I + S(D_p) for some D in Der(g), D k = 0",
+            value,
+            bound,
+            {"tag": cert.tag, "c": cert.c, "family": cert.family},
         )
     )
     return report
 
 
-Groups = dict[str, list[CheckRecord]]
+Groups = dict[str, list[Check]]
 
 # verify-all summarises each group of battery and stratify records in one
 # check named after the group, with this anchor
@@ -143,77 +140,29 @@ _GROUP_ANCHORS = {
 }
 
 
-def _condition_records(conditions, tol: float) -> list[CheckRecord]:
-    return [
-        CheckRecord(name=c.name, anchor=c.anchor, passed=c.passed, value=c.residual, tolerance=tol)
-        for c in conditions
-    ]
-
-
 def _battery(dec, cert, tol: float) -> tuple[Groups, dict]:
     """Records of the structure battery and its follow-up checks, plus their results."""
     bat = structure_battery(dec, cert, tol)
-    results = {"forward_direction_applicable": bat.applicable}
-    groups: Groups = {"battery": _condition_records(bat.conditions, tol)}
-
-    fop = f_operator_check(dec, cert, tol)
-    if fop.skipped:
-        groups["f-operator"] = [
-            CheckRecord(
-                name="f-operator-shape",
-                anchor="S(ad_p H + D_p) = t E_beta",
-                passed=True,
-                info={"skipped": fop.reason},
-            )
-        ]
-    else:
-        groups["f-operator"] = [
-            CheckRecord(
-                name="f-operator-shape",
-                anchor="S(ad_p H + D_p) = t E_beta (t I on an abelian part)",
-                passed=fop.passed,
-                value=fop.shape_residual,
-                tolerance=tol,
-                info={"branch": fop.branch, "t": fop.t},
-            ),
-            CheckRecord(
-                name="f-trace-identity",
-                anchor="c tr F + tr F^2 = 0",
-                passed=fop.trace_identity <= tol * max(1.0, cert.c**2),
-                value=fop.trace_identity,
-                tolerance=tol,
-            ),
-        ]
-
-    eq = algebraic_soliton_equivalences(dec, cert)
-    groups["equivalences-agree"] = [
-        CheckRecord(
-            name="algebraic-equivalences-agree",
-            anchor="S(D) in Der(g) <=> ... <=> Ric|_h = c I (seven conditions)",
-            passed=eq.all_agree,
-            info={"verdict": eq.verdict, "residuals": eq.residuals},
-        )
-    ]
-
     comp = stratum_compatibility_check(dec, cert, tol)
-    if comp.skipped:
-        groups["stratum-compatibility"] = [
-            CheckRecord(
-                name="stratum-compatibility",
-                anchor="m(mu) = beta and friends",
-                passed=True,
-                info={"skipped": comp.reason},
-            )
-        ]
-    else:
-        groups["stratum-compatibility"] = _condition_records(comp.checks, tol)
+    groups: Groups = {
+        "battery": bat.checks,
+        "f-operator": f_operator_check(dec, cert, tol).checks,
+        "equivalences-agree": algebraic_soliton_equivalences(dec, cert).checks,
+        "stratum-compatibility": comp.checks,
+    }
+    results = {"forward_direction_applicable": bat.applicable}
+    if not comp.skipped:
         results["mu_scalar_variant_residual"] = comp.mu_scalar_variant_residual
     return groups, results
 
 
-def _stratify(dec, mu: AlgebraTensor, tol: float) -> tuple[Groups, dict]:
-    """Records of the label checks on the nonzero nilpotent part mu, plus their results."""
-    rep = strata_properties(mu, tol=tol)
+def _stratify(dec, tol: float) -> tuple[Groups, dict]:
+    """Records of the label checks on dec's nonzero nilpotent part, plus their results.
+
+    The label and Der(n) are the decomposition's own, so a battery run on
+    the same decomposition does not compute them again.
+    """
+    rep = _properties(dec.n_bracket, dec.n_stratum(), dec.derivations_n(), tol)
     data = rep.stratum
     results = {
         "beta": data.beta,
@@ -222,29 +171,8 @@ def _stratify(dec, mu: AlgebraTensor, tol: float) -> tuple[Groups, dict]:
         "support": [list(s) for s in data.support],
         "nice_position": data.nice_position,
     }
-    properties = [
-        CheckRecord(
-            name="label-trace",
-            anchor="tr beta = -1",
-            passed=abs(data.trace + 1.0) <= tol,
-            value=data.trace,
-            tolerance=tol,
-        )
-    ]
-    for c_ in rep.checks:
-        properties.append(
-            CheckRecord(
-                name=c_.name,
-                anchor=c_.anchor,
-                passed=c_.passed if c_.asserted else True,
-                value=c_.value,
-                tolerance=tol,
-                info={} if c_.asserted else {"skipped": "needs nice position"},
-            )
-        )
-    groups: Groups = {"stratum-properties": properties}
+    groups: Groups = {"stratum-properties": rep.checks}
     if data.nice_position:
-        # mu is dec's n-block at tol: its label is already in rep, so it is not computed again
         pairing = _pairing(dec, data)
         results["pairing_terms"] = {
             "lam0": pairing.lam0_term,
@@ -253,15 +181,7 @@ def _stratify(dec, mu: AlgebraTensor, tol: float) -> tuple[Groups, dict]:
             "mu": pairing.mu_term,
             "total": pairing.total,
         }
-        groups["bracket-pairing"] = [
-            CheckRecord(
-                name="bracket-pairing-nonnegative",
-                anchor="<pi(E_beta) [.,.]_p, [.,.]_p> >= 0, summand by summand",
-                passed=pairing.summands_nonnegative and pairing.split_defect <= tol,
-                value=pairing.total,
-                tolerance=tol,
-            )
-        ]
+        groups["bracket-pairing"] = pairing.checks
     return groups, results
 
 
@@ -284,13 +204,12 @@ def run_stratify(doc: AlgebraDocument, tol: float) -> Report:
     dec = _validated(report, doc, tol)
     if dec is None:
         return report
-    mu = dec.blocks().mu_tensor()
-    if mu.norm == 0.0:
+    if dec.n_bracket.norm == 0.0:
         report.errors.append(
             {"code": "no-stratum", "detail": "nilpotent part is abelian or empty; no label"}
         )
         return report
-    groups, results = _stratify(dec, mu, tol)
+    groups, results = _stratify(dec, tol)
     report.results.update(results)
     report.checks.extend(r for records in groups.values() for r in records)
     return report
@@ -343,12 +262,12 @@ def run_build(path: str, tol: float) -> Report:
     report.input_name = name
     for v in violations:
         report.add(
-            CheckRecord(
-                name=v.code,
-                anchor="construction conditions (c1)-(c3) and data (d1)-(d3)",
-                passed=False,
-                value=float(v.value) if isinstance(v.value, (int, float)) else None,
+            Check(
+                v.code,
+                "construction conditions (c1)-(c3) and data (d1)-(d3)",
+                float(v.value) if isinstance(v.value, (int, float)) else None,
                 info={"detail": v.detail},
+                verdict=False,
             )
         )
     if violations:
@@ -362,12 +281,13 @@ def run_build(path: str, tol: float) -> Report:
     report.results["c"] = res.certificate.c
     report.results["predicted_ricci"] = res.predicted_ricci
     report.add(
-        CheckRecord(
-            name="predicted-ricci-matches",
-            anchor="Ric = c I + diag(-S(ad_u H|_h), -S(theta(H)) + D1)",
-            passed=res.prediction_residual <= tol * max(1.0, abs(res.certificate.c)),
-            value=res.prediction_residual,
-            tolerance=tol,
+        Check.of_degree(
+            "predicted-ricci-matches",
+            "Ric = c I + diag(-S(ad_u H|_h), -S(theta(H)) + D1)",
+            res.prediction_residual,
+            tol,
+            res.decomposition.bracket_on.norm,
+            2,
         )
     )
     return report
@@ -396,27 +316,28 @@ def run_extend(doc: AlgebraDocument, variant: str, tol: float) -> Report:
     report.results["document"] = out_doc.to_json_dict()
     report.results["c"] = out_cert.c
     report.results["residual"] = out_cert.residual
-    expect_einstein = variant in ("nonunimodular", "unimodular")
-    if expect_einstein:
-        ric = out.ricci().matrix
-        gap = frob(ric - cert.c * np.eye(out.dim_p))
+    # both residuals are of degree 2 in the input bracket, which fixes c and D
+    if variant in ("nonunimodular", "unimodular"):
+        gap = frob(out.ricci().matrix - cert.c * np.eye(out.dim_p))
         report.add(
-            CheckRecord(
-                name="einstein-with-same-constant",
-                anchor="Ric_out = c I with the input certificate's c",
-                passed=gap <= tol * max(1.0, frob(ric)),
-                value=gap,
-                tolerance=tol,
+            Check.of_degree(
+                "einstein-with-same-constant",
+                "Ric_out = c I with the input certificate's c",
+                gap,
+                tol,
+                dec.bracket_on.norm,
+                2,
             )
         )
     else:
         report.add(
-            CheckRecord(
-                name="restricted-certificate",
-                anchor="Ric_0 = c I + D'|_p0 with D' = (D + S(ad H))|_g0",
-                passed=out_cert.residual <= tol * max(1.0, abs(cert.c)),
-                value=out_cert.residual,
-                tolerance=tol,
+            Check.of_degree(
+                "restricted-certificate",
+                "Ric_0 = c I + D'|_p0 with D' = (D + S(ad H))|_g0",
+                out_cert.residual,
+                tol,
+                dec.bracket_on.norm,
+                2,
             )
         )
     return report
@@ -446,17 +367,15 @@ def run_catalog(dump_dir: str | None) -> Report:
     return report
 
 
-def _verify_one(name: str, tol: float) -> list[CheckRecord]:
+def _verify_one(name: str, tol: float) -> list[Check]:
     from .io import document_from_catalog
 
     entry = cat.get(name)
     doc = document_from_catalog(entry)
-    checks: list[CheckRecord] = []
+    checks: list[Check] = []
 
     def rec(check: str, anchor: str, passed: bool, **info):
-        checks.append(
-            CheckRecord(name=f"{name}:{check}", anchor=anchor, passed=passed, info=info)
-        )
+        checks.append(Check(f"{name}:{check}", anchor, info=info, verdict=passed))
 
     dec, violations = validate(doc, tol)
     rec("valid", "decomposition invariants", dec is not None)
@@ -477,7 +396,7 @@ def _verify_one(name: str, tol: float) -> list[CheckRecord]:
         rec(
             "constant",
             "fitted c matches the catalog expectation",
-            abs(cert.c - expected["c"]) <= 1e-9 * max(1.0, abs(expected["c"])),
+            abs(cert.c - expected["c"]) <= 1e-9 * dec.bracket_on.norm**2,
             got=cert.c,
         )
     if expected.get("nilsoliton_negative"):
@@ -492,9 +411,8 @@ def _verify_one(name: str, tol: float) -> list[CheckRecord]:
     groups: Groups = {}
     if cert.is_soliton and cert.expanding:
         groups.update(_battery(dec, cert, tol)[0])
-    mu = dec.blocks().mu_tensor()
-    if mu.norm > 0:
-        groups.update(_stratify(dec, mu, tol)[0])
+    if dec.n_bracket.norm > 0:
+        groups.update(_stratify(dec, tol)[0])
     for group, records in groups.items():
         rec(
             group,

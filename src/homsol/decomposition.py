@@ -40,6 +40,7 @@ from .tensor import (
     _lower_central_length,
     derivation_algebra,
     derivation_residual,
+    frob,
     jacobi_residual,
     moment_operator,
 )
@@ -51,10 +52,6 @@ def sym(a: np.ndarray) -> np.ndarray:
 
 def skew(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a - a.T)
-
-
-def frob(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
 
 
 @dataclass

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import catalog as _catalog
 from .decomposition import DecompositionError, MetricDecomposition
-from .tensor import AlgebraTensor
+from .tensor import AlgebraTensor, Check
 
 TOOL_VERSION = "0.1.0"
 
@@ -221,24 +221,16 @@ def validate(doc: AlgebraDocument, tol: float = 1e-9):
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckRecord:
-    name: str
-    anchor: str  # the identity or inequality being checked, as a formula
-    passed: bool
-    value: float | None = None
-    tolerance: float | None = None
-    info: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        out = {"name": self.name, "anchor": self.anchor, "passed": bool(self.passed)}
-        if self.value is not None:
-            out["value"] = _jsonable(self.value)
-        if self.tolerance is not None:
-            out["tolerance"] = float(self.tolerance)
-        if self.info:
-            out["info"] = {k: _jsonable(v) for k, v in self.info.items()}
-        return out
+def _check_json(check: Check) -> dict:
+    """A check as JSON; its ``tolerance`` is the bound the check applied."""
+    out = {"name": check.name, "anchor": check.anchor, "passed": check.passed}
+    if check.value is not None:
+        out["value"] = _jsonable(check.value)
+    if check.bound is not None:
+        out["tolerance"] = float(check.bound)
+    if check.info:
+        out["info"] = {k: _jsonable(v) for k, v in check.info.items()}
+    return out
 
 
 def _jsonable(v):
@@ -263,12 +255,12 @@ class Report:
     input_name: str
     input_hash: str
     tolerance: float
-    checks: list[CheckRecord] = field(default_factory=list)
+    checks: list[Check] = field(default_factory=list)
     classification: str = ""
     errors: list[dict] = field(default_factory=list)
     results: dict = field(default_factory=dict)
 
-    def add(self, record: CheckRecord):
+    def add(self, record: Check):
         self.checks.append(record)
 
     @property
@@ -290,7 +282,7 @@ class Report:
             "config": {"tolerance": float(self.tolerance)},
             "classification": self.classification,
             "passed": bool(self.passed),
-            "checks": [c.to_json_dict() for c in self.checks],
+            "checks": [_check_json(c) for c in self.checks],
             "errors": self.errors,
             "results": {k: _jsonable(v) for k, v in self.results.items()},
         }

@@ -16,12 +16,29 @@ by least squares over the relevant affine family:
   the canonical fit fails.
 
 Every family is fitted by one least-squares routine, and every certificate
-is tagged by one classifier.  All matrices live in the decomposition's
-orthonormal frame.  The bounds separating "soliton" from "not" are
-homogeneous in the bracket mu (orthonormal frame): a Ricci residual, of
-degree 2, must be at most 1e-6 max(|Ric|, |c|, |mu|^2), and a derivation
-defect |pi(D) mu|, of degree 3, at most 1e-6 |mu|^3.  Identities are
-checked at 1e-9 by default.
+is tagged by one classifier; the certificate's ``family`` says which
+family produced it.  All matrices live in the decomposition's orthonormal
+frame.  The bounds separating "soliton" from "not" are homogeneous in the
+bracket mu (orthonormal frame): a Ricci residual, of degree 2, must be at
+most 1e-6 max(|Ric|, |c|, |mu|^2), and a derivation defect |pi(D) mu|, of
+degree 3, at most 1e-6 |mu|^3.
+
+The battery and its follow-up reports are lists of ``tensor.Check``
+records.  Each condition is a homogeneous identity in mu, so its residual
+is held to tol |mu|^degree (tol 1e-9 by default, 1e-8 for the seven
+equivalences), and a report's ``tolerance`` is that applied bound:
+
+* degree 0: ``moment-map-equals-label``;
+* degree 1: ``hh-inside-u`` (lambda1) and ``shifted-label-derives-g``;
+* degree 2: the Ricci residuals, F, M and c (``reductive-part-ricci``,
+  ``nilpotent-part-soliton``, ``ricci-reassembly``, ``f-operator-shape``,
+  ``constant-from-label``, ``moment-operator-n-invariant``,
+  ``d1-from-certificate``, ``f-matches-scaled-label``),
+  ``adjoint-commutator-sum``, ``transposed-adjoints-derive`` and the three
+  ``*-on-h`` equivalences;
+* degree 3: ``reassembled-derivation``, ``u-commutes-with-d1``,
+  ``u-commutes-with-f`` and the three derivation-defect equivalences;
+* degree 4: ``f-trace-identity`` (c tr F + tr F^2) and ``ad-h-normal``.
 """
 
 from __future__ import annotations
@@ -36,6 +53,8 @@ from .tensor import (
     DEFAULT_TOL,
     RANK_TOL,
     AlgebraTensor,
+    Check,
+    CheckedReport,
     _nullspace,
     derivation_residual,
     moment_map,
@@ -63,6 +82,7 @@ class SolitonCertificate:
     dim_k: int = 0
     dim_h: int = 0
     flags: dict = field(default_factory=dict)
+    family: str = "canonical"  # fitted over the canonical family, or the constrained fallback
 
     @property
     def d_p(self) -> np.ndarray:
@@ -122,6 +142,7 @@ def _certificate_residual(dec: MetricDecomposition, c: float, d: np.ndarray) -> 
 
 def _fit(
     dec: MetricDecomposition,
+    family: str,
     basis: np.ndarray,
     offset: np.ndarray | None = None,
     c: float | None = None,
@@ -131,7 +152,8 @@ def _fit(
     ``basis`` stacks matrices on g (orthonormal frame, zero on k); those
     with S(B_p) = 0 cannot move the fit and are dropped.  ``c`` is fitted
     unless given.  The certificate's D1 is the symmetric n-block of the
-    fitted part sum_i x_i B_i, without the offset.
+    fitted part sum_i x_i B_i, without the offset; ``family`` names the
+    family in the certificate.
     """
     eye = np.eye(dec.dim_p)
     ric = dec.ricci().matrix
@@ -164,6 +186,7 @@ def _fit(
         sym_derivation_defect=sym_defect,
         dim_k=dec.dim_k,
         dim_h=dec.dim_h,
+        family=family,
     )
 
 
@@ -176,7 +199,7 @@ def _canonical_fit(dec: MetricDecomposition, c: float | None = None) -> SolitonC
     ders = dec.derivations_n()
     basis = np.zeros((len(ders), dec.dim, dec.dim))
     basis[:, dec.sn, dec.sn] = 0.5 * (ders + np.transpose(ders, (0, 2, 1)))
-    return _fit(dec, basis, offset=-dec.ad_mean_curvature(), c=c)
+    return _fit(dec, "canonical", basis, offset=-dec.ad_mean_curvature(), c=c)
 
 
 def nilsoliton_fit(
@@ -220,19 +243,18 @@ def soliton_fit(dec: MetricDecomposition, tol: float = DEFAULT_TOL) -> SolitonCe
     """
     cert = _canonical_fit(dec)
     if not cert.is_soliton:
-        alt = _fit(dec, constrained_derivations(dec))
+        alt = _fit(dec, "constrained", constrained_derivations(dec))
         if alt.is_soliton or alt.residual < cert.residual:
             cert = alt
 
-    bracket_scale = max(1.0, dec.bracket.norm)
     bb = dec.blocks()
     hh_norm = float(np.sqrt(frob(bb.lam0) ** 2 + frob(bb.lam1) ** 2 + frob(bb.lam2) ** 2))
     kill = dec.killing()
     ev = np.abs(np.linalg.eigvalsh(kill.form)) if dec.dim else np.zeros(0)
-    semisimple = bool(ev.size and np.min(ev) > 1e-8 * max(1.0, np.max(ev)))
+    semisimple = bool(ev.size and np.min(ev) > 1e-8 * np.max(ev))
     cert.flags = {
         "solvsoliton-isometric": bool(
-            cert.is_soliton and cert.expanding and hh_norm <= tol * bracket_scale
+            cert.is_soliton and cert.expanding and hh_norm <= tol * dec.bracket_on.norm
         ),
         "semisimple-Einstein": bool(cert.tag == TAG_EINSTEIN and semisimple),
     }
@@ -243,30 +265,11 @@ def soliton_fit(dec: MetricDecomposition, tol: float = DEFAULT_TOL) -> SolitonCe
 # condition battery of the structure theorem
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ConditionResult:
-    name: str
-    anchor: str
-    residual: float
-    passed: bool
-
-
-@dataclass
-class StructureBatteryReport:
+@dataclass(kw_only=True)
+class StructureBatteryReport(CheckedReport):
     applicable: bool  # the forward direction needs an expanding constant
-    conditions: list[ConditionResult]
     derivation: np.ndarray  # the reassembled -ad H + diag(0,0,D1)
     d1: np.ndarray
-
-    def condition(self, name: str) -> ConditionResult:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.conditions)
 
 
 def structure_battery(
@@ -288,14 +291,10 @@ def structure_battery(
     """
     c = cert.c
     bb = dec.blocks()
-    scale = max(1.0, frob(dec.ricci().matrix))
-    bscale = max(1.0, dec.bracket.norm)
-    conditions: list[ConditionResult] = []
-
-    r1 = frob(bb.lam1)
-    conditions.append(
-        ConditionResult("hh-inside-u", "[h,h] in k+h (lambda1 = 0)", r1, r1 <= tol * bscale)
-    )
+    norm = dec.bracket_on.norm
+    checks = [
+        Check.of_degree("hh-inside-u", "[h,h] in k+h (lambda1 = 0)", frob(bb.lam1), tol, norm, 1)
+    ]
 
     a_eta = bb.ad_eta()
     if dec.dim_h:
@@ -312,80 +311,63 @@ def structure_battery(
             r2 = frob(ric_u - c * np.eye(dec.dim_h) - c_h)
         except Exception:
             r2 = np.inf  # u is not a subalgebra (lambda1 != 0)
-    conditions.append(
-        ConditionResult("reductive-part-ricci", "Ric_u = c I + C_h", r2, r2 <= tol * scale)
-    )
+    checks.append(Check.of_degree("reductive-part-ricci", "Ric_u = c I + C_h", r2, tol, norm, 2))
 
     mu = bb.mu_tensor()
     nfit = _canonical_fit(dec.n_decomposition(), c)
-    r3, d1 = nfit.residual, nfit.d1
-    conditions.append(
-        ConditionResult("nilpotent-part-soliton", "Ric_n = c I + D1, D1 in Der(n)", r3, r3 <= tol * scale)
+    checks.append(
+        Check.of_degree(
+            "nilpotent-part-soliton", "Ric_n = c I + D1, D1 in Der(n)", nfit.residual, tol, norm, 2
+        )
     )
 
     if dec.dim_h and dec.dim_n:
-        comm = sum(a @ a.T - a.T @ a for a in a_eta)
-        r4 = frob(comm)
+        r4 = frob(sum(a @ a.T - a.T @ a for a in a_eta))
         r4b = max(derivation_residual(mu, a.T) for a in a_eta)
     else:
         r4, r4b = 0.0, 0.0
-    conditions.append(
-        ConditionResult(
-            "adjoint-commutator-sum",
-            "sum_i [ad Y_i|n, (ad Y_i|n)^t] = 0",
-            r4,
-            r4 <= tol * bscale,
+    checks.append(
+        Check.of_degree(
+            "adjoint-commutator-sum", "sum_i [ad Y_i|n, (ad Y_i|n)^t] = 0", r4, tol, norm, 2
         )
     )
-    conditions.append(
-        ConditionResult(
-            "transposed-adjoints-derive",
-            "(ad Y|n)^t in Der(n) for Y in h",
-            r4b,
-            r4b <= tol * bscale,
+    checks.append(
+        Check.of_degree(
+            "transposed-adjoints-derive", "(ad Y|n)^t in Der(n) for Y in h", r4b, tol, norm, 2
         )
     )
 
-    d_full = _canonical_derivation(dec, d1)
+    d_full = _canonical_derivation(dec, nfit.d1)
     r5 = _certificate_residual(dec, c, d_full)
-    conditions.append(
-        ConditionResult("ricci-reassembly", "Ric = c I + S(D_p)", r5, r5 <= tol * scale)
-    )
+    checks.append(Check.of_degree("ricci-reassembly", "Ric = c I + S(D_p)", r5, tol, norm, 2))
     r5d = dec.derivation_residual_on(d_full)
-    conditions.append(
-        ConditionResult(
-            "reassembled-derivation",
-            "-ad H + diag(0,0,D1) in Der(g)",
-            r5d,
-            r5d <= tol * bscale,
+    checks.append(
+        Check.of_degree(
+            "reassembled-derivation", "-ad H + diag(0,0,D1) in Der(g)", r5d, tol, norm, 3
         )
     )
-
-    return StructureBatteryReport(
-        applicable=c < 0.0,
-        conditions=conditions,
-        derivation=d_full,
-        d1=d1,
-    )
+    return StructureBatteryReport(checks=checks, applicable=c < 0.0, derivation=d_full, d1=nfit.d1)
 
 
 # ---------------------------------------------------------------------------
 # shape of F = S(ad_p H + D_p)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FOperatorReport:
-    skipped: bool
-    reason: str
-    lam1_norm: float
+@dataclass(kw_only=True)
+class FOperatorReport(CheckedReport):
     f: np.ndarray | None = None
     branch: str = ""
     t: float = 0.0
     t_ratio_form: float = 0.0  # (|H|^2 + tr D_n) / (-1 + |beta|^2 dim n) in the nonabelian branch
-    shape_residual: float = 0.0
-    trace_identity: float = 0.0  # |c tr F + tr F^2|
     stratum: StratumData | None = None
-    passed: bool = False
+
+    @property
+    def passed(self) -> bool:
+        return self.all_pass
+
+    @property
+    def trace_identity(self) -> float:  # |c tr F + tr F^2|
+        return self.condition("f-trace-identity").value
 
 
 def f_operator_check(
@@ -398,55 +380,63 @@ def f_operator_check(
     For a nonzero nilpotent part in nice position F must equal t E_beta
     with t = -c/|beta|^2; for an abelian nilpotent part it must equal
     t (0 (+) I_n) with t = (|H|^2 + tr D_n)/dim n; and c tr F + tr F^2 = 0
-    in all cases.
+    in all cases.  The shape presumes [h,h] inside k + h, which is the
+    battery's condition (i) and is not tested again here.
     """
-    bb = dec.blocks()
-    lam1 = frob(bb.lam1)
+    norm = dec.bracket_on.norm
     h = dec.mean_curvature()
     f = sym(dec.ad_mean_curvature()[dec.sp, dec.sp] + cert.d_p)
     c = cert.c
-    tr_id = abs(c * np.trace(f) + np.trace(f @ f))
-    scale = max(1.0, frob(dec.ricci().matrix))
 
-    mu = bb.mu_tensor()
+    mu = dec.blocks().mu_tensor()
     hd = float(h @ h) + float(np.trace(cert.d_full[dec.sn, dec.sn]))  # |H|^2 + tr D_n
     target = np.zeros_like(f)
     t, t_ratio, stratum = 0.0, 0.0, None
     if dec.dim_n == 0:
         branch = "empty-n"
-    elif mu.norm <= tol * max(1.0, dec.bracket.norm):
+    elif mu.norm <= tol * norm:
         branch = "abelian-part"
         t = hd / dec.dim_n
         target[dec.sn_p, dec.sn_p] = t * np.eye(dec.dim_n)
     else:
         stratum = dec.n_stratum()
         if not stratum.nice_position:
-            return FOperatorReport(
-                skipped=True,
-                reason="nilpotent part is not in nice position; label comparison unavailable",
-                lam1_norm=lam1,
-                stratum=stratum,
+            reason = "nilpotent part is not in nice position; label comparison unavailable"
+            skip = Check(
+                "f-operator-shape",
+                "S(ad_p H + D_p) = t E_beta",
+                info={"skipped": reason},
+                verdict=True,
             )
+            return FOperatorReport(checks=[skip], skipped=True, reason=reason, stratum=stratum)
         branch = "nilpotent-part"
         nsq = stratum.beta_norm_sq
         t = -c / nsq
         denom = -1.0 + nsq * dec.dim_n
         t_ratio = hd / denom if abs(denom) > 1e-12 else np.nan
         target[dec.sn_p, dec.sn_p] = t * (np.diag(stratum.beta_raw) + nsq * np.eye(dec.dim_n))
-    resid = frob(f - target)
-    ok = resid <= tol * scale and lam1 <= tol * max(1.0, dec.bracket.norm) and tr_id <= tol * scale**2
+    checks = [
+        Check.of_degree(
+            "f-operator-shape",
+            "S(ad_p H + D_p) = t E_beta (t I on an abelian part)",
+            frob(f - target),
+            tol,
+            norm,
+            2,
+            branch=branch,
+            t=t,
+        ),
+        Check.of_degree(
+            "f-trace-identity",
+            "c tr F + tr F^2 = 0",
+            abs(c * np.trace(f) + np.trace(f @ f)),
+            tol,
+            norm,
+            4,
+        ),
+    ]
     return FOperatorReport(
-        skipped=False,
-        reason="",
-        lam1_norm=lam1,
-        f=f,
-        branch=branch,
-        t=t,
-        t_ratio_form=t_ratio,
-        shape_residual=resid,
-        trace_identity=tr_id,
-        stratum=stratum,
-        passed=ok,
+        checks=checks, f=f, branch=branch, t=t, t_ratio_form=t_ratio, stratum=stratum
     )
 
 
@@ -454,19 +444,21 @@ def f_operator_check(
 # the seven equivalent descriptions of an algebraic soliton
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EquivalenceReport:
-    residuals: dict[str, float]
-    booleans: dict[str, bool]
+@dataclass(kw_only=True)
+class EquivalenceReport(CheckedReport):
+    """One check, ``algebraic-equivalences-agree``, whose info holds the seven residuals."""
 
     @property
     def all_agree(self) -> bool:
-        vals = list(self.booleans.values())
-        return all(vals) or not any(vals)
+        return self.all_pass
 
     @property
     def verdict(self) -> bool:
-        return all(self.booleans.values())
+        return self.checks[0].info["verdict"]
+
+    @property
+    def residuals(self) -> dict[str, float]:
+        return self.checks[0].info["residuals"]
 
 
 def algebraic_soliton_equivalences(
@@ -477,50 +469,51 @@ def algebraic_soliton_equivalences(
     """Evaluate the seven conditions that single out algebraic solitons.
 
     On an expanding semi-algebraic soliton these agree (all true or all
-    false); evaluating them on anything else is descriptive only.
+    false); evaluating them on anything else is descriptive only.  Each
+    condition holds when its residual is at most tol |mu|^degree.
     """
     p_bracket = dec.p_bracket
-    bscale = max(1.0, dec.bracket.norm)
     ad_p_h = dec.ad_mean_curvature()[dec.sp, dec.sp]
-    d_full = cert.d_full
     d_p = cert.d_p
     ric = dec.ricci().matrix
     nh = dec.dim_h
+    norm = dec.bracket_on.norm
 
-    res = {
-        "sym-derivation-on-g": dec.derivation_residual_on(sym(d_full)),
-        "sym-derivation-on-p": derivation_residual(p_bracket, sym(d_p)),
-        "sym-ad-h-derivation": derivation_residual(p_bracket, sym(ad_p_h)),
-        "ad-h-normal": frob(ad_p_h @ ad_p_h.T - ad_p_h.T @ ad_p_h),
-        "sym-d-vanishes-on-h": frob(sym(d_p[:nh, :nh])),
-        "sym-ad-h-vanishes-on-h": frob(sym(ad_p_h[:nh, :nh])),
-        "ricci-scalar-on-h": frob(ric[:nh, :nh] - cert.c * np.eye(nh)),
+    residuals = {  # name: (residual, degree in the bracket)
+        "sym-derivation-on-g": (dec.derivation_residual_on(sym(cert.d_full)), 3),
+        "sym-derivation-on-p": (derivation_residual(p_bracket, sym(d_p)), 3),
+        "sym-ad-h-derivation": (derivation_residual(p_bracket, sym(ad_p_h)), 3),
+        "ad-h-normal": (frob(ad_p_h @ ad_p_h.T - ad_p_h.T @ ad_p_h), 4),
+        "sym-d-vanishes-on-h": (frob(sym(d_p[:nh, :nh])), 2),
+        "sym-ad-h-vanishes-on-h": (frob(sym(ad_p_h[:nh, :nh])), 2),
+        "ricci-scalar-on-h": (frob(ric[:nh, :nh] - cert.c * np.eye(nh)), 2),
     }
-    booleans = {k: bool(v <= tol * bscale) for k, v in res.items()}
-    return EquivalenceReport(residuals=res, booleans=booleans)
+    conditions = [Check.of_degree(k, k, r, tol, norm, d) for k, (r, d) in residuals.items()]
+    holds = [c.passed for c in conditions]
+    agree = Check(
+        "algebraic-equivalences-agree",
+        "S(D) in Der(g) <=> ... <=> Ric|_h = c I (seven conditions)",
+        info={"verdict": all(holds), "residuals": {c.name: c.value for c in conditions}},
+        verdict=all(holds) or not any(holds),
+    )
+    return EquivalenceReport(checks=[agree])
 
 
 # ---------------------------------------------------------------------------
 # compatibilities between the certificate and the stratum label
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CompatibilityReport:
-    skipped: bool
-    reason: str
-    checks: list[ConditionResult] = field(default_factory=list)
+@dataclass(kw_only=True)
+class CompatibilityReport(CheckedReport):
     stratum: StratumData | None = None
     mu_scalar_variant_residual: float = np.nan  # coefficient -c/|mu|^2 instead of -c/|beta|^2
 
-    def condition(self, name: str) -> ConditionResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
-    @property
-    def all_pass(self) -> bool:
-        return not self.skipped and all(c.passed for c in self.checks)
+def _skipped_compatibility(reason: str, stratum: StratumData | None = None) -> CompatibilityReport:
+    skip = Check(
+        "stratum-compatibility", "m(mu) = beta and friends", info={"skipped": reason}, verdict=True
+    )
+    return CompatibilityReport(checks=[skip], skipped=True, reason=reason, stratum=stratum)
 
 
 def stratum_compatibility_check(
@@ -538,39 +531,29 @@ def stratum_compatibility_check(
     bb = dec.blocks()
     mu = bb.mu_tensor()
     if dec.dim_n == 0 or mu.norm == 0.0:
-        return CompatibilityReport(skipped=True, reason="nilpotent part is abelian or empty")
+        return _skipped_compatibility("nilpotent part is abelian or empty")
     stratum = dec.n_stratum()
     if not stratum.nice_position:
-        return CompatibilityReport(
-            skipped=True, reason="nilpotent part not in nice position", stratum=stratum
-        )
+        return _skipped_compatibility("nilpotent part not in nice position", stratum)
 
     c = cert.c
     nsq = stratum.beta_norm_sq
     beta = np.diag(stratum.beta_raw)
-    scale = max(1.0, frob(dec.ricci().matrix))
-    bscale = max(1.0, dec.bracket.norm)
-    checks: list[ConditionResult] = []
+    norm = dec.bracket_on.norm
 
-    m_mu = moment_map(mu)
-    r = frob(m_mu - beta)
-    checks.append(ConditionResult("moment-map-equals-label", "m(mu) = beta", r, r <= tol))
+    r = frob(moment_map(mu) - beta)
+    checks = [Check.of_degree("moment-map-equals-label", "m(mu) = beta", r, tol, norm, 0)]
 
-    want_c = -0.25 * mu.norm_sq * nsq
-    r = abs(c - want_c)
+    r = abs(c + 0.25 * mu.norm_sq * nsq)
     checks.append(
-        ConditionResult(
-            "constant-from-label", "c = -(1/4) |mu|^2 |beta|^2", r, r <= tol * max(1.0, abs(c))
-        )
+        Check.of_degree("constant-from-label", "c = -(1/4) |mu|^2 |beta|^2", r, tol, norm, 2)
     )
 
     # u acts on n commuting with D1 and with F
     d1 = cert.d1 if cert.d1 is not None else sym(cert.d_full[dec.sn, dec.sn])
     ad_u_n = list(bb.ad_nu2()) + list(bb.ad_eta())
     r = max((frob(a @ d1 - d1 @ a) for a in ad_u_n), default=0.0)
-    checks.append(
-        ConditionResult("u-commutes-with-d1", "[ad u|n, D1] = 0", r, r <= tol * bscale)
-    )
+    checks.append(Check.of_degree("u-commutes-with-d1", "[ad u|n, D1] = 0", r, tol, norm, 3))
 
     ad_h = dec.ad_mean_curvature()
     f = sym(ad_h[dec.sp, dec.sp] + cert.d_p)
@@ -578,44 +561,30 @@ def stratum_compatibility_check(
     for i in range(dec.dim_k + dec.dim_h):
         ad_i = dec._ad_on(i)[dec.sp, dec.sp]
         worst = max(worst, frob(ad_i @ f - f @ ad_i))
-    checks.append(
-        ConditionResult("u-commutes-with-f", "[ad u|p, F] = 0", worst, worst <= tol * bscale)
-    )
+    checks.append(Check.of_degree("u-commutes-with-f", "[ad u|p, F] = 0", worst, tol, norm, 3))
 
     e_beta_g = np.zeros((dec.dim, dec.dim))
     e_beta_g[dec.sn, dec.sn] = beta + nsq * np.eye(dec.dim_n)
     r = dec.derivation_residual_on(e_beta_g)
-    checks.append(
-        ConditionResult("shifted-label-derives-g", "E_beta in Der(g)", r, r <= tol * bscale)
-    )
+    checks.append(Check.of_degree("shifted-label-derives-g", "E_beta in Der(g)", r, tol, norm, 1))
 
     m_op = dec.moment().matrix
-    m_n = moment_operator(mu)
-    r_inv = frob(m_op[dec.sh_p, dec.sn_p])
-    r_eq = frob(m_op[dec.sn_p, dec.sn_p] - m_n)
+    r = max(frob(m_op[dec.sh_p, dec.sn_p]), frob(m_op[dec.sn_p, dec.sn_p] - moment_operator(mu)))
     checks.append(
-        ConditionResult(
-            "moment-operator-n-invariant", "M n in n and M|n = M_mu", max(r_inv, r_eq),
-            max(r_inv, r_eq) <= tol * max(1.0, frob(m_op)),
-        )
+        Check.of_degree("moment-operator-n-invariant", "M n in n and M|n = M_mu", r, tol, norm, 2)
     )
 
-    d_n = cert.d_full[dec.sn, dec.sn]
-    r = frob(d1 - sym(ad_h[dec.sn, dec.sn] + d_n))
-    checks.append(
-        ConditionResult("d1-from-certificate", "D1 = S(ad H|n + D|n)", r, r <= tol * scale)
-    )
+    r = frob(d1 - sym(ad_h[dec.sn, dec.sn] + cert.d_full[dec.sn, dec.sn]))
+    checks.append(Check.of_degree("d1-from-certificate", "D1 = S(ad H|n + D|n)", r, tol, norm, 2))
 
-    t = -c / nsq
     e_beta_p = e_beta_g[dec.sp, dec.sp]
-    r = frob(f - t * e_beta_p)
+    r = frob(f + (c / nsq) * e_beta_p)
     checks.append(
-        ConditionResult(
-            "f-matches-scaled-label", "S(ad H + D) = -(c/|beta|^2) E_beta", r, r <= tol * scale
+        Check.of_degree(
+            "f-matches-scaled-label", "S(ad H + D) = -(c/|beta|^2) E_beta", r, tol, norm, 2
         )
     )
     mu_variant = frob(f - (-c / mu.norm_sq) * e_beta_p)
-
     return CompatibilityReport(
-        skipped=False, reason="", checks=checks, stratum=stratum, mu_scalar_variant_residual=mu_variant
+        checks=checks, stratum=stratum, mu_scalar_variant_residual=mu_variant
     )

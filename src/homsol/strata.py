@@ -23,19 +23,19 @@ weight sets that arise here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import (
     DEFAULT_TOL,
     AlgebraTensor,
+    Check,
+    CheckedReport,
     derivation_algebra,
-    derivation_residual,
+    frob,
     moment_map,
-    pi_action,
     pi_action_dense,
-    tensor_inner,
 )
 
 
@@ -225,23 +225,13 @@ def nice_position_search(mu: AlgebraTensor):
     return None
 
 
-@dataclass
-class PropertyCheck:
-    name: str
-    anchor: str
-    value: float
-    passed: bool
-    asserted: bool = True  # False when the hypothesis (nice position) is absent
-
-
-@dataclass
-class StrataReport:
+@dataclass(kw_only=True)
+class StrataReport(CheckedReport):
     stratum: StratumData
-    checks: list[PropertyCheck] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.asserted)
+        return self.all_pass
 
 
 def _label_gram(beta: np.ndarray, der_basis: np.ndarray) -> np.ndarray:
@@ -253,109 +243,116 @@ def _label_gram(beta: np.ndarray, der_basis: np.ndarray) -> np.ndarray:
 def strata_properties(mu: AlgebraTensor, tol: float = DEFAULT_TOL) -> StrataReport:
     """Evaluate the label inequalities for a nonzero nilpotent bracket.
 
-    Always evaluated: PSD of D -> <[beta, D], D> on the derivation algebra,
-    positivity of beta + |beta|^2 I, and |beta| <= |m(mu)| with its equality
-    clause.  Only asserted in nice position: tr(beta D) = 0 on derivations
-    and <pi(beta + |beta|^2 I) mu, mu> >= 0 with equality exactly for a
-    derivation.
+    Always evaluated: tr beta = -1, PSD of D -> <[beta, D], D> on the
+    derivation algebra, positivity of beta + |beta|^2 I, and
+    |beta| <= |m(mu)| with its equality clause.  Only asserted in nice
+    position: tr(beta D) = 0 on derivations and
+    <pi(beta + |beta|^2 I) mu, mu> >= 0 with equality exactly for a
+    derivation.  A check of the form q >= 0 reports -q.
     """
-    data = stratum_label(mu, tol)
-    der_basis = derivation_algebra(mu)
+    return _properties(mu, stratum_label(mu, tol), derivation_algebra(mu), tol)
+
+
+def _properties(
+    mu: AlgebraTensor, data: StratumData, der_basis: np.ndarray, tol: float
+) -> StrataReport:
+    """strata_properties(mu, tol) for the label ``data`` and the basis ``der_basis`` of Der(mu).
+
+    Both are taken as given, so a caller that has them computes neither again.
+    """
     beta = np.diag(data.beta_raw)
     nsq = data.beta_norm_sq
-    checks: list[PropertyCheck] = []
+    norm = mu.norm
+    checks = [Check.of_degree("label-trace", "tr beta = -1", abs(data.trace + 1.0), tol, norm, 0)]
 
     # <[beta, D], D> >= 0 on Der(mu): PSD of the restricted bilinear form
     gram = _label_gram(beta, der_basis)
     lam_min = float(np.min(np.linalg.eigvalsh(gram))) if len(gram) else 0.0
     checks.append(
-        PropertyCheck(
-            name="bracket-with-label-psd",
-            anchor="<[beta,D],D> >= 0 for D in Der(mu)",
-            value=lam_min,
-            passed=lam_min >= -tol,
+        Check.of_degree(
+            "bracket-with-label-psd", "<[beta,D],D> >= 0 for D in Der(mu)", -lam_min, tol, norm, 0
         )
     )
 
-    # beta + |beta|^2 I positive definite (diagonal)
+    # beta + |beta|^2 I positive definite (diagonal): its least entry exceeds tol
     min_entry = float(np.min(data.beta_raw + nsq))
     checks.append(
-        PropertyCheck(
-            name="shifted-label-positive",
-            anchor="beta + |beta|^2 I > 0",
-            value=min_entry,
-            passed=min_entry > tol,
+        Check.of_degree(
+            "shifted-label-positive", "beta + |beta|^2 I > 0", -min_entry, -tol, norm, 0
         )
     )
 
     # |beta| <= |m(mu)|, equality iff identical sorted spectra
     m = moment_map(mu)
-    m_norm = float(np.linalg.norm(m))
-    b_norm = float(np.sqrt(nsq))
-    gap = m_norm - b_norm
+    gap = float(np.linalg.norm(m)) - float(np.sqrt(nsq))
     checks.append(
-        PropertyCheck(
-            name="label-below-moment-norm",
-            anchor="|beta| <= |m(mu)|",
-            value=gap,
-            passed=gap >= -tol * max(1.0, m_norm),
-        )
+        Check.of_degree("label-below-moment-norm", "|beta| <= |m(mu)|", -gap, tol, norm, 0)
     )
     spec_gap = float(np.max(np.abs(np.linalg.eigvalsh(m) - data.beta)))
-    equality = abs(gap) <= tol * max(1.0, m_norm)
-    spectra_match = spec_gap <= 1e-6 * max(1.0, m_norm)
     checks.append(
-        PropertyCheck(
-            name="moment-norm-equality-clause",
-            anchor="|beta| = |m(mu)| iff m(mu) conjugate to beta",
-            value=spec_gap,
-            passed=equality == spectra_match,
+        Check(
+            "moment-norm-equality-clause",
+            "|beta| = |m(mu)| iff m(mu) conjugate to beta",
+            spec_gap,
+            verdict=(abs(gap) <= tol) == (spec_gap <= 1e-6),
         )
     )
 
-    # tr(beta D) = 0 on the derivation basis (nice position hypothesis)
+    # the rest needs nice position; without it they are reported, not asserted
+    def asserted(check: Check) -> Check:
+        if data.nice_position:
+            return check
+        skipped = {"skipped": "needs nice position"}
+        return Check(check.name, check.anchor, check.value, info=skipped, verdict=True)
+
+    # tr(beta D) = 0 on the derivation basis
     tr_max = 0.0
     for d in der_basis:
         tr_max = max(tr_max, abs(float(np.trace(beta @ d))))
     checks.append(
-        PropertyCheck(
-            name="label-trace-orthogonal-to-derivations",
-            anchor="tr(beta D) = 0 for D in Der(mu)",
-            value=tr_max,
-            passed=tr_max <= tol,
-            asserted=data.nice_position,
+        asserted(
+            Check.of_degree(
+                "label-trace-orthogonal-to-derivations",
+                "tr(beta D) = 0 for D in Der(mu)",
+                tr_max,
+                tol,
+                norm,
+                0,
+            )
         )
     )
 
     # <pi(beta + |beta|^2 I) mu, mu> >= 0, equality iff it is a derivation
-    shifted = beta + nsq * np.eye(mu.dim)
-    pairing = tensor_inner(pi_action(shifted, mu), mu)
+    moved = pi_action_dense(beta + nsq * np.eye(mu.dim), mu.dense)
+    pairing = float(np.sum(moved * mu.dense))
     checks.append(
-        PropertyCheck(
-            name="shifted-label-pairing-nonnegative",
-            anchor="<pi(beta + |beta|^2 I) mu, mu> >= 0",
-            value=pairing,
-            passed=pairing >= -tol * max(1.0, mu.norm_sq),
-            asserted=data.nice_position,
+        asserted(
+            Check.of_degree(
+                "shifted-label-pairing-nonnegative",
+                "<pi(beta + |beta|^2 I) mu, mu> >= 0",
+                -pairing,
+                tol,
+                norm,
+                2,
+            )
         )
     )
-    der_res = derivation_residual(mu, shifted)
-    pairing_zero = abs(pairing) <= tol * max(1.0, mu.norm_sq)
-    is_der = der_res <= 1e-6 * max(1.0, mu.norm)
+    der_res = frob(moved)
     checks.append(
-        PropertyCheck(
-            name="pairing-equality-clause",
-            anchor="pairing = 0 iff beta + |beta|^2 I in Der(mu)",
-            value=der_res,
-            passed=pairing_zero == is_der,
-            asserted=data.nice_position,
+        asserted(
+            Check(
+                "pairing-equality-clause",
+                "pairing = 0 iff beta + |beta|^2 I in Der(mu)",
+                der_res,
+                verdict=(abs(pairing) <= tol * norm**2) == (der_res <= 1e-6 * norm),
+            )
         )
     )
-    return StrataReport(stratum=data, checks=checks)
+    return StrataReport(checks=checks, stratum=data)
 
 
-@dataclass
-class PairingReport:
+@dataclass(kw_only=True)
+class PairingReport(CheckedReport):
     """Four-way split of <pi(E_beta) [.,.]_p, [.,.]_p> for a decomposition."""
 
     lam0_term: float
@@ -368,10 +365,7 @@ class PairingReport:
 
     @property
     def summands_nonnegative(self) -> bool:
-        tol = 1e-9 * max(1.0, abs(self.total))
-        return all(
-            v >= -tol for v in (self.lam0_term, self.lam1_term, self.eta_term, self.mu_term)
-        )
+        return self.all_pass
 
     @property
     def split_defect(self) -> float:
@@ -396,7 +390,12 @@ def e_beta_pairing(dec) -> PairingReport:
 
 
 def _pairing(dec, stratum: StratumData) -> PairingReport:
-    """e_beta_pairing(dec) for the label ``stratum`` of its nonzero n-block at ``dec.tol``, already in hand."""
+    """e_beta_pairing(dec) for the label ``stratum`` of its nonzero n-block at ``dec.tol``, already in hand.
+
+    Its one check, ``bracket-pairing-nonnegative``, reports the most
+    negative summand, negated, or the gap between the summed and the
+    direct pairing if that is larger, against 1e-9 |mu|^2.
+    """
     if not stratum.nice_position:
         raise ValueError("nilpotent part is not in nice position")
 
@@ -425,7 +424,17 @@ def _pairing(dec, stratum: StratumData) -> PairingReport:
 
     direct = float(np.sum(pi_action_dense(e_b, t_p) * t_p))
     total = sum(terms.values())
+    worst = max(-min(terms.values()), abs(total - direct))
+    check = Check.of_degree(
+        "bracket-pairing-nonnegative",
+        "<pi(E_beta) [.,.]_p, [.,.]_p> >= 0, summand by summand",
+        worst,
+        1e-9,
+        dec.bracket_on.norm,
+        2,
+    )
     return PairingReport(
+        checks=[check],
         lam0_term=terms["lam0"],
         lam1_term=terms["lam1"],
         eta_term=terms["eta"],

@@ -19,10 +19,15 @@ Conventions fixed here and used by every downstream module:
 
 Under this ordered-pair convention the Heisenberg bracket mu(e1,e2) = e3
 has |mu|^2 = 2 and m(mu) = diag(-1, -1, 1).
+
+The one record type of every report, ``Check``, lives here too, since
+every other module imports this one: a condition homogeneous of degree d
+in mu passes when its residual is at most tol |mu|^d.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +38,79 @@ DEFAULT_TOL = 1e-9
 RANK_TOL = 1e-9
 
 Entry = tuple[int, int, int, float]
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verdict: ``value <= bound``, or an explicit ``verdict`` where no bound applies.
+
+    A NaN value or bound fails.  Records without a bound are the iff
+    clauses, skipped checks and summaries; they carry their verdict.
+    """
+
+    name: str
+    anchor: str  # the identity or inequality being checked, as a formula
+    value: float | None = None
+    bound: float | None = None
+    info: dict = field(default_factory=dict)
+    verdict: bool | None = None
+
+    @classmethod
+    def of_degree(
+        cls, name: str, anchor: str, value: float, tol: float, norm: float, degree: int, **info
+    ) -> "Check":
+        """``value <= tol * norm**degree`` for a value homogeneous of ``degree`` in the bracket.
+
+        ``norm`` is |mu| in an orthonormal frame, so the verdict does not
+        change when the bracket is rescaled.
+        """
+        return cls(name, anchor, float(value), tol * norm**degree, info)
+
+    @property
+    def passed(self) -> bool:
+        if self.bound is None:
+            return bool(self.verdict)
+        return bool(self.value <= self.bound)
+
+    @property
+    def residual(self) -> float | None:
+        return self.value
+
+
+@dataclass(kw_only=True)
+class CheckedReport:
+    """A report whose verdicts are its list of checks; ``skipped`` when its hypothesis is absent."""
+
+    checks: list[Check]
+    skipped: bool = False
+    reason: str = ""
+
+    def condition(self, name: str) -> Check:
+        for c in self.checks:
+            if c.name == name:
+                return c
+        raise KeyError(name)
+
+    @property
+    def all_pass(self) -> bool:
+        return not self.skipped and all(c.passed for c in self.checks)
+
+
+def frob(x) -> float:
+    """Euclidean (Frobenius) norm of the entries of x, equal to ``np.linalg.norm(x)``.
+
+    The sum of squares of a quantity of degree 3 or 4 in a large bracket
+    can overflow; only then is x rescaled by max|x|, so other calls cost
+    one dot product.
+    """
+    r = np.ravel(x, order="K")
+    out = math.sqrt(np.vdot(r, r))  # vdot, unlike dot, raises no overflow warning
+    if out == math.inf:
+        top = float(np.max(np.abs(r)))
+        if top < math.inf:
+            r = r / top
+            out = top * math.sqrt(np.vdot(r, r))
+    return out
 
 
 def _canonical_entries(dim: int, entries) -> tuple[Entry, ...]:
@@ -285,4 +363,4 @@ def derivation_algebra(mu: AlgebraTensor) -> np.ndarray:
 
 def derivation_residual(mu: AlgebraTensor, alpha: np.ndarray) -> float:
     """|pi(alpha) mu| as an absolute residual of the derivation property."""
-    return float(np.linalg.norm(pi_action_dense(alpha, mu.dense)))
+    return frob(pi_action_dense(alpha, mu.dense))

@@ -96,6 +96,25 @@ def test_each_command_computes_der_n_and_the_label_at_most_once(tmp_path, capsys
                 assert calls["label"] <= 1, target
             seen.update(calls)
     assert seen["der"] and seen["label"]  # the counters saw the calls
+
+    # verify-all: the battery and the label checks of one entry share its label and Der(n)
+    from homsol import cli
+
+    verify_one = cli._verify_one
+    per_entry = {}
+
+    def counted_entry(name, tol):
+        calls.clear()
+        out = verify_one(name, tol)
+        per_entry[name] = dict(calls)
+        return out
+
+    monkeypatch.setattr(cli, "_verify_one", counted_entry)
+    main(["verify-all", "--json"])
+    assert sorted(per_entry) == sorted(catalog.names())
+    for name, counts in per_entry.items():
+        assert counts.get("der", 0) <= 1 and counts.get("label", 0) <= 1, (name, counts)
+    assert sum(c.get("label", 0) for c in per_entry.values()) >= 5
     capsys.readouterr()
 
 

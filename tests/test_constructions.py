@@ -113,7 +113,7 @@ def test_round_trip_battery(rng):
     for _ in range(25):
         res = build_semidirect(random_construction(rng))
         rep = structure_battery(res.decomposition, res.certificate)
-        assert rep.all_pass, [(c.name, c.residual) for c in rep.conditions if not c.passed]
+        assert rep.all_pass, [(c.name, c.residual) for c in rep.checks if not c.passed]
 
 
 def test_builder_with_isotropy(rng):

@@ -1,4 +1,5 @@
 import json
+import warnings
 from collections import defaultdict
 
 import numpy as np
@@ -507,6 +508,73 @@ def test_cli_soliton_detected_record_prints_the_applied_bound(capsys, tmp_path):
                 assert rec["value"] <= rec["tolerance"], (name, scale)
             if (name, scale) == ("nil7", 1e-4):
                 assert not rec["passed"] and rec["value"] > rec["tolerance"]
+
+
+def verdicts(capsys, command, target):
+    """Exit code, tag and (name, passed) of every record of one --json run."""
+    code, out = run_cli(capsys, command, target, "--json")
+    rep = json.loads(out)
+    return code, rep["classification"], [(r["name"], r["passed"]) for r in rep["checks"]]
+
+
+@pytest.mark.parametrize("name", ["heis3", "fil4", "cplxhyp2", "solv12", "nil7"])
+def test_cli_verdicts_are_scale_invariant(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    for command in ("fit", "battery", "stratify"):
+        want = verdicts(capsys, command, name)
+        for scale in (1e-6, 1e-4, 1e4, 1e6):
+            path.write_text(json.dumps(scaled_catalog_document(name, scale)))
+            assert verdicts(capsys, command, str(path)) == want, (command, scale)
+
+
+def test_cli_heis3_near_the_input_bound_without_overflow(capsys, tmp_path):
+    # degree-3 and degree-4 residuals square past the float range from c = 1e60
+    path = tmp_path / "heis3.json"
+    want = {command: verdicts(capsys, command, "heis3")[:2] for command in ("fit", "battery", "stratify")}
+    for c in (1e45, 1e50, 1e52, 1e55, 1e60, 1e65, 1e70, 1e76):
+        path.write_text(json.dumps(doc_dict(bracket=[{"i": 0, "j": 1, "k": 2, "c": c}])))
+        for command, expected in want.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert verdicts(capsys, command, str(path))[:2] == expected, (command, c)
+
+
+def test_cli_stratify_fil4_at_large_scales_exits_as_at_unit_scale(capsys, tmp_path):
+    # the pairing with the shifted label once went through a skew-symmetry test that failed here
+    path = tmp_path / "fil4.json"
+    want = run_cli(capsys, "stratify", "fil4", "--json")[0]
+    for scale in (1e20, 1e45, 1e76):
+        path.write_text(json.dumps(scaled_catalog_document("fil4", scale)))
+        assert run_cli(capsys, "stratify", str(path), "--json")[0] == want, scale
+
+
+def test_cli_fit_exits_1_exactly_when_no_soliton_is_detected(capsys, tmp_path):
+    # at 1e-10 the fitted D of nil7 is no derivation while its residual is within bound
+    path = tmp_path / "scaled.json"
+    for name in ("heis3", "fil4", "nil7"):
+        for scale in (1e-10, 1e-8, 1.0):
+            path.write_text(json.dumps(scaled_catalog_document(name, scale)))
+            code, out = run_cli(capsys, "fit", str(path), "--json")
+            assert code == (json.loads(out)["classification"] == "NotDetected"), (name, scale)
+
+
+def test_cli_every_record_passes_exactly_when_its_value_is_within_its_tolerance(capsys, tmp_path):
+    commands = [["fit"], ["battery"], ["stratify"], ["ricci"]]
+    commands += [["extend", "--variant", v] for v in ("nonunimodular", "restrict", "unimodular")]
+    reports = [json.loads(run_cli(capsys, "verify-all", "--json")[1])]
+    path = tmp_path / "scaled.json"
+    for name in sorted(catalog.names()):
+        for scale in (1e-6, 1.0, 1e6):
+            path.write_text(json.dumps(scaled_catalog_document(name, scale)))
+            for command in commands:
+                reports.append(json.loads(run_cli(capsys, command[0], str(path), *command[1:], "--json")[1]))
+    bounded = 0
+    for rep in reports:
+        for rec in rep["checks"]:
+            if "value" in rec and "tolerance" in rec:
+                assert rec["passed"] == (rec["value"] <= rec["tolerance"]), (rep["input"], rec)
+                bounded += 1
+    assert bounded >= 800
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,7 @@ def test_battery_solv12():
     rep = structure_battery(dec, soliton_fit(dec))
     assert rep.applicable
     assert rep.all_pass
-    for cond in rep.conditions:
+    for cond in rep.checks:
         assert cond.residual <= 1e-9
 
 
@@ -320,6 +320,7 @@ def test_fallback_fit_when_declared_n_is_not_nilradical():
     dec = MetricDecomposition(get("heis3").tensor(), 0, 2, 1)
     cert = soliton_fit(dec)
     assert cert.tag == "AlgebraicSoliton"
+    assert cert.family == "constrained"
     assert cert.c == pytest.approx(-1.5, abs=1e-9)
     assert cert.residual <= 1e-9
     assert cert.derivation_defect <= 1e-9
@@ -334,7 +335,7 @@ def test_sphere_fit_einstein_with_isotropy():
     assert cert.flags["semisimple-Einstein"]
     rep = structure_battery(dec, cert)
     assert not rep.applicable  # c > 0
-    assert all(c.passed for c in rep.conditions)
+    assert all(c.passed for c in rep.checks)
 
 
 def test_classify_nan_residual_is_not_detected():

@@ -11,11 +11,14 @@ entry and on one round of the generated ladder (Heisenberg ``h_{2m+1}``,
 m = 1..8; their rank-one Einstein extensions, m = 1..7; filiform ``L_n``
 with nilsoliton constants, n = 4..14; unit-constant ``L_n``, n = 5..11);
 ``ricci`` and the three ``extend --variant`` transformations on every
-catalog entry; ``fit`` on every catalog entry with the bracket scaled by
-1e-4 and by 1e4, so that a tag that depends on scale shows up; ``build``
+catalog entry; ``fit``, ``battery`` and ``stratify`` on every catalog
+entry with the bracket scaled by 1e-4 and by 1e4, so that a tag or a
+verdict that depends on scale shows up; ``build``
 on the construction documents written here (``cplxhyp2`` and ``solv12``
 assembled from their parts); and ``verify-all --json``.  Everything runs in-process through
 ``homsol.cli.main``, and every exit code and report goes to one JSON file.
+The BLAS and OpenMP thread counts are pinned to 1 before numpy loads, so
+one tree dumped twice gives the same numbers.
 
 ``compare`` requires identical exit codes, strings (tags, check names,
 hashes) and booleans (verdicts), identical integers and list lengths, and
@@ -33,6 +36,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -152,7 +156,8 @@ def dump(src: str) -> dict:
         for doc in scaled_catalog_documents():
             path = Path(tmp) / f"{doc['name']}.json"
             path.write_text(json.dumps(doc, sort_keys=True))
-            runs[f"fit {doc['name']}"] = _run(main, ["fit", str(path), "--json"])
+            for command in COMMANDS:
+                runs[f"{command} {doc['name']}"] = _run(main, [command, str(path), "--json"])
         for doc in construction_documents():
             path = Path(tmp) / f"{doc['name']}.json"
             path.write_text(json.dumps(doc, sort_keys=True))
@@ -228,6 +233,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     if args.command == "dump":
+        # a threaded BLAS may sum in another order from run to run; numpy is not loaded yet
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ[var] = "1"
         runs = dump(args.src)
         Path(args.out).write_text(json.dumps(runs, sort_keys=True, indent=1))
         print(f"{len(runs)} reports written to {args.out}")
