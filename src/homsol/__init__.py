@@ -44,7 +44,6 @@ from .strata import (
     StratumData,
     e_beta_pairing,
     min_norm_point,
-    nice_position_search,
     pair_weight,
     strata_properties,
     stratum_label,
@@ -98,7 +97,6 @@ __all__ = [
     "min_norm_point",
     "moment_map",
     "moment_operator",
-    "nice_position_search",
     "nilpotency_class",
     "nilsoliton_fit",
     "pair_weight",

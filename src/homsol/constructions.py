@@ -46,11 +46,11 @@ from .soliton import (
     TAG_ALGEBRAIC,
     TAG_EINSTEIN,
     SolitonCertificate,
-    _certificate_residual,
-    _classify,
+    _certificate,
+    _residual_bound,
     soliton_fit,
 )
-from .tensor import DEFAULT_TOL, AlgebraTensor, _nullspace, derivation_residual
+from .tensor import DEFAULT_TOL, AlgebraTensor, _row_space_and_kernel, derivation_residual
 
 
 class ConstructionError(ValueError):
@@ -122,14 +122,19 @@ class ConstructionData:
 
 
 def validate_construction(data: ConstructionData, tol: float = DEFAULT_TOL) -> list[Violation]:
-    """Residual report for (d1)-(d3) and (c1)-(c3); empty means buildable."""
+    """Residual report for (d1)-(d3) and (c1)-(c3); empty means buildable.
+
+    A residual of degree d is held to tol |mu|^d, |mu| the norm of the
+    bracket the data assembles to, so rescaling the data keeps the verdicts.
+    """
     data = data.normalized()
     out: list[Violation] = []
     dn, du, dk, dh = data.dim_n, data.dim_u, data.dim_k, data.dim_h
     theta = np.asarray(data.theta, dtype=float)
     if theta.shape != (du, dn, dn):
         return [Violation("theta-shape", f"expected ({du},{dn},{dn}), got {theta.shape}")]
-    nscale = max(1.0, data.n_bracket.norm)
+    # theta appears twice in the assembled bracket, as [Y, X] and as [X, Y]
+    norm = float(np.sqrt(data.u_bracket.norm_sq + data.n_bracket.norm_sq + 2.0 * frob(theta) ** 2))
 
     # nilpotent part must carry the declared certificate
     try:
@@ -138,10 +143,10 @@ def validate_construction(data: ConstructionData, tol: float = DEFAULT_TOL) -> l
         return list(err.violations)
     ric_n = ndec.ricci().matrix
     r = frob(ric_n - data.c * np.eye(dn) - np.asarray(data.d1))
-    if r > SOLITON_RESIDUAL_TOL * max(1.0, frob(ric_n)):
+    if r > _residual_bound(ric_n, data.c, norm):
         out.append(Violation("nil-certificate", "Ric_n != c I + D1", r))
     r = derivation_residual(data.n_bracket, np.asarray(data.d1))
-    if r > 1e-6 * nscale:
+    if r > SOLITON_RESIDUAL_TOL * norm**3:
         out.append(Violation("d1-not-derivation", "D1 is not a derivation of n", r))
 
     # u must be a reductive Lie algebra with the k/h closure
@@ -162,9 +167,9 @@ def validate_construction(data: ConstructionData, tol: float = DEFAULT_TOL) -> l
             lhs = np.einsum("c,cij->ij", tu[a, b], theta)
             rhs = theta[a] @ theta[b] - theta[b] @ theta[a]
             worst_hom = max(worst_hom, frob(lhs - rhs))
-    if worst_der > tol * nscale:
+    if worst_der > tol * norm**2:
         out.append(Violation("theta-not-derivations", "theta(u) must lie in Der(n)", worst_der))
-    if worst_hom > tol * max(1.0, nscale):
+    if worst_hom > tol * norm**2:
         out.append(
             Violation("theta-not-homomorphism", "theta([Y,Y']) != [theta Y, theta Y']", worst_hom)
         )
@@ -172,7 +177,7 @@ def validate_construction(data: ConstructionData, tol: float = DEFAULT_TOL) -> l
     # (c1) isotropy acts skewly
     for z in range(dk):
         r = frob(theta[z] + theta[z].T)
-        if r > tol * nscale:
+        if r > tol * norm:
             out.append(Violation("c1-skew", f"theta(k basis {z}) not skew", r))
 
     # (c2) commutator sum over the h-block
@@ -181,7 +186,7 @@ def validate_construction(data: ConstructionData, tol: float = DEFAULT_TOL) -> l
         ta = theta[dk + a]
         comm = comm + ta @ ta.T - ta.T @ ta
     r = frob(comm)
-    if r > tol * max(1.0, nscale**2):
+    if r > tol * norm**2:
         out.append(Violation("c2-commutator-sum", "sum_i [theta(Y_i), theta(Y_i)^t] != 0", r))
 
     # (c3) reductive-part Ricci
@@ -192,7 +197,7 @@ def validate_construction(data: ConstructionData, tol: float = DEFAULT_TOL) -> l
     else:
         c_theta = np.zeros((0, 0))
     r = frob(ric_u - data.c * np.eye(dh) - c_theta)
-    if r > SOLITON_RESIDUAL_TOL * max(1.0, frob(ric_u) + abs(data.c)):
+    if r > _residual_bound(ric_u, data.c, norm):
         out.append(Violation("c3-reductive-ricci", "Ric_u != c I + C_theta", r))
     return out
 
@@ -203,23 +208,20 @@ def _is_reductive(u_bracket: AlgebraTensor, tol: float) -> bool:
     if n == 0:
         return True
     t = u_bracket.dense
-    img = t.reshape(-1, n)
-    _, s, vh = np.linalg.svd(img, full_matrices=False)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if len(s) else 0.0)))
-    derived = vh[:rank].T
+    derived = _row_space_and_kernel(t.reshape(-1, n), tol)[0].T
+    rank = derived.shape[1]
     # center: nullspace of x -> ad(x), columns of the (n^2, n) stacked map
     ad_map = np.array([u_bracket.ad(np.eye(n)[i]).reshape(-1) for i in range(n)]).T
-    center = _nullspace(ad_map, tol).T
+    center = _row_space_and_kernel(ad_map, tol)[1].T
     if rank + center.shape[1] != n:
         return False
-    joint = np.concatenate([derived, center], axis=1)
-    sv = np.linalg.svd(joint, compute_uv=False)
-    if len(sv) and sv[-1] <= tol * max(1.0, sv[0]):
+    # [u,u] and z(u) span u: the square matrix of both bases has no kernel
+    if len(_row_space_and_kernel(np.concatenate([derived, center], axis=1), tol)[1]):
         return False
     b = np.einsum("ilk,jkl->ij", t, t)
     if rank:
         ev = np.abs(np.linalg.eigvalsh(derived.T @ b @ derived))
-        if np.min(ev) <= tol * max(1.0, np.max(ev)):
+        if np.min(ev) <= tol * np.max(ev):
             return False
     return True
 
@@ -284,32 +286,14 @@ def build_semidirect(data: ConstructionData, tol: float = DEFAULT_TOL) -> BuildR
     predicted[:dh, :dh] += -sym(ad_u_h[dk:, dk:])
     predicted[dh:, dh:] += -sym(theta_h) + np.asarray(data.d1)
 
-    direct = dec.ricci().matrix
-    gap = frob(direct - predicted)
-
     d_full = np.zeros((dec.dim, dec.dim))
     d_full[:du, :du] = -ad_u_h
     d_full[dec.sn, dec.sn] = -theta_h + np.asarray(data.d1)
-    resid = _certificate_residual(dec, data.c, d_full)
-    der_defect = dec.derivation_residual_on(d_full)
-    sym_defect = dec.derivation_residual_on(sym(d_full))
-
-    cert = SolitonCertificate(
-        c=data.c,
-        d_full=d_full,
-        d1=np.asarray(data.d1, dtype=float),
-        residual=resid,
-        tag=_classify(direct, data.c, resid, der_defect, sym_defect, dec.bracket_on.norm),
-        derivation_defect=der_defect,
-        sym_derivation_defect=sym_defect,
-        dim_k=dk,
-        dim_h=dh,
-    )
     return BuildResult(
         decomposition=dec,
-        certificate=cert,
+        certificate=_certificate(dec, data.c, d_full, np.asarray(data.d1, dtype=float)),
         predicted_ricci=predicted,
-        prediction_residual=gap,
+        prediction_residual=frob(dec.ricci().matrix - predicted),
     )
 
 
@@ -317,10 +301,13 @@ def build_semidirect(data: ConstructionData, tol: float = DEFAULT_TOL) -> BuildR
 # Einstein metrics from algebraic solitons
 # ---------------------------------------------------------------------------
 
-def _require_algebraic(cert: SolitonCertificate):
+# The transformations hold D and c (degree 2 in the bracket), H and the bracket
+# itself (degree 1) to tol |mu|^degree, |mu| the input's norm in the orthonormal frame.
+
+def _require_algebraic(dec: MetricDecomposition, cert: SolitonCertificate):
     if cert.tag not in (TAG_ALGEBRAIC, TAG_EINSTEIN):
         raise ValueError(f"operation needs an algebraic soliton certificate, got {cert.tag}")
-    if frob(cert.d_full - cert.d_full.T) > 1e-6 * max(1.0, frob(cert.d_full)):
+    if frob(cert.d_full - cert.d_full.T) > 1e-6 * dec.bracket_on.norm_sq:
         raise ValueError("certificate derivation is not symmetric")
 
 
@@ -328,7 +315,7 @@ def _adapted_h_frame(dec: MetricDecomposition) -> tuple[np.ndarray, float]:
     """Orthogonal g-frame rotating H/|H| into the first h-coordinate."""
     h = dec.mean_curvature()
     hnorm = float(np.linalg.norm(h))
-    if hnorm <= dec.tol * max(1.0, dec.bracket.norm):
+    if hnorm <= dec.tol * dec.bracket_on.norm:
         raise ValueError("mean curvature vanishes (unimodular algebra)")
     nh = dec.dim_h
     hh = h[:nh] / hnorm
@@ -354,10 +341,10 @@ def einstein_from_nonunimodular(
     basis whose first h-coordinate is H/|H|, and is verified to be a Lie
     algebra with Ricci operator c I by the returned certificate.
     """
-    _require_algebraic(cert)
+    _require_algebraic(dec, cert)
     d1 = cert.d1 if cert.d1 is not None else sym(cert.d_full[dec.sn, dec.sn])
     tr_d1 = float(np.trace(d1))
-    if tr_d1 <= tol:
+    if tr_d1 <= tol * dec.bracket_on.norm_sq:
         raise ValueError("tr D1 <= 0; the rescaling is undefined")
 
     frame, hnorm = _adapted_h_frame(dec)
@@ -373,7 +360,7 @@ def einstein_from_nonunimodular(
     t[:, ih, :] = -new_row.T
     t[ih, ih, :] = 0.0
     out = MetricDecomposition(
-        AlgebraTensor.from_dense(t, zero_tol=1e-14),
+        AlgebraTensor.from_dense(t, zero_tol=1e-14 * dec.bracket_on.norm),
         dec.dim_k,
         dec.dim_h,
         dec.dim_n,
@@ -395,7 +382,7 @@ def restrict_to_unimodular_kernel(
     The k-block of D' must vanish; a violation is raised rather than
     silently zeroed.
     """
-    _require_algebraic(cert)
+    _require_algebraic(dec, cert)
     frame, _ = _adapted_h_frame(dec)
     ih = dec.dim_k
 
@@ -403,12 +390,13 @@ def restrict_to_unimodular_kernel(
     keep = [i for i in range(dec.dim) if i != ih]
     sub = t[np.ix_(keep, keep, keep)]
     escaped = frob(t[np.ix_(keep, keep)][:, :, ih])
-    if escaped > tol * max(1.0, dec.bracket.norm):
+    norm = dec.bracket_on.norm
+    if escaped > tol * norm:
         raise DecompositionError(
             [Violation("kernel-not-ideal", "brackets of the kernel escape along H", escaped)]
         )
     out = MetricDecomposition(
-        AlgebraTensor.from_dense(sub, zero_tol=1e-14),
+        AlgebraTensor.from_dense(sub, zero_tol=1e-14 * norm),
         dec.dim_k,
         dec.dim_h - 1,
         dec.dim_n,
@@ -417,34 +405,17 @@ def restrict_to_unimodular_kernel(
 
     d_prime_full = frame.T @ (cert.d_full + sym(dec.ad_mean_curvature())) @ frame
     h_row = max(frob(d_prime_full[ih, :]), frob(d_prime_full[:, ih]))
-    if h_row > 1e-8 * max(1.0, frob(d_prime_full)):
+    if h_row > 1e-8 * norm**2:
         raise DecompositionError(
             [Violation("dprime-moves-h", "D' does not annihilate the H direction", h_row)]
         )
     d_prime = d_prime_full[np.ix_(keep, keep)]
     k_block = frob(d_prime[: dec.dim_k, :]) + frob(d_prime[:, : dec.dim_k])
-    if k_block > 1e-8 * max(1.0, frob(d_prime)):
+    if k_block > 1e-8 * norm**2:
         raise DecompositionError(
             [Violation("dprime-k-block", "D' must vanish on the isotropy block", k_block)]
         )
-
-    resid = _certificate_residual(out, cert.c, d_prime)
-    der_defect = out.derivation_residual_on(d_prime)
-    # D' is symmetric, so its derivation defect is also its symmetric part's
-    ric0 = out.ricci().matrix
-    tag = _classify(ric0, cert.c, resid, der_defect, der_defect, out.bracket_on.norm)
-    cert0 = SolitonCertificate(
-        c=cert.c,
-        d_full=d_prime,
-        d1=sym(d_prime[out.sn, out.sn]),
-        residual=resid,
-        tag=tag,
-        derivation_defect=der_defect,
-        sym_derivation_defect=der_defect,
-        dim_k=out.dim_k,
-        dim_h=out.dim_h,
-    )
-    return out, cert0
+    return out, _certificate(out, cert.c, d_prime, sym(d_prime[out.sn, out.sn]))
 
 
 def einstein_extension_unimodular(
@@ -459,13 +430,13 @@ def einstein_extension_unimodular(
     non-unimodular input and the degenerate case tr D1 <= 0 (an Einstein
     input with D = 0 has nothing to extend by).
     """
-    _require_algebraic(cert)
+    _require_algebraic(dec, cert)
     h = dec.mean_curvature()
-    if float(np.linalg.norm(h)) > tol * max(1.0, dec.bracket.norm):
+    if float(np.linalg.norm(h)) > tol * dec.bracket_on.norm:
         raise ValueError("algebra is not unimodular (H != 0)")
     d1 = cert.d1 if cert.d1 is not None else sym(cert.d_full[dec.sn, dec.sn])
     tr_d1 = float(np.trace(d1))
-    if tr_d1 <= tol:
+    if tr_d1 <= tol * dec.bracket_on.norm_sq:
         raise ValueError("tr D1 <= 0; the extension scale is undefined")
     alpha = 1.0 / np.sqrt(tr_d1)
 
@@ -478,7 +449,7 @@ def einstein_extension_unimodular(
     t[ia][np.ix_(old_to_new, old_to_new)] = ad_a.T
     t[:, ia][np.ix_(old_to_new, old_to_new)] = -ad_a.T
     out = MetricDecomposition(
-        AlgebraTensor.from_dense(t, zero_tol=1e-14),
+        AlgebraTensor.from_dense(t, zero_tol=1e-14 * dec.bracket_on.norm),
         dec.dim_k,
         dec.dim_h + 1,
         dec.dim_n,

@@ -190,30 +190,30 @@ class MetricDecomposition:
         if self.ip.shape != (self.dim_p, self.dim_p):
             out.append(Violation("ip-shape", f"expected {self.dim_p}x{self.dim_p}"))
             return out
-        if frob(self.ip - self.ip.T) > self.tol * max(1.0, frob(self.ip)):
+        size = frob(self.ip)
+        if frob(self.ip - self.ip.T) > self.tol * size:
             out.append(Violation("ip-not-symmetric", "inner product must be symmetric"))
             return out
         if self.dim_p:
             evals = np.linalg.eigvalsh(self.ip)
-            if evals[0] <= self.tol:
+            if evals[0] <= self.tol * evals[-1]:
                 out.append(
                     Violation("ip-not-pd", "inner product not positive definite", float(evals[0]))
                 )
         hn = self.ip[self.sh_p, self.sn_p]
-        if hn.size and np.max(np.abs(hn)) > self.tol * max(1.0, frob(self.ip)):
+        if hn.size and np.max(np.abs(hn)) > self.tol * size:
             out.append(Violation("h-n-not-orthogonal", "ip must make h and n orthogonal", float(np.max(np.abs(hn)))))
         return out
 
     def _structure_violations(self) -> list[Violation]:
+        # each bound is tol |mu|^degree, |mu| in the orthonormal frame
         out = []
-        scale = max(1.0, self.bracket.norm)
-        jac = jacobi_residual(self.bracket)
-        if jac > self.tol * max(1.0, self.bracket.norm_sq):
+        norm = self.bracket_on.norm
+        jac = jacobi_residual(self.bracket_on)
+        if jac > self.tol * norm**2:
             out.append(Violation("jacobi", "bracket violates the Jacobi identity", jac))
 
-        t = self.bracket_on.dense
-        bad = self._closure_violations(t)
-        out.extend(bad)
+        out.extend(self._closure_violations(self.bracket_on.dense, self.tol * norm))
 
         # the Jacobi test above is the only one: the n-block's series is run without repeating it
         if not any(v.code == "n-not-ideal" for v in out):
@@ -223,13 +223,12 @@ class MetricDecomposition:
         for z in range(self.dim_k):
             ad_zp = self._ad_on(z)[self.sp, self.sp]
             defect = frob(ad_zp + ad_zp.T)
-            if defect > self.tol * max(1.0, scale):
+            if defect > self.tol * norm:
                 out.append(Violation("isotropy-not-skew", f"ad(k basis {z}) not skew on p", defect))
         return out
 
-    def _closure_violations(self, t: np.ndarray) -> list[Violation]:
+    def _closure_violations(self, t: np.ndarray, cut: float) -> list[Violation]:
         out = []
-        cut = self.tol * max(1.0, self.bracket.norm)
 
         def scan(si, sj, allowed, code, msg):
             block = t[si, sj, :]
@@ -288,12 +287,9 @@ class MetricDecomposition:
         b = 0.5 * (b + b.T)
         k_block = b[self.sk, self.sk]
         kp_block = b[self.sk, self.sp]
-        neg = bool(np.all(np.linalg.eigvalsh(k_block) < -self.tol)) if self.dim_k else True
-        kp_zero = (
-            bool(np.max(np.abs(kp_block)) <= self.tol * max(1.0, frob(b)))
-            if kp_block.size
-            else True
-        )
+        bound = self.tol * self.bracket_on.norm_sq  # B is of degree 2 in the bracket
+        neg = bool(np.all(np.linalg.eigvalsh(k_block) < -bound)) if self.dim_k else True
+        kp_zero = bool(np.max(np.abs(kp_block)) <= bound) if kp_block.size else True
         rep = KillingReport(
             form=b,
             k_block=k_block,
@@ -398,7 +394,7 @@ class MetricDecomposition:
         cross:   -(1/2) tr(ad Y (ad_mu X)^t).
         """
         bb = self.blocks()
-        if frob(bb.lam1) > self.tol * max(1.0, self.bracket.norm):
+        if frob(bb.lam1) > self.tol * self.bracket_on.norm:
             raise DecompositionError(
                 [Violation("lam1-nonzero", "blockwise moment operator needs [h,h]_p inside h", frob(bb.lam1))]
             )
@@ -476,17 +472,19 @@ class MetricDecomposition:
         d_user = np.asarray(d_user, dtype=float)
         if d_user.shape != (self.dim, self.dim):
             raise ValueError("derivation must be a matrix on all of g")
-        res = derivation_residual(self.bracket, d_user)
-        if res > tol * max(1.0, self.bracket.norm):
+        g = self.frame_g
+        d = np.linalg.inv(g) @ d_user @ g
+        # the tests are linear in D: bounds tol |D| |mu|^degree, |mu| in the orthonormal frame
+        scale = frob(d)
+        norm = self.bracket_on.norm
+        res = self.derivation_residual_on(d)
+        if res > tol * scale * norm:
             raise DecompositionError([Violation("not-a-derivation", "D is not a derivation of g", res)])
         kill = self.killing()
         if not kill.kp_zero:
             raise DecompositionError(
                 [Violation("killing-kp-nonzero", "block lemma requires B(k,p) = 0")]
             )
-        g = self.frame_g
-        d = np.linalg.inv(g) @ d_user @ g
-        scale = max(1.0, frob(d))
         dk_in_k = frob(d[self.sp, self.sk]) <= tol * scale
         if not dk_in_k:
             raise DecompositionError(
@@ -506,7 +504,7 @@ class MetricDecomposition:
             trace_p=tr_p,
             trace_n=tr_n,
             killing_pairing=bpd,
-            killing_orthogonal=abs(bpd) <= tol * max(1.0, frob(bp)) * scale,
+            killing_orthogonal=abs(bpd) <= tol * scale * norm**2,
         )
 
     # -- misc -----------------------------------------------------------------

@@ -55,7 +55,7 @@ from .tensor import (
     AlgebraTensor,
     Check,
     CheckedReport,
-    _nullspace,
+    _row_space_and_kernel,
     derivation_residual,
     moment_map,
     moment_operator,
@@ -140,6 +140,27 @@ def _certificate_residual(dec: MetricDecomposition, c: float, d: np.ndarray) -> 
     return frob(dec.ricci().matrix - c * np.eye(dec.dim_p) - sym(d[dec.sp, dec.sp]))
 
 
+def _certificate(
+    dec: MetricDecomposition, c: float, d: np.ndarray, d1: np.ndarray, family: str = "canonical"
+) -> SolitonCertificate:
+    """The certificate Ric = c I + S(D_p) for D on g (orthonormal frame), measured and tagged."""
+    resid = _certificate_residual(dec, c, d)
+    der_defect = dec.derivation_residual_on(d)
+    sym_defect = dec.derivation_residual_on(sym(d))
+    return SolitonCertificate(
+        c=c,
+        d_full=d,
+        d1=d1,
+        residual=resid,
+        tag=_classify(dec.ricci().matrix, c, resid, der_defect, sym_defect, dec.bracket_on.norm),
+        derivation_defect=der_defect,
+        sym_derivation_defect=sym_defect,
+        dim_k=dec.dim_k,
+        dim_h=dec.dim_h,
+        family=family,
+    )
+
+
 def _fit(
     dec: MetricDecomposition,
     family: str,
@@ -173,21 +194,7 @@ def _fit(
         c, x = float(x[0]), x[1:]
     fitted = sum((xi * b for xi, (b, _) in zip(x, kept)), np.zeros((dec.dim, dec.dim)))
     d = fitted if offset is None else offset + fitted
-    resid = _certificate_residual(dec, c, d)
-    der_defect = dec.derivation_residual_on(d)
-    sym_defect = dec.derivation_residual_on(sym(d))
-    return SolitonCertificate(
-        c=c,
-        d_full=d,
-        d1=sym(fitted[dec.sn, dec.sn]),
-        residual=resid,
-        tag=_classify(ric, c, resid, der_defect, sym_defect, dec.bracket_on.norm),
-        derivation_defect=der_defect,
-        sym_derivation_defect=sym_defect,
-        dim_k=dec.dim_k,
-        dim_h=dec.dim_h,
-        family=family,
-    )
+    return _certificate(dec, c, d, sym(fitted[dec.sn, dec.sn]), family)
 
 
 def _canonical_fit(dec: MetricDecomposition, c: float | None = None) -> SolitonCertificate:
@@ -228,7 +235,7 @@ def constrained_derivations(dec: MetricDecomposition) -> np.ndarray:
     n, nk = dec.dim, dec.dim_k
     free = np.arange(nk, n)
     cols = (free[:, None] * n + free[None, :]).reshape(-1)
-    null = _nullspace(pi_matrix(dec.bracket_on)[:, cols], RANK_TOL)
+    _, null = _row_space_and_kernel(pi_matrix(dec.bracket_on)[:, cols], RANK_TOL)
     out = np.zeros((len(null), n, n))
     out[:, nk:, nk:] = null.reshape(-1, n - nk, n - nk)
     return out

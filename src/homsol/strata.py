@@ -14,7 +14,7 @@ the ascending chamber, equivalently when
     min over support of <beta, alpha_ij^k> = |beta|^2,
 
 which an orthogonal change of basis can always arrange but which this
-module only tests (a helper tries signed permutations in low dimension).
+module only tests.
 
 The minimum-norm point itself is computed with Wolfe's active-set method:
 exact affine solves on a corral of points, finite termination on the small
@@ -203,26 +203,6 @@ def stratum_label(mu: AlgebraTensor, tol: float = DEFAULT_TOL) -> StratumData:
         nice_position=nice,
         min_pairing=min_pairing,
     )
-
-
-def nice_position_search(mu: AlgebraTensor):
-    """Try basis permutations to land mu in nice position (dim <= 8).
-
-    Returns (permuted tensor, permutation) or None.  Convenience only;
-    orthogonal repositioning in general is out of scope.
-    """
-    from itertools import permutations
-
-    if mu.dim > 8:
-        raise ValueError("permutation search only supported for dim <= 8")
-    for perm in permutations(range(mu.dim)):
-        entries = []
-        for i, j, k, c in mu.entries:
-            entries.append((perm[i], perm[j], perm[k], c))
-        cand = AlgebraTensor(mu.dim, tuple(entries))
-        if stratum_label(cand).nice_position:
-            return cand, perm
-    return None
 
 
 @dataclass(kw_only=True)

@@ -34,7 +34,7 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
-# singular values s <= RANK_TOL * max(1, s_max) of a derivation system count as zero
+# singular values s <= RANK_TOL * s_max of a derivation system count as zero (no absolute floor)
 RANK_TOL = 1e-9
 
 Entry = tuple[int, int, int, float]
@@ -155,7 +155,7 @@ class AlgebraTensor:
         if n == 0:
             return cls(0)
         skew_defect = np.max(np.abs(dense + np.swapaxes(dense, 0, 1)))
-        if skew_defect > max(zero_tol, 1e-12 * max(1.0, np.max(np.abs(dense)))):
+        if skew_defect > max(zero_tol, 1e-12 * np.max(np.abs(dense))):
             raise ValueError(f"tensor is not skew-symmetric (defect {skew_defect:.3e})")
         # the kept strict upper triangle, in C order, is already the canonical entry list
         upper = np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None]
@@ -181,10 +181,6 @@ class AlgebraTensor:
     @property
     def norm(self) -> float:
         return float(np.sqrt(self.norm_sq))
-
-    def apply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """mu(x, y) for coordinate vectors x, y."""
-        return np.einsum("ijk,i,j->k", self.dense, x, y)
 
     def ad(self, x: np.ndarray) -> np.ndarray:
         """Matrix of mu(x, .)."""
@@ -244,7 +240,7 @@ def jacobi_residual(mu: AlgebraTensor) -> float:
 
 
 def is_lie_bracket(mu: AlgebraTensor, tol: float = DEFAULT_TOL) -> bool:
-    return jacobi_residual(mu) <= tol * max(1.0, mu.norm_sq)
+    return jacobi_residual(mu) <= tol * mu.norm_sq
 
 
 def nilpotency_class(mu: AlgebraTensor, tol: float = DEFAULT_TOL) -> int | None:
@@ -266,20 +262,15 @@ def _lower_central_length(mu: AlgebraTensor, tol: float) -> int | None:
         return 1
     t = mu.dense
     basis = np.eye(n)
-    step = 1
-    prev_rank = n
-    while step <= n + 1:
-        # span of [g, W] for the current term W of the series
+    for step in range(1, n + 2):
+        # span of [g, W] for the current term W; the degree-1 floor recognises a zero map
         img = np.einsum("ijk,ja->iak", t, basis).reshape(-1, n)
-        _, sv, vh = np.linalg.svd(img, full_matrices=False)
-        if len(sv) == 0 or sv[0] <= tol * max(1.0, mu.norm):
+        row, _ = _row_space_and_kernel(img, tol, floor=tol * mu.norm)
+        if len(row) == 0:
             return step
-        rank = int(np.sum(sv > tol * sv[0]))
-        if rank >= prev_rank:
+        if len(row) >= basis.shape[1]:
             return None
-        basis = vh[:rank].T
-        prev_rank = rank
-        step += 1
+        basis = row.T
     return None
 
 
@@ -328,8 +319,14 @@ def pi_matrix(mu: AlgebraTensor) -> np.ndarray:
     return m.reshape(len(iu) * n, n * n)
 
 
-def _nullspace(m: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Orthonormal rows spanning ker m, cutting singular values s <= rank_tol max(1, s_max).
+def _row_space_and_kernel(
+    m: np.ndarray, rank_tol: float, floor: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal rows spanning the row space of m and its kernel: the library's one rank cut.
+
+    Singular values s <= max(rank_tol s_max, floor) count as zero, so the
+    split does not change when m is rescaled; ``floor``, of the caller's
+    degree in the bracket, recognises a map that is zero up to roundoff.
 
     Rows of m that are exactly zero constrain nothing and are dropped
     first: the kernel and the nonzero singular values stay the same.  A
@@ -342,8 +339,9 @@ def _nullspace(m: np.ndarray, rank_tol: float) -> np.ndarray:
     if m.shape[0] > cols:
         m = np.linalg.qr(m, mode="r")
     _, s, vh = np.linalg.svd(m)
-    cut = rank_tol * max(1.0, s[0] if len(s) else 0.0)
-    return vh[np.concatenate([s, np.zeros(cols - len(s))]) <= cut]
+    cut = max(rank_tol * (s[0] if len(s) else 0.0), floor)
+    kept = np.concatenate([s, np.zeros(cols - len(s))]) > cut
+    return vh[kept], vh[~kept]
 
 
 def derivation_algebra(mu: AlgebraTensor) -> np.ndarray:
@@ -352,13 +350,13 @@ def derivation_algebra(mu: AlgebraTensor) -> np.ndarray:
     Orthonormal for the Frobenius pairing tr(A B^t).  The kernel comes from
     the nonzero rows of the (n^2(n-1)/2, n^2) matrix of pi: an economy QR
     when they outnumber the n^2 columns, then an SVD of the (at most
-    n^2 x n^2) result; singular values s <= RANK_TOL max(1, s_max) count
-    as zero.
+    n^2 x n^2) result; singular values s <= RANK_TOL s_max count as zero,
+    with no absolute floor, so rescaling mu does not change dim Der(mu).
     """
     n = mu.dim
     if n == 0:
         return np.zeros((0, 0, 0))
-    return _nullspace(pi_matrix(mu), RANK_TOL).reshape(-1, n, n)
+    return _row_space_and_kernel(pi_matrix(mu), RANK_TOL)[1].reshape(-1, n, n)
 
 
 def derivation_residual(mu: AlgebraTensor, alpha: np.ndarray) -> float:

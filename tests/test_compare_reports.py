@@ -40,6 +40,18 @@ def test_differences_tolerate_roundoff_only():
     assert diff({"a": 1}, {"b": 1})
 
 
+def scaled_construction(doc: dict, s: float) -> dict:
+    """The construction of a bracket rescaled by s: brackets and theta by s, c and D1 by s^2."""
+    out = json.loads(json.dumps(doc))
+    for part in (out["nil"], out["reductive"]):
+        for entry in part["bracket"]:
+            entry["c"] *= s
+    out["theta"] = (s * np.array(out["theta"])).tolist()
+    out["nil"]["d1"] = (s * s * np.array(out["nil"]["d1"])).tolist()
+    out["c"] *= s * s
+    return out
+
+
 def test_construction_documents_build(tmp_path, capsys):
     from homsol.cli import main
 
@@ -47,7 +59,12 @@ def test_construction_documents_build(tmp_path, capsys):
         path = tmp_path / f"{doc['name']}.json"
         path.write_text(json.dumps(doc))
         assert main(["build", str(path), "--json"]) == 0, doc["name"]
-    capsys.readouterr()
+        want = json.loads(capsys.readouterr().out)["classification"]
+        # the same geometry at another scale builds with the same tag
+        for s in (1e-10, 1e-4, 1e4, 1e12, 1e20):
+            path.write_text(json.dumps(scaled_construction(doc, s)))
+            assert main(["build", str(path), "--json"]) == 0, (doc["name"], s)
+            assert json.loads(capsys.readouterr().out)["classification"] == want, (doc["name"], s)
 
 
 def test_scaled_catalog_documents_are_valid():

@@ -173,14 +173,28 @@ def test_cli_input_error_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+# [e0,e1] = e1, [e0,e2] = e2, [e1,e2] = e0 on h: the Jacobiator is -2 e0, of degree 2,
+# so at scale 1e-5 it is 2e-10 and must be held to tol |mu|^2, not to an absolute tol
+NON_JACOBI_H = doc_dict(
+    name="non-jacobi-h",
+    dim_h=3,
+    dim_n=0,
+    bracket=[
+        {"i": i, "j": j, "k": k, "c": 1e-5} for i, j, k in ((0, 1, 1), (0, 2, 2), (1, 2, 0))
+    ],
+)
+
+
 def test_cli_invalid_document_exit_2(capsys, tmp_path):
-    raw = doc_dict(ip=[[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+    bad_ip = doc_dict(ip=[[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
     f = tmp_path / "bad.json"
-    f.write_text(json.dumps(raw))
-    code, out = run_cli(capsys, "ricci", str(f), "--json")
-    assert code == 2
-    rep = json.loads(out)
-    assert any(e["code"] == "ip-not-pd" for e in rep["errors"])
+    for raw, error in ((bad_ip, "ip-not-pd"), (NON_JACOBI_H, "jacobi")):
+        f.write_text(json.dumps(raw))
+        for command in ("ricci", "fit"):
+            code, out = run_cli(capsys, command, str(f), "--json")
+            assert code == 2, (raw["name"], command)
+            rep = json.loads(out)
+            assert any(e["code"] == error for e in rep["errors"]), (raw["name"], command)
 
 
 def test_cli_extend_unimodular_roundtrip(capsys, tmp_path):
@@ -467,6 +481,13 @@ def test_cli_fit_tag_and_exit_code_are_scale_invariant(capsys, tmp_path, name):
         path.write_text(json.dumps(scaled_catalog_document(name, scale)))
         code, out = run_cli(capsys, "fit", str(path), "--json")
         assert (json.loads(out)["classification"], code) == want, scale
+    # a rescaled inner product describes the same geometry up to scale, and gets the same tag
+    for s in (1e-10, 1e10):
+        raw = document_from_catalog(catalog.get(name)).to_json_dict()
+        raw["ip"] = (s * np.eye(raw["dim"] - raw["dim_k"])).tolist()
+        path.write_text(json.dumps(raw))
+        code, out = run_cli(capsys, "fit", str(path), "--json")
+        assert (json.loads(out)["classification"], code) == want, ("ip", s)
 
 
 # 2-step nilpotent algebra whose label misses nice position by a relative
@@ -517,14 +538,27 @@ def verdicts(capsys, command, target):
     return code, rep["classification"], [(r["name"], r["passed"]) for r in rep["checks"]]
 
 
-@pytest.mark.parametrize("name", ["heis3", "fil4", "cplxhyp2", "solv12", "nil7"])
+def extend_verdicts(capsys, variant, target):
+    """Exit code, tag, failing records and error codes of one ``extend --variant --json`` run."""
+    code, out = run_cli(capsys, "extend", target, "--variant", variant, "--json")
+    rep = json.loads(out)
+    failing = sorted(r["name"] for r in rep["checks"] if not r["passed"])
+    return code, rep["classification"], failing, [e["code"] for e in rep["errors"]]
+
+
+@pytest.mark.parametrize("name", sorted(catalog.names()))
 def test_cli_verdicts_are_scale_invariant(capsys, tmp_path, name):
     path = tmp_path / f"{name}.json"
     for command in ("fit", "battery", "stratify"):
         want = verdicts(capsys, command, name)
-        for scale in (1e-6, 1e-4, 1e4, 1e6):
+        for scale in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e4, 1e6, 1e10, 1e20):
             path.write_text(json.dumps(scaled_catalog_document(name, scale)))
             assert verdicts(capsys, command, str(path)) == want, (command, scale)
+    for variant in ("nonunimodular", "restrict", "unimodular"):
+        want = extend_verdicts(capsys, variant, name)
+        for scale in (1e-14, 1e-10, 1e-8, 1e-6, 1e-4, 1e4, 1e8, 1e12):
+            path.write_text(json.dumps(scaled_catalog_document(name, scale)))
+            assert extend_verdicts(capsys, variant, str(path)) == want, (variant, scale)
 
 
 def test_cli_heis3_near_the_input_bound_without_overflow(capsys, tmp_path):

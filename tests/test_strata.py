@@ -6,7 +6,6 @@ import pytest
 from homsol.strata import (
     _label_gram,
     min_norm_point,
-    nice_position_search,
     pair_weight,
     strata_properties,
     stratum_label,
@@ -200,15 +199,12 @@ def test_permutation_equivariance():
         assert np.allclose(b_p[perm], b, atol=1e-9)
 
 
-def test_permuted_heis3_not_nice_and_search_fixes_it():
+def test_permuted_heis3_is_not_nice():
     # mu(e2,e3) = e1 carries the same algebra out of the chamber
     mu = AlgebraTensor(3, ((1, 2, 0, 1.0),))
     data = stratum_label(mu)
     assert not data.nice_position
     assert np.allclose(data.beta, [-1.0, -1.0, 1.0])
-    fixed = nice_position_search(mu)
-    assert fixed is not None
-    assert stratum_label(fixed[0]).nice_position
 
 
 # ---------------------------------------------------------------------------

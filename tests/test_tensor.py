@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from homsol.catalog import get
 from homsol.tensor import (
     AlgebraTensor,
-    _nullspace,
+    _row_space_and_kernel,
     derivation_algebra,
     derivation_residual,
     jacobi_residual,
@@ -165,6 +166,12 @@ def test_nilpotency_classes():
     assert nilpotency_class(HEIS3) == 2
     assert nilpotency_class(FIL4) == 3
     assert nilpotency_class(SO3) is None
+    # the series' rank cut is relative, so a rescaled bracket keeps its class
+    nil7 = get("nil7").tensor()
+    for scale in (1e-10, 1e10):
+        assert nilpotency_class(HEIS3.scale(scale)) == 2
+        assert nilpotency_class(FIL4.scale(scale)) == 3
+        assert nilpotency_class(nil7.scale(scale)) == nilpotency_class(nil7) == 6
 
 
 def test_nilpotency_rejects_non_lie():
@@ -265,6 +272,12 @@ def test_derivation_dims():
     assert derivation_algebra(HEIS3).shape[0] == 6
     assert derivation_algebra(SO3).shape[0] == 3
     assert derivation_algebra(FIL4).shape[0] == 7
+    # Der(mu) has no absolute rank floor: its dimension does not change with the scale of mu
+    nil7 = get("nil7").tensor()
+    for scale in (1e-10, 1e10):
+        assert derivation_algebra(HEIS3.scale(scale)).shape[0] == 6
+        assert derivation_algebra(FIL4.scale(scale)).shape[0] == 7
+        assert derivation_algebra(nil7.scale(scale)).shape[0] == derivation_algebra(nil7).shape[0] == 11
 
 
 def test_derivation_dims_match_oracle():
@@ -355,12 +368,12 @@ def assert_kernel(m, null, dim):
 def test_nullspace_wide_matrix():
     rng = np.random.default_rng(9)
     m = rng.standard_normal((3, 7))
-    assert_kernel(m, _nullspace(m, 1e-9), 4)
+    assert_kernel(m, _row_space_and_kernel(m, 1e-9)[1], 4)
 
 
 def test_nullspace_zero_matrix():
     for shape in ((6, 4), (2, 5)):
-        null = _nullspace(np.zeros(shape), 1e-9)
+        null = _row_space_and_kernel(np.zeros(shape), 1e-9)[1]
         assert null.shape == (shape[1], shape[1])
         assert np.allclose(null @ null.T, np.eye(shape[1]), atol=1e-12)
 
@@ -368,7 +381,7 @@ def test_nullspace_zero_matrix():
 def test_nullspace_tall_rank_deficient():
     rng = np.random.default_rng(10)
     m = rng.standard_normal((40, 5)) @ rng.standard_normal((5, 12))
-    assert_kernel(m, _nullspace(m, 1e-9), 7)
+    assert_kernel(m, _row_space_and_kernel(m, 1e-9)[1], 7)
 
 
 def heis(m):
@@ -426,8 +439,8 @@ def test_nullspace_ignores_interleaved_zero_rows():
     for m, rank in ((wide, 3), (tall, 4)):
         for extra in (1, 20, 200):
             padded = with_zero_rows(rng, m, extra)
-            got = _nullspace(padded, 1e-9)
-            want = _nullspace(m, 1e-9)
+            got = _row_space_and_kernel(padded, 1e-9)[1]
+            want = _row_space_and_kernel(m, 1e-9)[1]
             assert got.shape == want.shape == (9 - rank, 9)
             assert np.max(np.abs(projector(got) - projector(want))) <= 1e-12
             ref = nullspace_full_rows(padded, 1e-9)

@@ -11,9 +11,10 @@ entry and on one round of the generated ladder (Heisenberg ``h_{2m+1}``,
 m = 1..8; their rank-one Einstein extensions, m = 1..7; filiform ``L_n``
 with nilsoliton constants, n = 4..14; unit-constant ``L_n``, n = 5..11);
 ``ricci`` and the three ``extend --variant`` transformations on every
-catalog entry; ``fit``, ``battery`` and ``stratify`` on every catalog
-entry with the bracket scaled by 1e-4 and by 1e4, so that a tag or a
-verdict that depends on scale shows up; ``build``
+catalog entry; ``fit``, ``battery``, ``stratify`` and the three
+``extend`` variants on every catalog entry with the bracket scaled by
+1e-10, 1e-4, 1e4 and 1e10, so that a tag or a verdict that depends on
+scale shows up; ``build``
 on the construction documents written here (``cplxhyp2`` and ``solv12``
 assembled from their parts); and ``verify-all --json``.  Everything runs in-process through
 ``homsol.cli.main``, and every exit code and report goes to one JSON file.
@@ -43,7 +44,7 @@ from pathlib import Path
 
 COMMANDS = ("fit", "battery", "stratify")
 VARIANTS = ("nonunimodular", "restrict", "unimodular")
-SCALES = (1e-4, 1e4)
+SCALES = (1e-10, 1e-4, 1e4, 1e10)
 TOL = 1e-12
 
 
@@ -158,6 +159,9 @@ def dump(src: str) -> dict:
             path.write_text(json.dumps(doc, sort_keys=True))
             for command in COMMANDS:
                 runs[f"{command} {doc['name']}"] = _run(main, [command, str(path), "--json"])
+            for variant in VARIANTS:
+                argv = ["extend", str(path), "--variant", variant, "--json"]
+                runs[f"extend-{variant} {doc['name']}"] = _run(main, argv)
         for doc in construction_documents():
             path = Path(tmp) / f"{doc['name']}.json"
             path.write_text(json.dumps(doc, sort_keys=True))
