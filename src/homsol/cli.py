@@ -30,6 +30,7 @@ from .io import (
     AlgebraDocument,
     DocumentError,
     Report,
+    document_from_catalog,
     document_from_decomposition,
     load,
     validate,
@@ -43,7 +44,7 @@ from .soliton import (
     stratum_compatibility_check,
     structure_battery,
 )
-from .strata import _pairing, _properties
+from .strata import _properties, e_beta_pairing
 from .tensor import DEFAULT_TOL, AlgebraTensor, Check
 
 
@@ -59,27 +60,18 @@ def _tolerance(flag: float | None) -> float:
     raise DocumentError("bad-tolerance", f"tolerance {raw!r} is not a finite positive number")
 
 
-def _report(command: str, doc: AlgebraDocument | None, tol: float) -> Report:
-    return Report(
-        command=command,
-        input_name=doc.name if doc else "",
-        input_hash=doc.content_hash() if doc else "",
-        tolerance=tol,
-    )
-
-
-def _validated(report: Report, doc: AlgebraDocument, tol: float):
+def run_document(command: str, doc: AlgebraDocument, tol: float, *args) -> Report:
+    """The report of a document command: doc validated, then the command's body run on it."""
+    report = Report(command, doc.name, doc.content_hash(), tol)
     dec, violations = validate(doc, tol)
     for v in violations:
         report.errors.append({"code": v.code, "detail": v.detail, "value": str(v.value)})
-    return dec
+    if dec is not None:
+        DOCUMENT_COMMANDS[command][1](report, dec, tol, *args)
+    return report
 
 
-def run_ricci(doc: AlgebraDocument, tol: float) -> Report:
-    report = _report("ricci", doc, tol)
-    dec = _validated(report, doc, tol)
-    if dec is None:
-        return report
+def run_ricci(report: Report, dec, tol: float):
     ric = dec.ricci()
     report.results["ricci"] = ric.matrix
     report.results["ricci_user_basis"] = ric.user_matrix
@@ -89,14 +81,9 @@ def run_ricci(doc: AlgebraDocument, tol: float) -> Report:
             "ricci-symmetric", "Ric = Ric^t", ric.symmetry_defect(), tol, dec.bracket_on.norm, 2
         )
     )
-    return report
 
 
-def run_fit(doc: AlgebraDocument, tol: float) -> Report:
-    report = _report("fit", doc, tol)
-    dec = _validated(report, doc, tol)
-    if dec is None:
-        return report
+def run_fit(report: Report, dec, tol: float):
     cert = soliton_fit(dec, tol)
     report.classification = cert.tag
     report.results["c"] = cert.c
@@ -123,7 +110,6 @@ def run_fit(doc: AlgebraDocument, tol: float) -> Report:
             {"tag": cert.tag, "c": cert.c, "family": cert.family},
         )
     )
-    return report
 
 
 Groups = dict[str, list[Check]]
@@ -173,7 +159,7 @@ def _stratify(dec, tol: float) -> tuple[Groups, dict]:
     }
     groups: Groups = {"stratum-properties": rep.checks}
     if data.nice_position:
-        pairing = _pairing(dec, data)
+        pairing = e_beta_pairing(dec)
         results["pairing_terms"] = {
             "lam0": pairing.lam0_term,
             "lam1": pairing.lam1_term,
@@ -185,34 +171,24 @@ def _stratify(dec, tol: float) -> tuple[Groups, dict]:
     return groups, results
 
 
-def run_battery(doc: AlgebraDocument, tol: float) -> Report:
-    report = _report("battery", doc, tol)
-    dec = _validated(report, doc, tol)
-    if dec is None:
-        return report
+def run_battery(report: Report, dec, tol: float):
     cert = soliton_fit(dec, tol)
     report.classification = cert.tag
     report.results["c"] = cert.c
     groups, results = _battery(dec, cert, tol)
     report.results.update(results)
     report.checks.extend(r for records in groups.values() for r in records)
-    return report
 
 
-def run_stratify(doc: AlgebraDocument, tol: float) -> Report:
-    report = _report("stratify", doc, tol)
-    dec = _validated(report, doc, tol)
-    if dec is None:
-        return report
+def run_stratify(report: Report, dec, tol: float):
     if dec.n_bracket.norm == 0.0:
         report.errors.append(
             {"code": "no-stratum", "detail": "nilpotent part is abelian or empty; no label"}
         )
-        return report
+        return
     groups, results = _stratify(dec, tol)
     report.results.update(results)
     report.checks.extend(r for records in groups.values() for r in records)
-    return report
 
 
 def _finite(raw, what: str) -> np.ndarray:
@@ -293,11 +269,7 @@ def run_build(path: str, tol: float) -> Report:
     return report
 
 
-def run_extend(doc: AlgebraDocument, variant: str, tol: float) -> Report:
-    report = _report("extend", doc, tol)
-    dec = _validated(report, doc, tol)
-    if dec is None:
-        return report
+def run_extend(report: Report, dec, tol: float, variant: str):
     cert = soliton_fit(dec, tol)
     ops = {
         "nonunimodular": einstein_from_nonunimodular,
@@ -308,9 +280,10 @@ def run_extend(doc: AlgebraDocument, variant: str, tol: float) -> Report:
         out, out_cert = ops[variant](dec, cert, tol)
     except (ValueError, KeyError) as err:
         report.errors.append({"code": "extend-failed", "detail": str(err)})
-        return report
+        return
+    name = report.input_name
     out_doc = document_from_decomposition(
-        out, f"{doc.name}-{variant}", meta={"derived-from": doc.name, "variant": variant}
+        out, f"{name}-{variant}", meta={"derived-from": name, "variant": variant}
     )
     report.classification = out_cert.tag
     report.results["document"] = out_doc.to_json_dict()
@@ -340,7 +313,16 @@ def run_extend(doc: AlgebraDocument, variant: str, tol: float) -> Report:
                 2,
             )
         )
-    return report
+
+
+# name: (help, body(report, dec, tol, *args) run by run_document on a valid document)
+DOCUMENT_COMMANDS = {
+    "ricci": ("Ricci operator of a decomposition", run_ricci),
+    "fit": ("soliton certificate by least squares", run_fit),
+    "battery": ("full structural condition battery", run_battery),
+    "stratify": ("stratum label and its property checks", run_stratify),
+    "extend": ("Einstein/soliton metric transformations", run_extend),
+}
 
 
 def run_catalog(dump_dir: str | None) -> Report:
@@ -357,8 +339,6 @@ def run_catalog(dump_dir: str | None) -> Report:
         }
     report.results["catalog"] = listing
     if dump_dir:
-        from .io import document_from_catalog
-
         out = Path(dump_dir)
         out.mkdir(parents=True, exist_ok=True)
         for name in cat.names():
@@ -368,8 +348,6 @@ def run_catalog(dump_dir: str | None) -> Report:
 
 
 def _verify_one(name: str, tol: float) -> list[Check]:
-    from .io import document_from_catalog
-
     entry = cat.get(name)
     doc = document_from_catalog(entry)
     checks: list[Check] = []
@@ -490,27 +468,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for name, help_ in (
-        ("ricci", "Ricci operator of a decomposition"),
-        ("fit", "soliton certificate by least squares"),
-        ("battery", "full structural condition battery"),
-        ("stratify", "stratum label and its property checks"),
-    ):
+    for name, (help_, _) in DOCUMENT_COMMANDS.items():
+        if name == "extend":  # the listing has build before extend
+            p = sub.add_parser("build", help="semidirect construction from parts", parents=[common])
+            p.add_argument("document", help="construction JSON file")
         p = sub.add_parser(name, help=help_, parents=[common])
         p.add_argument("document", help="JSON file or catalog name")
-
-    p = sub.add_parser("build", help="semidirect construction from parts", parents=[common])
-    p.add_argument("document", help="construction JSON file")
-
-    p = sub.add_parser(
-        "extend", help="Einstein/soliton metric transformations", parents=[common]
-    )
-    p.add_argument("document", help="JSON file or catalog name")
-    p.add_argument(
-        "--variant",
-        required=True,
-        choices=["nonunimodular", "restrict", "unimodular"],
-    )
+    p = sub.choices["extend"]
+    p.add_argument("--variant", required=True, choices=["nonunimodular", "restrict", "unimodular"])
     p.add_argument("--out", default=None, help="write the produced document here")
 
     p = sub.add_parser("catalog", help="list bundled algebras", parents=[common])
@@ -531,23 +496,12 @@ def main(argv=None) -> int:
         elif args.command == "build":
             report = run_build(args.document, tol)
         else:
-            doc = load(args.document)
-            if args.command == "ricci":
-                report = run_ricci(doc, tol)
-            elif args.command == "fit":
-                report = run_fit(doc, tol)
-            elif args.command == "battery":
-                report = run_battery(doc, tol)
-            elif args.command == "stratify":
-                report = run_stratify(doc, tol)
-            elif args.command == "extend":
-                report = run_extend(doc, args.variant, tol)
-                if args.out and "document" in report.results:
-                    Path(args.out).write_text(
-                        json.dumps(report.results["document"], sort_keys=True, indent=2) + "\n"
-                    )
-            else:  # pragma: no cover
-                raise SystemExit(2)
+            extra = [args.variant] if args.command == "extend" else []
+            report = run_document(args.command, load(args.document), tol, *extra)
+            if extra and args.out and "document" in report.results:
+                Path(args.out).write_text(
+                    json.dumps(report.results["document"], sort_keys=True, indent=2) + "\n"
+                )
     except DocumentError as err:
         print(f"error [{err.code}] {err.detail}", file=sys.stderr)
         return 2

@@ -46,18 +46,17 @@ from .soliton import (
     TAG_ALGEBRAIC,
     TAG_EINSTEIN,
     SolitonCertificate,
+    _action_ricci_term,
     _certificate,
+    _commutator_sum,
     _residual_bound,
     soliton_fit,
 )
 from .tensor import DEFAULT_TOL, AlgebraTensor, _row_space_and_kernel, derivation_residual
 
 
-class ConstructionError(ValueError):
-    def __init__(self, violations):
-        self.violations = list(violations)
-        msg = "; ".join(f"{v.code}: {v.detail}" for v in self.violations)
-        super().__init__(msg or "invalid construction data")
+class ConstructionError(DecompositionError):
+    """Construction data that violates (d1)-(d3) or (c1)-(c3)."""
 
 
 @dataclass
@@ -181,22 +180,13 @@ def validate_construction(data: ConstructionData, tol: float = DEFAULT_TOL) -> l
             out.append(Violation("c1-skew", f"theta(k basis {z}) not skew", r))
 
     # (c2) commutator sum over the h-block
-    comm = np.zeros((dn, dn))
-    for a in range(dh):
-        ta = theta[dk + a]
-        comm = comm + ta @ ta.T - ta.T @ ta
-    r = frob(comm)
+    r = _commutator_sum(theta[dk:])
     if r > tol * norm**2:
         out.append(Violation("c2-commutator-sum", "sum_i [theta(Y_i), theta(Y_i)^t] != 0", r))
 
     # (c3) reductive-part Ricci
     ric_u = udec.ricci().matrix
-    if dh:
-        sym_theta = np.stack([sym(theta[dk + a]) for a in range(dh)])
-        c_theta = np.einsum("aij,bij->ab", sym_theta, sym_theta)
-    else:
-        c_theta = np.zeros((0, 0))
-    r = frob(ric_u - data.c * np.eye(dh) - c_theta)
+    r = frob(ric_u - data.c * np.eye(dh) - _action_ricci_term(theta[dk:]))
     if r > _residual_bound(ric_u, data.c, norm):
         out.append(Violation("c3-reductive-ricci", "Ric_u != c I + C_theta", r))
     return out
@@ -311,6 +301,12 @@ def _require_algebraic(dec: MetricDecomposition, cert: SolitonCertificate):
         raise ValueError("certificate derivation is not symmetric")
 
 
+def _transformed(dec: MetricDecomposition, t: np.ndarray, dim_h: int) -> MetricDecomposition:
+    """The decomposition of the new bracket t, with entries below 1e-14 |mu| dropped as roundoff."""
+    bracket = AlgebraTensor.from_dense(t, zero_tol=1e-14 * dec.bracket_on.norm)
+    return MetricDecomposition(bracket, dec.dim_k, dim_h, dec.dim_n, tol=dec.tol)
+
+
 def _adapted_h_frame(dec: MetricDecomposition) -> tuple[np.ndarray, float]:
     """Orthogonal g-frame rotating H/|H| into the first h-coordinate."""
     h = dec.mean_curvature()
@@ -359,13 +355,7 @@ def einstein_from_nonunimodular(
     t[ih, :, :] = new_row.T
     t[:, ih, :] = -new_row.T
     t[ih, ih, :] = 0.0
-    out = MetricDecomposition(
-        AlgebraTensor.from_dense(t, zero_tol=1e-14 * dec.bracket_on.norm),
-        dec.dim_k,
-        dec.dim_h,
-        dec.dim_n,
-        tol=dec.tol,
-    )
+    out = _transformed(dec, t, dec.dim_h)
     return out, soliton_fit(out)
 
 
@@ -395,13 +385,7 @@ def restrict_to_unimodular_kernel(
         raise DecompositionError(
             [Violation("kernel-not-ideal", "brackets of the kernel escape along H", escaped)]
         )
-    out = MetricDecomposition(
-        AlgebraTensor.from_dense(sub, zero_tol=1e-14 * norm),
-        dec.dim_k,
-        dec.dim_h - 1,
-        dec.dim_n,
-        tol=dec.tol,
-    )
+    out = _transformed(dec, sub, dec.dim_h - 1)
 
     d_prime_full = frame.T @ (cert.d_full + sym(dec.ad_mean_curvature())) @ frame
     h_row = max(frob(d_prime_full[ih, :]), frob(d_prime_full[:, ih]))
@@ -448,11 +432,5 @@ def einstein_extension_unimodular(
     ad_a = alpha * cert.d_full  # <[A, e_j], e_k> = ad_a[k, j]
     t[ia][np.ix_(old_to_new, old_to_new)] = ad_a.T
     t[:, ia][np.ix_(old_to_new, old_to_new)] = -ad_a.T
-    out = MetricDecomposition(
-        AlgebraTensor.from_dense(t, zero_tol=1e-14 * dec.bracket_on.norm),
-        dec.dim_k,
-        dec.dim_h + 1,
-        dec.dim_n,
-        tol=dec.tol,
-    )
+    out = _transformed(dec, t, dec.dim_h + 1)
     return out, soliton_fit(out)

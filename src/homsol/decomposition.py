@@ -29,7 +29,8 @@ symmetrization A -> (A + A^t)/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +45,19 @@ from .tensor import (
     jacobi_residual,
     moment_operator,
 )
+
+
+def _once(method):
+    """A method of no arguments whose result is stored in ``self._cache`` under its name."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def cached(self):
+        if name not in self._cache:
+            self._cache[name] = method(self)
+        return self._cache[name]
+
+    return cached
 
 
 def sym(a: np.ndarray) -> np.ndarray:
@@ -73,7 +87,6 @@ class SymOperator:
     """Symmetric operator on p (or a sub-block), in the orthonormal frame."""
 
     matrix: np.ndarray
-    role: str
     frame: np.ndarray | None = None  # columns: orthonormal p-basis in user coords
 
     @property
@@ -102,14 +115,6 @@ class BracketBlocks:
     nu0: np.ndarray  # k x k -> k
     nu1: np.ndarray  # k x h -> h
     nu2: np.ndarray  # k x n -> n
-    mu_bracket: AlgebraTensor = field(repr=False, compare=False)  # mu as a tensor
-
-    def mu_tensor(self) -> AlgebraTensor:
-        """mu as a tensor: the decomposition's ``n_bracket``, built once."""
-        return self.mu_bracket
-
-    def lam0_tensor(self) -> AlgebraTensor:
-        return AlgebraTensor.from_dense(self.lam0)
 
     def ad_eta(self) -> np.ndarray:
         """Stack of matrices of ad Y_a on n, shape (dim_h, n, n)."""
@@ -254,24 +259,22 @@ class MetricDecomposition:
         """ad of a coordinate vector (orthonormal frame) on g."""
         return self.bracket_on.ad(x)
 
-    def _sym_op(self, m: np.ndarray, role: str) -> SymOperator:
-        return SymOperator(matrix=m, role=role, frame=self.frame_p)
+    def _sym_op(self, m: np.ndarray) -> SymOperator:
+        return SymOperator(matrix=m, frame=self.frame_p)
 
     # -- core operators -------------------------------------------------------
 
     @property
+    @_once
     def p_bracket(self) -> AlgebraTensor:
         """p-component of the bracket restricted to p x p, orthonormal frame."""
-        if "p_bracket" not in self._cache:
-            self._cache["p_bracket"] = self._sub_bracket(self.sp)
-        return self._cache["p_bracket"]
+        return self._sub_bracket(self.sp)
 
     @property
+    @_once
     def n_bracket(self) -> AlgebraTensor:
         """The n-block of the bracket as an algebra on n, orthonormal frame; built once."""
-        if "n_bracket" not in self._cache:
-            self._cache["n_bracket"] = self._sub_bracket(self.sn)
-        return self._cache["n_bracket"]
+        return self._sub_bracket(self.sn)
 
     def _sub_bracket(self, s: slice) -> AlgebraTensor:
         """The bracket's block s x s -> s; the bracket itself when s spans g."""
@@ -279,9 +282,8 @@ class MetricDecomposition:
             return self.bracket_on
         return AlgebraTensor.from_dense(self.bracket_on.dense[s, s, s])
 
+    @_once
     def killing(self) -> KillingReport:
-        if "killing" in self._cache:
-            return self._cache["killing"]
         t = self.bracket_on.dense
         b = np.einsum("ilk,jkl->ij", t, t)
         b = 0.5 * (b + b.T)
@@ -290,57 +292,45 @@ class MetricDecomposition:
         bound = self.tol * self.bracket_on.norm_sq  # B is of degree 2 in the bracket
         neg = bool(np.all(np.linalg.eigvalsh(k_block) < -bound)) if self.dim_k else True
         kp_zero = bool(np.max(np.abs(kp_block)) <= bound) if kp_block.size else True
-        rep = KillingReport(
+        return KillingReport(
             form=b,
             k_block=k_block,
             kp_block=kp_block,
-            p_operator=self._sym_op(b[self.sp, self.sp], "Killing"),
+            p_operator=self._sym_op(b[self.sp, self.sp]),
             neg_definite_on_k=neg,
             kp_zero=kp_zero,
         )
-        self._cache["killing"] = rep
-        return rep
 
+    @_once
     def mean_curvature(self) -> np.ndarray:
         """H in p (orthonormal-frame coordinates) with <H, X> = tr ad X."""
-        if "H" not in self._cache:
-            traces = np.array(
-                [np.trace(self._ad_on(i)) for i in range(self.dim_k, self.dim)]
-            )
-            self._cache["H"] = traces
-        return self._cache["H"]
+        return np.array([np.trace(self._ad_on(i)) for i in range(self.dim_k, self.dim)])
 
     @property
     def mean_curvature_in_h_defect(self) -> float:
         h = self.mean_curvature()
         return frob(h[self.sn_p]) if self.dim_n else 0.0
 
+    @_once
     def ad_mean_curvature(self) -> np.ndarray:
         """Matrix of ad H on g, orthonormal frame."""
-        if "ad_H" not in self._cache:
-            full = np.zeros(self.dim)
-            full[self.sp] = self.mean_curvature()
-            self._cache["ad_H"] = self.ad_matrix(full)
-        return self._cache["ad_H"]
+        full = np.zeros(self.dim)
+        full[self.sp] = self.mean_curvature()
+        return self.ad_matrix(full)
 
+    @_once
     def ricci(self) -> SymOperator:
-        if "ricci" in self._cache:
-            return self._cache["ricci"]
         m = moment_operator(self.p_bracket)
         bp = self.killing().p_operator.matrix
-        ric = m - 0.5 * bp - sym(self.ad_mean_curvature()[self.sp, self.sp])
-        op = self._sym_op(ric, "Ricci")
-        self._cache["ricci"] = op
-        return op
+        return self._sym_op(m - 0.5 * bp - sym(self.ad_mean_curvature()[self.sp, self.sp]))
 
     def moment(self) -> SymOperator:
-        return self._sym_op(moment_operator(self.p_bracket), "MomentMap")
+        return self._sym_op(moment_operator(self.p_bracket))
 
+    @_once
     def blocks(self) -> BracketBlocks:
-        if "blocks" in self._cache:
-            return self._cache["blocks"]
         t = self.bracket_on.dense
-        bb = BracketBlocks(
+        return BracketBlocks(
             lam0=t[self.sh, self.sh, self.sh].copy(),
             lam1=t[self.sh, self.sh, self.sn].copy(),
             lam2=t[self.sh, self.sh, self.sk].copy(),
@@ -349,10 +339,7 @@ class MetricDecomposition:
             nu0=t[self.sk, self.sk, self.sk].copy(),
             nu1=t[self.sk, self.sh, self.sh].copy(),
             nu2=t[self.sk, self.sn, self.sn].copy(),
-            mu_bracket=self.n_bracket,
         )
-        self._cache["blocks"] = bb
-        return bb
 
     def reassembly_defect(self) -> float:
         """Reassemble the bracket from its blocks; exact by construction."""
@@ -401,16 +388,16 @@ class MetricDecomposition:
         nh, nn = self.dim_h, self.dim_n
         a_eta = bb.ad_eta()
         a_mu = bb.ad_mu()
-        m_h = moment_operator(bb.lam0_tensor()) - 0.5 * np.einsum("aij,bij->ab", a_eta, a_eta)
+        m_h = moment_operator(AlgebraTensor.from_dense(bb.lam0)) - 0.5 * np.einsum("aij,bij->ab", a_eta, a_eta)
         comm = np.einsum("aij,akj->aik", a_eta, a_eta) - np.einsum("aji,ajk->aik", a_eta, a_eta)
-        m_n = moment_operator(bb.mu_tensor()) + 0.5 * np.sum(comm, axis=0)
+        m_n = moment_operator(self.n_bracket) + 0.5 * np.sum(comm, axis=0)
         cross = -0.5 * np.einsum("aij,xij->ax", a_eta, a_mu)
         m = np.zeros((self.dim_p, self.dim_p))
         m[:nh, :nh] = m_h
         m[nh:, nh:] = m_n
         m[:nh, nh:] = cross
         m[nh:, :nh] = cross.T
-        return self._sym_op(m, "MomentMap")
+        return self._sym_op(m)
 
     # -- sub-decompositions ---------------------------------------------------
 
@@ -439,25 +426,24 @@ class MetricDecomposition:
 
     def n_decomposition(self) -> "MetricDecomposition":
         """The nilpotent part (n, ip restricted to n) as a standalone algebra; built once."""
-        if self.dim_k + self.dim_h == 0:
-            return self
-        if "n_dec" not in self._cache:
-            self._cache["n_dec"] = MetricDecomposition(self.n_bracket, 0, 0, self.dim_n, tol=self.tol)
-        return self._cache["n_dec"]
+        # not cached when it is self: a decomposition holding itself is a reference cycle
+        return self._n_part() if self.dim_k + self.dim_h else self
 
+    @_once
+    def _n_part(self) -> "MetricDecomposition":
+        return MetricDecomposition(self.n_bracket, 0, 0, self.dim_n, tol=self.tol)
+
+    @_once
     def derivations_n(self) -> np.ndarray:
         """Orthonormal basis of Der(n), orthonormal frame, stacked (m, n, n); computed once."""
         if self.dim_k + self.dim_h:
             return self.n_decomposition().derivations_n()
-        if "der_n" not in self._cache:
-            self._cache["der_n"] = derivation_algebra(self.bracket_on)
-        return self._cache["der_n"]
+        return derivation_algebra(self.bracket_on)
 
+    @_once
     def n_stratum(self) -> StratumData:
         """Stratum label of the nonzero nilpotent part at ``self.tol``; computed once."""
-        if "stratum" not in self._cache:
-            self._cache["stratum"] = stratum_label(self.n_bracket, self.tol)
-        return self._cache["stratum"]
+        return stratum_label(self.n_bracket, self.tol)
 
     # -- derivation block lemma -------------------------------------------------
 

@@ -152,20 +152,15 @@ def document_from_dict(raw: dict) -> AlgebraDocument:
     )
 
 
+def _document(name: str, mu: AlgebraTensor, dims: tuple, ip, meta: dict) -> AlgebraDocument:
+    """The document of the bracket mu with block dimensions dims = (dim_k, dim_h, dim_n)."""
+    bracket = [{"i": i, "j": j, "k": k, "c": float(c)} for i, j, k, c in mu.entries]
+    return AlgebraDocument(name, mu.dim, *dims, bracket=bracket, ip=ip, meta=meta)
+
+
 def document_from_catalog(entry: "_catalog.CatalogEntry") -> AlgebraDocument:
-    bracket = [
-        {"i": i, "j": j, "k": k, "c": float(c)} for i, j, k, c in entry.tensor().entries
-    ]
-    return AlgebraDocument(
-        name=entry.name,
-        dim=entry.dim,
-        dim_k=entry.dim_k,
-        dim_h=entry.dim_h,
-        dim_n=entry.dim_n,
-        bracket=bracket,
-        ip=entry.ip,
-        meta=dict(entry.meta),
-    )
+    dims = (entry.dim_k, entry.dim_h, entry.dim_n)
+    return _document(entry.name, entry.tensor(), dims, entry.ip, dict(entry.meta))
 
 
 def load(path_or_name: str) -> AlgebraDocument:
@@ -188,22 +183,8 @@ def load(path_or_name: str) -> AlgebraDocument:
 def document_from_decomposition(
     dec: MetricDecomposition, name: str, meta: dict | None = None
 ) -> AlgebraDocument:
-    bracket = [
-        {"i": i, "j": j, "k": k, "c": float(c)} for i, j, k, c in dec.bracket.entries
-    ]
-    ip = None
-    if np.max(np.abs(dec.ip - np.eye(dec.dim_p))) > 0:
-        ip = dec.ip
-    return AlgebraDocument(
-        name=name,
-        dim=dec.dim,
-        dim_k=dec.dim_k,
-        dim_h=dec.dim_h,
-        dim_n=dec.dim_n,
-        bracket=bracket,
-        ip=ip,
-        meta=meta or {},
-    )
+    ip = dec.ip if np.max(np.abs(dec.ip - np.eye(dec.dim_p))) > 0 else None
+    return _document(name, dec.bracket, (dec.dim_k, dec.dim_h, dec.dim_n), ip, meta or {})
 
 
 def validate(doc: AlgebraDocument, tol: float = 1e-9):

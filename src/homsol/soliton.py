@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import MetricDecomposition, frob, sym
+from .decomposition import DecompositionError, MetricDecomposition, frob, sym
 from .strata import StratumData
 from .tensor import (
     DEFAULT_TOL,
@@ -272,6 +272,19 @@ def soliton_fit(dec: MetricDecomposition, tol: float = DEFAULT_TOL) -> SolitonCe
 # condition battery of the structure theorem
 # ---------------------------------------------------------------------------
 
+# The compatibility identities of an action A: h -> End(n), shared with the builder's (c2), (c3)
+
+def _action_ricci_term(ops: np.ndarray) -> np.ndarray:
+    """C with <C Y_a, Y_b> = tr S(A_a) S(A_b), for the stack of operators A_a = A(Y_a)."""
+    s = 0.5 * (ops + np.transpose(ops, (0, 2, 1)))
+    return np.einsum("aij,bij->ab", s, s)
+
+
+def _commutator_sum(ops: np.ndarray) -> float:
+    """|sum_a [A_a, A_a^t]| for the stack of operators A_a."""
+    return frob(sum(a @ a.T - a.T @ a for a in ops))
+
+
 @dataclass(kw_only=True)
 class StructureBatteryReport(CheckedReport):
     applicable: bool  # the forward direction needs an expanding constant
@@ -304,23 +317,19 @@ def structure_battery(
     ]
 
     a_eta = bb.ad_eta()
-    if dec.dim_h:
-        sym_a = np.stack([sym(a) for a in a_eta])
-        c_h = np.einsum("aij,bij->ab", sym_a, sym_a)
-    else:
-        c_h = np.zeros((0, 0))
     if dec.dim_k + dec.dim_h == 0:
         r2 = 0.0  # no reductive part to constrain
     else:
         try:
-            u_dec = dec.u_decomposition(check=True)
-            ric_u = u_dec.ricci().matrix
-            r2 = frob(ric_u - c * np.eye(dec.dim_h) - c_h)
-        except Exception:
-            r2 = np.inf  # u is not a subalgebra (lambda1 != 0)
+            ric_u = dec.u_decomposition(check=True).ricci().matrix
+            r2 = frob(ric_u - c * np.eye(dec.dim_h) - _action_ricci_term(a_eta))
+        except DecompositionError:
+            # u carries the bracket of the quotient g/n, a Lie bracket whenever g is one;
+            # only roundoff held to bounds of the smaller |u| could fail its validation
+            r2 = np.inf
     checks.append(Check.of_degree("reductive-part-ricci", "Ric_u = c I + C_h", r2, tol, norm, 2))
 
-    mu = bb.mu_tensor()
+    mu = dec.n_bracket
     nfit = _canonical_fit(dec.n_decomposition(), c)
     checks.append(
         Check.of_degree(
@@ -328,11 +337,8 @@ def structure_battery(
         )
     )
 
-    if dec.dim_h and dec.dim_n:
-        r4 = frob(sum(a @ a.T - a.T @ a for a in a_eta))
-        r4b = max(derivation_residual(mu, a.T) for a in a_eta)
-    else:
-        r4, r4b = 0.0, 0.0
+    r4 = _commutator_sum(a_eta)
+    r4b = max((derivation_residual(mu, a.T) for a in a_eta), default=0.0)
     checks.append(
         Check.of_degree(
             "adjoint-commutator-sum", "sum_i [ad Y_i|n, (ad Y_i|n)^t] = 0", r4, tol, norm, 2
@@ -395,7 +401,7 @@ def f_operator_check(
     f = sym(dec.ad_mean_curvature()[dec.sp, dec.sp] + cert.d_p)
     c = cert.c
 
-    mu = dec.blocks().mu_tensor()
+    mu = dec.n_bracket
     hd = float(h @ h) + float(np.trace(cert.d_full[dec.sn, dec.sn]))  # |H|^2 + tr D_n
     target = np.zeros_like(f)
     t, t_ratio, stratum = 0.0, 0.0, None
@@ -409,12 +415,7 @@ def f_operator_check(
         stratum = dec.n_stratum()
         if not stratum.nice_position:
             reason = "nilpotent part is not in nice position; label comparison unavailable"
-            skip = Check(
-                "f-operator-shape",
-                "S(ad_p H + D_p) = t E_beta",
-                info={"skipped": reason},
-                verdict=True,
-            )
+            skip = Check("f-operator-shape", "S(ad_p H + D_p) = t E_beta").skipped(reason)
             return FOperatorReport(checks=[skip], skipped=True, reason=reason, stratum=stratum)
         branch = "nilpotent-part"
         nsq = stratum.beta_norm_sq
@@ -517,9 +518,7 @@ class CompatibilityReport(CheckedReport):
 
 
 def _skipped_compatibility(reason: str, stratum: StratumData | None = None) -> CompatibilityReport:
-    skip = Check(
-        "stratum-compatibility", "m(mu) = beta and friends", info={"skipped": reason}, verdict=True
-    )
+    skip = Check("stratum-compatibility", "m(mu) = beta and friends").skipped(reason)
     return CompatibilityReport(checks=[skip], skipped=True, reason=reason, stratum=stratum)
 
 
@@ -536,7 +535,7 @@ def stratum_compatibility_check(
     evaluated and reported, as it fails whenever |mu|^2 != |beta|^2.
     """
     bb = dec.blocks()
-    mu = bb.mu_tensor()
+    mu = dec.n_bracket
     if dec.dim_n == 0 or mu.norm == 0.0:
         return _skipped_compatibility("nilpotent part is abelian or empty")
     stratum = dec.n_stratum()

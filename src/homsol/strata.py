@@ -280,10 +280,7 @@ def _properties(
 
     # the rest needs nice position; without it they are reported, not asserted
     def asserted(check: Check) -> Check:
-        if data.nice_position:
-            return check
-        skipped = {"skipped": "needs nice position"}
-        return Check(check.name, check.anchor, check.value, info=skipped, verdict=True)
+        return check if data.nice_position else check.skipped("needs nice position")
 
     # tr(beta D) = 0 on the derivation basis
     tr_max = 0.0
@@ -360,22 +357,15 @@ def e_beta_pairing(dec) -> PairingReport:
     identically, the remaining three are individually nonnegative when the
     nilpotent part is in nice position (refused otherwise, since that is
     the hypothesis that makes the label usable).  The label is the
-    decomposition's own, at its tolerance.
-    """
-    bb = dec.blocks()
-    mu = bb.mu_tensor()
-    if dec.dim_n == 0 or mu.norm == 0.0:
-        raise ValueError("pairing needs a nonzero nilpotent part")
-    return _pairing(dec, dec.n_stratum())
-
-
-def _pairing(dec, stratum: StratumData) -> PairingReport:
-    """e_beta_pairing(dec) for the label ``stratum`` of its nonzero n-block at ``dec.tol``, already in hand.
+    decomposition's own, ``dec.n_stratum()``, at its tolerance.
 
     Its one check, ``bracket-pairing-nonnegative``, reports the most
     negative summand, negated, or the gap between the summed and the
     direct pairing if that is larger, against 1e-9 |mu|^2.
     """
+    if dec.dim_n == 0 or dec.n_bracket.norm == 0.0:
+        raise ValueError("pairing needs a nonzero nilpotent part")
+    stratum = dec.n_stratum()
     if not stratum.nice_position:
         raise ValueError("nilpotent part is not in nice position")
 

@@ -165,8 +165,8 @@ def test_each_command_builds_the_n_block_tensor_at_most_once(tmp_path, capsys, m
     seen = Counter()
     for target, doc in targets:
         dec, _ = validate(doc)
-        mu = dec.blocks().mu_tensor()
-        assert dec.blocks().mu_tensor() is mu, target
+        mu = dec.n_bracket
+        assert dec.n_bracket is mu, target
         n_block = dec.bracket_on.dense[dec.sn, dec.sn, dec.sn]
         for command in ("fit", "battery", "stratify"):
             builds.clear()

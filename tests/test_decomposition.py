@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -333,3 +336,28 @@ def test_sphere_presentation_with_isotropy():
     adz = dec.ad_matrix(np.eye(3)[0])[dec.sp, dec.sp]
     ric = dec.ricci().matrix
     assert np.max(np.abs(adz @ ric - ric @ adz)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# caches
+# ---------------------------------------------------------------------------
+
+def test_cached_parts_hold_no_reference_cycle():
+    # with the cycle collector off, a decomposition reachable from its own
+    # cache (say a nilpotent one caching itself as its n-part) stays alive
+    from homsol.soliton import soliton_fit, structure_battery
+
+    gc.disable()
+    try:
+        for name in ("heis3", "fil4", "cplxhyp2", "solv12", "nil7"):
+            dec = d(name)
+            structure_battery(dec, soliton_fit(dec))
+            dec.derivations_n()
+            dec.n_decomposition()
+            if dec.n_bracket.norm > 0:
+                dec.n_stratum()
+            ref = weakref.ref(dec)
+            del dec
+            assert ref() is None, name
+    finally:
+        gc.enable()

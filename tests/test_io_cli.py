@@ -188,10 +188,12 @@ NON_JACOBI_H = doc_dict(
 def test_cli_invalid_document_exit_2(capsys, tmp_path):
     bad_ip = doc_dict(ip=[[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
     f = tmp_path / "bad.json"
+    commands = [[c] for c in ("ricci", "fit", "battery", "stratify")]
+    commands += [["extend", "--variant", v] for v in ("nonunimodular", "restrict", "unimodular")]
     for raw, error in ((bad_ip, "ip-not-pd"), (NON_JACOBI_H, "jacobi")):
         f.write_text(json.dumps(raw))
-        for command in ("ricci", "fit"):
-            code, out = run_cli(capsys, command, str(f), "--json")
+        for command in commands:
+            code, out = run_cli(capsys, *command, str(f), "--json")
             assert code == 2, (raw["name"], command)
             rep = json.loads(out)
             assert any(e["code"] == error for e in rep["errors"]), (raw["name"], command)
