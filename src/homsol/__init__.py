@@ -22,7 +22,6 @@ from .constructions import (
 from .decomposition import (
     BracketBlocks,
     DecompositionError,
-    KillingReport,
     MetricDecomposition,
     SymOperator,
     Violation,
@@ -74,7 +73,6 @@ __all__ = [
     "ConstructionError",
     "DecompositionError",
     "DocumentError",
-    "KillingReport",
     "MetricDecomposition",
     "MinNormResult",
     "PairingReport",

@@ -19,11 +19,11 @@ import numpy as np
 from . import catalog as cat
 from .constructions import (
     ConstructionData,
+    ConstructionError,
+    build_semidirect,
     einstein_extension_unimodular,
     einstein_from_nonunimodular,
     restrict_to_unimodular_kernel,
-    validate_construction,
-    build_semidirect,
 )
 from .decomposition import frob
 from .io import (
@@ -36,7 +36,7 @@ from .io import (
     validate,
 )
 from .soliton import (
-    _canonical_fit,
+    _canonical_certificate,
     _residual_bound,
     algebraic_soliton_equivalences,
     f_operator_check,
@@ -91,7 +91,7 @@ def run_fit(report: Report, dec, tol: float):
     report.results["derivation"] = cert.d_full
     report.results["flags"] = cert.flags
     if dec.dim_n:
-        ncert = _canonical_fit(dec.n_decomposition())
+        ncert = _canonical_certificate(dec.n_decomposition())
         report.results["nilpotent_part"] = {
             "c": ncert.c,
             "residual": ncert.residual,
@@ -229,7 +229,10 @@ def run_build(path: str, tol: float) -> Report:
     try:
         raw = json.loads(Path(path).read_text())
         name, data = _construction_from_dict(raw)
-        violations = validate_construction(data, tol)
+        res, violations = build_semidirect(data, tol), []
+    except ConstructionError as err:
+        # a ValueError too, but data that fails (c1)-(c3) or (d1)-(d3) fails checks: exit 1
+        violations = err.violations
     except (OSError, KeyError, TypeError, ValueError) as err:
         # ValueError covers malformed JSON, DocumentError, arrays of the wrong shape
         # and an inner product that is not positive definite (LinAlgError)
@@ -248,7 +251,6 @@ def run_build(path: str, tol: float) -> Report:
         )
     if violations:
         return report
-    res = build_semidirect(data, tol)
     out_doc = document_from_decomposition(
         res.decomposition, f"{name}-built", meta={"built-from": name}
     )
@@ -378,7 +380,7 @@ def _verify_one(name: str, tol: float) -> list[Check]:
             got=cert.c,
         )
     if expected.get("nilsoliton_negative"):
-        ncert = _canonical_fit(dec.n_decomposition())
+        ncert = _canonical_certificate(dec.n_decomposition())
         rec(
             "nilsoliton-negative",
             "min over {c I + S(D)} of |Ric - c I - S(D)| > 1e-3",

@@ -255,10 +255,10 @@ def build_semidirect(data: ConstructionData, tol: float = DEFAULT_TOL) -> BuildR
     the decomposition, the predicted certificate, and the gap between the
     predicted and directly computed Ricci operators.
     """
+    data = data.normalized()  # validation then finds it normalized
     violations = validate_construction(data, tol)
     if violations:
         raise ConstructionError(violations)
-    data = data.normalized()
     dec = assemble_semidirect(data, tol)
     dk, dh, dn = data.dim_k, data.dim_h, data.dim_n
     theta = np.asarray(data.theta, dtype=float)

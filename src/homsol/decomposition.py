@@ -14,9 +14,8 @@ Structural requirements checked at construction:
   responsibility and is not certified here);
 * ad Z restricted to p is skew for every Z in the k-block.
 
-The Killing-form condition B(k, p) = 0 is *tested*, not enforced; callers
-that rely on it (the derivation block lemma, the forward structure
-battery) refuse to run when it fails.
+The Killing-form condition B(k, p) = 0 is neither enforced nor tested:
+no computation here reads the mixed block B(k, p).
 
 The Ricci operator of the decomposition is
 
@@ -48,7 +47,10 @@ from .tensor import (
 
 
 def _once(method):
-    """A method of no arguments whose result is stored in ``self._cache`` under its name."""
+    """A method of no arguments, or a function of one decomposition, cached under its name.
+
+    The result is stored in the decomposition's ``_cache``.
+    """
     name = method.__name__
 
     @functools.wraps(method)
@@ -87,12 +89,10 @@ class SymOperator:
     """Symmetric operator on p (or a sub-block), in the orthonormal frame."""
 
     matrix: np.ndarray
-    frame: np.ndarray | None = None  # columns: orthonormal p-basis in user coords
+    frame: np.ndarray  # columns: orthonormal p-basis in user coords
 
     @property
     def user_matrix(self) -> np.ndarray:
-        if self.frame is None:
-            return self.matrix
         return self.frame @ self.matrix @ np.linalg.inv(self.frame)
 
     def symmetry_defect(self) -> float:
@@ -126,16 +126,6 @@ class BracketBlocks:
     def ad_nu2(self) -> np.ndarray:
         """Stack of matrices of ad Z on n, shape (dim_k, n, n)."""
         return np.transpose(self.nu2, (0, 2, 1))
-
-
-@dataclass
-class KillingReport:
-    form: np.ndarray  # full g x g Killing matrix, mixed (k | orthonormal p) frame
-    k_block: np.ndarray
-    kp_block: np.ndarray
-    p_operator: SymOperator
-    neg_definite_on_k: bool
-    kp_zero: bool
 
 
 class MetricDecomposition:
@@ -283,33 +273,16 @@ class MetricDecomposition:
         return AlgebraTensor.from_dense(self.bracket_on.dense[s, s, s])
 
     @_once
-    def killing(self) -> KillingReport:
+    def killing(self) -> np.ndarray:
+        """The Killing form B(x, y) = tr(ad x ad y) on g, mixed (k | orthonormal p) frame."""
         t = self.bracket_on.dense
         b = np.einsum("ilk,jkl->ij", t, t)
-        b = 0.5 * (b + b.T)
-        k_block = b[self.sk, self.sk]
-        kp_block = b[self.sk, self.sp]
-        bound = self.tol * self.bracket_on.norm_sq  # B is of degree 2 in the bracket
-        neg = bool(np.all(np.linalg.eigvalsh(k_block) < -bound)) if self.dim_k else True
-        kp_zero = bool(np.max(np.abs(kp_block)) <= bound) if kp_block.size else True
-        return KillingReport(
-            form=b,
-            k_block=k_block,
-            kp_block=kp_block,
-            p_operator=self._sym_op(b[self.sp, self.sp]),
-            neg_definite_on_k=neg,
-            kp_zero=kp_zero,
-        )
+        return 0.5 * (b + b.T)
 
     @_once
     def mean_curvature(self) -> np.ndarray:
         """H in p (orthonormal-frame coordinates) with <H, X> = tr ad X."""
         return np.array([np.trace(self._ad_on(i)) for i in range(self.dim_k, self.dim)])
-
-    @property
-    def mean_curvature_in_h_defect(self) -> float:
-        h = self.mean_curvature()
-        return frob(h[self.sn_p]) if self.dim_n else 0.0
 
     @_once
     def ad_mean_curvature(self) -> np.ndarray:
@@ -321,7 +294,7 @@ class MetricDecomposition:
     @_once
     def ricci(self) -> SymOperator:
         m = moment_operator(self.p_bracket)
-        bp = self.killing().p_operator.matrix
+        bp = self.killing()[self.sp, self.sp]
         return self._sym_op(m - 0.5 * bp - sym(self.ad_mean_curvature()[self.sp, self.sp]))
 
     def moment(self) -> SymOperator:
@@ -340,38 +313,6 @@ class MetricDecomposition:
             nu1=t[self.sk, self.sh, self.sh].copy(),
             nu2=t[self.sk, self.sn, self.sn].copy(),
         )
-
-    def reassembly_defect(self) -> float:
-        """Reassemble the bracket from its blocks; exact by construction."""
-        bb = self.blocks()
-        t = np.zeros((self.dim, self.dim, self.dim))
-        t[self.sh, self.sh, self.sh] = bb.lam0
-        t[self.sh, self.sh, self.sn] = bb.lam1
-        t[self.sh, self.sh, self.sk] = bb.lam2
-        t[self.sk, self.sk, self.sk] = bb.nu0
-        # mixed blocks are stored once; mirror them through skew-symmetry
-        t[self.sh, self.sn, self.sn] = bb.eta
-        t[self.sn, self.sh, self.sn] = -np.transpose(bb.eta, (1, 0, 2))
-        t[self.sn, self.sn, self.sn] = bb.mu
-        t[self.sk, self.sh, self.sh] = bb.nu1
-        t[self.sh, self.sk, self.sh] = -np.transpose(bb.nu1, (1, 0, 2))
-        t[self.sk, self.sn, self.sn] = bb.nu2
-        t[self.sn, self.sk, self.sn] = -np.transpose(bb.nu2, (1, 0, 2))
-        return frob(t - self.bracket_on.dense)
-
-    def mean_curvature_trace_defect(self) -> float:
-        """max over h-basis Y of |<H, Y> - tr(ad Y restricted to n)|."""
-        h = self.mean_curvature()
-        a_eta = self.blocks().ad_eta()
-        worst = 0.0
-        for a in range(self.dim_h):
-            worst = max(worst, abs(h[a] - float(np.trace(a_eta[a]))))
-        return worst
-
-    def isotropy_mean_curvature_defect(self) -> float:
-        """max over k-basis Z of |[Z, H]| = |ad H (Z)| (must vanish)."""
-        cols = np.linalg.norm(self.ad_mean_curvature()[:, self.sk], axis=0)
-        return float(np.max(cols, initial=0.0))
 
     def mm_from_blocks(self) -> SymOperator:
         """Moment operator assembled blockwise; requires lam1 = 0.
@@ -401,27 +342,19 @@ class MetricDecomposition:
 
     # -- sub-decompositions ---------------------------------------------------
 
-    def u_bracket(self) -> tuple[AlgebraTensor, float]:
-        """Bracket of u = k + h (components inside u only) and the dropped mass.
+    def u_decomposition(self) -> "MetricDecomposition":
+        """The reductive part (u = k + h, ip restricted to h) with empty n.
 
-        u is a subalgebra exactly when lam1 = 0; the second return value is
-        the norm of the discarded h x h -> n component.
+        Its bracket keeps the components inside u only; u is a subalgebra
+        exactly when [h,h] has no n-component.
         """
-        nu = self.dim_k + self.dim_h
-        dropped = frob(self.bracket_on.dense[:nu, :nu, self.sn])
-        return self._sub_bracket(slice(0, nu)), dropped
-
-    def u_decomposition(self, check: bool = True) -> "MetricDecomposition":
-        """The reductive part (u = k + h, ip restricted to h) with empty n."""
-        ub, _ = self.u_bracket()
         return MetricDecomposition(
-            ub,
+            self._sub_bracket(slice(0, self.dim_k + self.dim_h)),
             self.dim_k,
             self.dim_h,
             0,
             ip=np.eye(self.dim_h),
             tol=self.tol,
-            check=check,
         )
 
     def n_decomposition(self) -> "MetricDecomposition":
@@ -445,76 +378,8 @@ class MetricDecomposition:
         """Stratum label of the nonzero nilpotent part at ``self.tol``; computed once."""
         return stratum_label(self.n_bracket, self.tol)
 
-    # -- derivation block lemma -------------------------------------------------
-
-    def derivation_block_check(self, d_user: np.ndarray, tol: float | None = None) -> "DerivationBlockReport":
-        """Block conclusions for a derivation D with D k inside k.
-
-        Requires B(k, p) = 0 (refuses otherwise) and D an actual derivation.
-        Conclusions tested: D p in p, D n in n, tr D|_p = tr D|_n, and
-        tr(B_p D_p) = 0.
-        """
-        tol = self.tol if tol is None else tol
-        d_user = np.asarray(d_user, dtype=float)
-        if d_user.shape != (self.dim, self.dim):
-            raise ValueError("derivation must be a matrix on all of g")
-        g = self.frame_g
-        d = np.linalg.inv(g) @ d_user @ g
-        # the tests are linear in D: bounds tol |D| |mu|^degree, |mu| in the orthonormal frame
-        scale = frob(d)
-        norm = self.bracket_on.norm
-        res = self.derivation_residual_on(d)
-        if res > tol * scale * norm:
-            raise DecompositionError([Violation("not-a-derivation", "D is not a derivation of g", res)])
-        kill = self.killing()
-        if not kill.kp_zero:
-            raise DecompositionError(
-                [Violation("killing-kp-nonzero", "block lemma requires B(k,p) = 0")]
-            )
-        dk_in_k = frob(d[self.sp, self.sk]) <= tol * scale
-        if not dk_in_k:
-            raise DecompositionError(
-                [Violation("dk-not-in-k", "hypothesis D k inside k fails", frob(d[self.sp, self.sk]))]
-            )
-        dp_in_p = frob(d[self.sk, self.sp]) <= tol * scale
-        dn_in_n = frob(d[: self.dim_k + self.dim_h, self.sn]) <= tol * scale
-        tr_p = float(np.trace(d[self.sp, self.sp]))
-        tr_n = float(np.trace(d[self.sn, self.sn]))
-        traces_match = abs(tr_p - tr_n) <= tol * scale
-        bp = kill.p_operator.matrix
-        bpd = float(np.trace(bp @ d[self.sp, self.sp]))
-        return DerivationBlockReport(
-            dp_in_p=dp_in_p,
-            dn_in_n=dn_in_n,
-            traces_match=traces_match,
-            trace_p=tr_p,
-            trace_n=tr_n,
-            killing_pairing=bpd,
-            killing_orthogonal=abs(bpd) <= tol * scale * norm**2,
-        )
-
     # -- misc -----------------------------------------------------------------
-
-    def scaled_metric(self, s: float) -> "MetricDecomposition":
-        return MetricDecomposition(
-            self.bracket, self.dim_k, self.dim_h, self.dim_n, ip=s * self.ip, tol=self.tol
-        )
 
     def derivation_residual_on(self, d_on: np.ndarray) -> float:
         """Derivation defect of a matrix given in the orthonormal frame."""
         return derivation_residual(self.bracket_on, d_on)
-
-
-@dataclass
-class DerivationBlockReport:
-    dp_in_p: bool
-    dn_in_n: bool
-    traces_match: bool
-    trace_p: float
-    trace_n: float
-    killing_pairing: float
-    killing_orthogonal: bool
-
-    @property
-    def all_pass(self) -> bool:
-        return self.dp_in_p and self.dn_in_n and self.traces_match and self.killing_orthogonal

@@ -43,11 +43,11 @@ equivalences), and a report's ``tolerance`` is that applied bound:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .decomposition import DecompositionError, MetricDecomposition, frob, sym
+from .decomposition import DecompositionError, MetricDecomposition, _once, frob, sym
 from .strata import StratumData
 from .tensor import (
     DEFAULT_TOL,
@@ -209,6 +209,16 @@ def _canonical_fit(dec: MetricDecomposition, c: float | None = None) -> SolitonC
     return _fit(dec, "canonical", basis, offset=-dec.ad_mean_curvature(), c=c)
 
 
+@_once
+def _canonical_certificate(dec: MetricDecomposition) -> SolitonCertificate:
+    """The canonical fit with c fitted, made once per decomposition and kept in its cache.
+
+    A nilpotent decomposition is its own nilpotent part, so its soliton fit
+    and the fit of its nilpotent part share this certificate.
+    """
+    return _canonical_fit(dec)
+
+
 def nilsoliton_fit(
     bracket: AlgebraTensor,
     ip: np.ndarray | None = None,
@@ -248,7 +258,7 @@ def soliton_fit(dec: MetricDecomposition, tol: float = DEFAULT_TOL) -> SolitonCe
     family cannot reproduce the Ricci operator, falls back to least squares
     over every derivation vanishing on k.
     """
-    cert = _canonical_fit(dec)
+    cert = _canonical_certificate(dec)
     if not cert.is_soliton:
         alt = _fit(dec, "constrained", constrained_derivations(dec))
         if alt.is_soliton or alt.residual < cert.residual:
@@ -256,16 +266,18 @@ def soliton_fit(dec: MetricDecomposition, tol: float = DEFAULT_TOL) -> SolitonCe
 
     bb = dec.blocks()
     hh_norm = float(np.sqrt(frob(bb.lam0) ** 2 + frob(bb.lam1) ** 2 + frob(bb.lam2) ** 2))
-    kill = dec.killing()
-    ev = np.abs(np.linalg.eigvalsh(kill.form)) if dec.dim else np.zeros(0)
+    ev = np.abs(np.linalg.eigvalsh(dec.killing())) if dec.dim else np.zeros(0)
     semisimple = bool(ev.size and np.min(ev) > 1e-8 * np.max(ev))
-    cert.flags = {
-        "solvsoliton-isometric": bool(
-            cert.is_soliton and cert.expanding and hh_norm <= tol * dec.bracket_on.norm
-        ),
-        "semisimple-Einstein": bool(cert.tag == TAG_EINSTEIN and semisimple),
-    }
-    return cert
+    # a copy: the cached canonical certificate itself stays without flags
+    return replace(
+        cert,
+        flags={
+            "solvsoliton-isometric": bool(
+                cert.is_soliton and cert.expanding and hh_norm <= tol * dec.bracket_on.norm
+            ),
+            "semisimple-Einstein": bool(cert.tag == TAG_EINSTEIN and semisimple),
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +300,6 @@ def _commutator_sum(ops: np.ndarray) -> float:
 @dataclass(kw_only=True)
 class StructureBatteryReport(CheckedReport):
     applicable: bool  # the forward direction needs an expanding constant
-    derivation: np.ndarray  # the reassembled -ad H + diag(0,0,D1)
     d1: np.ndarray
 
 
@@ -321,7 +332,7 @@ def structure_battery(
         r2 = 0.0  # no reductive part to constrain
     else:
         try:
-            ric_u = dec.u_decomposition(check=True).ricci().matrix
+            ric_u = dec.u_decomposition().ricci().matrix
             r2 = frob(ric_u - c * np.eye(dec.dim_h) - _action_ricci_term(a_eta))
         except DecompositionError:
             # u carries the bracket of the quotient g/n, a Lie bracket whenever g is one;
@@ -359,7 +370,7 @@ def structure_battery(
             "reassembled-derivation", "-ad H + diag(0,0,D1) in Der(g)", r5d, tol, norm, 3
         )
     )
-    return StructureBatteryReport(checks=checks, applicable=c < 0.0, derivation=d_full, d1=nfit.d1)
+    return StructureBatteryReport(checks=checks, applicable=c < 0.0, d1=nfit.d1)
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +384,6 @@ class FOperatorReport(CheckedReport):
     t: float = 0.0
     t_ratio_form: float = 0.0  # (|H|^2 + tr D_n) / (-1 + |beta|^2 dim n) in the nonabelian branch
     stratum: StratumData | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.all_pass
-
-    @property
-    def trace_identity(self) -> float:  # |c tr F + tr F^2|
-        return self.condition("f-trace-identity").value
 
 
 def f_operator_check(
@@ -459,14 +462,6 @@ class EquivalenceReport(CheckedReport):
     @property
     def all_agree(self) -> bool:
         return self.all_pass
-
-    @property
-    def verdict(self) -> bool:
-        return self.checks[0].info["verdict"]
-
-    @property
-    def residuals(self) -> dict[str, float]:
-        return self.checks[0].info["residuals"]
 
 
 def algebraic_soliton_equivalences(

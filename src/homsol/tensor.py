@@ -198,12 +198,6 @@ class AlgebraTensor:
         t = np.einsum("ck,abk->abc", finv, t)
         return AlgebraTensor.from_dense(t, zero_tol=0.0)
 
-    def restrict(self, idx) -> "AlgebraTensor":
-        """Sub-bracket on span(e_i : i in idx), keeping only components inside it."""
-        idx = np.asarray(idx, dtype=int)
-        sub = self.dense[np.ix_(idx, idx, idx)]
-        return AlgebraTensor.from_dense(sub)
-
     def scale(self, c: float) -> "AlgebraTensor":
         return AlgebraTensor(self.dim, tuple((i, j, k, c * v) for i, j, k, v in self.entries))
 

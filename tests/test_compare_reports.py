@@ -67,6 +67,20 @@ def test_construction_documents_build(tmp_path, capsys):
             assert json.loads(capsys.readouterr().out)["classification"] == want, (doc["name"], s)
 
 
+def test_refused_construction_document_exits_1_at_every_scale(tmp_path, capsys):
+    from homsol.cli import main
+
+    doc = compare_reports.refused_construction_document()
+    path = tmp_path / "refused.json"
+    for s in (1.0, 1e-10, 1e-4, 1e4, 1e12, 1e20):
+        path.write_text(json.dumps(scaled_construction(doc, s)))
+        assert main(["build", str(path), "--json"]) == 1, s
+        report = json.loads(capsys.readouterr().out)
+        assert not report["errors"], s
+        checks = [(c["name"], c["passed"]) for c in report["checks"]]
+        assert checks == [("c3-reductive-ricci", False)], s
+
+
 def test_scaled_catalog_documents_are_valid():
     docs = compare_reports.scaled_catalog_documents()
     assert len(docs) == len(compare_reports.SCALES) * len(catalog.names())
@@ -272,3 +286,48 @@ def test_compare_prints_one_summary_per_report_that_differs(tmp_path, capsys):
     # equal dumps: no difference, no summary, exit 0
     assert compare_reports.main(["compare", str(paths[0]), str(paths[0])]) == 0
     assert capsys.readouterr().out.splitlines() == ["3 vs 3 reports, 0 differences"]
+
+
+def test_a_nilpotent_decomposition_is_fitted_once(capsys, monkeypatch):
+    # fit's certificate and its nilpotent part's are one canonical fit when the
+    # decomposition is its own nilpotent part; nil7 adds the constrained fallback
+    from homsol import cli, soliton
+    from homsol.cli import main
+
+    calls = count_calls(monkeypatch, {"fit": soliton._fit})
+    for target, want in (("heis3", 1), ("fil4", 1), ("nil7", 2)):
+        calls.clear()
+        main(["fit", target, "--json"])
+        assert calls["fit"] == want, target
+
+    verify_one = cli._verify_one
+    per_entry = {}
+
+    def counted_entry(name, tol):
+        calls.clear()
+        out = verify_one(name, tol)
+        per_entry[name] = calls["fit"]
+        return out
+
+    monkeypatch.setattr(cli, "_verify_one", counted_entry)
+    main(["verify-all", "--json"])
+    assert per_entry["nil7"] == 2  # soliton_fit's two fits; nilsoliton-negative reuses the first
+    capsys.readouterr()
+
+
+def test_build_validates_each_construction_once(tmp_path, capsys, monkeypatch):
+    from homsol import constructions
+    from homsol.cli import main
+
+    calls = count_calls(monkeypatch, {"validate": constructions.validate_construction})
+    exits = {}
+    refused = compare_reports.refused_construction_document()
+    for doc in compare_reports.construction_documents() + [refused]:
+        path = tmp_path / f"{doc['name']}.json"
+        path.write_text(json.dumps(doc))
+        calls.clear()
+        exits[doc["name"]] = main(["build", str(path), "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert calls["validate"] == 1, doc["name"]
+        assert not report["errors"], doc["name"]
+    assert exits == {"cplxhyp2-parts": 0, "cplxhyp2-c3-violated": 1, "solv12-parts": 0}

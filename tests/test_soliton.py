@@ -142,7 +142,8 @@ def test_cplxhyp2_fit():
 def test_full_fit_scaling_covariance():
     dec = get("solv12").decomposition()
     for s in (0.5, 3.0):
-        cert = soliton_fit(dec.scaled_metric(s))
+        scaled = MetricDecomposition(dec.bracket, dec.dim_k, dec.dim_h, dec.dim_n, ip=s * dec.ip)
+        cert = soliton_fit(scaled)
         assert cert.c == pytest.approx(-5.0 / s, rel=1e-9)
         assert cert.tag == "AlgebraicSoliton"
 
@@ -205,7 +206,7 @@ def test_f_check_cplxhyp2():
     # the two scalar formulas must agree
     assert rep.t_ratio_form == pytest.approx(rep.t, abs=1e-9)
     assert np.allclose(np.diag(rep.f), [0.0, 1.0, 1.0, 2.0], atol=1e-9)
-    assert rep.passed
+    assert rep.all_pass
 
 
 def test_f_check_solv12_abelian_branch():
@@ -213,8 +214,8 @@ def test_f_check_solv12_abelian_branch():
     rep = f_operator_check(dec, soliton_fit(dec))
     assert rep.branch == "abelian-part"
     assert rep.t == pytest.approx(5.0, abs=1e-9)
-    assert rep.trace_identity <= 1e-9
-    assert rep.passed
+    assert rep.condition("f-trace-identity").value <= 1e-9
+    assert rep.all_pass
 
 
 def test_f_trace_identity_values():
@@ -229,7 +230,7 @@ def test_f_check_empty_n():
     dec = get("so3").decomposition()
     rep = f_operator_check(dec, soliton_fit(dec))
     assert rep.branch == "empty-n"
-    assert rep.passed
+    assert rep.all_pass
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +241,7 @@ def test_equivalences_solv12_all_true():
     dec = get("solv12").decomposition()
     rep = algebraic_soliton_equivalences(dec, soliton_fit(dec))
     assert rep.all_agree
-    assert rep.verdict
+    assert rep.checks[0].info["verdict"]
 
 
 def test_equivalences_on_catalog_expanding():
@@ -248,7 +249,7 @@ def test_equivalences_on_catalog_expanding():
         dec = get(name).decomposition()
         cert = soliton_fit(dec)
         rep = algebraic_soliton_equivalences(dec, cert)
-        assert rep.all_agree, (name, rep.residuals)
+        assert rep.all_agree, (name, rep.checks[0].info["residuals"])
 
 
 def test_equivalences_on_builder_instances(rng):
@@ -256,7 +257,7 @@ def test_equivalences_on_builder_instances(rng):
         data = random_construction(rng)
         res = build_semidirect(data)
         rep = algebraic_soliton_equivalences(res.decomposition, res.certificate)
-        assert rep.all_agree, rep.residuals
+        assert rep.all_agree, rep.checks[0].info["residuals"]
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,12 @@ with nilsoliton constants, n = 4..14; unit-constant ``L_n``, n = 5..11);
 catalog entry; ``fit``, ``battery``, ``stratify`` and the three
 ``extend`` variants on every catalog entry with the bracket scaled by
 1e-10, 1e-4, 1e4 and 1e10, so that a tag or a verdict that depends on
-scale shows up; ``build``
-on the construction documents written here (``cplxhyp2`` and ``solv12``
-assembled from their parts); and ``verify-all --json``.  Everything runs in-process through
-``homsol.cli.main``, and every exit code and report goes to one JSON file.
+scale shows up; ``build`` on the construction documents written here
+(``cplxhyp2`` and ``solv12`` assembled from their parts, and
+``cplxhyp2``'s parts with theta doubled, which violate (c3), so that
+``build`` exits 1); and ``verify-all --json``.  Everything runs
+in-process through ``homsol.cli.main``, and every exit code and report
+goes to one JSON file.
 The BLAS and OpenMP thread counts are pinned to 1 before numpy loads, so
 one tree dumped twice gives the same numbers.
 
@@ -105,6 +107,14 @@ def construction_documents() -> list[dict]:
     ]
 
 
+def refused_construction_document() -> dict:
+    """cplxhyp2's parts with theta doubled: still derivations, but (c3) fails, so build exits 1."""
+    doc = construction_documents()[0]
+    doc["name"] = "cplxhyp2-c3-violated"
+    doc["theta"] = [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]]]  # tr S(theta)^2 = 6 != -c
+    return doc
+
+
 def scaled_catalog_documents() -> list[dict]:
     """Every catalog entry with each bracket constant multiplied by each of SCALES."""
     from homsol import catalog
@@ -162,7 +172,7 @@ def dump(src: str) -> dict:
             for variant in VARIANTS:
                 argv = ["extend", str(path), "--variant", variant, "--json"]
                 runs[f"extend-{variant} {doc['name']}"] = _run(main, argv)
-        for doc in construction_documents():
+        for doc in construction_documents() + [refused_construction_document()]:
             path = Path(tmp) / f"{doc['name']}.json"
             path.write_text(json.dumps(doc, sort_keys=True))
             runs[f"build {doc['name']}"] = _run(main, ["build", str(path), "--json"])
