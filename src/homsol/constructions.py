@@ -47,6 +47,7 @@ from .soliton import (
     TAG_EINSTEIN,
     SolitonCertificate,
     _action_ricci_term,
+    _canonical_derivation,
     _certificate,
     _commutator_sum,
     _residual_bound,
@@ -260,28 +261,14 @@ def build_semidirect(data: ConstructionData, tol: float = DEFAULT_TOL) -> BuildR
     if violations:
         raise ConstructionError(violations)
     dec = assemble_semidirect(data, tol)
-    dk, dh, dn = data.dim_k, data.dim_h, data.dim_n
-    theta = np.asarray(data.theta, dtype=float)
-
-    # H in h with <H, Y> = tr theta(Y); traces vanish on k by (c1)
-    h_coords = np.array([np.trace(theta[dk + a]) for a in range(dh)])
-    ad_u_h = np.zeros((du := data.dim_u, du))
-    for a in range(dh):
-        ad_u_h += h_coords[a] * data.u_bracket.ad(np.eye(du)[dk + a])
-    theta_h = (
-        np.einsum("a,aij->ij", h_coords, theta[dk:]) if dh else np.zeros((dn, dn))
-    )
-
-    predicted = data.c * np.eye(dh + dn)
-    predicted[:dh, :dh] += -sym(ad_u_h[dk:, dk:])
-    predicted[dh:, dh:] += -sym(theta_h) + np.asarray(data.d1)
-
-    d_full = np.zeros((dec.dim, dec.dim))
-    d_full[:du, :du] = -ad_u_h
-    d_full[dec.sn, dec.sn] = -theta_h + np.asarray(data.d1)
+    # the normal form D = -ad H + diag(0, 0, D1), with -ad H = diag(-ad_u H, -theta(H)) on
+    # g = u + n: u is reductive, hence unimodular, so <H, Y> = tr theta(Y)
+    d1 = np.asarray(data.d1, dtype=float)
+    d_full = _canonical_derivation(dec, d1)
+    predicted = data.c * np.eye(dec.dim_p) + sym(d_full[dec.sp, dec.sp])
     return BuildResult(
         decomposition=dec,
-        certificate=_certificate(dec, data.c, d_full, np.asarray(data.d1, dtype=float)),
+        certificate=_certificate(dec, data.c, d_full, d1),
         predicted_ricci=predicted,
         prediction_residual=frob(dec.ricci().matrix - predicted),
     )
@@ -297,6 +284,8 @@ def build_semidirect(data: ConstructionData, tol: float = DEFAULT_TOL) -> BuildR
 def _require_algebraic(dec: MetricDecomposition, cert: SolitonCertificate):
     if cert.tag not in (TAG_ALGEBRAIC, TAG_EINSTEIN):
         raise ValueError(f"operation needs an algebraic soliton certificate, got {cert.tag}")
+    if cert.d1 is None:
+        raise ValueError("the certificate carries no D1")
     if frob(cert.d_full - cert.d_full.T) > 1e-6 * dec.bracket_on.norm_sq:
         raise ValueError("certificate derivation is not symmetric")
 
@@ -338,8 +327,7 @@ def einstein_from_nonunimodular(
     algebra with Ricci operator c I by the returned certificate.
     """
     _require_algebraic(dec, cert)
-    d1 = cert.d1 if cert.d1 is not None else sym(cert.d_full[dec.sn, dec.sn])
-    tr_d1 = float(np.trace(d1))
+    tr_d1 = float(np.trace(cert.d1))
     if tr_d1 <= tol * dec.bracket_on.norm_sq:
         raise ValueError("tr D1 <= 0; the rescaling is undefined")
 
@@ -418,8 +406,7 @@ def einstein_extension_unimodular(
     h = dec.mean_curvature()
     if float(np.linalg.norm(h)) > tol * dec.bracket_on.norm:
         raise ValueError("algebra is not unimodular (H != 0)")
-    d1 = cert.d1 if cert.d1 is not None else sym(cert.d_full[dec.sn, dec.sn])
-    tr_d1 = float(np.trace(d1))
+    tr_d1 = float(np.trace(cert.d1))
     if tr_d1 <= tol * dec.bracket_on.norm_sq:
         raise ValueError("tr D1 <= 0; the extension scale is undefined")
     alpha = 1.0 / np.sqrt(tr_d1)

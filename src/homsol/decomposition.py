@@ -66,10 +66,6 @@ def sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def skew(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a - a.T)
-
-
 @dataclass
 class Violation:
     code: str
@@ -101,7 +97,7 @@ class SymOperator:
 
 @dataclass
 class BracketBlocks:
-    """The eight bilinear components of the bracket, orthonormal frame.
+    """The bilinear components of the bracket that the library reads, orthonormal frame.
 
     Index convention: lam0[a,b,c] = <[Y_a, Y_b], Y_c> on the h-block, and
     likewise per signature; eta[a,x,y] = <[Y_a, X_x], X_y>.
@@ -112,8 +108,6 @@ class BracketBlocks:
     lam2: np.ndarray  # h x h -> k
     eta: np.ndarray  # h x n -> n
     mu: np.ndarray  # n x n -> n
-    nu0: np.ndarray  # k x k -> k
-    nu1: np.ndarray  # k x h -> h
     nu2: np.ndarray  # k x n -> n
 
     def ad_eta(self) -> np.ndarray:
@@ -309,8 +303,6 @@ class MetricDecomposition:
             lam2=t[self.sh, self.sh, self.sk].copy(),
             eta=t[self.sh, self.sn, self.sn].copy(),
             mu=t[self.sn, self.sn, self.sn].copy(),
-            nu0=t[self.sk, self.sk, self.sk].copy(),
-            nu1=t[self.sk, self.sh, self.sh].copy(),
             nu2=t[self.sk, self.sn, self.sn].copy(),
         )
 

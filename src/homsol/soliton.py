@@ -33,7 +33,7 @@ equivalences), and a report's ``tolerance`` is that applied bound:
 * degree 2: the Ricci residuals, F, M and c (``reductive-part-ricci``,
   ``nilpotent-part-soliton``, ``ricci-reassembly``, ``f-operator-shape``,
   ``constant-from-label``, ``moment-operator-n-invariant``,
-  ``d1-from-certificate``, ``f-matches-scaled-label``),
+  ``d1-from-certificate``),
   ``adjoint-commutator-sum``, ``transposed-adjoints-derive`` and the three
   ``*-on-h`` equivalences;
 * degree 3: ``reassembled-derivation``, ``u-commutes-with-d1``,
@@ -48,7 +48,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .decomposition import DecompositionError, MetricDecomposition, _once, frob, sym
-from .strata import StratumData
 from .tensor import (
     DEFAULT_TOL,
     RANK_TOL,
@@ -259,7 +258,8 @@ def soliton_fit(dec: MetricDecomposition, tol: float = DEFAULT_TOL) -> SolitonCe
     over every derivation vanishing on k.
     """
     cert = _canonical_certificate(dec)
-    if not cert.is_soliton:
+    # without an h or k block the fallback's family is Der(n) again, the canonical family
+    if not cert.is_soliton and dec.dim_k + dec.dim_h:
         alt = _fit(dec, "constrained", constrained_derivations(dec))
         if alt.is_soliton or alt.residual < cert.residual:
             cert = alt
@@ -300,7 +300,6 @@ def _commutator_sum(ops: np.ndarray) -> float:
 @dataclass(kw_only=True)
 class StructureBatteryReport(CheckedReport):
     applicable: bool  # the forward direction needs an expanding constant
-    d1: np.ndarray
 
 
 def structure_battery(
@@ -370,62 +369,54 @@ def structure_battery(
             "reassembled-derivation", "-ad H + diag(0,0,D1) in Der(g)", r5d, tol, norm, 3
         )
     )
-    return StructureBatteryReport(checks=checks, applicable=c < 0.0, d1=nfit.d1)
+    return StructureBatteryReport(checks=checks, applicable=c < 0.0)
 
 
 # ---------------------------------------------------------------------------
 # shape of F = S(ad_p H + D_p)
 # ---------------------------------------------------------------------------
 
-@dataclass(kw_only=True)
-class FOperatorReport(CheckedReport):
-    f: np.ndarray | None = None
-    branch: str = ""
-    t: float = 0.0
-    t_ratio_form: float = 0.0  # (|H|^2 + tr D_n) / (-1 + |beta|^2 dim n) in the nonabelian branch
-    stratum: StratumData | None = None
+def _f_operator(dec: MetricDecomposition, cert: SolitonCertificate) -> np.ndarray:
+    """F = S(ad_p H + D_p) on p, orthonormal frame."""
+    return sym(dec.ad_mean_curvature()[dec.sp, dec.sp] + cert.d_p)
 
 
 def f_operator_check(
     dec: MetricDecomposition,
     cert: SolitonCertificate,
     tol: float = DEFAULT_TOL,
-) -> FOperatorReport:
+) -> CheckedReport:
     """Verify that F = S(ad_p H + D_p) has the forced shape.
 
     For a nonzero nilpotent part in nice position F must equal t E_beta
     with t = -c/|beta|^2; for an abelian nilpotent part it must equal
     t (0 (+) I_n) with t = (|H|^2 + tr D_n)/dim n; and c tr F + tr F^2 = 0
     in all cases.  The shape presumes [h,h] inside k + h, which is the
-    battery's condition (i) and is not tested again here.
+    battery's condition (i) and is not tested again here.  The check
+    ``f-operator-shape`` names its ``branch`` and ``t`` in its info.
     """
     norm = dec.bracket_on.norm
-    h = dec.mean_curvature()
-    f = sym(dec.ad_mean_curvature()[dec.sp, dec.sp] + cert.d_p)
+    f = _f_operator(dec, cert)
     c = cert.c
 
-    mu = dec.n_bracket
-    hd = float(h @ h) + float(np.trace(cert.d_full[dec.sn, dec.sn]))  # |H|^2 + tr D_n
     target = np.zeros_like(f)
-    t, t_ratio, stratum = 0.0, 0.0, None
+    t = 0.0
     if dec.dim_n == 0:
         branch = "empty-n"
-    elif mu.norm <= tol * norm:
+    elif dec.n_bracket.norm <= tol * norm:
         branch = "abelian-part"
-        t = hd / dec.dim_n
+        h = dec.mean_curvature()
+        t = (float(h @ h) + float(np.trace(cert.d_full[dec.sn, dec.sn]))) / dec.dim_n
         target[dec.sn_p, dec.sn_p] = t * np.eye(dec.dim_n)
     else:
         stratum = dec.n_stratum()
         if not stratum.nice_position:
             reason = "nilpotent part is not in nice position; label comparison unavailable"
             skip = Check("f-operator-shape", "S(ad_p H + D_p) = t E_beta").skipped(reason)
-            return FOperatorReport(checks=[skip], skipped=True, reason=reason, stratum=stratum)
+            return CheckedReport(checks=[skip], skipped=True)
         branch = "nilpotent-part"
-        nsq = stratum.beta_norm_sq
-        t = -c / nsq
-        denom = -1.0 + nsq * dec.dim_n
-        t_ratio = hd / denom if abs(denom) > 1e-12 else np.nan
-        target[dec.sn_p, dec.sn_p] = t * (np.diag(stratum.beta_raw) + nsq * np.eye(dec.dim_n))
+        t = -c / stratum.beta_norm_sq
+        target[dec.sn_p, dec.sn_p] = t * stratum.e_beta
     checks = [
         Check.of_degree(
             "f-operator-shape",
@@ -446,9 +437,7 @@ def f_operator_check(
             4,
         ),
     ]
-    return FOperatorReport(
-        checks=checks, f=f, branch=branch, t=t, t_ratio_form=t_ratio, stratum=stratum
-    )
+    return CheckedReport(checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -508,13 +497,12 @@ def algebraic_soliton_equivalences(
 
 @dataclass(kw_only=True)
 class CompatibilityReport(CheckedReport):
-    stratum: StratumData | None = None
     mu_scalar_variant_residual: float = np.nan  # coefficient -c/|mu|^2 instead of -c/|beta|^2
 
 
-def _skipped_compatibility(reason: str, stratum: StratumData | None = None) -> CompatibilityReport:
+def _skipped_compatibility(reason: str) -> CompatibilityReport:
     skip = Check("stratum-compatibility", "m(mu) = beta and friends").skipped(reason)
-    return CompatibilityReport(checks=[skip], skipped=True, reason=reason, stratum=stratum)
+    return CompatibilityReport(checks=[skip], skipped=True)
 
 
 def stratum_compatibility_check(
@@ -524,40 +512,40 @@ def stratum_compatibility_check(
 ) -> CompatibilityReport:
     """Moment-map and label compatibilities of an expanding certificate.
 
-    Requires a nonzero nilpotent part in nice position (skips otherwise).
-    The scalar identity S(ad H + D) = -(c/|beta|^2) E_beta is checked with
-    the norm of beta; the variant with |mu|^2 in the denominator is also
-    evaluated and reported, as it fails whenever |mu|^2 != |beta|^2.
+    Requires a nonzero nilpotent part in nice position (skips otherwise)
+    and a certificate that carries its D1 (raises ValueError otherwise).
+    The scalar identity F = -(c/|beta|^2) E_beta is ``f_operator_check``'s;
+    the variant with |mu|^2 in the denominator is evaluated and reported
+    here, as it fails whenever |mu|^2 != |beta|^2.
     """
+    if cert.d1 is None:
+        raise ValueError("the certificate carries no D1")
     bb = dec.blocks()
     mu = dec.n_bracket
     if dec.dim_n == 0 or mu.norm == 0.0:
         return _skipped_compatibility("nilpotent part is abelian or empty")
     stratum = dec.n_stratum()
     if not stratum.nice_position:
-        return _skipped_compatibility("nilpotent part not in nice position", stratum)
+        return _skipped_compatibility("nilpotent part not in nice position")
 
     c = cert.c
-    nsq = stratum.beta_norm_sq
-    beta = np.diag(stratum.beta_raw)
     norm = dec.bracket_on.norm
 
-    r = frob(moment_map(mu) - beta)
+    r = frob(moment_map(mu) - np.diag(stratum.beta_raw))
     checks = [Check.of_degree("moment-map-equals-label", "m(mu) = beta", r, tol, norm, 0)]
 
-    r = abs(c + 0.25 * mu.norm_sq * nsq)
+    r = abs(c + 0.25 * mu.norm_sq * stratum.beta_norm_sq)
     checks.append(
         Check.of_degree("constant-from-label", "c = -(1/4) |mu|^2 |beta|^2", r, tol, norm, 2)
     )
 
     # u acts on n commuting with D1 and with F
-    d1 = cert.d1 if cert.d1 is not None else sym(cert.d_full[dec.sn, dec.sn])
+    d1 = cert.d1
     ad_u_n = list(bb.ad_nu2()) + list(bb.ad_eta())
     r = max((frob(a @ d1 - d1 @ a) for a in ad_u_n), default=0.0)
     checks.append(Check.of_degree("u-commutes-with-d1", "[ad u|n, D1] = 0", r, tol, norm, 3))
 
-    ad_h = dec.ad_mean_curvature()
-    f = sym(ad_h[dec.sp, dec.sp] + cert.d_p)
+    f = _f_operator(dec, cert)
     worst = 0.0
     for i in range(dec.dim_k + dec.dim_h):
         ad_i = dec._ad_on(i)[dec.sp, dec.sp]
@@ -565,7 +553,7 @@ def stratum_compatibility_check(
     checks.append(Check.of_degree("u-commutes-with-f", "[ad u|p, F] = 0", worst, tol, norm, 3))
 
     e_beta_g = np.zeros((dec.dim, dec.dim))
-    e_beta_g[dec.sn, dec.sn] = beta + nsq * np.eye(dec.dim_n)
+    e_beta_g[dec.sn, dec.sn] = stratum.e_beta
     r = dec.derivation_residual_on(e_beta_g)
     checks.append(Check.of_degree("shifted-label-derives-g", "E_beta in Der(g)", r, tol, norm, 1))
 
@@ -575,17 +563,8 @@ def stratum_compatibility_check(
         Check.of_degree("moment-operator-n-invariant", "M n in n and M|n = M_mu", r, tol, norm, 2)
     )
 
-    r = frob(d1 - sym(ad_h[dec.sn, dec.sn] + cert.d_full[dec.sn, dec.sn]))
+    r = frob(d1 - f[dec.sn_p, dec.sn_p])
     checks.append(Check.of_degree("d1-from-certificate", "D1 = S(ad H|n + D|n)", r, tol, norm, 2))
 
-    e_beta_p = e_beta_g[dec.sp, dec.sp]
-    r = frob(f + (c / nsq) * e_beta_p)
-    checks.append(
-        Check.of_degree(
-            "f-matches-scaled-label", "S(ad H + D) = -(c/|beta|^2) E_beta", r, tol, norm, 2
-        )
-    )
-    mu_variant = frob(f - (-c / mu.norm_sq) * e_beta_p)
-    return CompatibilityReport(
-        checks=checks, stratum=stratum, mu_scalar_variant_residual=mu_variant
-    )
+    mu_variant = frob(f - (-c / mu.norm_sq) * e_beta_g[dec.sp, dec.sp])
+    return CompatibilityReport(checks=checks, mu_scalar_variant_residual=mu_variant)

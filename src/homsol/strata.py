@@ -159,14 +159,17 @@ class StratumData:
     support: tuple[tuple[int, int, int], ...]
     beta_raw: np.ndarray  # min-norm point of the support hull (diagonal)
     beta: np.ndarray  # chamber representative: ascending diagonal
-    coefficients: np.ndarray  # convex weights over the support
     beta_norm_sq: float
     nice_position: bool
-    min_pairing: float  # min over support of <beta, alpha_ij^k>
 
     @property
     def trace(self) -> float:
         return float(np.sum(self.beta_raw))
+
+    @property
+    def e_beta(self) -> np.ndarray:
+        """The shifted label E_beta = beta + |beta|^2 I on n."""
+        return np.diag(self.beta_raw) + self.beta_norm_sq * np.eye(len(self.beta_raw))
 
 
 def support_of(mu: AlgebraTensor) -> tuple[tuple[int, int, int], ...]:
@@ -188,20 +191,17 @@ def stratum_label(mu: AlgebraTensor, tol: float = DEFAULT_TOL) -> StratumData:
     if not supp:
         raise ValueError("stratum label is undefined for the zero bracket")
     weights = np.array([pair_weight(i, j, k, mu.dim) for i, j, k in supp])
-    res = min_norm_point(weights)
-    beta_raw = res.point
+    beta_raw = min_norm_point(weights).point
     beta = np.sort(beta_raw)
     nsq = float(beta @ beta)
-    min_pairing = float(np.min(weights @ beta))
-    nice = abs(min_pairing - nsq) <= tol * max(1.0, nsq)
+    # min over support of <beta, alpha_ij^k>
+    nice = abs(float(np.min(weights @ beta)) - nsq) <= tol * max(1.0, nsq)
     return StratumData(
         support=supp,
         beta_raw=beta_raw,
         beta=beta,
-        coefficients=res.coefficients,
         beta_norm_sq=nsq,
         nice_position=nice,
-        min_pairing=min_pairing,
     )
 
 
@@ -300,7 +300,7 @@ def _properties(
     )
 
     # <pi(beta + |beta|^2 I) mu, mu> >= 0, equality iff it is a derivation
-    moved = pi_action_dense(beta + nsq * np.eye(mu.dim), mu.dense)
+    moved = pi_action_dense(data.e_beta, mu.dense)
     pairing = float(np.sum(moved * mu.dense))
     checks.append(
         asserted(
@@ -338,7 +338,6 @@ class PairingReport(CheckedReport):
     mu_term: float
     total: float
     direct: float  # same pairing evaluated on the whole p-bracket at once
-    stratum: StratumData
 
     @property
     def summands_nonnegative(self) -> bool:
@@ -372,7 +371,7 @@ def e_beta_pairing(dec) -> PairingReport:
     npd = dec.dim_p
     sh, sn = dec.sh_p, dec.sn_p
     e_b = np.zeros((npd, npd))
-    e_b[sn, sn] = np.diag(stratum.beta_raw) + stratum.beta_norm_sq * np.eye(dec.dim_n)
+    e_b[sn, sn] = stratum.e_beta
 
     t_p = dec.p_bracket.dense
 
@@ -411,5 +410,4 @@ def e_beta_pairing(dec) -> PairingReport:
         mu_term=terms["mu"],
         total=total,
         direct=direct,
-        stratum=stratum,
     )

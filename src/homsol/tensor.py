@@ -87,7 +87,6 @@ class CheckedReport:
 
     checks: list[Check]
     skipped: bool = False
-    reason: str = ""
 
     def condition(self, name: str) -> Check:
         for c in self.checks:

@@ -290,12 +290,13 @@ def test_compare_prints_one_summary_per_report_that_differs(tmp_path, capsys):
 
 def test_a_nilpotent_decomposition_is_fitted_once(capsys, monkeypatch):
     # fit's certificate and its nilpotent part's are one canonical fit when the
-    # decomposition is its own nilpotent part; nil7 adds the constrained fallback
+    # decomposition is its own nilpotent part; without an h or k block the
+    # constrained fallback would refit the same family, so nil7 does not run it
     from homsol import cli, soliton
     from homsol.cli import main
 
     calls = count_calls(monkeypatch, {"fit": soliton._fit})
-    for target, want in (("heis3", 1), ("fil4", 1), ("nil7", 2)):
+    for target, want in (("heis3", 1), ("fil4", 1), ("nil7", 1)):
         calls.clear()
         main(["fit", target, "--json"])
         assert calls["fit"] == want, target
@@ -311,7 +312,7 @@ def test_a_nilpotent_decomposition_is_fitted_once(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "_verify_one", counted_entry)
     main(["verify-all", "--json"])
-    assert per_entry["nil7"] == 2  # soliton_fit's two fits; nilsoliton-negative reuses the first
+    assert per_entry["nil7"] == 1  # nilsoliton-negative reuses soliton_fit's canonical fit
     capsys.readouterr()
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,18 @@ def test_einstein_from_solv12():
     # new action of the unit direction along H is sqrt(5/2) I on n
     ad_unit = out.ad_matrix(np.eye(3)[0])[1:, 1:]
     assert np.allclose(ad_unit, np.sqrt(2.5) * np.eye(2), atol=1e-9)
+
+
+def test_transformations_refuse_a_certificate_without_d1():
+    # D1 = S((D + ad H)|n) is the certificate's own; S(D|n) differs from it when H != 0
+    for name, op in (
+        ("solv12", einstein_from_nonunimodular),
+        ("solv12", restrict_to_unimodular_kernel),
+        ("heis3", einstein_extension_unimodular),
+    ):
+        dec = get(name).decomposition()
+        with pytest.raises(ValueError, match="carries no D1"):
+            op(dec, replace(soliton_fit(dec), d1=None))
 
 
 def test_einstein_from_hyp_is_fixed_point():

@@ -205,7 +205,7 @@ def test_ricci_commutes_with_isotropy():
 def test_blocks_heis3_only_mu():
     bb = d("heis3").blocks()
     assert np.max(np.abs(bb.mu)) == 1.0
-    for name in ("lam0", "lam1", "lam2", "eta", "nu0", "nu1", "nu2"):
+    for name in ("lam0", "lam1", "lam2", "eta", "nu2"):
         assert getattr(bb, name).size == 0 or np.max(np.abs(getattr(bb, name))) == 0.0
 
 
@@ -224,7 +224,7 @@ def test_blocks_hyp_identity_eta():
 def test_blocks_skew_components():
     for name in ("so3", "cplxhyp2", "nil7"):
         bb = d(name).blocks()
-        for comp in (bb.lam0, bb.lam1, bb.lam2, bb.mu, bb.nu0):
+        for comp in (bb.lam0, bb.lam1, bb.lam2, bb.mu):
             if comp.size:
                 assert np.max(np.abs(comp + np.swapaxes(comp, 0, 1))) == 0.0
 

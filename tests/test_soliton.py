@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from homsol.decomposition import MetricDecomposition, sym
 from homsol.soliton import (
     TAG_NONE,
     SolitonCertificate,
+    _canonical_derivation,
     _classify,
     algebraic_soliton_equivalences,
     constrained_derivations,
@@ -163,9 +166,12 @@ def test_battery_solv12():
 
 def test_battery_cplxhyp2():
     dec = get("cplxhyp2").decomposition()
-    rep = structure_battery(dec, soliton_fit(dec))
+    cert = soliton_fit(dec)
+    rep = structure_battery(dec, cert)
     assert rep.all_pass
-    assert np.allclose(rep.d1, np.diag([1.0, 1.0, 2.0]), atol=1e-9)
+    # condition (iii)'s D1: the nilpotent part fitted at the certificate's constant
+    d1 = nilsoliton_fit(dec.n_bracket, c_fixed=cert.c).d1
+    assert np.allclose(d1, np.diag([1.0, 1.0, 2.0]), atol=1e-9)
 
 
 def test_battery_lambda1_negative_control():
@@ -197,23 +203,34 @@ def test_battery_not_applicable_for_nonexpanding():
 # F-operator shape
 # ---------------------------------------------------------------------------
 
+def f_operator(dec, cert):
+    """F = S(ad_p H + D_p), orthonormal frame."""
+    return sym(dec.ad_mean_curvature()[dec.sp, dec.sp] + cert.d_p)
+
+
 def test_f_check_cplxhyp2():
     dec = get("cplxhyp2").decomposition()
-    rep = f_operator_check(dec, soliton_fit(dec))
+    cert = soliton_fit(dec)
+    rep = f_operator_check(dec, cert)
+    shape = rep.condition("f-operator-shape")
     assert not rep.skipped
-    assert rep.branch == "nilpotent-part"
-    assert rep.t == pytest.approx(0.5, abs=1e-12)
-    # the two scalar formulas must agree
-    assert rep.t_ratio_form == pytest.approx(rep.t, abs=1e-9)
-    assert np.allclose(np.diag(rep.f), [0.0, 1.0, 1.0, 2.0], atol=1e-9)
+    assert shape.info["branch"] == "nilpotent-part"
+    assert shape.info["t"] == pytest.approx(0.5, abs=1e-12)
+    # the two scalar formulas must agree: t = (|H|^2 + tr D_n) / (-1 + |beta|^2 dim n)
+    h = dec.mean_curvature()
+    nsq = dec.n_stratum().beta_norm_sq
+    t_ratio = (h @ h + np.trace(cert.d_full[dec.sn, dec.sn])) / (-1.0 + nsq * dec.dim_n)
+    assert t_ratio == pytest.approx(shape.info["t"], abs=1e-9)
+    assert np.allclose(np.diag(f_operator(dec, cert)), [0.0, 1.0, 1.0, 2.0], atol=1e-9)
     assert rep.all_pass
 
 
 def test_f_check_solv12_abelian_branch():
     dec = get("solv12").decomposition()
     rep = f_operator_check(dec, soliton_fit(dec))
-    assert rep.branch == "abelian-part"
-    assert rep.t == pytest.approx(5.0, abs=1e-9)
+    shape = rep.condition("f-operator-shape")
+    assert shape.info["branch"] == "abelian-part"
+    assert shape.info["t"] == pytest.approx(5.0, abs=1e-9)
     assert rep.condition("f-trace-identity").value <= 1e-9
     assert rep.all_pass
 
@@ -221,16 +238,37 @@ def test_f_check_solv12_abelian_branch():
 def test_f_trace_identity_values():
     # c tr F + tr F^2 on solv12: -5 * 10 + 50 = 0
     dec = get("solv12").decomposition()
-    rep = f_operator_check(dec, soliton_fit(dec))
-    assert float(np.trace(rep.f)) == pytest.approx(10.0, abs=1e-9)
-    assert float(np.trace(rep.f @ rep.f)) == pytest.approx(50.0, abs=1e-9)
+    f = f_operator(dec, soliton_fit(dec))
+    assert float(np.trace(f)) == pytest.approx(10.0, abs=1e-9)
+    assert float(np.trace(f @ f)) == pytest.approx(50.0, abs=1e-9)
 
 
 def test_f_check_empty_n():
     dec = get("so3").decomposition()
     rep = f_operator_check(dec, soliton_fit(dec))
-    assert rep.branch == "empty-n"
+    assert rep.condition("f-operator-shape").info["branch"] == "empty-n"
     assert rep.all_pass
+
+
+def test_battery_fails_f_shape_when_f_is_off_the_label():
+    # F = -(c/|beta|^2) E_beta is printed once, as f-operator-shape; a certificate
+    # whose F is off the label still fails it among the battery's records
+    from homsol.cli import _battery
+
+    dec = get("cplxhyp2").decomposition()
+    cert = soliton_fit(dec)
+    d1 = cert.d1 + 1e-3 * np.diag([1.0, -1.0, 0.0])  # still a derivation of heis3
+    off = replace(cert, d1=d1, d_full=_canonical_derivation(dec, d1))
+    groups, _ = _battery(dec, off, 1e-9)
+    failing = {r.name for records in groups.values() for r in records if not r.passed}
+    assert "f-operator-shape" in failing
+    assert f_operator_check(dec, cert).all_pass
+
+
+def test_compatibility_refuses_a_certificate_without_d1():
+    dec = get("cplxhyp2").decomposition()
+    with pytest.raises(ValueError, match="carries no D1"):
+        stratum_compatibility_check(dec, replace(soliton_fit(dec), d1=None))
 
 
 # ---------------------------------------------------------------------------
