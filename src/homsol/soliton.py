@@ -50,11 +50,10 @@ import numpy as np
 from .decomposition import DecompositionError, MetricDecomposition, _once, frob, sym
 from .tensor import (
     DEFAULT_TOL,
-    RANK_TOL,
     AlgebraTensor,
     Check,
     CheckedReport,
-    _row_space_and_kernel,
+    _derivation_kernel,
     derivation_residual,
     moment_map,
     moment_operator,
@@ -178,20 +177,21 @@ def _fit(
     eye = np.eye(dec.dim_p)
     ric = dec.ricci().matrix
     target = ric if offset is None else ric - sym(offset[dec.sp, dec.sp])
-    kept = [(b, sym(b[dec.sp, dec.sp])) for b in basis]
-    kept = [(b, s_) for b, s_ in kept if frob(s_) > 1e-12]
-    cols = [s_ for _, s_ in kept]
+    b_p = basis[:, dec.sp, dec.sp]
+    s_p = 0.5 * (b_p + np.transpose(b_p, (0, 2, 1)))
+    moves = np.sqrt(np.einsum("aij,aij->a", s_p, s_p)) > 1e-12
+    basis = basis[moves]
+    cols = s_p[moves].reshape(len(basis), dec.dim_p**2)
     if c is None:
-        cols.insert(0, eye)
+        cols = np.concatenate([eye.reshape(1, -1), cols])
     else:
         target = target - c * eye
     x = np.zeros(0)
-    if cols:
-        design = np.stack([m.reshape(-1) for m in cols], axis=1)
-        x = np.linalg.lstsq(design, target.reshape(-1), rcond=None)[0]
+    if len(cols):
+        x = np.linalg.lstsq(cols.T, target.reshape(-1), rcond=None)[0]
     if c is None:
         c, x = float(x[0]), x[1:]
-    fitted = sum((xi * b for xi, (b, _) in zip(x, kept)), np.zeros((dec.dim, dec.dim)))
+    fitted = np.tensordot(x, basis, axes=1)
     d = fitted if offset is None else offset + fitted
     return _certificate(dec, c, d, sym(fitted[dec.sn, dec.sn]), family)
 
@@ -237,14 +237,15 @@ def constrained_derivations(dec: MetricDecomposition) -> np.ndarray:
     """Basis of {D in Der(g): D = 0 on the k row and column}, orthonormal frame.
 
     The entries of D in a k row or column are deleted as unknowns: the
-    kernel of pi restricted to the remaining (a, b) columns (economy QR,
-    then SVD of the R factor, with the rank cut of :func:`derivation_algebra`)
-    is scattered back into n x n matrices that are zero on k.
+    kernel of pi restricted to the remaining (a, b) columns, solved as in
+    :func:`tensor.derivation_algebra` (block by block from BLOCK_MIN_COLS
+    unknowns on, with its rank cut), is scattered back into n x n matrices
+    that are zero on k.
     """
     n, nk = dec.dim, dec.dim_k
     free = np.arange(nk, n)
     cols = (free[:, None] * n + free[None, :]).reshape(-1)
-    _, null = _row_space_and_kernel(pi_matrix(dec.bracket_on)[:, cols], RANK_TOL)
+    null = _derivation_kernel(pi_matrix(dec.bracket_on)[:, cols])
     out = np.zeros((len(null), n, n))
     out[:, nk:, nk:] = null.reshape(-1, n - nk, n - nk)
     return out

@@ -226,7 +226,8 @@ def strata_properties(mu: AlgebraTensor, tol: float = DEFAULT_TOL) -> StrataRepo
     Always evaluated: tr beta = -1, PSD of D -> <[beta, D], D> on the
     derivation algebra, positivity of beta + |beta|^2 I, and
     |beta| <= |m(mu)| with its equality clause.  Only asserted in nice
-    position: tr(beta D) = 0 on derivations and
+    position: tr(beta D) = 0 on derivations, reported as the norm
+    |proj_Der beta| of the label's projection to Der(mu), and
     <pi(beta + |beta|^2 I) mu, mu> >= 0 with equality exactly for a
     derivation.  A check of the form q >= 0 reports -q.
     """
@@ -282,16 +283,15 @@ def _properties(
     def asserted(check: Check) -> Check:
         return check if data.nice_position else check.skipped("needs nice position")
 
-    # tr(beta D) = 0 on the derivation basis
-    tr_max = 0.0
-    for d in der_basis:
-        tr_max = max(tr_max, abs(float(np.trace(beta @ d))))
+    # tr(beta D) = 0 on Der(mu): |proj_Der beta| = sqrt(sum_i tr(beta D_i)^2), the same for
+    # every orthonormal basis D_i of Der(mu)
+    proj = frob(np.einsum("k,akk->a", data.beta_raw, der_basis))
     checks.append(
         asserted(
             Check.of_degree(
                 "label-trace-orthogonal-to-derivations",
                 "tr(beta D) = 0 for D in Der(mu)",
-                tr_max,
+                proj,
                 tol,
                 norm,
                 0,

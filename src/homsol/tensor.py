@@ -36,6 +36,8 @@ DEFAULT_TOL = 1e-9
 
 # singular values s <= RANK_TOL * s_max of a derivation system count as zero (no absolute floor)
 RANK_TOL = 1e-9
+# from this many unknowns on, a derivation system is solved block by block (_derivation_kernel)
+BLOCK_MIN_COLS = 64
 
 Entry = tuple[int, int, int, float]
 
@@ -321,6 +323,8 @@ def _row_space_and_kernel(
     Singular values s <= max(rank_tol s_max, floor) count as zero, so the
     split does not change when m is rescaled; ``floor``, of the caller's
     degree in the bracket, recognises a map that is zero up to roundoff.
+    :func:`_block_kernel` applies the same cut, with no floor, to the
+    blocks of a derivation system, taking s_max over all of them.
 
     Rows of m that are exactly zero constrain nothing and are dropped
     first: the kernel and the nonzero singular values stay the same.  A
@@ -338,19 +342,115 @@ def _row_space_and_kernel(
     return vh[kept], vh[~kept]
 
 
+def _column_components(cols: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """A label per column, equal exactly on each connected component of the column graph.
+
+    ``cols`` holds the columns of a matrix's nonzero entries in row order,
+    ``starts`` the position in ``cols`` where each nonzero row begins, and
+    ``width`` is the number of columns; two columns are linked when a row
+    holds both.  Labels start as the column indices and fall, until they
+    are stable, to the least label in a shared row, with pointer jumping;
+    so each label is a column of its component, and a column that no row
+    holds keeps its own index.
+    """
+    label = np.arange(width)
+    lengths = np.diff(starts, append=len(cols))
+    while True:
+        row_min = np.minimum.reduceat(label[cols], starts)
+        new = label.copy()
+        np.minimum.at(new, cols, np.repeat(row_min, lengths))
+        new = new[new]
+        # all in the component of column 0 (a system in a generic basis): no later pass moves
+        if np.array_equal(new, label) or not new.any():
+            return new
+        label = new
+
+
+def _block_kernel(m: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning ker m, solved block by block; the cut of _row_space_and_kernel.
+
+    A connected component of m's column graph (:func:`_column_components`)
+    and the nonzero rows that hold it form a block: m is block diagonal up
+    to a permutation of its rows and columns, so its singular values are
+    the union of its blocks', and the cut s <= RANK_TOL s_max, with s_max
+    the largest over all blocks and no floor, gives the rank and the
+    kernel of the whole system.  A column that no nonzero row holds is a
+    unit kernel vector.  The blocks of one width are stacked, the shorter
+    ones padded with zero rows (which change neither singular values nor
+    right singular vectors), and solved by one batched SVD, economy-sized
+    where they are taller than wide.  A system that is one block is
+    solved whole.
+    """
+    width = m.shape[1]
+    # np.flatnonzero of a bool array is several times faster than of a float one
+    rows, cols = np.divmod(np.flatnonzero(m != 0.0), width)
+    if len(rows) == 0:
+        return np.eye(width)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    label = _column_components(cols, starts, width)
+    size = np.bincount(label, minlength=width)  # columns per component, at its label
+    if size.max() == width:
+        return _row_space_and_kernel(m, RANK_TOL)[1]
+    row_label = label[cols[starts]]
+    depth = np.bincount(row_label, minlength=width)  # rows per component, at its label
+    row_order = rows[starts][np.argsort(row_label, kind="stable")]
+    row_start = np.cumsum(depth) - depth
+    col_order = np.argsort(label, kind="stable")
+    col_start = np.cumsum(size) - size
+
+    solved = []
+    for w in np.flatnonzero(np.bincount(size[depth > 0])):
+        roots = np.flatnonzero((size == w) & (depth > 0))
+        block_cols = col_order[col_start[roots, None] + np.arange(w)]
+        r = np.arange(depth[roots].max())
+        real = r < depth[roots, None]
+        block_rows = row_order[np.where(real, row_start[roots, None] + r, 0)]
+        stack = np.where(real[:, :, None], m[block_rows[:, :, None], block_cols[:, None, :]], 0.0)
+        _, s, vh = np.linalg.svd(stack, full_matrices=len(r) < w)
+        solved.append((block_cols, s, vh))
+
+    cut = RANK_TOL * max(float(s.max()) for _, s, _ in solved)
+    free = np.flatnonzero(np.bincount(cols, minlength=width) == 0)
+    kernel = [(free[:, None] == np.arange(width)).astype(float)]
+    for block_cols, s, vh in solved:
+        zero = np.ones(vh.shape[:2], dtype=bool)  # past min(rows, width) a singular value is 0
+        zero[:, : s.shape[1]] = ~(s > cut)
+        b, j = np.nonzero(zero)
+        vectors = np.zeros((len(b), width))
+        vectors[np.arange(len(b))[:, None], block_cols[b]] = vh[b, j]
+        kernel.append(vectors)
+    return np.concatenate(kernel)
+
+
+def _derivation_kernel(m: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning ker m of a derivation system, cut at RANK_TOL s_max.
+
+    Below BLOCK_MIN_COLS unknowns the whole system's SVD costs less than
+    finding its blocks; from there on it is solved by :func:`_block_kernel`.
+    """
+    if m.shape[1] < BLOCK_MIN_COLS:
+        return _row_space_and_kernel(m, RANK_TOL)[1]
+    return _block_kernel(m)
+
+
 def derivation_algebra(mu: AlgebraTensor) -> np.ndarray:
     """Orthonormal basis of Der(mu) = ker(a -> pi(a) mu), stacked (m, n, n).
 
     Orthonormal for the Frobenius pairing tr(A B^t).  The kernel comes from
-    the nonzero rows of the (n^2(n-1)/2, n^2) matrix of pi: an economy QR
-    when they outnumber the n^2 columns, then an SVD of the (at most
-    n^2 x n^2) result; singular values s <= RANK_TOL s_max count as zero,
-    with no absolute floor, so rescaling mu does not change dim Der(mu).
+    the nonzero rows of the (n^2(n-1)/2, n^2) matrix of pi.  From n^2 >=
+    BLOCK_MIN_COLS unknowns on it is solved block by block (two unknowns
+    D_ab share a block when a nonzero row holds both; a nice basis splits
+    h_17's 289 unknowns into 129 blocks, the widest 17), with one batched
+    SVD per block width; smaller systems, and a system that is one block,
+    go through an economy QR when tall, then one SVD.  Either way singular
+    values s <= RANK_TOL s_max, with s_max over the whole system and no
+    absolute floor, count as zero, so rescaling mu does not change
+    dim Der(mu).
     """
     n = mu.dim
     if n == 0:
         return np.zeros((0, 0, 0))
-    return _row_space_and_kernel(pi_matrix(mu), RANK_TOL)[1].reshape(-1, n, n)
+    return _derivation_kernel(pi_matrix(mu)).reshape(-1, n, n)
 
 
 def derivation_residual(mu: AlgebraTensor, alpha: np.ndarray) -> float:

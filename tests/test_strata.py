@@ -5,6 +5,7 @@ import pytest
 
 from homsol.strata import (
     _label_gram,
+    _properties,
     min_norm_point,
     pair_weight,
     strata_properties,
@@ -265,3 +266,20 @@ def test_label_gram_matches_loop():
         got, want = _label_gram(beta, ders), label_gram_loop(beta, ders)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(want), initial=0.0))
+
+
+def test_stratify_values_do_not_depend_on_the_derivation_basis():
+    # in a random orthonormal basis the label leaves nice position and tr(beta D) != 0 on Der
+    rng = np.random.default_rng(17)
+    heis7 = AlgebraTensor(7, tuple((i, 3 + i, 6, 1.0) for i in range(3)))
+    for mu in (HEIS3, FIL4, heis7):
+        for basis in (np.eye(mu.dim), np.linalg.qr(rng.standard_normal((mu.dim, mu.dim)))[0]):
+            nu = mu.map_basis(basis)
+            data, ders = stratum_label(nu), derivation_algebra(nu)
+            q = np.linalg.qr(rng.standard_normal((len(ders), len(ders))))[0]
+            mixed = np.einsum("ab,bij->aij", q, ders)
+            want, got = _properties(nu, data, ders, 1e-9), _properties(nu, data, mixed, 1e-9)
+            assert [c.name for c in got.checks] == [c.name for c in want.checks]
+            for a, b in zip(got.checks, want.checks):
+                assert a.passed == b.passed, a.name
+                assert abs(a.value - b.value) <= 1e-12 * max(1.0, abs(b.value)), a.name

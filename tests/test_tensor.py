@@ -6,10 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homsol.catalog import get
 from homsol.tensor import (
+    RANK_TOL,
     AlgebraTensor,
+    _block_kernel,
     _row_space_and_kernel,
     derivation_algebra,
     derivation_residual,
@@ -480,6 +484,66 @@ def test_derivation_algebra_of_a_rotated_heisenberg_algebra():
     mu = heis(4).map_basis(q)
     assert np.all(np.any(pi_matrix(mu) != 0.0, axis=1))
     assert derivation_algebra(mu).shape[0] == 45
+
+
+def random_orthogonal(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
+def assert_same_kernel(got, want, label=None):
+    assert got.shape == want.shape, label
+    assert np.max(np.abs(got @ got.T - np.eye(len(got))), initial=0.0) <= 1e-12, label
+    assert np.max(np.abs(projector(got) - projector(want)), initial=0.0) <= 1e-12, label
+
+
+@st.composite
+def sparse_brackets(draw):
+    """A skew bracket on R^n with a few structure constants, in a random orthonormal basis or not."""
+    n = draw(st.integers(2, 7))
+    triples = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(n)]
+    picked = draw(st.lists(st.sampled_from(triples), min_size=1, max_size=2 * n, unique=True))
+    coeffs = st.sampled_from((1.0, -1.0, 2.0, -0.5, 3.0))
+    mu = AlgebraTensor(n, tuple((i, j, k, draw(coeffs)) for i, j, k in picked))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        mu = mu.map_basis(random_orthogonal(rng, n))
+    return mu
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(sparse_brackets())
+def test_block_kernel_matches_the_whole_system(mu):
+    m = pi_matrix(mu)
+    assert_same_kernel(_block_kernel(m), _row_space_and_kernel(m, RANK_TOL)[1])
+
+
+def test_block_kernel_matches_the_whole_system_on_catalog_and_ladder_brackets():
+    rng = np.random.default_rng(16)
+    seen = 0
+    for label, mu in derivation_brackets():
+        # a random orthonormal basis makes the system one block
+        for q in (np.eye(mu.dim), random_orthogonal(rng, mu.dim)):
+            m = pi_matrix(mu.map_basis(q))
+            assert_same_kernel(_block_kernel(m), _row_space_and_kernel(m, RANK_TOL)[1], label)
+        seen += 1
+    assert seen >= 33 + 17
+
+
+def test_block_kernel_cuts_every_block_by_the_largest_singular_value_of_the_system():
+    # heis3 (+) 1e-10 heis3: the small copy's values fall under RANK_TOL s_max of the whole
+    # system, though a cut relative to its own blocks would resolve them
+    m = pi_matrix(AlgebraTensor(6, ((0, 1, 2, 1.0), (3, 4, 5, 1e-10))))
+    got = _block_kernel(m)
+    assert_same_kernel(got, _row_space_and_kernel(m, RANK_TOL)[1])
+    both_resolved = derivation_algebra(AlgebraTensor(6, ((0, 1, 2, 1.0), (3, 4, 5, 1.0))))
+    assert len(got) > len(both_resolved)
+
+
+def test_derivation_dims_do_not_depend_on_the_bracket_scale():
+    for label, mu in derivation_brackets():
+        want = derivation_algebra(mu).shape[0]
+        for s in (1e-12, 1e-4, 1e4, 1e20):
+            assert derivation_algebra(mu.scale(s)).shape[0] == want, (label, s)
 
 
 _RSS_SCRIPT = """
