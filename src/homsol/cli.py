@@ -148,7 +148,8 @@ def _stratify(dec, tol: float) -> tuple[Groups, dict]:
     The label and Der(n) are the decomposition's own, so a battery run on
     the same decomposition does not compute them again.
     """
-    rep = _properties(dec.n_bracket, dec.n_stratum(), dec.derivations_n(), tol)
+    # the label is the n bracket's own, so its checks take Der of that bracket, never gl(n)
+    rep = _properties(dec.n_bracket, dec.n_stratum(), dec.n_decomposition().derivations_n(), tol)
     data = rep.stratum
     results = {
         "beta": data.beta,

@@ -358,9 +358,20 @@ class MetricDecomposition:
     def _n_part(self) -> "MetricDecomposition":
         return MetricDecomposition(self.n_bracket, 0, 0, self.dim_n, tol=self.tol)
 
+    @property
+    def n_abelian(self) -> bool:
+        """Whether n counts as abelian: |mu_n| <= tol |mu|, the one rule of every n-part branch."""
+        return self.n_bracket.norm <= self.tol * self.bracket_on.norm
+
     @_once
     def derivations_n(self) -> np.ndarray:
-        """Orthonormal basis of Der(n), orthonormal frame, stacked (m, n, n); computed once."""
+        """Orthonormal basis of Der(n), orthonormal frame, stacked (m, n, n); computed once.
+
+        All of gl(n) when n counts as abelian (``n_abelian``): the family of
+        the canonical fit and of the battery's fit of the nilpotent part.
+        """
+        if self.n_abelian:
+            return np.eye(self.dim_n**2).reshape(self.dim_n**2, self.dim_n, self.dim_n)
         if self.dim_k + self.dim_h:
             return self.n_decomposition().derivations_n()
         return derivation_algebra(self.bracket_on)

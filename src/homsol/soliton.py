@@ -54,10 +54,10 @@ from .tensor import (
     Check,
     CheckedReport,
     _derivation_kernel,
+    _least_squares,
     derivation_residual,
     moment_map,
     moment_operator,
-    pi_matrix,
 )
 
 SOLITON_RESIDUAL_TOL = 1e-6
@@ -172,7 +172,9 @@ def _fit(
     with S(B_p) = 0 cannot move the fit and are dropped.  ``c`` is fitted
     unless given.  The certificate's D1 is the symmetric n-block of the
     fitted part sum_i x_i B_i, without the offset; ``family`` names the
-    family in the certificate.
+    family in the certificate.  The min-norm solution is lstsq's; from
+    BLOCK_MIN_COLS columns on it is solved per block of the design's column
+    graph (``tensor._least_squares``), as a derivation system is.
     """
     eye = np.eye(dec.dim_p)
     ric = dec.ricci().matrix
@@ -188,7 +190,7 @@ def _fit(
         target = target - c * eye
     x = np.zeros(0)
     if len(cols):
-        x = np.linalg.lstsq(cols.T, target.reshape(-1), rcond=None)[0]
+        x = _least_squares(cols.T, target.reshape(-1))
     if c is None:
         c, x = float(x[0]), x[1:]
     fitted = np.tensordot(x, basis, axes=1)
@@ -196,13 +198,16 @@ def _fit(
     return _certificate(dec, c, d, sym(fitted[dec.sn, dec.sn]), family)
 
 
-def _canonical_fit(dec: MetricDecomposition, c: float | None = None) -> SolitonCertificate:
+def _canonical_fit(
+    dec: MetricDecomposition, c: float | None = None, ders: np.ndarray | None = None
+) -> SolitonCertificate:
     """Fit over the normal form D = -ad H + diag(0, 0, S(D1)), D1 in Der(n).
 
     On a nilpotent algebra H = 0, so this is the nilsoliton fit
-    Ric = c I + S(D1).
+    Ric = c I + S(D1).  ``ders`` replaces ``dec.derivations_n()`` as the
+    basis of the D1 family.
     """
-    ders = dec.derivations_n()
+    ders = dec.derivations_n() if ders is None else ders
     basis = np.zeros((len(ders), dec.dim, dec.dim))
     basis[:, dec.sn, dec.sn] = 0.5 * (ders + np.transpose(ders, (0, 2, 1)))
     return _fit(dec, "canonical", basis, offset=-dec.ad_mean_curvature(), c=c)
@@ -238,14 +243,13 @@ def constrained_derivations(dec: MetricDecomposition) -> np.ndarray:
 
     The entries of D in a k row or column are deleted as unknowns: the
     kernel of pi restricted to the remaining (a, b) columns, solved as in
-    :func:`tensor.derivation_algebra` (block by block from BLOCK_MIN_COLS
-    unknowns on, with its rank cut), is scattered back into n x n matrices
-    that are zero on k.
+    :func:`tensor.derivation_algebra` (from BLOCK_MIN_COLS unknowns on,
+    block by block on the nonzeros built from the bracket's entries, with
+    its rank cut), is scattered back into n x n matrices that are zero on k.
     """
     n, nk = dec.dim, dec.dim_k
     free = np.arange(nk, n)
-    cols = (free[:, None] * n + free[None, :]).reshape(-1)
-    null = _derivation_kernel(pi_matrix(dec.bracket_on)[:, cols])
+    null = _derivation_kernel(dec.bracket_on, (free[:, None] * n + free).reshape(-1))
     out = np.zeros((len(null), n, n))
     out[:, nk:, nk:] = null.reshape(-1, n - nk, n - nk)
     return out
@@ -341,7 +345,8 @@ def structure_battery(
     checks.append(Check.of_degree("reductive-part-ricci", "Ric_u = c I + C_h", r2, tol, norm, 2))
 
     mu = dec.n_bracket
-    nfit = _canonical_fit(dec.n_decomposition(), c)
+    # D1 ranges over the decomposition's Der(n), all of gl(n) where n counts as abelian
+    nfit = _canonical_fit(dec.n_decomposition(), c, dec.derivations_n())
     checks.append(
         Check.of_degree(
             "nilpotent-part-soliton", "Ric_n = c I + D1, D1 in Der(n)", nfit.residual, tol, norm, 2
@@ -390,8 +395,9 @@ def f_operator_check(
     """Verify that F = S(ad_p H + D_p) has the forced shape.
 
     For a nonzero nilpotent part in nice position F must equal t E_beta
-    with t = -c/|beta|^2; for an abelian nilpotent part it must equal
-    t (0 (+) I_n) with t = (|H|^2 + tr D_n)/dim n; and c tr F + tr F^2 = 0
+    with t = -c/|beta|^2; for a nilpotent part that counts as abelian
+    (``dec.n_abelian``) it must equal t (0 (+) I_n) with
+    t = (|H|^2 + tr D_n)/dim n; and c tr F + tr F^2 = 0
     in all cases.  The shape presumes [h,h] inside k + h, which is the
     battery's condition (i) and is not tested again here.  The check
     ``f-operator-shape`` names its ``branch`` and ``t`` in its info.
@@ -404,7 +410,7 @@ def f_operator_check(
     t = 0.0
     if dec.dim_n == 0:
         branch = "empty-n"
-    elif dec.n_bracket.norm <= tol * norm:
+    elif dec.n_abelian:
         branch = "abelian-part"
         h = dec.mean_curvature()
         t = (float(h @ h) + float(np.trace(cert.d_full[dec.sn, dec.sn]))) / dec.dim_n
@@ -513,7 +519,8 @@ def stratum_compatibility_check(
 ) -> CompatibilityReport:
     """Moment-map and label compatibilities of an expanding certificate.
 
-    Requires a nonzero nilpotent part in nice position (skips otherwise)
+    Requires a nilpotent part in nice position that does not count as
+    abelian (``dec.n_abelian``; skips otherwise)
     and a certificate that carries its D1 (raises ValueError otherwise).
     The scalar identity F = -(c/|beta|^2) E_beta is ``f_operator_check``'s;
     the variant with |mu|^2 in the denominator is evaluated and reported
@@ -523,7 +530,7 @@ def stratum_compatibility_check(
         raise ValueError("the certificate carries no D1")
     bb = dec.blocks()
     mu = dec.n_bracket
-    if dec.dim_n == 0 or mu.norm == 0.0:
+    if dec.n_abelian:  # an empty n counts as abelian too
         return _skipped_compatibility("nilpotent part is abelian or empty")
     stratum = dec.n_stratum()
     if not stratum.nice_position:

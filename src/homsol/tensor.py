@@ -27,6 +27,7 @@ in mu passes when its residual is at most tol |mu|^d.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -227,15 +228,26 @@ def pi_action_dense(alpha: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def jacobi_residual(mu: AlgebraTensor) -> float:
-    """Euclidean norm of the Jacobiator over all i < j < l basis triples.
+    """Euclidean norm of the Jacobiator over the i < j < l basis triples.
 
     Zero (up to roundoff) exactly when mu satisfies the Jacobi identity.
+    One matrix product gives c[i, j, l, m] = sum_k T_ijk T_klm; the
+    Jacobiator c[i,j,l] + c[j,l,i] + c[l,i,j] is then summed on the
+    i < j < l triples alone, the only ones an alternating map needs.
     """
+    n = mu.dim
     t = mu.dense
-    c = np.einsum("ijk,klm->ijlm", t, t)
-    jac = c + np.transpose(c, (1, 2, 0, 3)) + np.transpose(c, (2, 0, 1, 3))
-    # the Jacobiator is alternating in (i, j, l): each i < j < l triple occurs 6 times
-    return float(np.sqrt(np.sum(jac**2) / 6.0))
+    c = (t.reshape(n * n, n) @ t.reshape(n, n * n)).reshape(n**3, n)
+    ijl, jli, lij = _increasing_triples(n)
+    return frob(c[ijl] + c[jli] + c[lij])
+
+
+@functools.lru_cache(maxsize=None)
+def _increasing_triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices (i n + j) n + l of the triples i < j < l of range(n), and of their two rotations."""
+    x = np.arange(n)
+    i, j, l = np.nonzero((x[:, None, None] < x[:, None]) & (x[:, None] < x))
+    return (i * n + j) * n + l, (j * n + l) * n + i, (l * n + i) * n + j
 
 
 def nilpotency_class(mu: AlgebraTensor, tol: float = DEFAULT_TOL) -> int | None:
@@ -299,7 +311,13 @@ def moment_operator(mu: AlgebraTensor) -> np.ndarray:
 
 
 def pi_matrix(mu: AlgebraTensor) -> np.ndarray:
-    """Matrix of a |-> pi(a) mu, rows indexed by (i<j, k), columns by (a, b)."""
+    """Matrix of a |-> pi(a) mu, rows indexed by (i<j, k), columns by (a, b).
+
+    Its nonzero entries, in row-major order, are :func:`_pi_entries`'s, bit
+    for bit.  The dense build costs less than the entry build below
+    BLOCK_MIN_COLS unknowns and for a bracket in a generic basis, which
+    fills most of its structure constants.
+    """
     n = mu.dim
     t = mu.dense
     iu, ju = np.triu_indices(n, 1)
@@ -313,6 +331,52 @@ def pi_matrix(mu: AlgebraTensor) -> np.ndarray:
     m[r, :, :, iu] -= t[:, ju, :].transpose(1, 2, 0)
     m[r, :, :, ju] -= t[iu, :, :].transpose(0, 2, 1)
     return m.reshape(len(iu) * n, n * n)
+
+
+def _pi_entries(mu: AlgebraTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries (rows, cols, values) of pi_matrix(mu) in row-major order, from mu's entries.
+
+    Each structure constant T[p,q,k] = c, p < q, enters the three terms of
+    d(pi(alpha)mu)[i,j,k'] / d alpha[a,b] at 3n - 2 cells, so the cost
+    follows the number of entries, not the n^2(n-1)/2 x n^2 cells of the
+    dense matrix.  No cell receives more than two terms, since delta_{bi}
+    and delta_{bj} never both hold for i < j; their sum, in either order,
+    has the bits of the dense build's.
+    """
+    n = mu.dim
+    if not mu.entries:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+    pair = _pair_index(n)
+    e = np.array(mu.entries)
+    p, q, k = e[:, :3].astype(np.intp).T[:, :, None]
+    c = e[:, 3:]
+    x = np.arange(n)
+    # delta_{k'a} T[i,j,b] gives row (pq, k' = x), column (x, k), value c, for every x; the
+    # other two terms, through T[p,q,k] = -T[q,p,k] = c, give row ({x, q}, k), column (p, x),
+    # value -c for x < q and c for x > q, and row ({x, p}, k), column (q, x), value c for
+    # x < p and -c for x > p.  At x = q and x = p the value is 0 and the cell is dropped.
+    rows = np.concatenate([pair[p, q] * n + x, pair[x, q] * n + k, pair[x, p] * n + k], axis=1)
+    cols = np.concatenate([x * n + k, p * n + x, q * n + x], axis=1)
+    vals = np.concatenate(
+        [np.broadcast_to(c, (len(c), n)), np.sign(x - q) * c, np.sign(p - x) * c], axis=1
+    )
+    key = (rows * (n * n) + cols).ravel()
+    order = np.argsort(key)
+    key, vals = key[order], vals.ravel()[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    key, vals = key[first], np.add.reduceat(vals, first)
+    kept = vals != 0.0
+    rows, cols = np.divmod(key[kept], n * n)
+    return rows, cols, vals[kept]
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_index(n: int) -> np.ndarray:
+    """pair[i, j] = pair[j, i], the row-pair index of {i, j} in pi_matrix (0 on the diagonal)."""
+    iu, ju = np.triu_indices(n, 1)
+    pair = np.zeros((n, n), dtype=np.intp)
+    pair[iu, ju] = pair[ju, iu] = np.arange(len(iu))
+    return pair
 
 
 def _row_space_and_kernel(
@@ -366,34 +430,34 @@ def _column_components(cols: np.ndarray, starts: np.ndarray, width: int) -> np.n
         label = new
 
 
-def _block_kernel(m: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning ker m, solved block by block; the cut of _row_space_and_kernel.
+def _block_svds(m: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """The blocks of m and their SVDs, one batched SVD per block width; None when m is one block.
 
-    A connected component of m's column graph (:func:`_column_components`)
-    and the nonzero rows that hold it form a block: m is block diagonal up
-    to a permutation of its rows and columns, so its singular values are
-    the union of its blocks', and the cut s <= RANK_TOL s_max, with s_max
-    the largest over all blocks and no floor, gives the rank and the
-    kernel of the whole system.  A column that no nonzero row holds is a
-    unit kernel vector.  The blocks of one width are stacked, the shorter
-    ones padded with zero rows (which change neither singular values nor
-    right singular vectors), and solved by one batched SVD, economy-sized
-    where they are taller than wide.  A system that is one block is
-    solved whole.
+    ``rows`` and ``cols`` locate m's nonzero entries in row-major order.  A
+    connected component of m's column graph (:func:`_column_components`)
+    and the rows that hold it form a block: m is block diagonal up to a
+    permutation of its rows and columns, so its singular values are the
+    union of its blocks', and a cut relative to the largest of them all
+    treats m as one matrix.  The blocks of one width are stacked, the
+    shorter ones padded with zero rows (which change neither singular
+    values nor right singular vectors), and decomposed by one batched SVD:
+    economy-sized where they are taller than wide, with every right
+    singular vector where they are wider.
+
+    Returns the columns that no entry holds and, per width, the tuple
+    (block_cols, block_rows, u, s, vh), block_rows being rows of m (-1 on
+    padding).
     """
     width = m.shape[1]
-    # np.flatnonzero of a bool array is several times faster than of a float one
-    rows, cols = np.divmod(np.flatnonzero(m != 0.0), width)
-    if len(rows) == 0:
-        return np.eye(width)
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
     label = _column_components(cols, starts, width)
     size = np.bincount(label, minlength=width)  # columns per component, at its label
     if size.max() == width:
-        return _row_space_and_kernel(m, RANK_TOL)[1]
+        return None
     row_label = label[cols[starts]]
     depth = np.bincount(row_label, minlength=width)  # rows per component, at its label
-    row_order = rows[starts][np.argsort(row_label, kind="stable")]
+    # the rows of each component in turn, then -1, the row of padding
+    row_order = np.append(rows[starts][np.argsort(row_label, kind="stable")], -1)
     row_start = np.cumsum(depth) - depth
     col_order = np.argsort(label, kind="stable")
     col_start = np.cumsum(size) - size
@@ -404,15 +468,36 @@ def _block_kernel(m: np.ndarray) -> np.ndarray:
         block_cols = col_order[col_start[roots, None] + np.arange(w)]
         r = np.arange(depth[roots].max())
         real = r < depth[roots, None]
-        block_rows = row_order[np.where(real, row_start[roots, None] + r, 0)]
+        block_rows = row_order[np.where(real, row_start[roots, None] + r, -1)]
         stack = np.where(real[:, :, None], m[block_rows[:, :, None], block_cols[:, None, :]], 0.0)
-        _, s, vh = np.linalg.svd(stack, full_matrices=len(r) < w)
-        solved.append((block_cols, s, vh))
-
-    cut = RANK_TOL * max(float(s.max()) for _, s, _ in solved)
+        u, s, vh = np.linalg.svd(stack, full_matrices=len(r) < w)
+        solved.append((block_cols, block_rows, u, s, vh))
     free = np.flatnonzero(np.bincount(cols, minlength=width) == 0)
+    return free, solved
+
+
+def _block_kernel(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, width: int) -> np.ndarray:
+    """Orthonormal rows spanning the kernel of a sparse matrix, solved block by block.
+
+    The matrix is given by its nonzero entries in row-major order and its
+    number of columns; its nonzero rows are laid out dense.  The cut of
+    _row_space_and_kernel, s <= RANK_TOL s_max with s_max the largest over
+    all blocks (:func:`_block_svds`) and no floor, gives the rank and the
+    kernel of the whole system.  A column that no entry holds is a unit
+    kernel vector.  A matrix that is one block is solved whole.
+    """
+    if len(rows) == 0:
+        return np.eye(width)
+    place = np.cumsum(np.diff(rows, prepend=-1) != 0) - 1  # of each entry's row, among the nonzero
+    m = np.zeros((place[-1] + 1, width))
+    m[place, cols] = vals
+    split = _block_svds(m, place, cols)
+    if split is None:
+        return _row_space_and_kernel(m, RANK_TOL)[1]
+    free, solved = split
+    cut = RANK_TOL * max(float(s.max()) for *_, s, _ in solved)
     kernel = [(free[:, None] == np.arange(width)).astype(float)]
-    for block_cols, s, vh in solved:
+    for block_cols, _, _, s, vh in solved:
         zero = np.ones(vh.shape[:2], dtype=bool)  # past min(rows, width) a singular value is 0
         zero[:, : s.shape[1]] = ~(s > cut)
         b, j = np.nonzero(zero)
@@ -422,35 +507,87 @@ def _block_kernel(m: np.ndarray) -> np.ndarray:
     return np.concatenate(kernel)
 
 
-def _derivation_kernel(m: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning ker m of a derivation system, cut at RANK_TOL s_max.
+def _block_least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.lstsq(a, b, rcond=None)[0]``, solved block by block (:func:`_block_svds`).
 
-    Below BLOCK_MIN_COLS unknowns the whole system's SVD costs less than
-    finding its blocks; from there on it is solved by :func:`_block_kernel`.
+    Each block's min-norm least-squares solution, with lstsq's cut
+    s <= eps max(a.shape) s_max and s_max the largest singular value over
+    all blocks, is the restriction of the whole one; a column that no
+    entry holds gets 0.  A matrix that is one block goes to lstsq.
     """
-    if m.shape[1] < BLOCK_MIN_COLS:
-        return _row_space_and_kernel(m, RANK_TOL)[1]
-    return _block_kernel(m)
+    split = _block_svds(a, *np.nonzero(a))
+    if split is None:
+        return np.linalg.lstsq(a, b, rcond=None)[0]
+    _, solved = split
+    cut = np.finfo(float).eps * max(a.shape) * max(float(s.max()) for *_, s, _ in solved)
+    x = np.zeros(a.shape[1])
+    for block_cols, block_rows, u, s, vh in solved:
+        rhs = np.where(block_rows >= 0, b[block_rows], 0.0)
+        inv = np.zeros_like(s)
+        np.divide(1.0, s, out=inv, where=s > cut)
+        coef = np.einsum("brk,br->bk", u, rhs) * inv
+        x[block_cols] = np.einsum("bk,bkw->bw", coef, vh[:, : s.shape[1]])
+    return x
+
+
+def _least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The min-norm least-squares solution of a x = b, ``np.linalg.lstsq(a, b, rcond=None)[0]``.
+
+    Below BLOCK_MIN_COLS columns lstsq solves it whole; from there on
+    :func:`_block_least_squares` does, on the same blocks as a derivation
+    system's.
+    """
+    if a.shape[1] < BLOCK_MIN_COLS:
+        return np.linalg.lstsq(a, b, rcond=None)[0]
+    return _block_least_squares(a, b)
+
+
+def _derivation_kernel(mu: AlgebraTensor, free: np.ndarray | None = None) -> np.ndarray:
+    """Orthonormal rows spanning the kernel of pi on the unknowns ``free`` (all n^2 by default).
+
+    ``free`` lists columns (a, b) of pi_matrix(mu), as a * n + b; the
+    kernel's rows are indexed by its positions.  The cut is RANK_TOL s_max
+    with no floor.  Below BLOCK_MIN_COLS unknowns the whole system's SVD
+    costs less than finding its blocks, and a bracket whose entries would
+    give more than 1/16 as many nonzeros as the dense matrix has cells (a
+    generic basis, where the system is one block) is built dense faster
+    than from its entries: both are solved whole.  Other systems are
+    built from mu's entries (:func:`_pi_entries`) and solved by
+    :func:`_block_kernel`.
+    """
+    n = mu.dim
+    width = n * n if free is None else len(free)
+    if width < BLOCK_MIN_COLS or 16 * (3 * n - 2) * len(mu.entries) > n**4 * (n - 1) // 2:
+        m = pi_matrix(mu)
+        return _row_space_and_kernel(m if free is None else m[:, free], RANK_TOL)[1]
+    rows, cols, vals = _pi_entries(mu)
+    if free is not None:
+        place = np.full(n * n, -1)
+        place[free] = np.arange(width)
+        kept = place[cols] >= 0
+        rows, cols, vals = rows[kept], place[cols[kept]], vals[kept]
+    return _block_kernel(rows, cols, vals, width)
 
 
 def derivation_algebra(mu: AlgebraTensor) -> np.ndarray:
     """Orthonormal basis of Der(mu) = ker(a -> pi(a) mu), stacked (m, n, n).
 
-    Orthonormal for the Frobenius pairing tr(A B^t).  The kernel comes from
-    the nonzero rows of the (n^2(n-1)/2, n^2) matrix of pi.  From n^2 >=
-    BLOCK_MIN_COLS unknowns on it is solved block by block (two unknowns
-    D_ab share a block when a nonzero row holds both; a nice basis splits
-    h_17's 289 unknowns into 129 blocks, the widest 17), with one batched
-    SVD per block width; smaller systems, and a system that is one block,
-    go through an economy QR when tall, then one SVD.  Either way singular
-    values s <= RANK_TOL s_max, with s_max over the whole system and no
-    absolute floor, count as zero, so rescaling mu does not change
-    dim Der(mu).
+    Orthonormal for the Frobenius pairing tr(A B^t).  From n^2 >=
+    BLOCK_MIN_COLS unknowns on, the nonzero entries of the
+    (n^2(n-1)/2, n^2) matrix of pi are built from mu's entries, at their
+    cost, and the system is solved block by block (two unknowns D_ab share
+    a block when a nonzero row holds both; a nice basis splits h_17's 289
+    unknowns into 129 blocks, the widest 17), with one batched SVD per
+    block width.  Smaller systems, brackets in a generic basis and a system
+    that is one block are solved whole on the nonzero rows, through an
+    economy QR when tall, then one SVD.  Either way singular values s <=
+    RANK_TOL s_max, with s_max over the whole system and no absolute floor,
+    count as zero, so rescaling mu does not change dim Der(mu).
     """
     n = mu.dim
     if n == 0:
         return np.zeros((0, 0, 0))
-    return _derivation_kernel(pi_matrix(mu)).reshape(-1, n, n)
+    return _derivation_kernel(mu).reshape(-1, n, n)
 
 
 def derivation_residual(mu: AlgebraTensor, alpha: np.ndarray) -> float:

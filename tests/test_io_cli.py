@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -667,3 +671,57 @@ def test_cli_reused_parser_prints_what_a_fresh_parser_prints(capsys, tmp_path, m
     assert json.loads(fresh[4][1])["config"]["tolerance"] == 1e-9
     assert fresh[5][0] == ("exit", 2)
     assert fresh[6][0] == 0
+
+
+def test_cli_fit_and_battery_pass_when_the_nilpotent_part_is_abelian_up_to_tol(capsys, tmp_path):
+    # cplxhyp2 with [e1, e2] = 1e-12 e3: fit and battery treat n alike, as abelian
+    raw = document_from_catalog(catalog.get("cplxhyp2")).to_json_dict()
+    for e in raw["bracket"]:
+        if (e["i"], e["j"]) == (1, 2):
+            e["c"] = 1e-12
+    path = tmp_path / "cplxhyp2-tiny.json"
+    path.write_text(json.dumps(raw))
+    code, out = run_cli(capsys, "fit", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["classification"] == "AlgebraicSoliton"
+    code, out = run_cli(capsys, "battery", str(path), "--json")
+    assert code == 0, [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+
+
+_NO_MASKED_ARRAYS = """
+import contextlib, io, json, sys
+from homsol.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    for target in sys.argv[1:] + ["heis3", "cplxhyp2", "solv12"]:
+        for command in ("fit", "battery", "stratify"):
+            main([command, target, "--json"])
+    main(["verify-all", "--json"])
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"])))
+"""
+
+
+def test_document_commands_do_not_import_numpy_ma(tmp_path):
+    # numpy.ma loads on the first np.unique (and some other set routines) and costs set-up
+    # time in every process: fit, battery, stratify and verify-all run without it, also on
+    # brackets large enough for the block solvers
+    paths = []
+    for m in (5, 8):
+        n = 2 * m + 1
+        heis = [{"i": i, "j": m + i, "k": 2 * m, "c": 1.0} for i in range(m)]
+        ad = [{"i": 0, "j": 1 + j, "k": 1 + j, "c": 0.5} for j in range(2 * m)]
+        ad.append({"i": 0, "j": n, "k": n, "c": 1.0})
+        ext = [{"i": 1 + e["i"], "j": 1 + e["j"], "k": 1 + e["k"], "c": 1.0} for e in heis]
+        for name, doc in (
+            (f"h{n}", doc_dict(name=f"h{n}", dim=n, dim_n=n, bracket=heis)),
+            (f"ext{m}", doc_dict(name=f"ext{m}", dim=n + 1, dim_h=1, dim_n=n, bracket=ad + ext)),
+        ):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            paths.append(str(path))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_MASKED_ARRAYS, *paths],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == []

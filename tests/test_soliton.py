@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from homsol import soliton
 from homsol.catalog import get
 from homsol.constructions import assemble_semidirect, build_semidirect
 from homsol.decomposition import MetricDecomposition, sym
@@ -19,7 +20,13 @@ from homsol.soliton import (
     stratum_compatibility_check,
     structure_battery,
 )
-from homsol.tensor import AlgebraTensor, derivation_algebra, pi_matrix
+from homsol.tensor import (
+    BLOCK_MIN_COLS,
+    AlgebraTensor,
+    _block_least_squares,
+    derivation_algebra,
+    pi_matrix,
+)
 
 from conftest import random_construction
 
@@ -321,6 +328,74 @@ def test_compat_skips_abelian_part():
     dec = get("solv12").decomposition()
     rep = stratum_compatibility_check(dec, soliton_fit(dec))
     assert rep.skipped
+
+
+def test_a_nilpotent_part_below_tol_counts_as_abelian_everywhere():
+    # cplxhyp2 with [e1, e2] = 1e-12 e3: |mu_n| <= tol |mu|, so n counts as abelian in the fit,
+    # the battery's fit of n (over gl(n)), the F shape and the compatibility checks alike
+    entry = get("cplxhyp2")
+    entries = tuple((i, j, k, 1e-12 if (i, j) == (1, 2) else c) for i, j, k, c in entry.entries)
+    dec = MetricDecomposition(AlgebraTensor(4, entries), 0, 1, 3)
+    assert dec.n_abelian and dec.n_bracket.norm > 0.0
+    assert len(dec.derivations_n()) == 9 and len(dec.n_decomposition().derivations_n()) == 6
+    cert = soliton_fit(dec)
+    assert cert.is_soliton and cert.family == "canonical"
+    assert structure_battery(dec, cert).all_pass
+    f_check = f_operator_check(dec, cert)
+    assert f_check.all_pass
+    assert f_check.condition("f-operator-shape").info["branch"] == "abelian-part"
+    assert stratum_compatibility_check(dec, cert).skipped
+
+
+# ---------------------------------------------------------------------------
+# the canonical fit's least squares, block by block
+# ---------------------------------------------------------------------------
+
+def heis_bracket(m):
+    return AlgebraTensor(2 * m + 1, tuple((i, m + i, 2 * m, 1.0) for i in range(m)))
+
+
+def fit_decompositions():
+    """(label, decomposition) whose canonical fit has a design that splits into blocks."""
+    for m in range(3, 9):  # rank-deficient designs: Der(h_{2m+1}) meets so in u(m)
+        yield f"h{2 * m + 1}", MetricDecomposition(heis_bracket(m), 0, 0, 2 * m + 1)
+    for n in (6, 10, 14):
+        fil = tuple((0, j, j + 1, float(np.sqrt(j * (n - 1 - j)))) for j in range(1, n - 1))
+        yield f"L{n}", MetricDecomposition(AlgebraTensor(n, fil), 0, 0, n)
+    for m in (3, 5, 7):
+        n = 2 * m + 1
+        ad = [(0, 1 + j, 1 + j, 0.5) for j in range(2 * m)] + [(0, n, n, 1.0)]
+        heis = [(1 + i, 1 + m + i, 1 + 2 * m, 1.0) for i in range(m)]
+        yield f"ext{m}", MetricDecomposition(AlgebraTensor(n + 1, tuple(ad + heis)), 0, 1, n)
+    # an abelian n, whose family gl(n) holds I, the direction of c
+    yield "abelian8", MetricDecomposition(AlgebraTensor(8), 0, 0, 8)
+    hyp = tuple((0, j, j, 1.0) for j in range(1, 9))
+    yield "hyp9", MetricDecomposition(AlgebraTensor(9, hyp), 0, 1, 8)
+
+
+def test_block_least_squares_matches_lstsq(monkeypatch):
+    designs = []
+
+    def lstsq(a, b):
+        designs.append((a, b))
+        return np.linalg.lstsq(a, b, rcond=None)[0]
+
+    blocked = 0
+    for label, dec in fit_decompositions():
+        cert = soliton._canonical_fit(dec)
+        with monkeypatch.context() as patch:
+            patch.setattr(soliton, "_least_squares", lstsq)
+            want = soliton._canonical_fit(dec)
+        a, b = designs[-1]
+        blocked += a.shape[1] >= BLOCK_MIN_COLS
+        # every design, also those below BLOCK_MIN_COLS columns, through the block solver
+        x_ref = np.linalg.lstsq(a, b, rcond=None)[0]
+        assert np.max(np.abs(_block_least_squares(a, b) - x_ref)) <= 1e-12, label
+        assert abs(cert.c - want.c) <= 1e-12, label
+        assert np.max(np.abs(cert.d_full - want.d_full)) <= 1e-12, label
+        assert np.max(np.abs(cert.d1 - want.d1)) <= 1e-12, label
+        assert cert.tag == want.tag, label
+    assert blocked >= 8
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from homsol.tensor import (
     RANK_TOL,
     AlgebraTensor,
     _block_kernel,
+    _pi_entries,
     _row_space_and_kernel,
     derivation_algebra,
     derivation_residual,
@@ -510,11 +511,17 @@ def sparse_brackets(draw):
     return mu
 
 
+def block_kernel(m):
+    """_block_kernel of the dense matrix m, handed over as its nonzero entries in row-major order."""
+    rows, cols = np.nonzero(m)
+    return _block_kernel(rows, cols, m[rows, cols], m.shape[1])
+
+
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
 @given(sparse_brackets())
 def test_block_kernel_matches_the_whole_system(mu):
     m = pi_matrix(mu)
-    assert_same_kernel(_block_kernel(m), _row_space_and_kernel(m, RANK_TOL)[1])
+    assert_same_kernel(block_kernel(m), _row_space_and_kernel(m, RANK_TOL)[1])
 
 
 def test_block_kernel_matches_the_whole_system_on_catalog_and_ladder_brackets():
@@ -524,7 +531,7 @@ def test_block_kernel_matches_the_whole_system_on_catalog_and_ladder_brackets():
         # a random orthonormal basis makes the system one block
         for q in (np.eye(mu.dim), random_orthogonal(rng, mu.dim)):
             m = pi_matrix(mu.map_basis(q))
-            assert_same_kernel(_block_kernel(m), _row_space_and_kernel(m, RANK_TOL)[1], label)
+            assert_same_kernel(block_kernel(m), _row_space_and_kernel(m, RANK_TOL)[1], label)
         seen += 1
     assert seen >= 33 + 17
 
@@ -533,10 +540,37 @@ def test_block_kernel_cuts_every_block_by_the_largest_singular_value_of_the_syst
     # heis3 (+) 1e-10 heis3: the small copy's values fall under RANK_TOL s_max of the whole
     # system, though a cut relative to its own blocks would resolve them
     m = pi_matrix(AlgebraTensor(6, ((0, 1, 2, 1.0), (3, 4, 5, 1e-10))))
-    got = _block_kernel(m)
+    got = block_kernel(m)
     assert_same_kernel(got, _row_space_and_kernel(m, RANK_TOL)[1])
     both_resolved = derivation_algebra(AlgebraTensor(6, ((0, 1, 2, 1.0), (3, 4, 5, 1.0))))
     assert len(got) > len(both_resolved)
+
+
+def test_pi_entries_are_the_nonzeros_of_the_dense_matrix_bit_for_bit():
+    # catalog and ladder brackets, each also in a random orthonormal basis
+    # (T'_abc = sum Q_ia Q_jb Q_kc T_ijk), and random tensors that are no Lie brackets
+    rng = np.random.default_rng(17)
+    brackets = []
+    for label, mu in derivation_brackets():
+        brackets += [(label, mu), (f"{label} rotated", mu.map_basis(random_orthogonal(rng, mu.dim)))]
+    for n in range(1, 10):
+        brackets += [(f"random dim {n}", random_skew_bracket(rng, n))]
+        brackets += [(f"sparse dim {n}", AlgebraTensor.from_dense(sparse_skew_dense(rng, n)))]
+    for label, mu in brackets:
+        m = pi_matrix(mu)
+        rows, cols = np.nonzero(m)
+        got_rows, got_cols, got_vals = _pi_entries(mu)
+        assert np.array_equal(got_rows, rows) and np.array_equal(got_cols, cols), label
+        assert got_vals.tobytes() == m[rows, cols].tobytes(), label
+    assert len(brackets) >= 2 * (33 + 17) + 18
+
+
+def test_derivation_dims_do_not_change_under_rotation():
+    rng = np.random.default_rng(19)
+    for mu, want in ((heis(3), 28), (filiform(8, False), 15)):
+        assert derivation_algebra(mu).shape[0] == want
+        for _ in range(3):
+            assert derivation_algebra(mu.map_basis(random_orthogonal(rng, mu.dim))).shape[0] == want
 
 
 def test_derivation_dims_do_not_depend_on_the_bracket_scale():
@@ -653,6 +687,21 @@ def test_jacobi_residual_matches_loop():
     for mu in brackets:
         want = jacobi_residual_loop(mu)
         assert jacobi_residual(mu) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_jacobi_residual_agrees_with_the_einsum_formula_on_sparse_and_larger_tensors():
+    rng = np.random.default_rng(18)
+    for n in range(0, 13):
+        for mu in (random_skew_bracket(rng, n), AlgebraTensor.from_dense(sparse_skew_dense(rng, n))):
+            assert abs(jacobi_residual(mu) - jacobi_residual_loop(mu)) <= 1e-12 * mu.norm_sq
+
+
+def test_jacobi_residual_is_exactly_zero_on_the_catalog_and_ladder_brackets():
+    seen = 0
+    for label, mu in derivation_brackets():
+        assert jacobi_residual(mu) == 0.0, label
+        seen += 1
+    assert seen >= 33 + 17
 
 
 def from_dense_via_entries(dense, zero_tol=0.0):
