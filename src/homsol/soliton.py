@@ -172,9 +172,10 @@ def _fit(
     with S(B_p) = 0 cannot move the fit and are dropped.  ``c`` is fitted
     unless given.  The certificate's D1 is the symmetric n-block of the
     fitted part sum_i x_i B_i, without the offset; ``family`` names the
-    family in the certificate.  The min-norm solution is lstsq's; from
-    BLOCK_MIN_COLS columns on it is solved per block of the design's column
-    graph (``tensor._least_squares``), as a derivation system is.
+    family in the certificate.  The min-norm solution is lstsq's; a wide
+    sparse design (from FIT_BLOCK_MIN_COLS columns, a nice basis) is solved
+    per block of its column graph on the derivation kernel's block solver
+    (``tensor._least_squares``).
     """
     eye = np.eye(dec.dim_p)
     ric = dec.ricci().matrix

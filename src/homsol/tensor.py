@@ -39,6 +39,8 @@ DEFAULT_TOL = 1e-9
 RANK_TOL = 1e-9
 # from this many unknowns on, a derivation system is solved block by block (_derivation_kernel)
 BLOCK_MIN_COLS = 64
+# from this many columns on, a sparse least-squares design is solved block by block (_least_squares)
+FIT_BLOCK_MIN_COLS = 72
 
 Entry = tuple[int, int, int, float]
 
@@ -242,12 +244,18 @@ def jacobi_residual(mu: AlgebraTensor) -> float:
     return frob(c[ijl] + c[jli] + c[lij])
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def _increasing_triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat indices (i n + j) n + l of the triples i < j < l of range(n), and of their two rotations."""
+    """Flat indices (i n + j) n + l of the triples i < j < l of range(n), and of their two rotations.
+
+    Cached per n and shared by every caller, so the arrays are read-only.
+    """
     x = np.arange(n)
     i, j, l = np.nonzero((x[:, None, None] < x[:, None]) & (x[:, None] < x))
-    return (i * n + j) * n + l, (j * n + l) * n + i, (l * n + i) * n + j
+    out = (i * n + j) * n + l, (j * n + l) * n + i, (l * n + i) * n + j
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def nilpotency_class(mu: AlgebraTensor, tol: float = DEFAULT_TOL) -> int | None:
@@ -370,12 +378,16 @@ def _pi_entries(mu: AlgebraTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, vals[kept]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def _pair_index(n: int) -> np.ndarray:
-    """pair[i, j] = pair[j, i], the row-pair index of {i, j} in pi_matrix (0 on the diagonal)."""
+    """pair[i, j] = pair[j, i], the row-pair index of {i, j} in pi_matrix (0 on the diagonal).
+
+    Cached per n and shared by every caller, so the array is read-only.
+    """
     iu, ju = np.triu_indices(n, 1)
     pair = np.zeros((n, n), dtype=np.intp)
     pair[iu, ju] = pair[ju, iu] = np.arange(len(iu))
+    pair.flags.writeable = False
     return pair
 
 
@@ -507,15 +519,27 @@ def _block_kernel(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, width: i
     return np.concatenate(kernel)
 
 
-def _block_least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.lstsq(a, b, rcond=None)[0]``, solved block by block (:func:`_block_svds`).
+def _least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The min-norm least-squares solution of a x = b, ``np.linalg.lstsq(a, b, rcond=None)[0]``.
 
-    Each block's min-norm least-squares solution, with lstsq's cut
-    s <= eps max(a.shape) s_max and s_max the largest singular value over
-    all blocks, is the restriction of the whole one; a column that no
-    entry holds gets 0.  A matrix that is one block goes to lstsq.
+    From FIT_BLOCK_MIN_COLS columns on, a design with nonzeros in at most a
+    quarter of its cells is solved block by block (:func:`_block_svds`):
+    each block's min-norm solution, with lstsq's cut s <= eps max(a.shape)
+    s_max and s_max the largest singular value over all blocks, is the
+    restriction of the whole one, and a column that no entry holds gets 0.
+    A narrower design, a denser one (b equal blocks fill at most 1/b of the
+    cells, so it has too few blocks to pay for finding them; a generic
+    basis fills nearly all) and a design that is one block go to lstsq.
+    On the canonical fits of nice brackets (one BLAS thread) the blocks
+    cost about as much as lstsq or more below 64 columns, 0.5x to 1.7x of
+    it at 64-71, and 0.24x to 0.99x from 72 on (h_17's 289 x 154 design:
+    0.85 ms against 2.9 ms).
     """
-    split = _block_svds(a, *np.nonzero(a))
+    split = None
+    if a.shape[1] >= FIT_BLOCK_MIN_COLS:
+        nonzero = a != 0.0  # np.nonzero of a bool array is several times faster than of a float one
+        if 4 * np.count_nonzero(nonzero) <= a.size:
+            split = _block_svds(a, *np.nonzero(nonzero))
     if split is None:
         return np.linalg.lstsq(a, b, rcond=None)[0]
     _, solved = split
@@ -530,18 +554,6 @@ def _block_least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The min-norm least-squares solution of a x = b, ``np.linalg.lstsq(a, b, rcond=None)[0]``.
-
-    Below BLOCK_MIN_COLS columns lstsq solves it whole; from there on
-    :func:`_block_least_squares` does, on the same blocks as a derivation
-    system's.
-    """
-    if a.shape[1] < BLOCK_MIN_COLS:
-        return np.linalg.lstsq(a, b, rcond=None)[0]
-    return _block_least_squares(a, b)
-
-
 def _derivation_kernel(mu: AlgebraTensor, free: np.ndarray | None = None) -> np.ndarray:
     """Orthonormal rows spanning the kernel of pi on the unknowns ``free`` (all n^2 by default).
 
@@ -553,7 +565,11 @@ def _derivation_kernel(mu: AlgebraTensor, free: np.ndarray | None = None) -> np.
     generic basis, where the system is one block) is built dense faster
     than from its entries: both are solved whole.  Other systems are
     built from mu's entries (:func:`_pi_entries`) and solved by
-    :func:`_block_kernel`.
+    :func:`_block_kernel`.  The 1/16 is measured (one BLAS thread): over
+    70 brackets h_13, h_17, L_10, L_14 and ext_7 rotated on 0..n of their
+    basis vectors, whose fill spans 6e-4..0.28 of the cells, it picks the
+    faster build and solve 64 times and costs 2.1% over the faster of the
+    two, summed; 1/8 costs 4.7%, 1/32 4.0%.
     """
     n = mu.dim
     width = n * n if free is None else len(free)

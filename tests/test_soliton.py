@@ -20,10 +20,11 @@ from homsol.soliton import (
     stratum_compatibility_check,
     structure_battery,
 )
+from homsol import tensor
 from homsol.tensor import (
-    BLOCK_MIN_COLS,
+    FIT_BLOCK_MIN_COLS,
     AlgebraTensor,
-    _block_least_squares,
+    _least_squares,
     derivation_algebra,
     pi_matrix,
 )
@@ -387,15 +388,18 @@ def test_block_least_squares_matches_lstsq(monkeypatch):
             patch.setattr(soliton, "_least_squares", lstsq)
             want = soliton._canonical_fit(dec)
         a, b = designs[-1]
-        blocked += a.shape[1] >= BLOCK_MIN_COLS
-        # every design, also those below BLOCK_MIN_COLS columns, through the block solver
+        blocked += a.shape[1] >= FIT_BLOCK_MIN_COLS
+        # every sparse design, also those below FIT_BLOCK_MIN_COLS columns, through the block solver
         x_ref = np.linalg.lstsq(a, b, rcond=None)[0]
-        assert np.max(np.abs(_block_least_squares(a, b) - x_ref)) <= 1e-12, label
+        with monkeypatch.context() as patch:
+            patch.setattr(tensor, "FIT_BLOCK_MIN_COLS", 0)
+            x = _least_squares(a, b)
+        assert np.max(np.abs(x - x_ref)) <= 1e-12, label
         assert abs(cert.c - want.c) <= 1e-12, label
         assert np.max(np.abs(cert.d_full - want.d_full)) <= 1e-12, label
         assert np.max(np.abs(cert.d1 - want.d1)) <= 1e-12, label
         assert cert.tag == want.tag, label
-    assert blocked >= 8
+    assert blocked >= 4
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from homsol.tensor import (
     RANK_TOL,
     AlgebraTensor,
     _block_kernel,
+    _increasing_triples,
+    _pair_index,
     _pi_entries,
     _row_space_and_kernel,
     derivation_algebra,
@@ -702,6 +704,14 @@ def test_jacobi_residual_is_exactly_zero_on_the_catalog_and_ladder_brackets():
         assert jacobi_residual(mu) == 0.0, label
         seen += 1
     assert seen >= 33 + 17
+
+
+def test_cached_index_arrays_are_read_only():
+    # every caller of one n shares them: a write would corrupt all later Jacobi tests and pi builds
+    for n in (3, 9):
+        for a in (*_increasing_triples(n), _pair_index(n)):
+            with pytest.raises(ValueError):
+                a[0] = 1
 
 
 def from_dense_via_entries(dense, zero_tol=0.0):
