@@ -502,9 +502,12 @@ def main(argv=None) -> int:
             extra = [args.variant] if args.command == "extend" else []
             report = run_document(args.command, load(args.document), tol, *extra)
             if extra and args.out and "document" in report.results:
-                Path(args.out).write_text(
-                    json.dumps(report.results["document"], sort_keys=True, indent=2) + "\n"
-                )
+                try:
+                    Path(args.out).write_text(
+                        json.dumps(report.results["document"], sort_keys=True, indent=2) + "\n"
+                    )
+                except OSError as err:
+                    raise DocumentError("out-not-writable", f"{args.out}: {err.strerror}") from None
     except DocumentError as err:
         print(f"error [{err.code}] {err.detail}", file=sys.stderr)
         return 2

@@ -49,14 +49,20 @@ from .tensor import (
 def _once(method):
     """A method of no arguments, or a function of one decomposition, cached under its name.
 
-    The result is stored in the decomposition's ``_cache``.
+    The result is stored in the decomposition's ``_cache``, an ndarray
+    result read-only: ``io.validate`` hands one decomposition to every
+    command on the same metric Lie algebra, so a write into a cached array
+    would change a later command's report.
     """
     name = method.__name__
 
     @functools.wraps(method)
     def cached(self):
         if name not in self._cache:
-            self._cache[name] = method(self)
+            value = method(self)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            self._cache[name] = value
         return self._cache[name]
 
     return cached

@@ -15,8 +15,10 @@ byte-identical JSON (sorted keys, no timestamps, input content hash).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -125,6 +127,12 @@ def document_from_dict(raw: dict) -> AlgebraDocument:
     nrm2 = 2.0 * sum(c * c for c in summed.values())
     if not np.isfinite(nrm2 * nrm2):
         raise DocumentError("bracket-norm-overflow", "(|mu|^2)^2 of the bracket is not finite")
+    # and must not underflow: a nonzero bracket whose quantities of degree 4
+    # round to 0 would pass as an abelian or Einstein one
+    if any(summed.values()) and nrm2 * nrm2 < sys.float_info.min:
+        raise DocumentError(
+            "bracket-norm-underflow", "(|mu|^2)^2 of the nonzero bracket is below the normal range"
+        )
     ip = None
     if "ip" in raw:
         dp = dims["dim_h"] + dims["dim_n"]
@@ -134,6 +142,8 @@ def document_from_dict(raw: dict) -> AlgebraDocument:
             raise DocumentError("bad-ip", f"ip is not a numeric matrix: {err}") from None
         if ip.shape != (dp, dp):
             raise DocumentError("bad-ip", f"ip must be {dp}x{dp}, got {ip.shape}")
+        if not np.all(np.isfinite(ip)):
+            raise DocumentError("bad-ip", "ip entries must be finite numbers")
     meta = raw.get("meta", {})
     if not isinstance(meta, dict):
         raise DocumentError("bad-meta", "meta must be an object")
@@ -188,14 +198,28 @@ def document_from_decomposition(
 
 
 def validate(doc: AlgebraDocument, tol: float = 1e-9):
-    """(decomposition, violations): decomposition is None when invalid."""
+    """(decomposition, violations): decomposition is None when invalid.
+
+    Memoized on what the decomposition is a function of: the canonical
+    bracket, the block dimensions, the inner product's shape and bytes, and
+    ``tol`` (not the document's name or meta).  Equal inputs get the same
+    ``MetricDecomposition``, so the Der(n), label and certificate it caches
+    once serve every later command in the process on that metric Lie
+    algebra.  The two most recent are kept.
+    """
+    ip = None if doc.ip is None else np.asarray(doc.ip, dtype=float)
+    ip_key = None if ip is None else (ip.shape, ip.tobytes())
+    dec, violations = _validated(doc.tensor(), doc.dim_k, doc.dim_h, doc.dim_n, ip_key, tol)
+    return dec, list(violations)
+
+
+@functools.lru_cache(maxsize=2)
+def _validated(mu: AlgebraTensor, dim_k: int, dim_h: int, dim_n: int, ip_key, tol: float):
+    ip = None if ip_key is None else np.frombuffer(ip_key[1]).reshape(ip_key[0])
     try:
-        dec = MetricDecomposition(
-            doc.tensor(), doc.dim_k, doc.dim_h, doc.dim_n, ip=doc.ip, tol=tol
-        )
-        return dec, []
+        return MetricDecomposition(mu, dim_k, dim_h, dim_n, ip=ip, tol=tol), ()
     except DecompositionError as err:
-        return None, err.violations
+        return None, tuple(err.violations)
 
 
 # ---------------------------------------------------------------------------

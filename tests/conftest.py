@@ -5,11 +5,16 @@ Random semidirect data comes in two strengths: fully compatible data
 equivalence suites) and merely assemblable data (a homomorphism into the
 derivation algebra, enough for a valid decomposition with [h,h] inside u,
 used by the blockwise-moment suite).
+
+``io.validate`` keeps the decompositions it validated for later commands in
+the process; each test starts with that memo empty, and a test that counts
+the work of single commands asks for ``cold_commands``.
 """
 
 import numpy as np
 import pytest
 
+from homsol import cli, io
 from homsol.constructions import ConstructionData, assemble_semidirect
 from homsol.tensor import AlgebraTensor, derivation_algebra
 
@@ -151,3 +156,25 @@ def random_lambda1zero(rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def _empty_validation_memo():
+    """No test is served a decomposition that an earlier test validated."""
+    io._validated.cache_clear()
+
+
+@pytest.fixture
+def cold_commands(monkeypatch):
+    """``homsol.cli.main`` with the validation memo emptied before each call.
+
+    Every command then validates its document afresh, as the first command
+    on a document in a new process does.
+    """
+    main = cli.main
+
+    def cold_main(argv=None):
+        io._validated.cache_clear()
+        return main(argv)
+
+    monkeypatch.setattr(cli, "main", cold_main)

@@ -5,6 +5,7 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from homsol import catalog
 from homsol.io import document_from_catalog, document_from_dict, validate
@@ -149,6 +150,7 @@ def test_each_command_computes_der_n_and_the_label_at_most_once(tmp_path, capsys
     capsys.readouterr()
 
 
+@pytest.mark.usefixtures("cold_commands")
 def test_each_command_builds_the_n_block_tensor_at_most_once(tmp_path, capsys, monkeypatch):
     from homsol.cli import main
     from homsol.tensor import AlgebraTensor
@@ -240,6 +242,7 @@ def test_stratify_computes_the_label_once(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.usefixtures("cold_commands")
 def test_each_decomposition_runs_the_jacobi_test_once(tmp_path, capsys, monkeypatch):
     from homsol import decomposition, tensor
     from homsol.cli import main
@@ -259,6 +262,59 @@ def test_each_decomposition_runs_the_jacobi_test_once(tmp_path, capsys, monkeypa
             main([command, target, "--json"])
             assert calls["init"] >= 1 and calls["jacobi"] == calls["init"], (command, target)
     capsys.readouterr()
+
+
+DOCUMENT_COMMAND_ARGV = [
+    ["ricci"],
+    ["fit"],
+    ["battery"],
+    ["stratify"],
+    ["extend", "--variant=nonunimodular"],
+    ["extend", "--variant=restrict"],
+    ["extend", "--variant=unimodular"],
+]
+
+
+def test_commands_served_from_the_validation_memo_print_what_cold_runs_print(tmp_path, capsys):
+    # validate hands one decomposition to every command on the same algebra;
+    # in any order of commands, each prints byte for byte its cold output
+    from homsol import io
+    from homsol.cli import main
+
+    def run(command, target):
+        code = main([*command, target, "--json"])
+        return code, capsys.readouterr()
+
+    targets = sorted(catalog.names()) + one_document_per_ladder_family(tmp_path)
+    cold = {}
+    for target in targets:
+        for pos, command in enumerate(DOCUMENT_COMMAND_ARGV):
+            io._validated.cache_clear()
+            cold[pos, target] = run(command, target)
+    orders = [range(7), range(6, -1, -1), (3, 0, 5, 2, 6, 1, 4)]
+    for order in orders:
+        for target in targets:
+            for pos in order:
+                assert run(DOCUMENT_COMMAND_ARGV[pos], target) == cold[pos, target], (order, pos, target)
+    assert io._validated.cache_info().hits >= len(orders) * len(targets) * 6
+
+
+def test_validation_memo_keys_on_the_metric_lie_algebra_alone():
+    raw = document_from_catalog(catalog.get("fil4")).to_json_dict()
+    dec, _ = validate(document_from_dict(raw))
+    # another name and meta, and the bracket's entries in another order: the same algebra
+    other = {**raw, "name": "other", "meta": {"note": 1}, "bracket": raw["bracket"][::-1]}
+    assert validate(document_from_dict(other))[0] is dec
+    assert validate(document_from_dict(raw), tol=1e-8)[0] is not dec
+    ip = np.diag([1.0, 1.0, 1.0, 2.0]).tolist()
+    assert validate(document_from_dict({**raw, "ip": ip}))[0] is not dec
+
+
+def test_arrays_cached_on_a_decomposition_are_read_only():
+    dec, _ = validate(document_from_catalog(catalog.get("cplxhyp2")))
+    for cached in (dec.derivations_n(), dec.killing(), dec.mean_curvature(), dec.ad_mean_curvature()):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0] = 1.0
 
 
 def test_compare_prints_one_summary_per_report_that_differs(tmp_path, capsys):

@@ -358,20 +358,27 @@ def test_sphere_presentation_with_isotropy():
 
 def test_cached_parts_hold_no_reference_cycle():
     # with the cycle collector off, a decomposition reachable from its own
-    # cache (say a nilpotent one caching itself as its n-part) stays alive
+    # cache (say a nilpotent one caching itself as its n-part) stays alive;
+    # one that io.validate keeps must be freed once later validations evict it
+    from homsol.io import document_from_catalog, validate
     from homsol.soliton import soliton_fit, structure_battery
 
     gc.disable()
     try:
         for name in ("heis3", "fil4", "cplxhyp2", "solv12", "nil7"):
-            dec = d(name)
-            structure_battery(dec, soliton_fit(dec))
-            dec.derivations_n()
-            dec.n_decomposition()
-            if dec.n_bracket.norm > 0:
-                dec.n_stratum()
-            ref = weakref.ref(dec)
-            del dec
-            assert ref() is None, name
+            for memoized in (False, True):
+                dec = validate(document_from_catalog(get(name)))[0] if memoized else d(name)
+                structure_battery(dec, soliton_fit(dec))
+                dec.derivations_n()
+                dec.n_decomposition()
+                if dec.n_bracket.norm > 0:
+                    dec.n_stratum()
+                ref = weakref.ref(dec)
+                del dec
+                if memoized:
+                    # the memo keeps two: two other algebras evict this one
+                    for other in ("abelian2", "abelian3"):
+                        validate(document_from_catalog(get(other)))
+                assert ref() is None, (name, memoized)
     finally:
         gc.enable()

@@ -351,6 +351,44 @@ def test_cli_degree_four_overflow_exit_2(capsys, tmp_path, command, c):
     assert "bracket-norm-overflow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c", [1e-100, 1e-170])
+@pytest.mark.parametrize("command", ["fit", "battery", "stratify"])
+def test_cli_degree_four_underflow_exit_2(capsys, tmp_path, command, c):
+    # (|mu|^2)^2 below the normal range: quantities of degree 4 round to 0,
+    # and the nonzero bracket would pass as Einstein or as abelian
+    f = tmp_path / "tiny.json"
+    f.write_text(json.dumps(doc_dict(bracket=[{"i": 0, "j": 1, "k": 2, "c": c}])))
+    assert main([command, str(f)]) == 2
+    assert "bracket-norm-underflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "battery"])
+def test_cli_smallest_accepted_scale_keeps_the_tag(capsys, tmp_path, command):
+    f = tmp_path / "tiny.json"
+    f.write_text(json.dumps(doc_dict(bracket=[{"i": 0, "j": 1, "k": 2, "c": 1e-75}])))
+    code, out = run_cli(capsys, command, str(f), "--json")
+    assert code == 0
+    assert json.loads(out)["classification"] == "AlgebraicSoliton"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("command", ["fit", "battery", "stratify"])
+def test_cli_non_finite_ip_exit_2(capsys, tmp_path, command, bad):
+    # json reads NaN and Infinity, and no eigensolver accepts them
+    f = tmp_path / "ip.json"
+    f.write_text(json.dumps(doc_dict(ip=[[1.0, 0.0, 0.0], [0.0, bad, 0.0], [0.0, 0.0, 1.0]])))
+    assert main([command, str(f)]) == 2
+    assert "error [bad-ip]" in capsys.readouterr().err
+
+
+def test_cli_extend_out_to_a_missing_directory_exit_2(capsys, tmp_path):
+    out_file = tmp_path / "missing" / "x.json"
+    argv = ["extend", "--variant=unimodular", "heis3", "--out", str(out_file)]
+    assert main(argv) == 2
+    assert "error [out-not-writable]" in capsys.readouterr().err
+    assert not out_file.parent.exists()
+
+
 @pytest.mark.parametrize("command", ["fit", "battery"])
 def test_cli_largest_accepted_scale_reports(capsys, tmp_path, command):
     f = tmp_path / "big.json"
