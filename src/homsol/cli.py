@@ -33,6 +33,7 @@ from .io import (
     document_from_catalog,
     document_from_decomposition,
     load,
+    read_json,
     validate,
 )
 from .soliton import (
@@ -228,15 +229,15 @@ def _construction_from_dict(raw: dict) -> tuple[str, ConstructionData]:
 def run_build(path: str, tol: float) -> Report:
     report = Report(command="build", input_name=path, input_hash="", tolerance=tol)
     try:
-        raw = json.loads(Path(path).read_text())
-        name, data = _construction_from_dict(raw)
+        name, data = _construction_from_dict(read_json(Path(path)))
         res, violations = build_semidirect(data, tol), []
     except ConstructionError as err:
         # a ValueError too, but data that fails (c1)-(c3) or (d1)-(d3) fails checks: exit 1
         violations = err.violations
-    except (OSError, KeyError, TypeError, ValueError) as err:
-        # ValueError covers malformed JSON, DocumentError, arrays of the wrong shape
-        # and an inner product that is not positive definite (LinAlgError)
+    except (KeyError, TypeError, ValueError) as err:
+        # ValueError covers a file read_json refuses, DocumentError, arrays of the wrong
+        # shape, an inner product that is not symmetric or not positive definite
+        # (LinAlgError) and a bracket whose norm leaves the range computed in
         report.errors.append({"code": "bad-construction", "detail": str(err)})
         return report
     report.input_name = name

@@ -20,6 +20,10 @@ whose Ricci operator is then predicted to be
 with H in h defined by <H, Y> = tr theta(Y).  The prediction is always
 cross-checked against the direct Ricci computation.
 
+The assembled algebra's decomposition checks Jacobi, which on g says that
+u and n are Lie algebras and theta a homomorphism into Der(n), and ad k
+skew on p, which is (c1); the builder checks (d1), u reductive, (c2), (c3).
+
 Three metric modifications move between solitons and Einstein spaces; all
 three return decompositions expressed in an adapted orthonormal basis (so
 their stored inner product is the identity):
@@ -36,11 +40,11 @@ their stored inner product is the identity):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decomposition import DecompositionError, MetricDecomposition, Violation, frob, sym
+from .decomposition import DecompositionError, MetricDecomposition, Violation, frob, sym, symmetric
 from .soliton import (
     SOLITON_RESIDUAL_TOL,
     TAG_ALGEBRAIC,
@@ -53,7 +57,7 @@ from .soliton import (
     _residual_bound,
     soliton_fit,
 )
-from .tensor import DEFAULT_TOL, AlgebraTensor, _row_space_and_kernel, derivation_residual
+from .tensor import DEFAULT_TOL, AlgebraTensor, _row_space_and_kernel, norm_range_fault
 
 
 class ConstructionError(DecompositionError):
@@ -95,102 +99,76 @@ class ConstructionData:
         """Same data rewritten in bases where ip_n and ip_h are identities."""
         if self.ip_n is None and self.ip_h is None:
             return self
-        theta = np.array(self.theta, dtype=float, copy=True)
-        n_bracket = self.n_bracket
-        d1 = np.asarray(self.d1, dtype=float)
-        u_bracket = self.u_bracket
+        out = replace(self, ip_n=None, ip_h=None)
+        out.d1, out.theta = np.asarray(self.d1, dtype=float), np.asarray(self.theta, dtype=float)
         if self.ip_n is not None:
             f_n = np.linalg.inv(np.linalg.cholesky(np.asarray(self.ip_n, dtype=float))).T
             f_n_inv = np.linalg.inv(f_n)
-            n_bracket = n_bracket.map_basis(f_n)
-            d1 = f_n_inv @ d1 @ f_n
-            theta = np.stack([f_n_inv @ t @ f_n for t in theta])
+            out.n_bracket = self.n_bracket.map_basis(f_n)
+            out.d1 = f_n_inv @ out.d1 @ f_n
+            out.theta = np.stack([f_n_inv @ t @ f_n for t in out.theta])
         if self.ip_h is not None:
             f_h = np.linalg.inv(np.linalg.cholesky(np.asarray(self.ip_h, dtype=float))).T
             f_u = np.eye(self.dim_u)
             f_u[self.dim_k :, self.dim_k :] = f_h
-            u_bracket = u_bracket.map_basis(f_u)
-            theta = np.einsum("ua,aij->uij", f_u, theta)
-        return ConstructionData(
-            n_bracket=n_bracket,
-            c=self.c,
-            d1=d1,
-            u_bracket=u_bracket,
-            dim_k=self.dim_k,
-            theta=theta,
-        )
+            out.u_bracket = self.u_bracket.map_basis(f_u)
+            out.theta = np.einsum("ua,aij->uij", f_u, out.theta)
+        return out
 
 
-def validate_construction(data: ConstructionData, tol: float = DEFAULT_TOL) -> list[Violation]:
-    """Residual report for (d1)-(d3) and (c1)-(c3); empty means buildable.
+def validate_construction(
+    data: ConstructionData, tol: float = DEFAULT_TOL
+) -> tuple[MetricDecomposition | None, list[Violation]]:
+    """(decomposition, violations) of the assembled g = u (+) n; None when it is invalid.
 
-    A residual of degree d is held to tol |mu|^d, |mu| the norm of the
-    bracket the data assembles to, so rescaling the data keeps the verdicts.
+    When g, or its n- or u-part, fails the decomposition's own validation,
+    those violations are the report: ``jacobi`` for theta, ``isotropy-not-skew``
+    for (c1).  Otherwise (d1), u reductive, (c2) and (c3) are checked, a
+    residual of degree d against tol |mu|^d, |mu| the norm of g; NaN fails.
+    A non-symmetric ``ip_n`` or ``ip_h``, or a bracket out of range, raises ValueError.
     """
+    for what, ip in (("ip_n", data.ip_n), ("ip_h", data.ip_h)):
+        if ip is not None and not symmetric(np.asarray(ip, dtype=float), tol):
+            raise ValueError(f"{what} must be symmetric")
     data = data.normalized()
-    out: list[Violation] = []
-    dn, du, dk, dh = data.dim_n, data.dim_u, data.dim_k, data.dim_h
-    theta = np.asarray(data.theta, dtype=float)
-    if theta.shape != (du, dn, dn):
-        return [Violation("theta-shape", f"expected ({du},{dn},{dn}), got {theta.shape}")]
-    # theta appears twice in the assembled bracket, as [Y, X] and as [X, Y]
-    norm = float(np.sqrt(data.u_bracket.norm_sq + data.n_bracket.norm_sq + 2.0 * frob(theta) ** 2))
-
-    # nilpotent part must carry the declared certificate
+    dn, du, dh = data.dim_n, data.dim_u, data.dim_h
+    shape = np.shape(data.theta)
+    if shape != (du, dn, dn):
+        return None, [Violation("theta-shape", f"expected ({du},{dn},{dn}), got {shape}")]
     try:
-        ndec = MetricDecomposition(data.n_bracket, 0, 0, dn, tol=tol)
+        dec = assemble_semidirect(data, tol)
+        ndec, udec = dec.n_decomposition(), dec.u_decomposition()
     except DecompositionError as err:
-        return list(err.violations)
+        return None, err.violations
+    norm = dec.bracket_on.norm
+    out: list[Violation] = []
+
+    # (d1) the nilpotent part carries the declared certificate
     ric_n = ndec.ricci().matrix
-    r = frob(ric_n - data.c * np.eye(dn) - np.asarray(data.d1))
-    if r > _residual_bound(ric_n, data.c, norm):
+    d1 = np.asarray(data.d1, dtype=float)
+    r = frob(ric_n - data.c * np.eye(dn) - d1)
+    if not r <= _residual_bound(ric_n, data.c, norm):
         out.append(Violation("nil-certificate", "Ric_n != c I + D1", r))
-    r = derivation_residual(data.n_bracket, np.asarray(data.d1))
-    if r > SOLITON_RESIDUAL_TOL * norm**3:
+    r = ndec.derivation_residual_on(d1)
+    if not r <= SOLITON_RESIDUAL_TOL * norm**3:
         out.append(Violation("d1-not-derivation", "D1 is not a derivation of n", r))
 
-    # u must be a reductive Lie algebra with the k/h closure
-    try:
-        udec = MetricDecomposition(data.u_bracket, dk, dh, 0, tol=tol)
-    except DecompositionError as err:
-        return out + list(err.violations)
-    if not _is_reductive(data.u_bracket, tol):
+    # u reductive
+    if not _is_reductive(udec.bracket_on, tol):
         out.append(Violation("u-not-reductive", "u is not semisimple plus center"))
 
-    # theta: homomorphism into Der(n)
-    worst_hom = 0.0
-    worst_der = 0.0
-    tu = data.u_bracket.dense
-    for a in range(du):
-        worst_der = max(worst_der, derivation_residual(data.n_bracket, theta[a]))
-        for b in range(du):
-            lhs = np.einsum("c,cij->ij", tu[a, b], theta)
-            rhs = theta[a] @ theta[b] - theta[b] @ theta[a]
-            worst_hom = max(worst_hom, frob(lhs - rhs))
-    if worst_der > tol * norm**2:
-        out.append(Violation("theta-not-derivations", "theta(u) must lie in Der(n)", worst_der))
-    if worst_hom > tol * norm**2:
-        out.append(
-            Violation("theta-not-homomorphism", "theta([Y,Y']) != [theta Y, theta Y']", worst_hom)
-        )
-
-    # (c1) isotropy acts skewly
-    for z in range(dk):
-        r = frob(theta[z] + theta[z].T)
-        if r > tol * norm:
-            out.append(Violation("c1-skew", f"theta(k basis {z}) not skew", r))
-
     # (c2) commutator sum over the h-block
-    r = _commutator_sum(theta[dk:])
-    if r > tol * norm**2:
+    theta_h = dec.blocks().ad_eta()
+    r = _commutator_sum(theta_h)
+    if not r <= tol * norm**2:
         out.append(Violation("c2-commutator-sum", "sum_i [theta(Y_i), theta(Y_i)^t] != 0", r))
 
     # (c3) reductive-part Ricci
     ric_u = udec.ricci().matrix
-    r = frob(ric_u - data.c * np.eye(dh) - _action_ricci_term(theta[dk:]))
-    if r > _residual_bound(ric_u, data.c, norm):
+    r = frob(ric_u - data.c * np.eye(dh) - _action_ricci_term(theta_h))
+    if not r <= _residual_bound(ric_u, data.c, norm):
         out.append(Violation("c3-reductive-ricci", "Ric_u != c I + C_theta", r))
-    return out
+    return (None if out else dec), out
 
 
 def _is_reductive(u_bracket: AlgebraTensor, tol: float) -> bool:
@@ -212,19 +190,18 @@ def _is_reductive(u_bracket: AlgebraTensor, tol: float) -> bool:
     b = np.einsum("ilk,jkl->ij", t, t)
     if rank:
         ev = np.abs(np.linalg.eigvalsh(derived.T @ b @ derived))
-        if np.min(ev) <= tol * np.max(ev):
+        if not np.min(ev) > tol * np.max(ev):
             return False
     return True
 
 
-def assemble_semidirect(
-    data: ConstructionData, tol: float = DEFAULT_TOL, check: bool = True
-) -> MetricDecomposition:
+def assemble_semidirect(data: ConstructionData, tol: float = DEFAULT_TOL) -> MetricDecomposition:
     """Raw semidirect sum g = u (+) n with bracket [Y, X] = theta(Y) X.
 
     Only the decomposition's own invariants are checked (Jacobi still
     requires theta to be a homomorphism into Der(n)); compatibility with a
-    soliton certificate is :func:`build_semidirect`'s job.
+    soliton certificate is :func:`validate_construction`'s job.  A bracket
+    whose (|mu|^2)^2 leaves the normal range raises ValueError.
     """
     data = data.normalized()
     du, dn = data.dim_u, data.dim_n
@@ -236,8 +213,11 @@ def assemble_semidirect(
         t[a, du:, du:] = theta[a].T  # row x, col k: <[Y_a, X_x], X_k> = theta[a][k, x]
         t[du:, a, du:] = -theta[a].T
     t[du:, du:, du:] = data.n_bracket.dense
+    fault = norm_range_fault(float(np.vdot(t, t)), bool(np.any(t)))  # vdot: no overflow warning
+    if fault:
+        raise ValueError("%s: %s" % fault)
     bracket = AlgebraTensor.from_dense(t)
-    return MetricDecomposition(bracket, data.dim_k, data.dim_h, dn, tol=tol, check=check)
+    return MetricDecomposition(bracket, data.dim_k, data.dim_h, dn, tol=tol)
 
 
 @dataclass
@@ -249,21 +229,19 @@ class BuildResult:
 
 
 def build_semidirect(data: ConstructionData, tol: float = DEFAULT_TOL) -> BuildResult:
-    """Certified semidirect build: validate (c1)-(c3), assemble, predict.
+    """Certified semidirect build: validate, then predict on the validated decomposition.
 
-    Raises :class:`ConstructionError` with the failing residuals when the
-    data does not satisfy the compatibility conditions; otherwise returns
-    the decomposition, the predicted certificate, and the gap between the
+    Raises :class:`ConstructionError` with the failing residuals when
+    :func:`validate_construction` refuses the data; otherwise returns the
+    decomposition, the predicted certificate, and the gap between the
     predicted and directly computed Ricci operators.
     """
-    data = data.normalized()  # validation then finds it normalized
-    violations = validate_construction(data, tol)
+    dec, violations = validate_construction(data, tol)
     if violations:
         raise ConstructionError(violations)
-    dec = assemble_semidirect(data, tol)
     # the normal form D = -ad H + diag(0, 0, D1), with -ad H = diag(-ad_u H, -theta(H)) on
     # g = u + n: u is reductive, hence unimodular, so <H, Y> = tr theta(Y)
-    d1 = np.asarray(data.d1, dtype=float)
+    d1 = np.asarray(data.normalized().d1, dtype=float)  # in the frame g was assembled in
     d_full = _canonical_derivation(dec, d1)
     predicted = data.c * np.eye(dec.dim_p) + sym(d_full[dec.sp, dec.sp])
     return BuildResult(

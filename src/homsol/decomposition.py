@@ -72,6 +72,11 @@ def sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def symmetric(m: np.ndarray, tol: float) -> bool:
+    """|m - m^t| <= tol |m|, the one rule for a symmetric inner product; NaN fails."""
+    return frob(m - m.T) <= tol * frob(m)
+
+
 @dataclass
 class Violation:
     code: str
@@ -139,7 +144,6 @@ class MetricDecomposition:
         dim_n: int,
         ip: np.ndarray | None = None,
         tol: float = DEFAULT_TOL,
-        check: bool = True,
     ):
         if dim_k + dim_h + dim_n != bracket.dim:
             raise DecompositionError(
@@ -174,9 +178,8 @@ class MetricDecomposition:
             same = np.array_equal(full, np.eye(self.dim))
             self.bracket_on = bracket if same else bracket.map_basis(full)
             violations += self._structure_violations()
-        if check and violations:
+        if violations:
             raise DecompositionError(violations)
-        self.violations = violations
 
     # -- validation ---------------------------------------------------------
 
@@ -186,7 +189,7 @@ class MetricDecomposition:
             out.append(Violation("ip-shape", f"expected {self.dim_p}x{self.dim_p}"))
             return out
         size = frob(self.ip)
-        if frob(self.ip - self.ip.T) > self.tol * size:
+        if not symmetric(self.ip, self.tol):
             out.append(Violation("ip-not-symmetric", "inner product must be symmetric"))
             return out
         if self.dim_p:

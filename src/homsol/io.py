@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import catalog as _catalog
 from .decomposition import DecompositionError, MetricDecomposition
-from .tensor import AlgebraTensor, Check
+from .tensor import AlgebraTensor, Check, norm_range_fault
 
 TOOL_VERSION = "0.1.0"
 
@@ -121,18 +120,10 @@ def document_from_dict(raw: dict) -> AlgebraDocument:
     for e in bracket:
         key = (e["i"], e["j"], e["k"])
         summed[key] = summed.get(key, 0.0) + e["c"]
-    # |mu|^2 over ordered pairs, as AlgebraTensor.norm_sq computes it; the
-    # library forms quantities of degree 4 in mu (c^2, tr F^2), so (|mu|^2)^2
-    # must be finite too
-    nrm2 = 2.0 * sum(c * c for c in summed.values())
-    if not np.isfinite(nrm2 * nrm2):
-        raise DocumentError("bracket-norm-overflow", "(|mu|^2)^2 of the bracket is not finite")
-    # and must not underflow: a nonzero bracket whose quantities of degree 4
-    # round to 0 would pass as an abelian or Einstein one
-    if any(summed.values()) and nrm2 * nrm2 < sys.float_info.min:
-        raise DocumentError(
-            "bracket-norm-underflow", "(|mu|^2)^2 of the nonzero bracket is below the normal range"
-        )
+    # |mu|^2 over ordered pairs: twice the sum over i < j
+    fault = norm_range_fault(2.0 * sum(c * c for c in summed.values()), any(summed.values()))
+    if fault:
+        raise DocumentError(*fault)
     ip = None
     if "ip" in raw:
         dp = dims["dim_h"] + dims["dim_n"]
@@ -173,15 +164,21 @@ def document_from_catalog(entry: "_catalog.CatalogEntry") -> AlgebraDocument:
     return _document(entry.name, entry.tensor(), dims, entry.ip, dict(entry.meta))
 
 
+def read_json(path: Path):
+    """The JSON value in the file at path; a file that cannot be read or parsed raises DocumentError."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as err:  # a directory, a missing or unreadable file
+        raise DocumentError("not-readable", f"{path}: {err.strerror}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
+        raise DocumentError("parse-error", f"{path}: {err}") from None
+
+
 def load(path_or_name: str) -> AlgebraDocument:
     """Load a document from a JSON file, or from the catalog by name."""
     p = Path(path_or_name)
     if p.exists():
-        try:
-            raw = json.loads(p.read_text())
-        except json.JSONDecodeError as err:
-            raise DocumentError("parse-error", str(err)) from None
-        return document_from_dict(raw)
+        return document_from_dict(read_json(p))
     try:
         return document_from_catalog(_catalog.get(path_or_name))
     except KeyError:

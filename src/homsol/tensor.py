@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -119,6 +120,22 @@ def frob(x) -> float:
             r = r / top
             out = top * math.sqrt(np.vdot(r, r))
     return out
+
+
+def norm_range_fault(norm_sq: float, nonzero: bool) -> tuple[str, str] | None:
+    """(code, detail) refusing a bracket of |mu|^2 = norm_sq outside the range computed in, else None.
+
+    |mu|^2 is summed over ordered pairs, as ``AlgebraTensor.norm_sq``
+    computes it.  The library forms quantities of degree 4 in mu (c^2,
+    tr F^2), so (|mu|^2)^2 must be finite; and it must not underflow, since
+    a nonzero bracket whose quantities of degree 4 round to 0 would pass as
+    an abelian or Einstein one.
+    """
+    if not math.isfinite(norm_sq * norm_sq):
+        return "bracket-norm-overflow", "(|mu|^2)^2 of the bracket is not finite"
+    if nonzero and norm_sq * norm_sq < sys.float_info.min:
+        return "bracket-norm-underflow", "(|mu|^2)^2 of the nonzero bracket is below the normal range"
+    return None
 
 
 def _canonical_entries(dim: int, entries) -> tuple[Entry, ...]:

@@ -373,10 +373,25 @@ def test_a_nilpotent_decomposition_is_fitted_once(capsys, monkeypatch):
 
 
 def test_build_validates_each_construction_once(tmp_path, capsys, monkeypatch):
+    # one assembly per build, and at most its decomposition, its n-part and its u-part
     from homsol import constructions
     from homsol.cli import main
+    from homsol.decomposition import MetricDecomposition
 
-    calls = count_calls(monkeypatch, {"validate": constructions.validate_construction})
+    calls = count_calls(
+        monkeypatch,
+        {
+            "validate": constructions.validate_construction,
+            "assemble": constructions.assemble_semidirect,
+        },
+    )
+    init = MetricDecomposition.__init__
+
+    def counted_init(self, *args, **kwargs):
+        calls["decomposition"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MetricDecomposition, "__init__", counted_init)
     exits = {}
     refused = compare_reports.refused_construction_document()
     for doc in compare_reports.construction_documents() + [refused]:
@@ -386,5 +401,13 @@ def test_build_validates_each_construction_once(tmp_path, capsys, monkeypatch):
         exits[doc["name"]] = main(["build", str(path), "--json"])
         report = json.loads(capsys.readouterr().out)
         assert calls["validate"] == 1, doc["name"]
+        assert calls["assemble"] == 1, doc["name"]
+        assert 1 <= calls["decomposition"] <= 3, doc["name"]
         assert not report["errors"], doc["name"]
-    assert exits == {"cplxhyp2-parts": 0, "cplxhyp2-c3-violated": 1, "solv12-parts": 0}
+    assert exits == {
+        "cplxhyp2-parts": 0,
+        "cplxhyp2-c3-violated": 1,
+        "solv12-parts": 0,
+        "so3-isotropy-parts": 0,
+        "cplxhyp2-ip-parts": 0,
+    }

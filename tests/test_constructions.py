@@ -85,8 +85,43 @@ def test_build_refuses_non_derivation_theta():
         dim_k=0,
         theta=np.array([np.eye(3)]),  # identity is not a derivation of heis3
     )
-    violations = validate_construction(data)
-    assert any(v.code == "theta-not-derivations" for v in violations)
+    dec, violations = validate_construction(data)
+    assert dec is None
+    assert [v.code for v in violations] == ["jacobi"]
+
+
+def test_build_refuses_non_homomorphism_theta():
+    # so(3) acting on R^3 by twice its rotations: derivations of abelian n, but
+    # [2A, 2B] = 4 [A, B] != 2 [A, B], so the assembled bracket breaks Jacobi
+    rotations = np.zeros((3, 3, 3))
+    for a, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        rotations[a, j, i], rotations[a, i, j] = 1.0, -1.0
+    data = ConstructionData(
+        n_bracket=AlgebraTensor(3),
+        c=-1.0,
+        d1=np.eye(3),
+        u_bracket=get("so3").tensor(),
+        dim_k=0,
+        theta=2.0 * rotations,
+    )
+    dec, violations = validate_construction(data)
+    assert dec is None
+    assert [v.code for v in violations] == ["jacobi"]
+
+
+def test_build_refuses_non_skew_isotropy():
+    # k = R acting on abelian R^2 by a symmetric matrix: a Lie algebra, but (c1) fails
+    data = ConstructionData(
+        n_bracket=AlgebraTensor(2),
+        c=-1.0,
+        d1=np.eye(2),
+        u_bracket=AlgebraTensor(1),
+        dim_k=1,
+        theta=np.array([np.diag([1.0, 2.0])]),
+    )
+    dec, violations = validate_construction(data)
+    assert dec is None
+    assert [v.code for v in violations] == ["isotropy-not-skew"]
 
 
 def test_build_refuses_broken_nil_certificate():
@@ -99,7 +134,8 @@ def test_build_refuses_broken_nil_certificate():
         dim_k=0,
         theta=data.theta,
     )
-    violations = validate_construction(data)
+    dec, violations = validate_construction(data)
+    assert dec is None
     assert any(v.code == "nil-certificate" for v in violations)
 
 

@@ -458,6 +458,53 @@ def test_cli_build_nan_constant_exit_2(capsys, tmp_path):
     assert rep["classification"] == ""
 
 
+def test_cli_build_bracket_norm_out_of_range_exit_2(capsys, tmp_path):
+    # the assembled bracket falls under the documents' rule on (|mu|^2)^2, without an
+    # overflow warning on the way
+    s = 1e-100  # cplxhyp2's parts at scale s: brackets and theta by s, c and D1 by s^2
+    tiny_nil = {
+        "dim": 3,
+        "bracket": [{"i": 0, "j": 1, "k": 2, "c": s}],
+        "d1": (s * s * np.diag([1.0, 1.0, 2.0])).tolist(),
+    }
+    tiny = build_doc(c=-1.5 * s * s, nil=tiny_nil, theta=[(s * np.diag([0.5, 0.5, 1.0])).tolist()])
+    big = build_doc(nil=dict(build_doc()["nil"], bracket=[{"i": 0, "j": 1, "k": 2, "c": 1e200}]))
+    for data, fault in ((big, "bracket-norm-overflow"), (tiny, "bracket-norm-underflow")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_build(capsys, tmp_path, data)
+        assert code == 2, fault
+        assert [e["code"] for e in rep["errors"]] == ["bad-construction"], fault
+        assert fault in rep["errors"][0]["detail"]
+
+
+def test_cli_build_non_symmetric_ip_exit_2(capsys, tmp_path):
+    # the Cholesky factor reads one triangle, so a non-symmetric ip would build another metric
+    nil = dict(build_doc()["nil"], ip=[[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    red = {"dim": 2, "dim_k": 0, "bracket": [], "ip": [[1.0, 1.0], [0.0, 1.0]]}
+    two_h = build_doc(reductive=red, theta=2 * build_doc()["theta"])
+    for data, what in ((build_doc(nil=nil), "ip_n"), (two_h, "ip_h")):
+        code, rep = run_build(capsys, tmp_path, data)
+        assert code == 2, what
+        assert [e["code"] for e in rep["errors"]] == ["bad-construction"], what
+        assert f"{what} must be symmetric" in rep["errors"][0]["detail"]
+
+
+def test_cli_unreadable_file_exit_2(capsys, tmp_path):
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    for path, error in ((tmp_path, "not-readable"), (latin, "parse-error"), (deep, "parse-error")):
+        assert main(["fit", str(path)]) == 2, path
+        assert f"error [{error}]" in capsys.readouterr().err, path
+        code, out = run_cli(capsys, "build", str(path), "--json")
+        assert code == 2, path
+        errors = json.loads(out)["errors"]
+        assert [e["code"] for e in errors] == ["bad-construction"], path
+        assert errors[0]["detail"].startswith(error), path
+
+
 # verify-all summary -> the battery/stratify records it summarises
 STRUCTURE_CONDITIONS = {
     "hh-inside-u",

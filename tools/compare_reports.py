@@ -15,9 +15,12 @@ catalog entry; ``fit``, ``battery``, ``stratify`` and the three
 ``extend`` variants on every catalog entry with the bracket scaled by
 1e-10, 1e-4, 1e4 and 1e10, so that a tag or a verdict that depends on
 scale shows up; ``build`` on the construction documents written here
-(``cplxhyp2`` and ``solv12`` assembled from their parts, and
-``cplxhyp2``'s parts with theta doubled, which violate (c3), so that
-``build`` exits 1); and ``verify-all --json``.  Everything runs
+(``cplxhyp2`` and ``solv12`` assembled from their parts; real hyperbolic
+4-space as k = so(3) rotating R^3 with h = R acting by I, the isotropy
+path; ``cplxhyp2``'s parts with non-identity ``ip`` on n and on h, the
+path through ``ConstructionData.normalized``; and ``cplxhyp2``'s parts
+with theta doubled, which violate (c3), so that ``build`` exits 1); and
+``verify-all --json``.  Everything runs
 in-process through ``homsol.cli.main``, and every exit code and report
 goes to one JSON file.
 The BLAS and OpenMP thread counts are pinned to 1 before numpy loads, so
@@ -82,7 +85,7 @@ def ladder_documents() -> list[dict]:
 
 
 def construction_documents() -> list[dict]:
-    """Semidirect builds u (+) n of two catalog algebras from their parts."""
+    """Semidirect builds u (+) n from their parts: one with isotropy, one with inner products."""
     return [
         {
             # u = R acting on heis3 by diag(1/2, 1/2, 1): cplxhyp2
@@ -103,6 +106,43 @@ def construction_documents() -> list[dict]:
             "nil": {"dim": 2, "bracket": [], "d1": [[5.0, 0.0], [0.0, 5.0]]},
             "reductive": {"dim": 1, "dim_k": 0, "bracket": []},
             "theta": [[[1.0, 0.0], [0.0, 2.0]]],
+        },
+        {
+            # k = so(3) rotating R^3 and h = R acting by I: real hyperbolic 4-space, the
+            # one construction here with isotropy, so (c1) is checked
+            "name": "so3-isotropy-parts",
+            "c": -3.0,
+            "nil": {"dim": 3, "bracket": [], "d1": [[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 3.0]]},
+            "reductive": {
+                "dim": 4,
+                "dim_k": 3,
+                "bracket": [
+                    {"i": 0, "j": 1, "k": 2, "c": 1.0},
+                    {"i": 1, "j": 2, "k": 0, "c": 1.0},
+                    {"i": 0, "j": 2, "k": 1, "c": -1.0},
+                ],
+            },
+            "theta": [
+                [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
+                [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+                [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+            ],
+        },
+        {
+            # cplxhyp2's parts in non-orthonormal bases: ip_n = A^t A for the automorphism
+            # A = [[1, 1, 0], [0, 1, 0], [0, 0, 1]] of heis3, which commutes with D1 and
+            # theta, and |Y|^2 = 4 on h, so theta(Y) doubles
+            "name": "cplxhyp2-ip-parts",
+            "c": -1.5,
+            "nil": {
+                "dim": 3,
+                "bracket": [{"i": 0, "j": 1, "k": 2, "c": 1.0}],
+                "d1": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]],
+                "ip": [[1.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]],
+            },
+            "reductive": {"dim": 1, "dim_k": 0, "bracket": [], "ip": [[4.0]]},
+            "theta": [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]]],
         },
     ]
 
