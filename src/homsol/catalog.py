@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomposition import MetricDecomposition
-from .tensor import AlgebraTensor
+from .tensor import DEFAULT_TOL, AlgebraTensor
 
 
 @dataclass
@@ -35,7 +35,7 @@ class CatalogEntry:
     def tensor(self) -> AlgebraTensor:
         return AlgebraTensor(self.dim, tuple(self.entries))
 
-    def decomposition(self, tol: float = 1e-9) -> MetricDecomposition:
+    def decomposition(self, tol: float = DEFAULT_TOL) -> MetricDecomposition:
         return MetricDecomposition(
             self.tensor(), self.dim_k, self.dim_h, self.dim_n, ip=self.ip, tol=tol
         )

@@ -30,6 +30,11 @@ from .io import (
     AlgebraDocument,
     DocumentError,
     Report,
+    _bracket_entries,
+    _dimension,
+    _finite_number,
+    _numeric_array,
+    _require_keys,
     document_from_catalog,
     document_from_decomposition,
     load,
@@ -68,24 +73,20 @@ def run_document(command: str, doc: AlgebraDocument, tol: float, *args) -> Repor
     for v in violations:
         report.errors.append({"code": v.code, "detail": v.detail, "value": str(v.value)})
     if dec is not None:
-        DOCUMENT_COMMANDS[command][1](report, dec, tol, *args)
+        DOCUMENT_COMMANDS[command][1](report, dec, *args)
     return report
 
 
-def run_ricci(report: Report, dec, tol: float):
+def run_ricci(report: Report, dec):
     ric = dec.ricci()
     report.results["ricci"] = ric.matrix
     report.results["ricci_user_basis"] = ric.user_matrix
     report.results["eigenvalues"] = np.linalg.eigvalsh(ric.matrix)
-    report.add(
-        Check.of_degree(
-            "ricci-symmetric", "Ric = Ric^t", ric.symmetry_defect(), tol, dec.bracket_on.norm, 2
-        )
-    )
+    report.add(dec.check("ricci-symmetric", "Ric = Ric^t", ric.symmetry_defect(), 2))
 
 
-def run_fit(report: Report, dec, tol: float):
-    cert = soliton_fit(dec, tol)
+def run_fit(report: Report, dec):
+    cert = soliton_fit(dec)
     report.classification = cert.tag
     report.results["c"] = cert.c
     report.results["residual"] = cert.residual
@@ -127,13 +128,13 @@ _GROUP_ANCHORS = {
 }
 
 
-def _battery(dec, cert, tol: float) -> tuple[Groups, dict]:
+def _battery(dec, cert) -> tuple[Groups, dict]:
     """Records of the structure battery and its follow-up checks, plus their results."""
-    bat = structure_battery(dec, cert, tol)
-    comp = stratum_compatibility_check(dec, cert, tol)
+    bat = structure_battery(dec, cert)
+    comp = stratum_compatibility_check(dec, cert)
     groups: Groups = {
         "battery": bat.checks,
-        "f-operator": f_operator_check(dec, cert, tol).checks,
+        "f-operator": f_operator_check(dec, cert).checks,
         "equivalences-agree": algebraic_soliton_equivalences(dec, cert).checks,
         "stratum-compatibility": comp.checks,
     }
@@ -143,14 +144,15 @@ def _battery(dec, cert, tol: float) -> tuple[Groups, dict]:
     return groups, results
 
 
-def _stratify(dec, tol: float) -> tuple[Groups, dict]:
+def _stratify(dec) -> tuple[Groups, dict]:
     """Records of the label checks on dec's nonzero nilpotent part, plus their results.
 
     The label and Der(n) are the decomposition's own, so a battery run on
     the same decomposition does not compute them again.
     """
     # the label is the n bracket's own, so its checks take Der of that bracket, never gl(n)
-    rep = _properties(dec.n_bracket, dec.n_stratum(), dec.n_decomposition().derivations_n(), tol)
+    ders = dec.n_decomposition().derivations_n()
+    rep = _properties(dec.n_bracket, dec.n_stratum(), ders, dec.tol)
     data = rep.stratum
     results = {
         "beta": data.beta,
@@ -173,57 +175,63 @@ def _stratify(dec, tol: float) -> tuple[Groups, dict]:
     return groups, results
 
 
-def run_battery(report: Report, dec, tol: float):
-    cert = soliton_fit(dec, tol)
+def run_battery(report: Report, dec):
+    cert = soliton_fit(dec)
     report.classification = cert.tag
     report.results["c"] = cert.c
-    groups, results = _battery(dec, cert, tol)
+    groups, results = _battery(dec, cert)
     report.results.update(results)
     report.checks.extend(r for records in groups.values() for r in records)
 
 
-def run_stratify(report: Report, dec, tol: float):
+def run_stratify(report: Report, dec):
     if dec.n_bracket.norm == 0.0:
         report.errors.append(
             {"code": "no-stratum", "detail": "nilpotent part is abelian or empty; no label"}
         )
         return
-    groups, results = _stratify(dec, tol)
+    groups, results = _stratify(dec)
     report.results.update(results)
     report.checks.extend(r for records in groups.values() for r in records)
 
 
-def _finite(raw, what: str) -> np.ndarray:
-    """raw as a float array; raises ValueError on a ragged or non-finite value."""
-    arr = np.asarray(raw, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} must be finite")
-    return arr
+CONSTRUCTION_KEYS = {"name", "c", "nil", "reductive", "theta"}
 
 
-def _construction_bracket(part: dict, what: str) -> AlgebraTensor:
-    entries = [(e["i"], e["j"], e["k"], e["c"]) for e in part.get("bracket", [])]
-    _finite([e[3] for e in entries], f"{what} bracket constants")
-    return AlgebraTensor(part["dim"], tuple(entries))
+def _construction_from_dict(raw) -> tuple[str, ConstructionData]:
+    """The construction a document describes, read by the rules of algebra documents.
 
+    Keys, dimensions, bracket entries and numbers follow ``io``'s helpers;
+    ``d1``, ``theta`` and the optional ``ip``s (null means identity) must
+    have the shapes the dimensions give.  Anything else raises DocumentError.
+    """
+    _require_keys(raw, CONSTRUCTION_KEYS, CONSTRUCTION_KEYS, "construction document")
+    if not isinstance(raw["name"], str):
+        raise DocumentError("bad-name", "name must be a string")
+    nil = _require_keys(raw["nil"], {"dim", "d1"}, {"dim", "bracket", "d1", "ip"}, "nil")
+    red = _require_keys(raw["reductive"], {"dim"}, {"dim", "dim_k", "bracket", "ip"}, "reductive")
+    dn, du = _dimension(nil["dim"], "nil dim"), _dimension(red["dim"], "reductive dim")
+    dim_k = _dimension(red.get("dim_k", 0), "reductive dim_k", du)
 
-def _construction_from_dict(raw: dict) -> tuple[str, ConstructionData]:
-    for key in ("name", "c", "nil", "reductive", "theta"):
-        if key not in raw:
-            raise DocumentError("missing-keys", f"construction document needs {key!r}")
-    nil = raw["nil"]
-    red = raw["reductive"]
+    def tensor(part: dict, dim: int, what: str) -> AlgebraTensor:
+        entries = _bracket_entries(part.get("bracket", []), dim, f"{what} bracket")
+        return AlgebraTensor(dim, tuple((e["i"], e["j"], e["k"], e["c"]) for e in entries))
+
+    def ip(part: dict, dim: int, what: str) -> np.ndarray | None:
+        raw_ip = part.get("ip")
+        return None if raw_ip is None else _numeric_array(raw_ip, (dim, dim), "bad-ip", what)
+
     data = ConstructionData(
-        n_bracket=_construction_bracket(nil, "nil"),
-        c=float(_finite(raw["c"], "c")),
-        d1=_finite(nil["d1"], "d1"),
-        u_bracket=_construction_bracket(red, "reductive"),
-        dim_k=int(red.get("dim_k", 0)),
-        theta=_finite(raw["theta"], "theta"),
-        ip_n=_finite(nil["ip"], "nil ip") if nil.get("ip") is not None else None,
-        ip_h=_finite(red["ip"], "reductive ip") if red.get("ip") is not None else None,
+        n_bracket=tensor(nil, dn, "nil"),
+        c=_finite_number(raw["c"], "bad-constant", "c"),
+        d1=_numeric_array(nil["d1"], (dn, dn), "bad-array", "d1"),
+        u_bracket=tensor(red, du, "reductive"),
+        dim_k=dim_k,
+        theta=_numeric_array(raw["theta"], (du, dn, dn), "bad-array", "theta"),
+        ip_n=ip(nil, dn, "nil ip"),
+        ip_h=ip(red, du - dim_k, "reductive ip"),
     )
-    return str(raw["name"]), data
+    return raw["name"], data
 
 
 def run_build(path: str, tol: float) -> Report:
@@ -234,10 +242,10 @@ def run_build(path: str, tol: float) -> Report:
     except ConstructionError as err:
         # a ValueError too, but data that fails (c1)-(c3) or (d1)-(d3) fails checks: exit 1
         violations = err.violations
-    except (KeyError, TypeError, ValueError) as err:
-        # ValueError covers a file read_json refuses, DocumentError, arrays of the wrong
-        # shape, an inner product that is not symmetric or not positive definite
-        # (LinAlgError) and a bracket whose norm leaves the range computed in
+    except ValueError as err:
+        # a file read_json refuses, a document _construction_from_dict refuses
+        # (DocumentError), an inner product that is not symmetric or not positive
+        # definite (LinAlgError) and a bracket whose norm leaves the range computed in
         report.errors.append({"code": "bad-construction", "detail": str(err)})
         return report
     report.input_name = name
@@ -261,27 +269,25 @@ def run_build(path: str, tol: float) -> Report:
     report.results["c"] = res.certificate.c
     report.results["predicted_ricci"] = res.predicted_ricci
     report.add(
-        Check.of_degree(
+        res.decomposition.check(
             "predicted-ricci-matches",
             "Ric = c I + diag(-S(ad_u H|_h), -S(theta(H)) + D1)",
             res.prediction_residual,
-            tol,
-            res.decomposition.bracket_on.norm,
             2,
         )
     )
     return report
 
 
-def run_extend(report: Report, dec, tol: float, variant: str):
-    cert = soliton_fit(dec, tol)
+def run_extend(report: Report, dec, variant: str):
+    cert = soliton_fit(dec)
     ops = {
         "nonunimodular": einstein_from_nonunimodular,
         "restrict": restrict_to_unimodular_kernel,
         "unimodular": einstein_extension_unimodular,
     }
     try:
-        out, out_cert = ops[variant](dec, cert, tol)
+        out, out_cert = ops[variant](dec, cert)
     except (ValueError, KeyError) as err:
         report.errors.append({"code": "extend-failed", "detail": str(err)})
         return
@@ -296,30 +302,20 @@ def run_extend(report: Report, dec, tol: float, variant: str):
     # both residuals are of degree 2 in the input bracket, which fixes c and D
     if variant in ("nonunimodular", "unimodular"):
         gap = frob(out.ricci().matrix - cert.c * np.eye(out.dim_p))
-        report.add(
-            Check.of_degree(
-                "einstein-with-same-constant",
-                "Ric_out = c I with the input certificate's c",
-                gap,
-                tol,
-                dec.bracket_on.norm,
-                2,
-            )
-        )
+        anchor = "Ric_out = c I with the input certificate's c"
+        report.add(dec.check("einstein-with-same-constant", anchor, gap, 2))
     else:
         report.add(
-            Check.of_degree(
+            dec.check(
                 "restricted-certificate",
                 "Ric_0 = c I + D'|_p0 with D' = (D + S(ad H))|_g0",
                 out_cert.residual,
-                tol,
-                dec.bracket_on.norm,
                 2,
             )
         )
 
 
-# name: (help, body(report, dec, tol, *args) run by run_document on a valid document)
+# name: (help, body(report, dec, *args) run by run_document on a valid document)
 DOCUMENT_COMMANDS = {
     "ricci": ("Ricci operator of a decomposition", run_ricci),
     "fit": ("soliton certificate by least squares", run_fit),
@@ -365,7 +361,7 @@ def _verify_one(name: str, tol: float) -> list[Check]:
         return checks
 
     expected = entry.meta.get("expected", {})
-    cert = soliton_fit(dec, tol)
+    cert = soliton_fit(dec)
     if "tag" in expected:
         rec(
             "tag",
@@ -392,9 +388,9 @@ def _verify_one(name: str, tol: float) -> list[Check]:
 
     groups: Groups = {}
     if cert.is_soliton and cert.expanding:
-        groups.update(_battery(dec, cert, tol)[0])
+        groups.update(_battery(dec, cert)[0])
     if dec.n_bracket.norm > 0:
-        groups.update(_stratify(dec, tol)[0])
+        groups.update(_stratify(dec)[0])
     for group, records in groups.items():
         rec(
             group,

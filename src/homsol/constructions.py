@@ -126,15 +126,13 @@ def validate_construction(
     for (c1).  Otherwise (d1), u reductive, (c2) and (c3) are checked, a
     residual of degree d against tol |mu|^d, |mu| the norm of g; NaN fails.
     A non-symmetric ``ip_n`` or ``ip_h``, or a bracket out of range, raises ValueError.
+    The arrays' shapes are the caller's to check, as ``homsol build``'s reader does.
     """
     for what, ip in (("ip_n", data.ip_n), ("ip_h", data.ip_h)):
         if ip is not None and not symmetric(np.asarray(ip, dtype=float), tol):
             raise ValueError(f"{what} must be symmetric")
     data = data.normalized()
-    dn, du, dh = data.dim_n, data.dim_u, data.dim_h
-    shape = np.shape(data.theta)
-    if shape != (du, dn, dn):
-        return None, [Violation("theta-shape", f"expected ({du},{dn},{dn}), got {shape}")]
+    dn, dh = data.dim_n, data.dim_h
     try:
         dec = assemble_semidirect(data, tol)
         ndec, udec = dec.n_decomposition(), dec.u_decomposition()
@@ -257,7 +255,7 @@ def build_semidirect(data: ConstructionData, tol: float = DEFAULT_TOL) -> BuildR
 # ---------------------------------------------------------------------------
 
 # The transformations hold D and c (degree 2 in the bracket), H and the bracket
-# itself (degree 1) to tol |mu|^degree, |mu| the input's norm in the orthonormal frame.
+# itself (degree 1) to dec.tol |mu|^degree, |mu| the input's norm in the orthonormal frame.
 
 def _require_algebraic(dec: MetricDecomposition, cert: SolitonCertificate):
     if cert.tag not in (TAG_ALGEBRAIC, TAG_EINSTEIN):
@@ -292,9 +290,7 @@ def _adapted_h_frame(dec: MetricDecomposition) -> tuple[np.ndarray, float]:
 
 
 def einstein_from_nonunimodular(
-    dec: MetricDecomposition,
-    cert: SolitonCertificate,
-    tol: float = DEFAULT_TOL,
+    dec: MetricDecomposition, cert: SolitonCertificate
 ) -> tuple[MetricDecomposition, SolitonCertificate]:
     """Make a non-unimodular algebraic soliton Einstein by retuning ad H.
 
@@ -306,7 +302,7 @@ def einstein_from_nonunimodular(
     """
     _require_algebraic(dec, cert)
     tr_d1 = float(np.trace(cert.d1))
-    if tr_d1 <= tol * dec.bracket_on.norm_sq:
+    if tr_d1 <= dec.tol * dec.bracket_on.norm_sq:
         raise ValueError("tr D1 <= 0; the rescaling is undefined")
 
     frame, hnorm = _adapted_h_frame(dec)
@@ -326,9 +322,7 @@ def einstein_from_nonunimodular(
 
 
 def restrict_to_unimodular_kernel(
-    dec: MetricDecomposition,
-    cert: SolitonCertificate,
-    tol: float = DEFAULT_TOL,
+    dec: MetricDecomposition, cert: SolitonCertificate
 ) -> tuple[MetricDecomposition, SolitonCertificate]:
     """Restrict an algebraic soliton to the codimension-one kernel of H.
 
@@ -347,7 +341,7 @@ def restrict_to_unimodular_kernel(
     sub = t[np.ix_(keep, keep, keep)]
     escaped = frob(t[np.ix_(keep, keep)][:, :, ih])
     norm = dec.bracket_on.norm
-    if escaped > tol * norm:
+    if escaped > dec.tol * norm:
         raise DecompositionError(
             [Violation("kernel-not-ideal", "brackets of the kernel escape along H", escaped)]
         )
@@ -369,9 +363,7 @@ def restrict_to_unimodular_kernel(
 
 
 def einstein_extension_unimodular(
-    dec: MetricDecomposition,
-    cert: SolitonCertificate,
-    tol: float = DEFAULT_TOL,
+    dec: MetricDecomposition, cert: SolitonCertificate
 ) -> tuple[MetricDecomposition, SolitonCertificate]:
     """Extend a unimodular algebraic soliton by R A with ad A = alpha D.
 
@@ -382,10 +374,10 @@ def einstein_extension_unimodular(
     """
     _require_algebraic(dec, cert)
     h = dec.mean_curvature()
-    if float(np.linalg.norm(h)) > tol * dec.bracket_on.norm:
+    if float(np.linalg.norm(h)) > dec.tol * dec.bracket_on.norm:
         raise ValueError("algebra is not unimodular (H != 0)")
     tr_d1 = float(np.trace(cert.d1))
-    if tr_d1 <= tol * dec.bracket_on.norm_sq:
+    if tr_d1 <= dec.tol * dec.bracket_on.norm_sq:
         raise ValueError("tr D1 <= 0; the extension scale is undefined")
     alpha = 1.0 / np.sqrt(tr_d1)
 

@@ -37,6 +37,7 @@ from .strata import StratumData, stratum_label
 from .tensor import (
     DEFAULT_TOL,
     AlgebraTensor,
+    Check,
     _lower_central_length,
     derivation_algebra,
     derivation_residual,
@@ -395,3 +396,12 @@ class MetricDecomposition:
     def derivation_residual_on(self, d_on: np.ndarray) -> float:
         """Derivation defect of a matrix given in the orthonormal frame."""
         return derivation_residual(self.bracket_on, d_on)
+
+    def check(self, name: str, anchor: str, value: float, degree: int, **info) -> Check:
+        """``value <= tol |mu|^degree`` at this decomposition's tol and orthonormal-frame |mu|."""
+        return Check.of_degree(name, anchor, value, self.tol, self._norm(), degree, **info)
+
+    @_once
+    def _norm(self) -> float:
+        """|mu| in the orthonormal frame; computed once, as a battery makes a dozen checks."""
+        return self.bracket_on.norm

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import catalog as _catalog
 from .decomposition import DecompositionError, MetricDecomposition
-from .tensor import AlgebraTensor, Check, norm_range_fault
+from .tensor import DEFAULT_TOL, AlgebraTensor, Check, norm_range_fault
 
 TOOL_VERSION = "0.1.0"
 
@@ -81,41 +82,84 @@ class AlgebraDocument:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def document_from_dict(raw: dict) -> AlgebraDocument:
+def _require_keys(raw, required: set, allowed: set, what: str) -> dict:
+    """raw when it is an object whose keys include ``required`` and lie inside ``allowed``."""
     if not isinstance(raw, dict):
-        raise DocumentError("not-an-object", "top level must be a JSON object")
-    keys = set(raw)
-    extra = keys - ALLOWED_KEYS
+        raise DocumentError("not-an-object", f"{what} must be a JSON object")
+    extra = set(raw) - allowed
     if extra:
-        raise DocumentError("unknown-keys", f"unexpected keys {sorted(extra)}")
-    missing = REQUIRED_KEYS - keys
+        raise DocumentError("unknown-keys", f"unexpected keys {sorted(extra)} in {what}")
+    missing = required - set(raw)
     if missing:
-        raise DocumentError("missing-keys", f"missing keys {sorted(missing)}")
-    dims = {}
-    for key in ("dim", "dim_k", "dim_h", "dim_n"):
-        v = raw[key]
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise DocumentError("bad-dimension", f"{key} must be a nonnegative integer")
-        dims[key] = v
-    if dims["dim"] != dims["dim_k"] + dims["dim_h"] + dims["dim_n"]:
-        raise DocumentError("dimension-sum", "dim must equal dim_k + dim_h + dim_n")
-    if not isinstance(raw["bracket"], list):
-        raise DocumentError("bad-bracket", "bracket must be a list")
+        raise DocumentError("missing-keys", f"missing keys {sorted(missing)} in {what}")
+    return raw
+
+
+def _dimension(value, what: str, most: int | None = None) -> int:
+    """value when it is a non-bool integer >= 0, and <= most when most is given."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise DocumentError("bad-dimension", f"{what} must be a nonnegative integer")
+    if most is not None and value > most:
+        raise DocumentError("bad-dimension", f"{what} must be at most {most}")
+    return value
+
+
+def _finite_number(value, code: str, what: str) -> float:
+    """value as a float when it is a non-bool JSON number of finite float value."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise DocumentError(code, f"{what} must be a finite number")
+
+
+def _numeric_array(raw, shape: tuple, code: str, what: str) -> np.ndarray:
+    """raw as a float array of the given shape with finite entries, each a JSON number."""
+    try:
+        arr = np.asarray(raw)
+    except ValueError as err:  # a ragged list
+        raise DocumentError(code, f"{what} is not a numeric array: {err}") from None
+    if arr.dtype.kind not in "iuf":  # strings, bools, None, integers beyond int64
+        raise DocumentError(code, f"{what} is not a numeric array")
+    if arr.shape != shape:
+        raise DocumentError(code, f"{what} must have shape {shape}, got {arr.shape}")
+    arr = arr.astype(float)
+    if not np.all(np.isfinite(arr)):
+        raise DocumentError(code, f"{what} entries must be finite numbers")
+    return arr
+
+
+def _bracket_entries(raw, dim: int, what: str = "bracket") -> list[dict]:
+    """The entries {i, j, k, c} of a bracket list: integer indices below dim, i < j, c finite."""
+    if not isinstance(raw, list):
+        raise DocumentError("bad-bracket", f"{what} must be a list")
     bracket = []
-    for pos, e in enumerate(raw["bracket"]):
+    for pos, e in enumerate(raw):
+        where = f"{what} entry {pos}"
         if not isinstance(e, dict) or set(e) != {"i", "j", "k", "c"}:
-            raise DocumentError("bad-bracket-entry", f"entry {pos} must have keys i, j, k, c")
-        i, j, k, c = e["i"], e["j"], e["k"], e["c"]
+            raise DocumentError("bad-bracket-entry", f"{where} must have keys i, j, k, c")
+        i, j, k = e["i"], e["j"], e["k"]
         for idx in (i, j, k):
             if not isinstance(idx, int) or isinstance(idx, bool):
-                raise DocumentError("bad-bracket-entry", f"entry {pos}: indices must be integers")
-            if not 0 <= idx < dims["dim"]:
-                raise DocumentError("index-out-of-range", f"entry {pos}: index {idx} out of range")
+                raise DocumentError("bad-bracket-entry", f"{where}: indices must be integers")
+            if not 0 <= idx < dim:
+                raise DocumentError("index-out-of-range", f"{where}: index {idx} out of range")
         if not i < j:
-            raise DocumentError("bad-bracket-entry", f"entry {pos}: requires i < j")
-        if isinstance(c, bool) or not isinstance(c, (int, float)) or not np.isfinite(c):
-            raise DocumentError("bad-bracket-entry", f"entry {pos}: c must be a finite number")
-        bracket.append({"i": i, "j": j, "k": k, "c": float(c)})
+            raise DocumentError("bad-bracket-entry", f"{where}: requires i < j")
+        c = _finite_number(e["c"], "bad-bracket-entry", f"{where}: c")
+        bracket.append({"i": i, "j": j, "k": k, "c": c})
+    return bracket
+
+
+def document_from_dict(raw: dict) -> AlgebraDocument:
+    _require_keys(raw, REQUIRED_KEYS, ALLOWED_KEYS, "document")
+    dims = {key: _dimension(raw[key], key) for key in ("dim", "dim_k", "dim_h", "dim_n")}
+    if dims["dim"] != dims["dim_k"] + dims["dim_h"] + dims["dim_n"]:
+        raise DocumentError("dimension-sum", "dim must equal dim_k + dim_h + dim_n")
+    bracket = _bracket_entries(raw["bracket"], dims["dim"])
     summed: dict[tuple[int, int, int], float] = {}
     for e in bracket:
         key = (e["i"], e["j"], e["k"])
@@ -127,14 +171,7 @@ def document_from_dict(raw: dict) -> AlgebraDocument:
     ip = None
     if "ip" in raw:
         dp = dims["dim_h"] + dims["dim_n"]
-        try:
-            ip = np.asarray(raw["ip"], dtype=float)
-        except (TypeError, ValueError) as err:
-            raise DocumentError("bad-ip", f"ip is not a numeric matrix: {err}") from None
-        if ip.shape != (dp, dp):
-            raise DocumentError("bad-ip", f"ip must be {dp}x{dp}, got {ip.shape}")
-        if not np.all(np.isfinite(ip)):
-            raise DocumentError("bad-ip", "ip entries must be finite numbers")
+        ip = _numeric_array(raw["ip"], (dp, dp), "bad-ip", "ip")
     meta = raw.get("meta", {})
     if not isinstance(meta, dict):
         raise DocumentError("bad-meta", "meta must be an object")
@@ -194,7 +231,7 @@ def document_from_decomposition(
     return _document(name, dec.bracket, (dec.dim_k, dec.dim_h, dec.dim_n), ip, meta or {})
 
 
-def validate(doc: AlgebraDocument, tol: float = 1e-9):
+def validate(doc: AlgebraDocument, tol: float = DEFAULT_TOL):
     """(decomposition, violations): decomposition is None when invalid.
 
     Memoized on what the decomposition is a function of: the canonical

@@ -25,8 +25,11 @@ degree 3, at most 1e-6 |mu|^3.
 
 The battery and its follow-up reports are lists of ``tensor.Check``
 records.  Each condition is a homogeneous identity in mu, so its residual
-is held to tol |mu|^degree (tol 1e-9 by default, 1e-8 for the seven
-equivalences), and a report's ``tolerance`` is that applied bound:
+is held to tol |mu|^degree, and a report's ``tolerance`` is that applied
+bound.  Every check reads tol from the decomposition it is given
+(``dec.tol``, fixed when it was validated, through ``dec.check``); the
+seven equivalences use EQUIVALENCE_TOL, and the bracket pairing of
+``strata.e_beta_pairing`` keeps its fixed 1e-9.  The degrees:
 
 * degree 0: ``moment-map-equals-label``;
 * degree 1: ``hh-inside-u`` (lambda1) and ``shifted-label-derives-g``;
@@ -61,6 +64,7 @@ from .tensor import (
 )
 
 SOLITON_RESIDUAL_TOL = 1e-6
+EQUIVALENCE_TOL = 1e-8  # the seven equivalences' bound, tol |mu|^degree
 
 TAG_EINSTEIN = "Einstein"
 TAG_ALGEBRAIC = "AlgebraicSoliton"
@@ -256,7 +260,7 @@ def constrained_derivations(dec: MetricDecomposition) -> np.ndarray:
     return out
 
 
-def soliton_fit(dec: MetricDecomposition, tol: float = DEFAULT_TOL) -> SolitonCertificate:
+def soliton_fit(dec: MetricDecomposition) -> SolitonCertificate:
     """Best certificate Ric = c I + S(D_p) for a metric reductive decomposition.
 
     Tries the canonical derivation -ad H + diag(0, 0, D1) first; when that
@@ -279,7 +283,7 @@ def soliton_fit(dec: MetricDecomposition, tol: float = DEFAULT_TOL) -> SolitonCe
         cert,
         flags={
             "solvsoliton-isometric": bool(
-                cert.is_soliton and cert.expanding and hh_norm <= tol * dec.bracket_on.norm
+                cert.is_soliton and cert.expanding and hh_norm <= dec.tol * dec.bracket_on.norm
             ),
             "semisimple-Einstein": bool(cert.tag == TAG_EINSTEIN and semisimple),
         },
@@ -309,9 +313,7 @@ class StructureBatteryReport(CheckedReport):
 
 
 def structure_battery(
-    dec: MetricDecomposition,
-    cert: SolitonCertificate,
-    tol: float = DEFAULT_TOL,
+    dec: MetricDecomposition, cert: SolitonCertificate
 ) -> StructureBatteryReport:
     """Evaluate the five structural conditions at the certificate's constant.
 
@@ -327,10 +329,7 @@ def structure_battery(
     """
     c = cert.c
     bb = dec.blocks()
-    norm = dec.bracket_on.norm
-    checks = [
-        Check.of_degree("hh-inside-u", "[h,h] in k+h (lambda1 = 0)", frob(bb.lam1), tol, norm, 1)
-    ]
+    checks = [dec.check("hh-inside-u", "[h,h] in k+h (lambda1 = 0)", frob(bb.lam1), 1)]
 
     a_eta = bb.ad_eta()
     if dec.dim_k + dec.dim_h == 0:
@@ -343,39 +342,27 @@ def structure_battery(
             # u carries the bracket of the quotient g/n, a Lie bracket whenever g is one;
             # only roundoff held to bounds of the smaller |u| could fail its validation
             r2 = np.inf
-    checks.append(Check.of_degree("reductive-part-ricci", "Ric_u = c I + C_h", r2, tol, norm, 2))
+    checks.append(dec.check("reductive-part-ricci", "Ric_u = c I + C_h", r2, 2))
 
     mu = dec.n_bracket
     # D1 ranges over the decomposition's Der(n), all of gl(n) where n counts as abelian
     nfit = _canonical_fit(dec.n_decomposition(), c, dec.derivations_n())
     checks.append(
-        Check.of_degree(
-            "nilpotent-part-soliton", "Ric_n = c I + D1, D1 in Der(n)", nfit.residual, tol, norm, 2
-        )
+        dec.check("nilpotent-part-soliton", "Ric_n = c I + D1, D1 in Der(n)", nfit.residual, 2)
     )
 
     r4 = _commutator_sum(a_eta)
     r4b = max((derivation_residual(mu, a.T) for a in a_eta), default=0.0)
-    checks.append(
-        Check.of_degree(
-            "adjoint-commutator-sum", "sum_i [ad Y_i|n, (ad Y_i|n)^t] = 0", r4, tol, norm, 2
-        )
-    )
-    checks.append(
-        Check.of_degree(
-            "transposed-adjoints-derive", "(ad Y|n)^t in Der(n) for Y in h", r4b, tol, norm, 2
-        )
-    )
+    checks += [
+        dec.check("adjoint-commutator-sum", "sum_i [ad Y_i|n, (ad Y_i|n)^t] = 0", r4, 2),
+        dec.check("transposed-adjoints-derive", "(ad Y|n)^t in Der(n) for Y in h", r4b, 2),
+    ]
 
     d_full = _canonical_derivation(dec, nfit.d1)
     r5 = _certificate_residual(dec, c, d_full)
-    checks.append(Check.of_degree("ricci-reassembly", "Ric = c I + S(D_p)", r5, tol, norm, 2))
+    checks.append(dec.check("ricci-reassembly", "Ric = c I + S(D_p)", r5, 2))
     r5d = dec.derivation_residual_on(d_full)
-    checks.append(
-        Check.of_degree(
-            "reassembled-derivation", "-ad H + diag(0,0,D1) in Der(g)", r5d, tol, norm, 3
-        )
-    )
+    checks.append(dec.check("reassembled-derivation", "-ad H + diag(0,0,D1) in Der(g)", r5d, 3))
     return StructureBatteryReport(checks=checks, applicable=c < 0.0)
 
 
@@ -388,11 +375,7 @@ def _f_operator(dec: MetricDecomposition, cert: SolitonCertificate) -> np.ndarra
     return sym(dec.ad_mean_curvature()[dec.sp, dec.sp] + cert.d_p)
 
 
-def f_operator_check(
-    dec: MetricDecomposition,
-    cert: SolitonCertificate,
-    tol: float = DEFAULT_TOL,
-) -> CheckedReport:
+def f_operator_check(dec: MetricDecomposition, cert: SolitonCertificate) -> CheckedReport:
     """Verify that F = S(ad_p H + D_p) has the forced shape.
 
     For a nonzero nilpotent part in nice position F must equal t E_beta
@@ -403,7 +386,6 @@ def f_operator_check(
     battery's condition (i) and is not tested again here.  The check
     ``f-operator-shape`` names its ``branch`` and ``t`` in its info.
     """
-    norm = dec.bracket_on.norm
     f = _f_operator(dec, cert)
     c = cert.c
 
@@ -426,23 +408,16 @@ def f_operator_check(
         t = -c / stratum.beta_norm_sq
         target[dec.sn_p, dec.sn_p] = t * stratum.e_beta
     checks = [
-        Check.of_degree(
+        dec.check(
             "f-operator-shape",
             "S(ad_p H + D_p) = t E_beta (t I on an abelian part)",
             frob(f - target),
-            tol,
-            norm,
             2,
             branch=branch,
             t=t,
         ),
-        Check.of_degree(
-            "f-trace-identity",
-            "c tr F + tr F^2 = 0",
-            abs(c * np.trace(f) + np.trace(f @ f)),
-            tol,
-            norm,
-            4,
+        dec.check(
+            "f-trace-identity", "c tr F + tr F^2 = 0", abs(c * np.trace(f) + np.trace(f @ f)), 4
         ),
     ]
     return CheckedReport(checks=checks)
@@ -462,15 +437,13 @@ class EquivalenceReport(CheckedReport):
 
 
 def algebraic_soliton_equivalences(
-    dec: MetricDecomposition,
-    cert: SolitonCertificate,
-    tol: float = 1e-8,
+    dec: MetricDecomposition, cert: SolitonCertificate
 ) -> EquivalenceReport:
     """Evaluate the seven conditions that single out algebraic solitons.
 
     On an expanding semi-algebraic soliton these agree (all true or all
     false); evaluating them on anything else is descriptive only.  Each
-    condition holds when its residual is at most tol |mu|^degree.
+    condition holds when its residual is at most EQUIVALENCE_TOL |mu|^degree.
     """
     p_bracket = dec.p_bracket
     ad_p_h = dec.ad_mean_curvature()[dec.sp, dec.sp]
@@ -488,7 +461,9 @@ def algebraic_soliton_equivalences(
         "sym-ad-h-vanishes-on-h": (frob(sym(ad_p_h[:nh, :nh])), 2),
         "ricci-scalar-on-h": (frob(ric[:nh, :nh] - cert.c * np.eye(nh)), 2),
     }
-    conditions = [Check.of_degree(k, k, r, tol, norm, d) for k, (r, d) in residuals.items()]
+    conditions = [
+        Check.of_degree(k, k, r, EQUIVALENCE_TOL, norm, d) for k, (r, d) in residuals.items()
+    ]
     holds = [c.passed for c in conditions]
     agree = Check(
         "algebraic-equivalences-agree",
@@ -514,9 +489,7 @@ def _skipped_compatibility(reason: str) -> CompatibilityReport:
 
 
 def stratum_compatibility_check(
-    dec: MetricDecomposition,
-    cert: SolitonCertificate,
-    tol: float = DEFAULT_TOL,
+    dec: MetricDecomposition, cert: SolitonCertificate
 ) -> CompatibilityReport:
     """Moment-map and label compatibilities of an expanding certificate.
 
@@ -538,42 +511,36 @@ def stratum_compatibility_check(
         return _skipped_compatibility("nilpotent part not in nice position")
 
     c = cert.c
-    norm = dec.bracket_on.norm
-
     r = frob(moment_map(mu) - np.diag(stratum.beta_raw))
-    checks = [Check.of_degree("moment-map-equals-label", "m(mu) = beta", r, tol, norm, 0)]
+    checks = [dec.check("moment-map-equals-label", "m(mu) = beta", r, 0)]
 
     r = abs(c + 0.25 * mu.norm_sq * stratum.beta_norm_sq)
-    checks.append(
-        Check.of_degree("constant-from-label", "c = -(1/4) |mu|^2 |beta|^2", r, tol, norm, 2)
-    )
+    checks.append(dec.check("constant-from-label", "c = -(1/4) |mu|^2 |beta|^2", r, 2))
 
     # u acts on n commuting with D1 and with F
     d1 = cert.d1
     ad_u_n = list(bb.ad_nu2()) + list(bb.ad_eta())
     r = max((frob(a @ d1 - d1 @ a) for a in ad_u_n), default=0.0)
-    checks.append(Check.of_degree("u-commutes-with-d1", "[ad u|n, D1] = 0", r, tol, norm, 3))
+    checks.append(dec.check("u-commutes-with-d1", "[ad u|n, D1] = 0", r, 3))
 
     f = _f_operator(dec, cert)
     worst = 0.0
     for i in range(dec.dim_k + dec.dim_h):
         ad_i = dec._ad_on(i)[dec.sp, dec.sp]
         worst = max(worst, frob(ad_i @ f - f @ ad_i))
-    checks.append(Check.of_degree("u-commutes-with-f", "[ad u|p, F] = 0", worst, tol, norm, 3))
+    checks.append(dec.check("u-commutes-with-f", "[ad u|p, F] = 0", worst, 3))
 
     e_beta_g = np.zeros((dec.dim, dec.dim))
     e_beta_g[dec.sn, dec.sn] = stratum.e_beta
     r = dec.derivation_residual_on(e_beta_g)
-    checks.append(Check.of_degree("shifted-label-derives-g", "E_beta in Der(g)", r, tol, norm, 1))
+    checks.append(dec.check("shifted-label-derives-g", "E_beta in Der(g)", r, 1))
 
     m_op = dec.moment().matrix
     r = max(frob(m_op[dec.sh_p, dec.sn_p]), frob(m_op[dec.sn_p, dec.sn_p] - moment_operator(mu)))
-    checks.append(
-        Check.of_degree("moment-operator-n-invariant", "M n in n and M|n = M_mu", r, tol, norm, 2)
-    )
+    checks.append(dec.check("moment-operator-n-invariant", "M n in n and M|n = M_mu", r, 2))
 
     r = frob(d1 - f[dec.sn_p, dec.sn_p])
-    checks.append(Check.of_degree("d1-from-certificate", "D1 = S(ad H|n + D|n)", r, tol, norm, 2))
+    checks.append(dec.check("d1-from-certificate", "D1 = S(ad H|n + D|n)", r, 2))
 
     mu_variant = frob(f - (-c / mu.norm_sq) * e_beta_g[dec.sp, dec.sp])
     return CompatibilityReport(checks=checks, mu_scalar_variant_residual=mu_variant)

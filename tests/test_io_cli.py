@@ -505,6 +505,88 @@ def test_cli_unreadable_file_exit_2(capsys, tmp_path):
         assert errors[0]["detail"].startswith(error), path
 
 
+# a construction document is read by the rules of algebra documents: each refusal
+# below is bad-construction (exit 2), and its detail starts with the rule's code
+
+def assert_build_refused(capsys, tmp_path, data, rule):
+    code, rep = run_build(capsys, tmp_path, data)
+    assert code == 2, rule
+    assert [e["code"] for e in rep["errors"]] == ["bad-construction"], rule
+    assert rep["errors"][0]["detail"].startswith(f"{rule}: "), rep["errors"][0]["detail"]
+
+
+def nil_with_entry(**entry):
+    return dict(build_doc()["nil"], bracket=[dict({"i": 0, "j": 1, "k": 2, "c": 1.0}, **entry)])
+
+
+def test_cli_build_refuses_a_fractional_bracket_index(capsys, tmp_path):
+    # truncating j = 1.5 to 1 would build an algebra the document does not describe
+    data = build_doc(nil=nil_with_entry(j=1.5))
+    assert_build_refused(capsys, tmp_path, data, "bad-bracket-entry")
+
+
+def test_cli_build_refuses_bool_string_constants_and_extra_entry_keys(capsys, tmp_path):
+    for entry in ({"i": False}, {"c": "1.0"}, {"c": True}, {"extra": 0}):
+        data = build_doc(nil=nil_with_entry(**entry))
+        assert_build_refused(capsys, tmp_path, data, "bad-bracket-entry")
+    assert_build_refused(capsys, tmp_path, build_doc(c=True), "bad-constant")
+    assert_build_refused(capsys, tmp_path, build_doc(c="-1.5"), "bad-constant")
+
+
+def test_cli_build_refuses_a_fractional_dim_k(capsys, tmp_path):
+    red = dict(build_doc()["reductive"], dim_k=0.7)
+    assert_build_refused(capsys, tmp_path, build_doc(reductive=red), "bad-dimension")
+
+
+def test_cli_build_refuses_dim_k_above_the_reductive_dim(capsys, tmp_path):
+    # dim_k = 3 of 1 would leave dim_h = -2: the input is malformed, not a failed check
+    red = dict(build_doc()["reductive"], dim_k=3)
+    assert_build_refused(capsys, tmp_path, build_doc(reductive=red), "bad-dimension")
+
+
+def test_cli_build_refuses_a_negative_dim_k(capsys, tmp_path):
+    red = dict(build_doc()["reductive"], dim_k=-1)
+    assert_build_refused(capsys, tmp_path, build_doc(reductive=red), "bad-dimension")
+
+
+def test_cli_build_refuses_a_name_that_is_not_a_string(capsys, tmp_path):
+    assert_build_refused(capsys, tmp_path, build_doc(name=5), "bad-name")
+
+
+def test_cli_build_refuses_unknown_keys(capsys, tmp_path):
+    # a misspelt "ip" must not fall back to the identity metric
+    nil = dict(build_doc()["nil"], ipp=np.eye(3).tolist())
+    red = dict(build_doc()["reductive"], extra=0)
+    for data in (build_doc(nil=nil), build_doc(reductive=red), build_doc(extra=0)):
+        assert_build_refused(capsys, tmp_path, data, "unknown-keys")
+    data = build_doc()
+    del data["nil"]["d1"]
+    assert_build_refused(capsys, tmp_path, data, "missing-keys")
+
+
+def test_cli_build_refuses_arrays_of_the_wrong_shape(capsys, tmp_path):
+    # d1, theta and both ips are refused by one rule, before anything is assembled
+    theta = [np.diag([0.5, 0.5]).tolist()]
+    assert_build_refused(capsys, tmp_path, build_doc(theta=theta), "bad-array")
+    nil = dict(build_doc()["nil"], d1=np.eye(2).tolist())
+    assert_build_refused(capsys, tmp_path, build_doc(nil=nil), "bad-array")
+    nil = dict(build_doc()["nil"], ip=np.eye(2).tolist())
+    assert_build_refused(capsys, tmp_path, build_doc(nil=nil), "bad-ip")
+    red = dict(build_doc()["reductive"], ip=np.eye(2).tolist())
+    assert_build_refused(capsys, tmp_path, build_doc(reductive=red), "bad-ip")
+    nil = dict(build_doc()["nil"], d1=[["1", 0, 0], [0, 1, 0], [0, 0, 2]])
+    assert_build_refused(capsys, tmp_path, build_doc(nil=nil), "bad-array")
+
+
+def test_document_numbers_out_of_float_range_or_not_numbers_are_refused():
+    # an integer beyond int64 is a number; one beyond the float range is not finite
+    assert document_from_dict(doc_dict(bracket=[{"i": 0, "j": 1, "k": 2, "c": 10**30}]))
+    with pytest.raises(DocumentError, match="bad-bracket-entry"):
+        document_from_dict(doc_dict(bracket=[{"i": 0, "j": 1, "k": 2, "c": 10**400}]))
+    with pytest.raises(DocumentError, match="bad-ip"):
+        document_from_dict(doc_dict(ip=[["1", 0, 0], [0, 1, 0], [0, 0, 1]]))
+
+
 # verify-all summary -> the battery/stratify records it summarises
 STRUCTURE_CONDITIONS = {
     "hh-inside-u",

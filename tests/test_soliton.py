@@ -267,7 +267,7 @@ def test_battery_fails_f_shape_when_f_is_off_the_label():
     cert = soliton_fit(dec)
     d1 = cert.d1 + 1e-3 * np.diag([1.0, -1.0, 0.0])  # still a derivation of heis3
     off = replace(cert, d1=d1, d_full=_canonical_derivation(dec, d1))
-    groups, _ = _battery(dec, off, 1e-9)
+    groups, _ = _battery(dec, off)
     failing = {r.name for records in groups.values() for r in records if not r.passed}
     assert "f-operator-shape" in failing
     assert f_operator_check(dec, cert).all_pass

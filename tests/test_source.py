@@ -132,3 +132,25 @@ def test_every_class_member_is_read_outside_its_own_body():
     # every listed exception still exists, so none is deleted while its reader needs it
     missing = sorted(set(OUTSIDE_READERS) - members)
     assert not missing, missing
+
+
+def _is_a_decomposition(arg: ast.arg) -> bool:
+    """Whether a parameter is named ``dec`` or annotated ``MetricDecomposition``."""
+    annotation = ast.unparse(arg.annotation).strip("\"'") if arg.annotation else ""
+    return arg.arg == "dec" or annotation == "MetricDecomposition"
+
+
+def test_no_function_of_a_decomposition_takes_a_tol():
+    # a validated decomposition carries its tolerance (dec.tol); a function that
+    # receives one and a tol of its own could hold one verdict to two tolerances.
+    # Checked for every parameter, not only the first, so that the command bodies
+    # run_*(report, dec, ...) are covered too
+    offenders = []
+    for module, tree in _trees().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            if any(map(_is_a_decomposition, params)) and any(a.arg == "tol" for a in params):
+                offenders.append(f"{module}:{fn.name}")
+    assert not offenders, offenders

@@ -12,6 +12,9 @@ m = 1..8; their rank-one Einstein extensions, m = 1..7; filiform ``L_n``
 with nilsoliton constants, n = 4..14; unit-constant ``L_n``, n = 5..11);
 ``ricci`` and the three ``extend --variant`` transformations on every
 catalog entry; ``fit``, ``battery``, ``stratify`` and the three
+``extend`` variants on every catalog entry at ``--tol 1e-6``, so that a
+change to how the tolerance reaches a check shows up; ``fit``,
+``battery``, ``stratify`` and the three
 ``extend`` variants on every catalog entry with the bracket scaled by
 1e-10, 1e-4, 1e4 and 1e10, so that a tag or a verdict that depends on
 scale shows up; ``build`` on the construction documents written here
@@ -20,7 +23,8 @@ scale shows up; ``build`` on the construction documents written here
 path; ``cplxhyp2``'s parts with non-identity ``ip`` on n and on h, the
 path through ``ConstructionData.normalized``; and ``cplxhyp2``'s parts
 with theta doubled, which violate (c3), so that ``build`` exits 1); and
-``verify-all --json``.  Everything runs
+``verify-all --json``.  ``build`` and ``verify-all`` also run at
+``--tol 1e-6``.  Everything runs
 in-process through ``homsol.cli.main``, and every exit code and report
 goes to one JSON file.
 The BLAS and OpenMP thread counts are pinned to 1 before numpy loads, so
@@ -50,6 +54,7 @@ from pathlib import Path
 COMMANDS = ("fit", "battery", "stratify")
 VARIANTS = ("nonunimodular", "restrict", "unimodular")
 SCALES = (1e-10, 1e-4, 1e4, 1e10)
+OTHER_TOL = "1e-6"  # a --tol away from the default, so a change to tol plumbing shows up
 TOL = 1e-12
 
 
@@ -204,6 +209,11 @@ def dump(src: str) -> dict:
             for variant in VARIANTS:
                 argv = ["extend", name, "--variant", variant, "--json"]
                 runs[f"extend-{variant} {name}"] = _run(main, argv)
+                argv += ["--tol", OTHER_TOL]
+                runs[f"extend-{variant} {name} --tol {OTHER_TOL}"] = _run(main, argv)
+            for command in COMMANDS:
+                argv = [command, name, "--json", "--tol", OTHER_TOL]
+                runs[f"{command} {name} --tol {OTHER_TOL}"] = _run(main, argv)
         for doc in scaled_catalog_documents():
             path = Path(tmp) / f"{doc['name']}.json"
             path.write_text(json.dumps(doc, sort_keys=True))
@@ -216,7 +226,10 @@ def dump(src: str) -> dict:
             path = Path(tmp) / f"{doc['name']}.json"
             path.write_text(json.dumps(doc, sort_keys=True))
             runs[f"build {doc['name']}"] = _run(main, ["build", str(path), "--json"])
+            argv = ["build", str(path), "--json", "--tol", OTHER_TOL]
+            runs[f"build {doc['name']} --tol {OTHER_TOL}"] = _run(main, argv)
     runs["verify-all"] = _run(main, ["verify-all", "--json"])
+    runs[f"verify-all --tol {OTHER_TOL}"] = _run(main, ["verify-all", "--json", "--tol", OTHER_TOL])
     return runs
 
 
