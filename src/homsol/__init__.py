@@ -25,6 +25,7 @@ from .decomposition import (
     MetricDecomposition,
     SymOperator,
     Violation,
+    decompose,
 )
 from .io import AlgebraDocument, DocumentError, Report, load, validate
 from .soliton import (
@@ -85,6 +86,7 @@ __all__ = [
     "algebraic_soliton_equivalences",
     "assemble_semidirect",
     "build_semidirect",
+    "decompose",
     "derivation_algebra",
     "e_beta_pairing",
     "einstein_extension_unimodular",

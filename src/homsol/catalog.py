@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import MetricDecomposition
+from .decomposition import MetricDecomposition, decompose
 from .tensor import DEFAULT_TOL, AlgebraTensor
 
 
@@ -36,9 +36,7 @@ class CatalogEntry:
         return AlgebraTensor(self.dim, tuple(self.entries))
 
     def decomposition(self, tol: float = DEFAULT_TOL) -> MetricDecomposition:
-        return MetricDecomposition(
-            self.tensor(), self.dim_k, self.dim_h, self.dim_n, ip=self.ip, tol=tol
-        )
+        return decompose(self.tensor(), self.dim_k, self.dim_h, self.dim_n, ip=self.ip, tol=tol)
 
 
 def abelian(n: int) -> CatalogEntry:

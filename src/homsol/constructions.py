@@ -44,7 +44,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decomposition import DecompositionError, MetricDecomposition, Violation, frob, sym, symmetric
+from .decomposition import (
+    DecompositionError,
+    MetricDecomposition,
+    Violation,
+    decompose,
+    frob,
+    sym,
+    symmetric,
+)
 from .soliton import (
     SOLITON_RESIDUAL_TOL,
     TAG_ALGEBRAIC,
@@ -215,7 +223,7 @@ def assemble_semidirect(data: ConstructionData, tol: float = DEFAULT_TOL) -> Met
     if fault:
         raise ValueError("%s: %s" % fault)
     bracket = AlgebraTensor.from_dense(t)
-    return MetricDecomposition(bracket, data.dim_k, data.dim_h, dn, tol=tol)
+    return decompose(bracket, data.dim_k, data.dim_h, dn, tol=tol)
 
 
 @dataclass
@@ -269,7 +277,7 @@ def _require_algebraic(dec: MetricDecomposition, cert: SolitonCertificate):
 def _transformed(dec: MetricDecomposition, t: np.ndarray, dim_h: int) -> MetricDecomposition:
     """The decomposition of the new bracket t, with entries below 1e-14 |mu| dropped as roundoff."""
     bracket = AlgebraTensor.from_dense(t, zero_tol=1e-14 * dec.bracket_on.norm)
-    return MetricDecomposition(bracket, dec.dim_k, dim_h, dec.dim_n, tol=dec.tol)
+    return decompose(bracket, dec.dim_k, dim_h, dec.dim_n, tol=dec.tol)
 
 
 def _adapted_h_frame(dec: MetricDecomposition) -> tuple[np.ndarray, float]:

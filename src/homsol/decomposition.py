@@ -17,6 +17,11 @@ Structural requirements checked at construction:
 The Killing-form condition B(k, p) = 0 is neither enforced nor tested:
 no computation here reads the mixed block B(k, p).
 
+``decompose`` is the one constructor of validated decompositions.  It
+keeps the most recent ones, so every command, construction and n-part on
+the same metric Lie algebra in a process shares one decomposition and
+whatever it has cached.
+
 The Ricci operator of the decomposition is
 
     Ric = M - (1/2) B_p - S(ad_p H),
@@ -51,8 +56,8 @@ def _once(method):
     """A method of no arguments, or a function of one decomposition, cached under its name.
 
     The result is stored in the decomposition's ``_cache``, an ndarray
-    result read-only: ``io.validate`` hands one decomposition to every
-    command on the same metric Lie algebra, so a write into a cached array
+    result read-only: ``decompose`` hands one decomposition to every
+    caller on the same metric Lie algebra, so a write into a cached array
     would change a later command's report.
     """
     name = method.__name__
@@ -348,7 +353,9 @@ class MetricDecomposition:
         """The reductive part (u = k + h, ip restricted to h) with empty n.
 
         Its bracket keeps the components inside u only; u is a subalgebra
-        exactly when [h,h] has no n-component.
+        exactly when [h,h] has no n-component.  Not kept by ``decompose``:
+        only ``homsol build`` reads it, once, and it would evict a part that
+        the next command reads.
         """
         return MetricDecomposition(
             self._sub_bracket(slice(0, self.dim_k + self.dim_h)),
@@ -366,7 +373,8 @@ class MetricDecomposition:
 
     @_once
     def _n_part(self) -> "MetricDecomposition":
-        return MetricDecomposition(self.n_bracket, 0, 0, self.dim_n, tol=self.tol)
+        # through the memo: every algebra with this n-block at this tol shares one n-part
+        return decompose(self.n_bracket, 0, 0, self.dim_n, tol=self.tol)
 
     @property
     def n_abelian(self) -> bool:
@@ -388,7 +396,9 @@ class MetricDecomposition:
 
     @_once
     def n_stratum(self) -> StratumData:
-        """Stratum label of the nonzero nilpotent part at ``self.tol``; computed once."""
+        """Stratum label of the nonzero nilpotent part at ``self.tol``; computed once, on the n-part."""
+        if self.dim_k + self.dim_h:
+            return self.n_decomposition().n_stratum()
         return stratum_label(self.n_bracket, self.tol)
 
     # -- misc -----------------------------------------------------------------
@@ -405,3 +415,44 @@ class MetricDecomposition:
     def _norm(self) -> float:
         """|mu| in the orthonormal frame; computed once, as a battery makes a dozen checks."""
         return self.bracket_on.norm
+
+
+# The decompositions ``decompose`` keeps.  A build, its three extensions and the
+# refits of what they print read the built algebra, its n-part (each extension's
+# too) and each extension in turn; with the previous extension not yet evicted
+# that is four, and three would drop the n-part before it is read again.
+MEMO_SIZE = 4
+
+
+def decompose(
+    bracket: AlgebraTensor,
+    dim_k: int,
+    dim_h: int,
+    dim_n: int,
+    ip: np.ndarray | None = None,
+    tol: float = DEFAULT_TOL,
+) -> MetricDecomposition:
+    """The validated decomposition of these inputs; raises DecompositionError when invalid.
+
+    Memoized on what a decomposition is a function of: the canonical
+    bracket, the block dimensions, the inner product's shape and bytes, and
+    ``tol``.  Equal inputs get the same ``MetricDecomposition``, so the
+    Der(n), label and certificate it caches once serve every later caller
+    in the process on that metric Lie algebra.  The ``MEMO_SIZE`` most
+    recent are kept, refusals included.
+    """
+    ip = None if ip is None else np.asarray(ip, dtype=float)
+    ip_key = None if ip is None else (ip.shape, ip.tobytes())
+    dec, violations = _validated(bracket, dim_k, dim_h, dim_n, ip_key, tol)
+    if violations:
+        raise DecompositionError(violations)
+    return dec
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _validated(bracket: AlgebraTensor, dim_k: int, dim_h: int, dim_n: int, ip_key, tol: float):
+    ip = None if ip_key is None else np.frombuffer(ip_key[1]).reshape(ip_key[0])
+    try:
+        return MetricDecomposition(bracket, dim_k, dim_h, dim_n, ip=ip, tol=tol), ()
+    except DecompositionError as err:
+        return None, tuple(err.violations)

@@ -15,7 +15,6 @@ byte-identical JSON (sorted keys, no timestamps, input content hash).
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog as _catalog
-from .decomposition import DecompositionError, MetricDecomposition
+from .decomposition import DecompositionError, MetricDecomposition, decompose
 from .tensor import DEFAULT_TOL, AlgebraTensor, Check, norm_range_fault
 
 TOOL_VERSION = "0.1.0"
@@ -117,7 +116,7 @@ def _finite_number(value, code: str, what: str) -> float:
 
 
 def _numeric_array(raw, shape: tuple, code: str, what: str) -> np.ndarray:
-    """raw as a float array of the given shape with finite entries, each a JSON number."""
+    """raw as a float array of the given shape with finite entries, each a non-bool JSON number."""
     try:
         arr = np.asarray(raw)
     except ValueError as err:  # a ragged list
@@ -126,6 +125,9 @@ def _numeric_array(raw, shape: tuple, code: str, what: str) -> np.ndarray:
         raise DocumentError(code, f"{what} is not a numeric array")
     if arr.shape != shape:
         raise DocumentError(code, f"{what} must have shape {shape}, got {arr.shape}")
+    # numpy reads a bool among numbers as 1: [[True, 0], [0, 1]] is int64, [1.5, True] float64
+    if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(raw, dtype=object).flat):
+        raise DocumentError(code, f"{what} entries must be numbers, not booleans")
     arr = arr.astype(float)
     if not np.all(np.isfinite(arr)):
         raise DocumentError(code, f"{what} entries must be finite numbers")
@@ -234,26 +236,14 @@ def document_from_decomposition(
 def validate(doc: AlgebraDocument, tol: float = DEFAULT_TOL):
     """(decomposition, violations): decomposition is None when invalid.
 
-    Memoized on what the decomposition is a function of: the canonical
-    bracket, the block dimensions, the inner product's shape and bytes, and
-    ``tol`` (not the document's name or meta).  Equal inputs get the same
-    ``MetricDecomposition``, so the Der(n), label and certificate it caches
-    once serve every later command in the process on that metric Lie
-    algebra.  The two most recent are kept.
+    The decomposition comes from ``decompose``, so it is the one every
+    command, build and extension on the same metric Lie algebra in the
+    process is served: the document's name and meta do not count.
     """
-    ip = None if doc.ip is None else np.asarray(doc.ip, dtype=float)
-    ip_key = None if ip is None else (ip.shape, ip.tobytes())
-    dec, violations = _validated(doc.tensor(), doc.dim_k, doc.dim_h, doc.dim_n, ip_key, tol)
-    return dec, list(violations)
-
-
-@functools.lru_cache(maxsize=2)
-def _validated(mu: AlgebraTensor, dim_k: int, dim_h: int, dim_n: int, ip_key, tol: float):
-    ip = None if ip_key is None else np.frombuffer(ip_key[1]).reshape(ip_key[0])
     try:
-        return MetricDecomposition(mu, dim_k, dim_h, dim_n, ip=ip, tol=tol), ()
+        return decompose(doc.tensor(), doc.dim_k, doc.dim_h, doc.dim_n, doc.ip, tol), []
     except DecompositionError as err:
-        return None, tuple(err.violations)
+        return None, err.violations
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .decomposition import DecompositionError, MetricDecomposition, _once, frob, sym
+from .decomposition import DecompositionError, MetricDecomposition, _once, decompose, frob, sym
 from .tensor import (
     DEFAULT_TOL,
     AlgebraTensor,
@@ -239,7 +239,7 @@ def nilsoliton_fit(
     On the abelian algebra the fit returns (c, D) = (0, 0), or
     (c_fixed, -c_fixed I) when an ambient constant is imposed.
     """
-    dec = MetricDecomposition(bracket, 0, 0, bracket.dim, ip=ip, tol=tol)
+    dec = decompose(bracket, 0, 0, bracket.dim, ip=ip, tol=tol)
     return _canonical_fit(dec, c_fixed)
 
 

@@ -6,15 +6,16 @@ equivalence suites) and merely assemblable data (a homomorphism into the
 derivation algebra, enough for a valid decomposition with [h,h] inside u,
 used by the blockwise-moment suite).
 
-``io.validate`` keeps the decompositions it validated for later commands in
-the process; each test starts with that memo empty, and a test that counts
-the work of single commands asks for ``cold_commands``.
+``decomposition.decompose`` keeps the decompositions it validated (for
+``io.validate``, the builds, the extensions and the n-parts) for later
+callers in the process; each test starts with that one memo empty, and a
+test that counts the work of single commands asks for ``cold_commands``.
 """
 
 import numpy as np
 import pytest
 
-from homsol import cli, io
+from homsol import cli, decomposition
 from homsol.constructions import ConstructionData, assemble_semidirect
 from homsol.tensor import AlgebraTensor, derivation_algebra
 
@@ -161,7 +162,7 @@ def rng():
 @pytest.fixture(autouse=True)
 def _empty_validation_memo():
     """No test is served a decomposition that an earlier test validated."""
-    io._validated.cache_clear()
+    decomposition._validated.cache_clear()
 
 
 @pytest.fixture
@@ -174,7 +175,7 @@ def cold_commands(monkeypatch):
     main = cli.main
 
     def cold_main(argv=None):
-        io._validated.cache_clear()
+        decomposition._validated.cache_clear()
         return main(argv)
 
     monkeypatch.setattr(cli, "main", cold_main)

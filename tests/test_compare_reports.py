@@ -130,12 +130,14 @@ def test_each_command_computes_der_n_and_the_label_at_most_once(tmp_path, capsys
     assert seen["der"] and seen["label"]  # the counters saw the calls
 
     # verify-all: the battery and the label checks of one entry share its label and Der(n)
-    from homsol import cli
+    from homsol import cli, decomposition
 
     verify_one = cli._verify_one
     per_entry = {}
 
     def counted_entry(name, tol):
+        # entries share n-parts through the memo; each entry is counted as if it ran first
+        decomposition._validated.cache_clear()
         calls.clear()
         out = verify_one(name, tol)
         per_entry[name] = dict(calls)
@@ -224,6 +226,7 @@ def one_document_per_ladder_family(tmp_path) -> list[str]:
     return paths
 
 
+@pytest.mark.usefixtures("cold_commands")
 def test_stratify_computes_the_label_once(tmp_path, capsys, monkeypatch):
     from homsol import strata
     from homsol.cli import main
@@ -278,7 +281,7 @@ DOCUMENT_COMMAND_ARGV = [
 def test_commands_served_from_the_validation_memo_print_what_cold_runs_print(tmp_path, capsys):
     # validate hands one decomposition to every command on the same algebra;
     # in any order of commands, each prints byte for byte its cold output
-    from homsol import io
+    from homsol import decomposition
     from homsol.cli import main
 
     def run(command, target):
@@ -289,14 +292,14 @@ def test_commands_served_from_the_validation_memo_print_what_cold_runs_print(tmp
     cold = {}
     for target in targets:
         for pos, command in enumerate(DOCUMENT_COMMAND_ARGV):
-            io._validated.cache_clear()
+            decomposition._validated.cache_clear()
             cold[pos, target] = run(command, target)
     orders = [range(7), range(6, -1, -1), (3, 0, 5, 2, 6, 1, 4)]
     for order in orders:
         for target in targets:
             for pos in order:
                 assert run(DOCUMENT_COMMAND_ARGV[pos], target) == cold[pos, target], (order, pos, target)
-    assert io._validated.cache_info().hits >= len(orders) * len(targets) * 6
+    assert decomposition._validated.cache_info().hits >= len(orders) * len(targets) * 6
 
 
 def test_validation_memo_keys_on_the_metric_lie_algebra_alone():
@@ -411,3 +414,62 @@ def test_build_validates_each_construction_once(tmp_path, capsys, monkeypatch):
         "so3-isotropy-parts": 0,
         "cplxhyp2-ip-parts": 0,
     }
+
+
+def test_a_refit_served_from_the_memo_prints_what_a_cold_refit_prints(tmp_path, capsys, monkeypatch):
+    # fit and battery on the document build or extend --out printed are served the very
+    # decomposition the command built, and print byte for byte what they print cold
+    from homsol import constructions, decomposition
+    from homsol.cli import main
+
+    built = []
+    for name in ("assemble_semidirect", "_transformed"):
+        fn = getattr(constructions, name)
+
+        def spy(*args, _fn=fn, **kwargs):
+            built.append(_fn(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(constructions, name, spy)
+
+    def run(argv, out):
+        """build or extend --out from an empty memo; the decomposition it built, None if it exits 2."""
+        decomposition._validated.cache_clear()
+        built.clear()
+        code = main(argv)
+        report = json.loads(capsys.readouterr().out)
+        if argv[0] == "build":
+            out.write_text(json.dumps(report["results"]["document"]))
+        return built[-1] if code == 0 else None
+
+    def refit(out, cold):
+        runs = []
+        for command in ("fit", "battery"):
+            if cold:
+                decomposition._validated.cache_clear()
+            runs.append((main([command, str(out), "--json"]), capsys.readouterr()))
+        return runs
+
+    cases = []
+    for doc in compare_reports.construction_documents():
+        path = tmp_path / f"{doc['name']}.json"
+        path.write_text(json.dumps(doc))
+        cases.append((["build", str(path), "--json"], tmp_path / f"{doc['name']}-built.json"))
+    for name in sorted(catalog.names()):
+        for variant in compare_reports.VARIANTS:
+            out = tmp_path / f"{name}-{variant}.json"
+            cases.append((["extend", name, "--variant", variant, "--json", "--out", str(out)], out))
+    served = Counter()
+    for argv, out in cases:
+        if run(argv, out) is None:
+            continue  # an extend that does not apply to this entry
+        cold = refit(out, cold=True)
+        dec = run(argv, out)
+        assert validate(document_from_dict(json.loads(out.read_text())))[0] is dec, argv
+        if argv[0] == "extend":
+            # the extension keeps the n-block: one n-part serves it and its source
+            source = validate(document_from_catalog(catalog.get(argv[1])))[0]
+            assert dec.n_decomposition() is source.n_decomposition(), argv
+        assert refit(out, cold=False) == cold, argv
+        served[argv[0] if argv[0] == "build" else argv[3]] += 1
+    assert sorted(served) == ["build", *compare_reports.VARIANTS], served

@@ -358,15 +358,22 @@ def test_sphere_presentation_with_isotropy():
 def test_cached_parts_hold_no_reference_cycle():
     # with the cycle collector off, a decomposition reachable from its own
     # cache (say a nilpotent one caching itself as its n-part) stays alive;
-    # one that io.validate keeps must be freed once later validations evict it
+    # one that the memo of decompose keeps must be freed once later
+    # validations evict it
+    from homsol import decomposition
     from homsol.io import document_from_catalog, validate
     from homsol.soliton import soliton_fit, structure_battery
 
+    held = decomposition._validated.cache_info().maxsize
     gc.disable()
     try:
         for name in ("heis3", "fil4", "cplxhyp2", "solv12", "nil7"):
             for memoized in (False, True):
-                dec = validate(document_from_catalog(get(name)))[0] if memoized else d(name)
+                if memoized:
+                    dec = validate(document_from_catalog(get(name)))[0]
+                else:
+                    e = get(name)
+                    dec = MetricDecomposition(e.tensor(), e.dim_k, e.dim_h, e.dim_n, ip=e.ip)
                 structure_battery(dec, soliton_fit(dec))
                 dec.derivations_n()
                 dec.n_decomposition()
@@ -375,9 +382,9 @@ def test_cached_parts_hold_no_reference_cycle():
                 ref = weakref.ref(dec)
                 del dec
                 if memoized:
-                    # the memo keeps two: two other algebras evict this one
-                    for other in ("abelian2", "abelian3"):
-                        validate(document_from_catalog(get(other)))
+                    # as many other algebras as the memo holds evict this one
+                    for n in range(2, 2 + held):
+                        decomposition.decompose(AlgebraTensor(n), 0, 0, n)
                 assert ref() is None, (name, memoized)
     finally:
         gc.enable()

@@ -578,6 +578,24 @@ def test_cli_build_refuses_arrays_of_the_wrong_shape(capsys, tmp_path):
     assert_build_refused(capsys, tmp_path, build_doc(nil=nil), "bad-array")
 
 
+def test_cli_refuses_a_bool_inside_a_numeric_array(capsys, tmp_path):
+    # numpy reads true among numbers as 1 ([[true, 0], [0, 1]] is an integer array,
+    # [1.5, true] a float one), so either would pass as the identity's entry
+    identity_with_true = [[True, 0, 0], [0, 1, 0], [0, 0, 1]]
+    with_true_and_floats = [[1.5, True, 0.0], [1.0, 1.5, 0.0], [0.0, 0.0, 1.0]]
+    for ip in (identity_with_true, with_true_and_floats):
+        f = tmp_path / "ip.json"
+        f.write_text(json.dumps(doc_dict(ip=ip)))
+        assert main(["fit", str(f)]) == 2
+        assert "error [bad-ip] ip entries must be numbers" in capsys.readouterr().err
+    d1 = [[1.0, 0.0, 0.0], [0.0, True, 0.0], [0.0, 0.0, 2.0]]
+    assert_build_refused(capsys, tmp_path, build_doc(nil=dict(build_doc()["nil"], d1=d1)), "bad-array")
+    theta = [[[0.5, 0, 0], [0, 0.5, 0], [0, 0, True]]]
+    assert_build_refused(capsys, tmp_path, build_doc(theta=theta), "bad-array")
+    nil = dict(build_doc()["nil"], ip=identity_with_true)
+    assert_build_refused(capsys, tmp_path, build_doc(nil=nil), "bad-ip")
+
+
 def test_document_numbers_out_of_float_range_or_not_numbers_are_refused():
     # an integer beyond int64 is a number; one beyond the float range is not finite
     assert document_from_dict(doc_dict(bracket=[{"i": 0, "j": 1, "k": 2, "c": 10**30}]))

@@ -154,3 +154,18 @@ def test_no_function_of_a_decomposition_takes_a_tol():
             if any(map(_is_a_decomposition, params)) and any(a.arg == "tol" for a in params):
                 offenders.append(f"{module}:{fn.name}")
     assert not offenders, offenders
+
+
+def test_decompositions_are_constructed_only_through_the_memo():
+    # decompose is the one constructor of validated decompositions: a direct
+    # MetricDecomposition(...) elsewhere would build an algebra the memo already
+    # holds again, with its Der(n), label and certificate
+    offenders = [
+        f"{module}:{call.lineno}"
+        for module, tree in _trees().items()
+        if module != "decomposition.py"
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and ast.unparse(call.func).split(".")[-1] == "MetricDecomposition"
+    ]
+    assert not offenders, offenders

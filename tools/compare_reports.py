@@ -22,7 +22,11 @@ scale shows up; ``build`` on the construction documents written here
 4-space as k = so(3) rotating R^3 with h = R acting by I, the isotropy
 path; ``cplxhyp2``'s parts with non-identity ``ip`` on n and on h, the
 path through ``ConstructionData.normalized``; and ``cplxhyp2``'s parts
-with theta doubled, which violate (c3), so that ``build`` exits 1); and
+with theta doubled, which violate (c3), so that ``build`` exits 1);
+``fit`` and ``battery`` on every document that ``build`` and the three
+``extend`` variants print, read back from a file (``extend`` writes it with
+``--out``) right after the command, at that command's ``--tol``, so that
+they are served the decomposition the command built; and
 ``verify-all --json``.  ``build`` and ``verify-all`` also run at
 ``--tol 1e-6``.  Everything runs
 in-process through ``homsol.cli.main``, and every exit code and report
@@ -52,6 +56,7 @@ import tempfile
 from pathlib import Path
 
 COMMANDS = ("fit", "battery", "stratify")
+REFIT_COMMANDS = ("fit", "battery")  # run on each document a build or an extend prints
 VARIANTS = ("nonunimodular", "restrict", "unimodular")
 SCALES = (1e-10, 1e-4, 1e4, 1e10)
 OTHER_TOL = "1e-6"  # a --tol away from the default, so a change to tol plumbing shows up
@@ -195,6 +200,19 @@ def dump(src: str) -> dict:
 
     runs = {}
     with tempfile.TemporaryDirectory() as tmp:
+
+        def refit(label: str, document: Path, argv: list[str]):
+            """fit and battery on the document a build or an extend printed, read back from a file."""
+            if document.exists():
+                for command in REFIT_COMMANDS:
+                    runs[f"{command} of {label}"] = _run(main, [command, str(document), *argv])
+
+        def extend(label: str, target: str, variant: str, argv: list[str]):
+            """extend with --out, then the refits of the document it wrote."""
+            out = Path(tmp) / f"{label} printed.json"
+            runs[label] = _run(main, ["extend", target, "--variant", variant, *argv, "--out", str(out)])
+            refit(label, out, argv)
+
         targets = sorted(catalog.names())
         for doc in ladder_documents():
             path = Path(tmp) / f"{doc['name']}.json"
@@ -207,10 +225,9 @@ def dump(src: str) -> dict:
         for name in sorted(catalog.names()):
             runs[f"ricci {name}"] = _run(main, ["ricci", name, "--json"])
             for variant in VARIANTS:
-                argv = ["extend", name, "--variant", variant, "--json"]
-                runs[f"extend-{variant} {name}"] = _run(main, argv)
-                argv += ["--tol", OTHER_TOL]
-                runs[f"extend-{variant} {name} --tol {OTHER_TOL}"] = _run(main, argv)
+                extend(f"extend-{variant} {name}", name, variant, ["--json"])
+                argv = ["--json", "--tol", OTHER_TOL]
+                extend(f"extend-{variant} {name} --tol {OTHER_TOL}", name, variant, argv)
             for command in COMMANDS:
                 argv = [command, name, "--json", "--tol", OTHER_TOL]
                 runs[f"{command} {name} --tol {OTHER_TOL}"] = _run(main, argv)
@@ -220,14 +237,18 @@ def dump(src: str) -> dict:
             for command in COMMANDS:
                 runs[f"{command} {doc['name']}"] = _run(main, [command, str(path), "--json"])
             for variant in VARIANTS:
-                argv = ["extend", str(path), "--variant", variant, "--json"]
-                runs[f"extend-{variant} {doc['name']}"] = _run(main, argv)
+                extend(f"extend-{variant} {doc['name']}", str(path), variant, ["--json"])
         for doc in construction_documents() + [refused_construction_document()]:
             path = Path(tmp) / f"{doc['name']}.json"
             path.write_text(json.dumps(doc, sort_keys=True))
-            runs[f"build {doc['name']}"] = _run(main, ["build", str(path), "--json"])
-            argv = ["build", str(path), "--json", "--tol", OTHER_TOL]
-            runs[f"build {doc['name']} --tol {OTHER_TOL}"] = _run(main, argv)
+            for suffix, argv in (("", ["--json"]), (f" --tol {OTHER_TOL}", ["--json", "--tol", OTHER_TOL])):
+                label = f"build {doc['name']}{suffix}"
+                runs[label] = _run(main, ["build", str(path), *argv])
+                built = Path(tmp) / f"{label} printed.json"
+                results = runs[label]["report"]["results"]
+                if "document" in results:  # build prints no document for data it refuses
+                    built.write_text(json.dumps(results["document"], sort_keys=True))
+                refit(label, built, argv)
     runs["verify-all"] = _run(main, ["verify-all", "--json"])
     runs[f"verify-all --tol {OTHER_TOL}"] = _run(main, ["verify-all", "--json", "--tol", OTHER_TOL])
     return runs
