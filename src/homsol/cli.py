@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from pathlib import Path
@@ -33,6 +32,7 @@ from .io import (
     _bracket_entries,
     _dimension,
     _finite_number,
+    _json_text,
     _numeric_array,
     _require_keys,
     document_from_catalog,
@@ -340,9 +340,13 @@ def run_catalog(dump_dir: str | None) -> Report:
     report.results["catalog"] = listing
     if dump_dir:
         out = Path(dump_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for name in cat.names():
-            (out / f"{name}.json").write_text(document_from_catalog(cat.get(name)).dumps() + "\n")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for name in cat.names():
+                text = document_from_catalog(cat.get(name)).dumps() + "\n"
+                (out / f"{name}.json").write_text(text)
+        except OSError as err:
+            raise DocumentError("out-not-writable", f"{dump_dir}: {err.strerror}") from None
         report.results["dumped_to"] = str(out)
     return report
 
@@ -430,7 +434,7 @@ def _emit(report: Report, args) -> int:
             if key in report.results:
                 print(f"{key}: {_fmt(report.results[key])}")
         if "document" in report.results:
-            print(json.dumps(report.results["document"], sort_keys=True, indent=2))
+            print(_json_text(report.results["document"]))
         if "catalog" in report.results:
             for name, row in report.results["catalog"].items():
                 dims = f"({row['dim_k']},{row['dim_h']},{row['dim_n']})"
@@ -500,9 +504,7 @@ def main(argv=None) -> int:
             report = run_document(args.command, load(args.document), tol, *extra)
             if extra and args.out and "document" in report.results:
                 try:
-                    Path(args.out).write_text(
-                        json.dumps(report.results["document"], sort_keys=True, indent=2) + "\n"
-                    )
+                    Path(args.out).write_text(_json_text(report.results["document"]) + "\n")
                 except OSError as err:
                     raise DocumentError("out-not-writable", f"{args.out}: {err.strerror}") from None
     except DocumentError as err:

@@ -19,6 +19,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+# a str's JSON text, as json.dumps writes it; TypeError on anything else
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +76,7 @@ class AlgebraDocument:
         return out
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+        return _json_text(self.to_json_dict())
 
     def content_hash(self) -> str:
         payload = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
@@ -247,35 +249,90 @@ def validate(doc: AlgebraDocument, tol: float = DEFAULT_TOL):
 
 
 # ---------------------------------------------------------------------------
+# JSON text
+# ---------------------------------------------------------------------------
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(v) -> str:
+    text = float.__repr__(v)
+    return _NONFINITE.get(text, text)
+
+
+# the text of a scalar, by its exact type; numpy scalars are written as
+# numbers, except np.bool_, which is neither an integer nor a float: its str
+_SCALARS = {
+    str: _string,
+    float: _float_text,
+    int: int.__repr__,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+    np.float64: _float_text,
+    np.int64: lambda v: int.__repr__(int(v)),
+    np.bool_: lambda v: _string(str(v)),
+}
+
+
+def _enclosed(texts: list[str], indent: str, brackets: str) -> str:
+    """The texts one to a line, two spaces in from ``indent``, between the two brackets."""
+    if not texts:
+        return brackets
+    inner = indent + "  "
+    return brackets[0] + inner + ("," + inner).join(texts) + indent + brackets[1]
+
+
+def _array_text(items, indent: str) -> str:
+    """The JSON array of a list or tuple, each item made JSON as ``_json_text`` makes it."""
+    inner = indent + "  "
+    if items and isinstance(items[0], float):
+        sep = "," + inner
+        try:  # a row of floats, as ndarray.tolist gives it
+            text = sep.join(map(float.__repr__, items))
+        except TypeError:  # an item that is not a float
+            pass
+        else:
+            if "n" in text:  # nan, inf or -inf: json's NaN, Infinity, -Infinity
+                text = sep.join(map(_float_text, items))
+            return "[" + inner + text + indent + "]"
+    return _enclosed([_json_text(x, inner) for x in items], indent, "[]")
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, of value made JSON.
+
+    An ndarray is written as nested lists, a numpy integer or float as a
+    number, a tuple as a list, and any other value that JSON has no type for
+    as its ``str``.  ``indent`` is the newline and indentation of the line
+    value starts on.  A key that is not a ``str`` raises TypeError.
+    """
+    write = _SCALARS.get(type(value))
+    if write is not None:
+        return write(value)
+    if isinstance(value, (list, tuple)):
+        return _array_text(value, indent)
+    if isinstance(value, dict):
+        inner = indent + "  "
+        fields = [f"{_string(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
+        return _enclosed(fields, indent, "{}")
+    if isinstance(value, np.ndarray):
+        return _json_text(value.tolist(), indent)
+    if isinstance(value, str):
+        return _string(value)
+    if isinstance(value, (int, np.integer)):
+        return int.__repr__(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _float_text(float(value))
+    return _string(str(value))
+
+
+# ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
 
-def _check_json(check: Check) -> dict:
-    """A check as JSON; its ``tolerance`` is the bound the check applied."""
-    out = {"name": check.name, "anchor": check.anchor, "passed": check.passed}
-    if check.value is not None:
-        out["value"] = _jsonable(check.value)
-    if check.bound is not None:
-        out["tolerance"] = float(check.bound)
-    if check.info:
-        out["info"] = {k: _jsonable(v) for k, v in check.info.items()}
-    return out
-
-
-def _jsonable(v):
-    if v is None or isinstance(v, (bool, str)):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    return str(v)
+# the indentation of a check record in a report, and of the values inside one
+_CHECK = "\n    "
+_RECORD = _CHECK + "  "
 
 
 @dataclass
@@ -302,19 +359,33 @@ class Report:
             return 2
         return 0 if self.passed else 1
 
-    def to_json_dict(self) -> dict:
-        return {
-            "tool": "homsol",
-            "version": TOOL_VERSION,
-            "command": self.command,
-            "input": {"name": self.input_name, "sha256": self.input_hash},
-            "config": {"tolerance": float(self.tolerance)},
-            "classification": self.classification,
-            "passed": bool(self.passed),
-            "checks": [_check_json(c) for c in self.checks],
-            "errors": self.errors,
-            "results": {k: _jsonable(v) for k, v in self.results.items()},
-        }
-
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+        """The report as JSON: sorted keys, indent 2; each check's ``tolerance`` is its bound."""
+        records = []
+        for c in self.checks:
+            fields = ['"anchor": ' + _string(c.anchor)]
+            if c.info:
+                fields.append('"info": ' + _json_text(c.info, _RECORD))
+            fields.append('"name": ' + _string(c.name))
+            fields.append('"passed": true' if c.passed else '"passed": false')
+            if c.bound is not None:
+                fields.append('"tolerance": ' + _float_text(float(c.bound)))
+            if c.value is not None:
+                fields.append('"value": ' + _json_text(c.value, _RECORD))
+            records.append(_enclosed(fields, _CHECK, "{}"))
+        top = "\n  "
+        config = {"tolerance": float(self.tolerance)}
+        source = {"name": self.input_name, "sha256": self.input_hash}
+        fields = [
+            '"checks": ' + _enclosed(records, top, "[]"),
+            '"classification": ' + _string(self.classification),
+            '"command": ' + _string(self.command),
+            '"config": ' + _json_text(config, top),
+            '"errors": ' + _json_text(self.errors, top),
+            '"input": ' + _json_text(source, top),
+            '"passed": ' + _json_text(self.passed),
+            '"results": ' + _json_text(self.results, top),
+            '"tool": "homsol"',
+            '"version": ' + _string(TOOL_VERSION),
+        ]
+        return _enclosed(fields, "\n", "{}")

@@ -473,3 +473,42 @@ def test_a_refit_served_from_the_memo_prints_what_a_cold_refit_prints(tmp_path, 
         assert refit(out, cold=False) == cold, argv
         served[argv[0] if argv[0] == "build" else argv[3]] += 1
     assert sorted(served) == ["build", *compare_reports.VARIANTS], served
+
+
+def test_compare_flags_a_text_that_differs_where_the_values_do_not(tmp_path, capsys):
+    old = {
+        "fit a": {"exit": 0, "report": {"c": -1.5}, "sha256": "1"},
+        "fit b": {"exit": 0, "report": {"c": -1.5}, "sha256": "2"},
+        "extend c": {"exit": 0, "report": {"x": math.nan}, "sha256": "3", "out_sha256": "4"},
+        "fit d": {"exit": 0, "report": {"c": -1.5}, "sha256": "5"},
+    }
+    new = json.loads(json.dumps(old))
+    new["fit a"]["sha256"] = "1'"  # the same values, another text
+    new["extend c"]["out_sha256"] = "4'"  # the same report, another --out file
+    new["fit d"]["report"]["c"] = -1.5 * (1 + 1e-13)  # roundoff moves the text too
+    new["fit d"]["sha256"] = "5'"
+    paths = []
+    for name, dump in (("old", old), ("new", new)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(dump))
+
+    assert compare_reports.main(["compare", *map(str, paths)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "extend c: text differs (out_sha256)",
+        "fit a: text differs (sha256)",
+        "4 vs 4 reports, 0 differences, 2 text differs",
+    ]
+    assert compare_reports.main(["compare", str(paths[0]), str(paths[0])]) == 0
+    assert capsys.readouterr().out.splitlines() == ["4 vs 4 reports, 0 differences, 0 text differs"]
+    # a dump without hashes is compared on its values alone
+    paths[1].write_text(json.dumps({name: compare_reports._values(run) for name, run in old.items()}))
+    assert compare_reports.main(["compare", *map(str, paths)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["4 vs 4 reports, 0 differences"]
+
+
+def test_dump_hashes_the_text_a_command_printed():
+    from homsol.cli import main
+
+    run = compare_reports._run(main, ["fit", "heis3", "--json"])
+    text = json.dumps(run["report"], sort_keys=True, indent=2) + "\n"
+    assert run["sha256"] == compare_reports._sha256(text)

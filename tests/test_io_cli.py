@@ -281,6 +281,22 @@ def test_cli_catalog_dump_and_reload(capsys, tmp_path):
     assert doc.dim == 4
 
 
+def test_cli_catalog_dump_below_a_file_exit_2(capsys, tmp_path):
+    # mkdir fails: the dump directory would sit inside a regular file
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["catalog", "--dump", str(blocker / "sub"), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert "error [out-not-writable]" in captured.err and not captured.out
+
+
+def test_cli_catalog_dump_over_a_directory_exit_2(capsys, tmp_path):
+    # a write fails: a catalog document's file name is taken by a directory
+    (tmp_path / "heis3.json").mkdir()
+    assert main(["catalog", "--dump", str(tmp_path), "--json"]) == 2
+    assert "error [out-not-writable]" in capsys.readouterr().err
+
+
 def test_cli_reports_deterministic(capsys):
     _, out1 = run_cli(capsys, "battery", "cplxhyp2", "--json")
     _, out2 = run_cli(capsys, "battery", "cplxhyp2", "--json")

@@ -169,3 +169,17 @@ def test_decompositions_are_constructed_only_through_the_memo():
         and ast.unparse(call.func).split(".")[-1] == "MetricDecomposition"
     ]
     assert not offenders, offenders
+
+
+def test_no_indented_json_dumps_in_the_package():
+    # io._json_text owns the layout of every indented JSON text the package
+    # writes: reports, documents and extend --out files
+    offenders = [
+        f"{module}:{call.lineno}"
+        for module, tree in _trees().items()
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and ast.unparse(call.func) in ("json.dumps", "json.dump", "dumps", "dump")
+        and any(k.arg == "indent" for k in call.keywords)
+    ]
+    assert not offenders, offenders

@@ -30,7 +30,8 @@ they are served the decomposition the command built; and
 ``verify-all --json``.  ``build`` and ``verify-all`` also run at
 ``--tol 1e-6``.  Everything runs
 in-process through ``homsol.cli.main``, and every exit code and report
-goes to one JSON file.
+goes to one JSON file, with the sha256 of the command's standard output
+and, for ``extend``, of the file ``--out`` wrote.
 The BLAS and OpenMP thread counts are pinned to 1 before numpy loads, so
 one tree dumped twice gives the same numbers.
 
@@ -40,13 +41,18 @@ floats equal to 1e-12 absolute or relative.  It prints each difference,
 then the totals, then one summary line per report that differs (the
 number of floats that moved, the largest |delta| and the largest |value|
 in that report, so roundoff can be told from a change of scale), and
-exits 1 if there is any difference, 0 otherwise.
+exits 1 if there is any difference, 0 otherwise.  A report whose values
+are exactly equal in both dumps but whose text hashes differ is printed
+as ``text differs`` and counts as a difference too, so a change that
+claims byte-identical reports can show it; a dump without hashes is
+compared on its values alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -61,6 +67,7 @@ VARIANTS = ("nonunimodular", "restrict", "unimodular")
 SCALES = (1e-10, 1e-4, 1e4, 1e10)
 OTHER_TOL = "1e-6"  # a --tol away from the default, so a change to tol plumbing shows up
 TOL = 1e-12
+HASHES = ("sha256", "out_sha256")  # of the standard output, of the file extend --out wrote
 
 
 def _document(name: str, dim_h: int, dim_n: int, entries) -> dict:
@@ -181,6 +188,10 @@ def scaled_catalog_documents() -> list[dict]:
     return docs
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _run(main, argv: list[str]) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -190,7 +201,7 @@ def _run(main, argv: list[str]) -> dict:
         report = json.loads(text)
     except json.JSONDecodeError:
         report = text
-    return {"exit": code, "report": report}
+    return {"exit": code, "report": report, "sha256": _sha256(text)}
 
 
 def dump(src: str) -> dict:
@@ -211,6 +222,8 @@ def dump(src: str) -> dict:
             """extend with --out, then the refits of the document it wrote."""
             out = Path(tmp) / f"{label} printed.json"
             runs[label] = _run(main, ["extend", target, "--variant", variant, *argv, "--out", str(out)])
+            if out.exists():
+                runs[label]["out_sha256"] = _sha256(out.read_text())
             refit(label, out, argv)
 
         targets = sorted(catalog.names())
@@ -258,22 +271,38 @@ def differences(a, b, path: str = "") -> list[str]:
     return [text for text, _ in _walk(a, b, path)]
 
 
-def _walk(a, b, path: str):
-    """(text, |a - b|) of each difference; the second item is None unless two floats moved."""
+def _values(run: dict) -> dict:
+    """A run of a dump without its text hashes."""
+    return {k: v for k, v in run.items() if k not in HASHES}
+
+
+def text_differences(old: dict, new: dict) -> list[str]:
+    """One line per report whose values are exactly equal in both dumps but whose text hashes differ."""
+    out = []
+    for name in sorted(set(old) & set(new)):
+        a, b = old[name], new[name]
+        moved = [k for k in HASHES if k in a and k in b and a[k] != b[k]]
+        if moved and not any(_walk(_values(a), _values(b), "", tol=0.0)):
+            out.append(f"{name}: text differs ({', '.join(moved)})")
+    return out
+
+
+def _walk(a, b, path: str, tol: float = TOL):
+    """(text, |a - b|) of each difference beyond tol; the second item is None unless two floats moved."""
     if isinstance(a, dict) and isinstance(b, dict):
         for k in sorted(set(a) ^ set(b)):
             yield f"{path}/{k}: only in one dump", None
         for k in sorted(set(a) & set(b)):
-            yield from _walk(a[k], b[k], f"{path}/{k}")
+            yield from _walk(a[k], b[k], f"{path}/{k}", tol)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             yield f"{path}: length {len(a)} != {len(b)}", None
         else:
             for i, (x, y) in enumerate(zip(a, b)):
-                yield from _walk(x, y, f"{path}[{i}]")
+                yield from _walk(x, y, f"{path}[{i}]", tol)
     elif isinstance(a, float) and isinstance(b, float):
         gap = abs(a - b)
-        if a == b or gap <= TOL or gap <= TOL * max(abs(a), abs(b)):
+        if a == b or gap <= tol or gap <= tol * max(abs(a), abs(b)):
             return
         if math.isnan(a) and math.isnan(b):
             return
@@ -330,13 +359,18 @@ def main(argv=None) -> int:
         return 0
     old = json.loads(Path(args.old).read_text())
     new = json.loads(Path(args.new).read_text())
+    texts = text_differences(old, new)
+    hashed = all(any("sha256" in run for run in dump.values()) for dump in (old, new))
+    old = {name: _values(run) for name, run in old.items()}
+    new = {name: _values(run) for name, run in new.items()}
     diffs = differences(old, new)
-    for d in diffs:
-        print(d)
-    print(f"{len(old)} vs {len(new)} reports, {len(diffs)} differences")
+    for line in diffs + texts:
+        print(line)
+    totals = f"{len(old)} vs {len(new)} reports, {len(diffs)} differences"
+    print(totals + (f", {len(texts)} text differs" if hashed else ""))
     for line in summaries(old, new):
         print(line)
-    return 1 if diffs else 0
+    return 1 if diffs or texts else 0
 
 
 if __name__ == "__main__":
