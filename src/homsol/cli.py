@@ -17,7 +17,6 @@ import numpy as np
 
 from . import catalog as cat
 from .constructions import (
-    ConstructionData,
     ConstructionError,
     build_semidirect,
     einstein_extension_unimodular,
@@ -29,12 +28,8 @@ from .io import (
     AlgebraDocument,
     DocumentError,
     Report,
-    _bracket_entries,
-    _dimension,
-    _finite_number,
     _json_text,
-    _numeric_array,
-    _require_keys,
+    construction_from_dict,
     document_from_catalog,
     document_from_decomposition,
     load,
@@ -42,7 +37,6 @@ from .io import (
     validate,
 )
 from .soliton import (
-    _canonical_certificate,
     _residual_bound,
     algebraic_soliton_equivalences,
     f_operator_check,
@@ -51,7 +45,7 @@ from .soliton import (
     structure_battery,
 )
 from .strata import _properties, e_beta_pairing
-from .tensor import DEFAULT_TOL, AlgebraTensor, Check
+from .tensor import DEFAULT_TOL, Check
 
 
 def _tolerance(flag: float | None) -> float:
@@ -93,7 +87,7 @@ def run_fit(report: Report, dec):
     report.results["derivation"] = cert.d_full
     report.results["flags"] = cert.flags
     if dec.dim_n:
-        ncert = _canonical_certificate(dec.n_decomposition())
+        ncert = soliton_fit(dec.n_decomposition())
         report.results["nilpotent_part"] = {
             "c": ncert.c,
             "residual": ncert.residual,
@@ -195,55 +189,16 @@ def run_stratify(report: Report, dec):
     report.checks.extend(r for records in groups.values() for r in records)
 
 
-CONSTRUCTION_KEYS = {"name", "c", "nil", "reductive", "theta"}
-
-
-def _construction_from_dict(raw) -> tuple[str, ConstructionData]:
-    """The construction a document describes, read by the rules of algebra documents.
-
-    Keys, dimensions, bracket entries and numbers follow ``io``'s helpers;
-    ``d1``, ``theta`` and the optional ``ip``s (null means identity) must
-    have the shapes the dimensions give.  Anything else raises DocumentError.
-    """
-    _require_keys(raw, CONSTRUCTION_KEYS, CONSTRUCTION_KEYS, "construction document")
-    if not isinstance(raw["name"], str):
-        raise DocumentError("bad-name", "name must be a string")
-    nil = _require_keys(raw["nil"], {"dim", "d1"}, {"dim", "bracket", "d1", "ip"}, "nil")
-    red = _require_keys(raw["reductive"], {"dim"}, {"dim", "dim_k", "bracket", "ip"}, "reductive")
-    dn, du = _dimension(nil["dim"], "nil dim"), _dimension(red["dim"], "reductive dim")
-    dim_k = _dimension(red.get("dim_k", 0), "reductive dim_k", du)
-
-    def tensor(part: dict, dim: int, what: str) -> AlgebraTensor:
-        entries = _bracket_entries(part.get("bracket", []), dim, f"{what} bracket")
-        return AlgebraTensor(dim, tuple((e["i"], e["j"], e["k"], e["c"]) for e in entries))
-
-    def ip(part: dict, dim: int, what: str) -> np.ndarray | None:
-        raw_ip = part.get("ip")
-        return None if raw_ip is None else _numeric_array(raw_ip, (dim, dim), "bad-ip", what)
-
-    data = ConstructionData(
-        n_bracket=tensor(nil, dn, "nil"),
-        c=_finite_number(raw["c"], "bad-constant", "c"),
-        d1=_numeric_array(nil["d1"], (dn, dn), "bad-array", "d1"),
-        u_bracket=tensor(red, du, "reductive"),
-        dim_k=dim_k,
-        theta=_numeric_array(raw["theta"], (du, dn, dn), "bad-array", "theta"),
-        ip_n=ip(nil, dn, "nil ip"),
-        ip_h=ip(red, du - dim_k, "reductive ip"),
-    )
-    return raw["name"], data
-
-
 def run_build(path: str, tol: float) -> Report:
     report = Report(command="build", input_name=path, input_hash="", tolerance=tol)
     try:
-        name, data = _construction_from_dict(read_json(Path(path)))
+        name, data = construction_from_dict(read_json(Path(path)))
         res, violations = build_semidirect(data, tol), []
     except ConstructionError as err:
         # a ValueError too, but data that fails (c1)-(c3) or (d1)-(d3) fails checks: exit 1
         violations = err.violations
     except ValueError as err:
-        # a file read_json refuses, a document _construction_from_dict refuses
+        # a file read_json refuses, a document construction_from_dict refuses
         # (DocumentError), an inner product that is not symmetric or not positive
         # definite (LinAlgError) and a bracket whose norm leaves the range computed in
         report.errors.append({"code": "bad-construction", "detail": str(err)})
@@ -382,7 +337,7 @@ def _verify_one(name: str, tol: float) -> list[Check]:
             got=cert.c,
         )
     if expected.get("nilsoliton_negative"):
-        ncert = _canonical_certificate(dec.n_decomposition())
+        ncert = soliton_fit(dec.n_decomposition())
         rec(
             "nilsoliton-negative",
             "min over {c I + S(D)} of |Ric - c I - S(D)| > 1e-3",

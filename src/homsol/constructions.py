@@ -129,12 +129,13 @@ def validate_construction(
 ) -> tuple[MetricDecomposition | None, list[Violation]]:
     """(decomposition, violations) of the assembled g = u (+) n; None when it is invalid.
 
-    When g, or its n- or u-part, fails the decomposition's own validation,
-    those violations are the report: ``jacobi`` for theta, ``isotropy-not-skew``
-    for (c1).  Otherwise (d1), u reductive, (c2) and (c3) are checked, a
-    residual of degree d against tol |mu|^d, |mu| the norm of g; NaN fails.
-    A non-symmetric ``ip_n`` or ``ip_h``, or a bracket out of range, raises ValueError.
-    The arrays' shapes are the caller's to check, as ``homsol build``'s reader does.
+    When g, or its n-part, fails the decomposition's own validation, those
+    violations are the report: ``jacobi`` for theta, ``isotropy-not-skew``
+    for (c1).  Otherwise (d1), u reductive (on ``dec.u_bracket``), (c2) and
+    (c3) (on ``dec.u_ricci()``) are checked, a residual of degree d against
+    tol |mu|^d, |mu| the norm of g; NaN fails.  A non-symmetric ``ip_n`` or
+    ``ip_h``, or a bracket out of range, raises ValueError.  The arrays'
+    shapes are the caller's to check, as ``io.construction_from_dict`` does.
     """
     for what, ip in (("ip_n", data.ip_n), ("ip_h", data.ip_h)):
         if ip is not None and not symmetric(np.asarray(ip, dtype=float), tol):
@@ -143,7 +144,7 @@ def validate_construction(
     dn, dh = data.dim_n, data.dim_h
     try:
         dec = assemble_semidirect(data, tol)
-        ndec, udec = dec.n_decomposition(), dec.u_decomposition()
+        ndec = dec.n_decomposition()
     except DecompositionError as err:
         return None, err.violations
     norm = dec.bracket_on.norm
@@ -160,7 +161,7 @@ def validate_construction(
         out.append(Violation("d1-not-derivation", "D1 is not a derivation of n", r))
 
     # u reductive
-    if not _is_reductive(udec.bracket_on, tol):
+    if not _is_reductive(dec.u_bracket, tol):
         out.append(Violation("u-not-reductive", "u is not semisimple plus center"))
 
     # (c2) commutator sum over the h-block
@@ -170,7 +171,7 @@ def validate_construction(
         out.append(Violation("c2-commutator-sum", "sum_i [theta(Y_i), theta(Y_i)^t] != 0", r))
 
     # (c3) reductive-part Ricci
-    ric_u = udec.ricci().matrix
+    ric_u = dec.u_ricci()
     r = frob(ric_u - data.c * np.eye(dh) - _action_ricci_term(theta_h))
     if not r <= _residual_bound(ric_u, data.c, norm):
         out.append(Violation("c3-reductive-ricci", "Ric_u != c I + C_theta", r))

@@ -17,10 +17,11 @@ Structural requirements checked at construction:
 The Killing-form condition B(k, p) = 0 is neither enforced nor tested:
 no computation here reads the mixed block B(k, p).
 
-``decompose`` is the one constructor of validated decompositions.  It
-keeps the most recent ones, so every command, construction and n-part on
-the same metric Lie algebra in a process shares one decomposition and
-whatever it has cached.
+``decompose`` is the one constructor of validated decompositions, and its
+memo ``_validated`` the only place one is made.  It keeps the most recent
+ones, so every command, construction and n-part on the same metric Lie
+algebra in a process shares one decomposition and whatever it has cached;
+u = k + h is read on its block (``u_bracket``, ``u_ricci``), not as one.
 
 The Ricci operator of the decomposition is
 
@@ -81,6 +82,24 @@ def sym(a: np.ndarray) -> np.ndarray:
 def symmetric(m: np.ndarray, tol: float) -> bool:
     """|m - m^t| <= tol |m|, the one rule for a symmetric inner product; NaN fails."""
     return frob(m - m.T) <= tol * frob(m)
+
+
+def _killing(mu: AlgebraTensor) -> np.ndarray:
+    """The Killing form B(x, y) = tr(ad x ad y) of mu."""
+    t = mu.dense
+    b = np.einsum("ilk,jkl->ij", t, t)
+    return 0.5 * (b + b.T)
+
+
+def _mean_curvature(mu: AlgebraTensor, dim_k: int) -> np.ndarray:
+    """H in p, the span of the basis vectors from dim_k on, with <H, X> = tr ad X."""
+    eye = np.eye(mu.dim)
+    return np.array([np.trace(mu.ad(eye[i])) for i in range(dim_k, mu.dim)])
+
+
+def _ricci(p_bracket: AlgebraTensor, killing: np.ndarray, ad_h: np.ndarray, sp: slice):
+    """Ric = M - B_p/2 - S(ad_p H), from the p-block sp of B and of ad H on the whole algebra."""
+    return moment_operator(p_bracket) - 0.5 * killing[sp, sp] - sym(ad_h[sp, sp])
 
 
 @dataclass
@@ -284,14 +303,12 @@ class MetricDecomposition:
     @_once
     def killing(self) -> np.ndarray:
         """The Killing form B(x, y) = tr(ad x ad y) on g, mixed (k | orthonormal p) frame."""
-        t = self.bracket_on.dense
-        b = np.einsum("ilk,jkl->ij", t, t)
-        return 0.5 * (b + b.T)
+        return _killing(self.bracket_on)
 
     @_once
     def mean_curvature(self) -> np.ndarray:
         """H in p (orthonormal-frame coordinates) with <H, X> = tr ad X."""
-        return np.array([np.trace(self._ad_on(i)) for i in range(self.dim_k, self.dim)])
+        return _mean_curvature(self.bracket_on, self.dim_k)
 
     @_once
     def ad_mean_curvature(self) -> np.ndarray:
@@ -302,9 +319,20 @@ class MetricDecomposition:
 
     @_once
     def ricci(self) -> SymOperator:
-        m = moment_operator(self.p_bracket)
-        bp = self.killing()[self.sp, self.sp]
-        return self._sym_op(m - 0.5 * bp - sym(self.ad_mean_curvature()[self.sp, self.sp]))
+        return self._sym_op(_ricci(self.p_bracket, self.killing(), self.ad_mean_curvature(), self.sp))
+
+    @property
+    @_once
+    def u_bracket(self) -> AlgebraTensor:
+        """The bracket's u-block, that of g/n, as an algebra on u = k + h; built once."""
+        return self._sub_bracket(slice(0, self.dim_k + self.dim_h))
+
+    def u_ricci(self) -> np.ndarray:
+        """Ric = M - B/2 - S(ad H) of u = k + h with the metric on h, by ``ricci``'s helpers."""
+        u = self.u_bracket
+        h = np.zeros(u.dim)
+        h[self.sh] = _mean_curvature(u, self.dim_k)
+        return _ricci(self._sub_bracket(self.sh), _killing(u), u.ad(h), self.sh)
 
     def moment(self) -> SymOperator:
         return self._sym_op(moment_operator(self.p_bracket))
@@ -348,23 +376,6 @@ class MetricDecomposition:
         return self._sym_op(m)
 
     # -- sub-decompositions ---------------------------------------------------
-
-    def u_decomposition(self) -> "MetricDecomposition":
-        """The reductive part (u = k + h, ip restricted to h) with empty n.
-
-        Its bracket keeps the components inside u only; u is a subalgebra
-        exactly when [h,h] has no n-component.  Not kept by ``decompose``:
-        only ``homsol build`` reads it, once, and it would evict a part that
-        the next command reads.
-        """
-        return MetricDecomposition(
-            self._sub_bracket(slice(0, self.dim_k + self.dim_h)),
-            self.dim_k,
-            self.dim_h,
-            0,
-            ip=np.eye(self.dim_h),
-            tol=self.tol,
-        )
 
     def n_decomposition(self) -> "MetricDecomposition":
         """The nilpotent part (n, ip restricted to n) as a standalone algebra; built once."""

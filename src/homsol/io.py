@@ -3,11 +3,15 @@
 Document schema (strict): a JSON object with keys exactly
 
     name    string
-    dim     int, = dim_k + dim_h + dim_n
+    dim     int, = dim_k + dim_h + dim_n, at most tensor.MAX_DIM
     dim_k, dim_h, dim_n   ints >= 0
     bracket list of {"i": int, "j": int, "k": int, "c": number}, i < j
     ip      optional (dim_h+dim_n) x (dim_h+dim_n) symmetric matrix
     meta    optional free-form object
+
+Both input formats, algebra and construction documents, are read here
+alone.  A bracket is read once, into its canonical ``AlgebraTensor``, which
+the document holds, writes and hashes: every listing of it is one document.
 
 Reports are deterministic: identical input and configuration produce
 byte-identical JSON (sorted keys, no timestamps, input content hash).
@@ -26,6 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog as _catalog
+from . import tensor as _tensor
+from .constructions import ConstructionData
 from .decomposition import DecompositionError, MetricDecomposition, decompose
 from .tensor import DEFAULT_TOL, AlgebraTensor, Check, norm_range_fault
 
@@ -33,6 +39,7 @@ TOOL_VERSION = "0.1.0"
 
 REQUIRED_KEYS = {"name", "dim", "dim_k", "dim_h", "dim_n", "bracket"}
 ALLOWED_KEYS = REQUIRED_KEYS | {"ip", "meta"}
+CONSTRUCTION_KEYS = {"name", "c", "nil", "reductive", "theta"}
 
 
 class DocumentError(ValueError):
@@ -45,17 +52,16 @@ class DocumentError(ValueError):
 @dataclass
 class AlgebraDocument:
     name: str
-    dim: int
     dim_k: int
     dim_h: int
     dim_n: int
-    bracket: list[dict]
+    bracket: AlgebraTensor
     ip: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
-    def tensor(self) -> AlgebraTensor:
-        entries = tuple((e["i"], e["j"], e["k"], e["c"]) for e in self.bracket)
-        return AlgebraTensor(self.dim, entries)
+    @property
+    def dim(self) -> int:
+        return self.bracket.dim
 
     def to_json_dict(self) -> dict:
         out = {
@@ -64,10 +70,7 @@ class AlgebraDocument:
             "dim_k": self.dim_k,
             "dim_h": self.dim_h,
             "dim_n": self.dim_n,
-            "bracket": [
-                {"i": int(e["i"]), "j": int(e["j"]), "k": int(e["k"]), "c": float(e["c"])}
-                for e in self.bracket
-            ],
+            "bracket": [{"i": i, "j": j, "k": k, "c": c} for i, j, k, c in self.bracket.entries],
         }
         if self.ip is not None:
             out["ip"] = [[float(x) for x in row] for row in np.asarray(self.ip)]
@@ -96,11 +99,11 @@ def _require_keys(raw, required: set, allowed: set, what: str) -> dict:
     return raw
 
 
-def _dimension(value, what: str, most: int | None = None) -> int:
-    """value when it is a non-bool integer >= 0, and <= most when most is given."""
+def _dimension(value, what: str, most: int) -> int:
+    """value when it is a non-bool integer in [0, most]."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise DocumentError("bad-dimension", f"{what} must be a nonnegative integer")
-    if most is not None and value > most:
+    if value > most:
         raise DocumentError("bad-dimension", f"{what} must be at most {most}")
     return value
 
@@ -118,13 +121,18 @@ def _finite_number(value, code: str, what: str) -> float:
 
 
 def _numeric_array(raw, shape: tuple, code: str, what: str) -> np.ndarray:
-    """raw as a float array of the given shape with finite entries, each a non-bool JSON number."""
+    """raw as a float array of the given shape with finite entries, each a non-bool JSON number.
+
+    No JSON array has a shape with a zero extent, so for one any empty array is read.
+    """
     try:
         arr = np.asarray(raw)
     except ValueError as err:  # a ragged list
         raise DocumentError(code, f"{what} is not a numeric array: {err}") from None
     if arr.dtype.kind not in "iuf":  # strings, bools, None, integers beyond int64
         raise DocumentError(code, f"{what} is not a numeric array")
+    if arr.size == 0 and 0 in shape:
+        return np.zeros(shape)
     if arr.shape != shape:
         raise DocumentError(code, f"{what} must have shape {shape}, got {arr.shape}")
     # numpy reads a bool among numbers as 1: [[True, 0], [0, 1]] is int64, [1.5, True] float64
@@ -136,11 +144,11 @@ def _numeric_array(raw, shape: tuple, code: str, what: str) -> np.ndarray:
     return arr
 
 
-def _bracket_entries(raw, dim: int, what: str = "bracket") -> list[dict]:
-    """The entries {i, j, k, c} of a bracket list: integer indices below dim, i < j, c finite."""
+def _bracket(raw, dim: int, what: str) -> AlgebraTensor:
+    """The tensor of a list of entries {i, j, k, c}: integer indices below dim, i < j, c finite."""
     if not isinstance(raw, list):
         raise DocumentError("bad-bracket", f"{what} must be a list")
-    bracket = []
+    entries = []
     for pos, e in enumerate(raw):
         where = f"{what} entry {pos}"
         if not isinstance(e, dict) or set(e) != {"i", "j", "k", "c"}:
@@ -153,23 +161,19 @@ def _bracket_entries(raw, dim: int, what: str = "bracket") -> list[dict]:
                 raise DocumentError("index-out-of-range", f"{where}: index {idx} out of range")
         if not i < j:
             raise DocumentError("bad-bracket-entry", f"{where}: requires i < j")
-        c = _finite_number(e["c"], "bad-bracket-entry", f"{where}: c")
-        bracket.append({"i": i, "j": j, "k": k, "c": c})
-    return bracket
+        entries.append((i, j, k, _finite_number(e["c"], "bad-bracket-entry", f"{where}: c")))
+    return AlgebraTensor(dim, tuple(entries))
 
 
 def document_from_dict(raw: dict) -> AlgebraDocument:
     _require_keys(raw, REQUIRED_KEYS, ALLOWED_KEYS, "document")
-    dims = {key: _dimension(raw[key], key) for key in ("dim", "dim_k", "dim_h", "dim_n")}
+    most = _tensor.MAX_DIM
+    dims = {key: _dimension(raw[key], key, most) for key in ("dim", "dim_k", "dim_h", "dim_n")}
     if dims["dim"] != dims["dim_k"] + dims["dim_h"] + dims["dim_n"]:
         raise DocumentError("dimension-sum", "dim must equal dim_k + dim_h + dim_n")
-    bracket = _bracket_entries(raw["bracket"], dims["dim"])
-    summed: dict[tuple[int, int, int], float] = {}
-    for e in bracket:
-        key = (e["i"], e["j"], e["k"])
-        summed[key] = summed.get(key, 0.0) + e["c"]
-    # |mu|^2 over ordered pairs: twice the sum over i < j
-    fault = norm_range_fault(2.0 * sum(c * c for c in summed.values()), any(summed.values()))
+    bracket = _bracket(raw["bracket"], dims["dim"], "bracket")
+    # |mu|^2 over ordered pairs: twice the sum over i < j, without numpy's overflow warning
+    fault = norm_range_fault(2.0 * sum(c * c for *_, c in bracket.entries), bool(bracket.entries))
     if fault:
         raise DocumentError(*fault)
     ip = None
@@ -182,27 +186,47 @@ def document_from_dict(raw: dict) -> AlgebraDocument:
     name = raw["name"]
     if not isinstance(name, str):
         raise DocumentError("bad-name", "name must be a string")
-    return AlgebraDocument(
-        name=name,
-        dim=dims["dim"],
-        dim_k=dims["dim_k"],
-        dim_h=dims["dim_h"],
-        dim_n=dims["dim_n"],
-        bracket=bracket,
-        ip=ip,
-        meta=meta,
+    return AlgebraDocument(name, dims["dim_k"], dims["dim_h"], dims["dim_n"], bracket, ip, meta)
+
+
+def construction_from_dict(raw) -> tuple[str, ConstructionData]:
+    """The name and data of a construction document, read by the rules of algebra documents.
+
+    Keys, dimensions, bracket entries and numbers follow the same helpers;
+    ``nil.dim + reductive.dim`` is at most ``tensor.MAX_DIM``; ``d1``,
+    ``theta`` and the optional ``ip``s (null means identity) must have the
+    shapes the dimensions give.  Anything else raises DocumentError.
+    """
+    _require_keys(raw, CONSTRUCTION_KEYS, CONSTRUCTION_KEYS, "construction document")
+    if not isinstance(raw["name"], str):
+        raise DocumentError("bad-name", "name must be a string")
+    nil = _require_keys(raw["nil"], {"dim", "d1"}, {"dim", "bracket", "d1", "ip"}, "nil")
+    red = _require_keys(raw["reductive"], {"dim"}, {"dim", "dim_k", "bracket", "ip"}, "reductive")
+    most = _tensor.MAX_DIM
+    dn, du = _dimension(nil["dim"], "nil dim", most), _dimension(red["dim"], "reductive dim", most)
+    _dimension(dn + du, "nil dim + reductive dim", most)  # the dimension g = u + n is assembled in
+    dim_k = _dimension(red.get("dim_k", 0), "reductive dim_k", du)
+
+    def ip(part: dict, dim: int, what: str) -> np.ndarray | None:
+        raw_ip = part.get("ip")
+        return None if raw_ip is None else _numeric_array(raw_ip, (dim, dim), "bad-ip", what)
+
+    data = ConstructionData(
+        n_bracket=_bracket(nil.get("bracket", []), dn, "nil bracket"),
+        c=_finite_number(raw["c"], "bad-constant", "c"),
+        d1=_numeric_array(nil["d1"], (dn, dn), "bad-array", "d1"),
+        u_bracket=_bracket(red.get("bracket", []), du, "reductive bracket"),
+        dim_k=dim_k,
+        theta=_numeric_array(raw["theta"], (du, dn, dn), "bad-array", "theta"),
+        ip_n=ip(nil, dn, "nil ip"),
+        ip_h=ip(red, du - dim_k, "reductive ip"),
     )
-
-
-def _document(name: str, mu: AlgebraTensor, dims: tuple, ip, meta: dict) -> AlgebraDocument:
-    """The document of the bracket mu with block dimensions dims = (dim_k, dim_h, dim_n)."""
-    bracket = [{"i": i, "j": j, "k": k, "c": float(c)} for i, j, k, c in mu.entries]
-    return AlgebraDocument(name, mu.dim, *dims, bracket=bracket, ip=ip, meta=meta)
+    return raw["name"], data
 
 
 def document_from_catalog(entry: "_catalog.CatalogEntry") -> AlgebraDocument:
     dims = (entry.dim_k, entry.dim_h, entry.dim_n)
-    return _document(entry.name, entry.tensor(), dims, entry.ip, dict(entry.meta))
+    return AlgebraDocument(entry.name, *dims, entry.tensor(), entry.ip, dict(entry.meta))
 
 
 def read_json(path: Path):
@@ -231,8 +255,9 @@ def load(path_or_name: str) -> AlgebraDocument:
 def document_from_decomposition(
     dec: MetricDecomposition, name: str, meta: dict | None = None
 ) -> AlgebraDocument:
-    ip = dec.ip if np.max(np.abs(dec.ip - np.eye(dec.dim_p))) > 0 else None
-    return _document(name, dec.bracket, (dec.dim_k, dec.dim_h, dec.dim_n), ip, meta or {})
+    ip = dec.ip if np.any(dec.ip != np.eye(dec.dim_p)) else None
+    dims = (dec.dim_k, dec.dim_h, dec.dim_n)
+    return AlgebraDocument(name, *dims, dec.bracket, ip, meta or {})
 
 
 def validate(doc: AlgebraDocument, tol: float = DEFAULT_TOL):
@@ -243,7 +268,7 @@ def validate(doc: AlgebraDocument, tol: float = DEFAULT_TOL):
     process is served: the document's name and meta do not count.
     """
     try:
-        return decompose(doc.tensor(), doc.dim_k, doc.dim_h, doc.dim_n, doc.ip, tol), []
+        return decompose(doc.bracket, doc.dim_k, doc.dim_h, doc.dim_n, doc.ip, tol), []
     except DecompositionError as err:
         return None, err.violations
 

@@ -46,11 +46,11 @@ seven equivalences use EQUIVALENCE_TOL, and the bracket pairing of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import DecompositionError, MetricDecomposition, _once, decompose, frob, sym
+from .decomposition import MetricDecomposition, _once, decompose, frob, sym
 from .tensor import (
     DEFAULT_TOL,
     AlgebraTensor,
@@ -218,16 +218,6 @@ def _canonical_fit(
     return _fit(dec, "canonical", basis, offset=-dec.ad_mean_curvature(), c=c)
 
 
-@_once
-def _canonical_certificate(dec: MetricDecomposition) -> SolitonCertificate:
-    """The canonical fit with c fitted, made once per decomposition and kept in its cache.
-
-    A nilpotent decomposition is its own nilpotent part, so its soliton fit
-    and the fit of its nilpotent part share this certificate.
-    """
-    return _canonical_fit(dec)
-
-
 def nilsoliton_fit(
     bracket: AlgebraTensor,
     ip: np.ndarray | None = None,
@@ -260,14 +250,16 @@ def constrained_derivations(dec: MetricDecomposition) -> np.ndarray:
     return out
 
 
+@_once
 def soliton_fit(dec: MetricDecomposition) -> SolitonCertificate:
     """Best certificate Ric = c I + S(D_p) for a metric reductive decomposition.
 
     Tries the canonical derivation -ad H + diag(0, 0, D1) first; when that
     family cannot reproduce the Ricci operator, falls back to least squares
-    over every derivation vanishing on k.
+    over every derivation vanishing on k.  Made once per decomposition, flags
+    included, and cached with ``d_full`` and ``d1`` read-only.
     """
-    cert = _canonical_certificate(dec)
+    cert = _canonical_fit(dec)
     # without an h or k block the fallback's family is Der(n) again, the canonical family
     if not cert.is_soliton and dec.dim_k + dec.dim_h:
         alt = _fit(dec, "constrained", constrained_derivations(dec))
@@ -278,16 +270,15 @@ def soliton_fit(dec: MetricDecomposition) -> SolitonCertificate:
     hh_norm = float(np.sqrt(frob(bb.lam0) ** 2 + frob(bb.lam1) ** 2 + frob(bb.lam2) ** 2))
     ev = np.abs(np.linalg.eigvalsh(dec.killing())) if dec.dim else np.zeros(0)
     semisimple = bool(ev.size and np.min(ev) > 1e-8 * np.max(ev))
-    # a copy: the cached canonical certificate itself stays without flags
-    return replace(
-        cert,
-        flags={
-            "solvsoliton-isometric": bool(
-                cert.is_soliton and cert.expanding and hh_norm <= dec.tol * dec.bracket_on.norm
-            ),
-            "semisimple-Einstein": bool(cert.tag == TAG_EINSTEIN and semisimple),
-        },
-    )
+    cert.flags = {
+        "solvsoliton-isometric": bool(
+            cert.is_soliton and cert.expanding and hh_norm <= dec.tol * dec.bracket_on.norm
+        ),
+        "semisimple-Einstein": bool(cert.tag == TAG_EINSTEIN and semisimple),
+    }
+    cert.d_full.flags.writeable = False
+    cert.d1.flags.writeable = False
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +323,7 @@ def structure_battery(
     checks = [dec.check("hh-inside-u", "[h,h] in k+h (lambda1 = 0)", frob(bb.lam1), 1)]
 
     a_eta = bb.ad_eta()
-    if dec.dim_k + dec.dim_h == 0:
-        r2 = 0.0  # no reductive part to constrain
-    else:
-        try:
-            ric_u = dec.u_decomposition().ricci().matrix
-            r2 = frob(ric_u - c * np.eye(dec.dim_h) - _action_ricci_term(a_eta))
-        except DecompositionError:
-            # u carries the bracket of the quotient g/n, a Lie bracket whenever g is one;
-            # only roundoff held to bounds of the smaller |u| could fail its validation
-            r2 = np.inf
+    r2 = frob(dec.u_ricci() - c * np.eye(dec.dim_h) - _action_ricci_term(a_eta))
     checks.append(dec.check("reductive-part-ricci", "Ric_u = c I + C_h", r2, 2))
 
     mu = dec.n_bracket

@@ -36,6 +36,10 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
+# the largest dimension computed in: the dense pi system of a bracket in a generic basis
+# (pi_matrix, n^4 (n-1)/2 doubles) fits in 1 GiB up to n = 48
+MAX_DIM = 48
+
 # singular values s <= RANK_TOL * s_max of a derivation system count as zero (no absolute floor)
 RANK_TOL = 1e-9
 # from this many unknowns on, a derivation system is solved block by block (_derivation_kernel)
@@ -163,6 +167,8 @@ class AlgebraTensor:
     entries: tuple[Entry, ...] = field(default=())
 
     def __post_init__(self):
+        if self.dim > MAX_DIM:
+            raise ValueError(f"dimension {self.dim} exceeds MAX_DIM = {MAX_DIM}")
         object.__setattr__(self, "entries", _canonical_entries(self.dim, self.entries))
         dense = np.zeros((self.dim, self.dim, self.dim))
         for i, j, k, c in self.entries:
@@ -177,6 +183,8 @@ class AlgebraTensor:
         n = dense.shape[0]
         if dense.shape != (n, n, n):
             raise ValueError(f"dense tensor must be cubic, got {dense.shape}")
+        if n > MAX_DIM:
+            raise ValueError(f"dimension {n} exceeds MAX_DIM = {MAX_DIM}")
         if n == 0:
             return cls(0)
         skew_defect = np.max(np.abs(dense + np.swapaxes(dense, 0, 1)))

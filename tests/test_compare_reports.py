@@ -82,6 +82,28 @@ def test_refused_construction_document_exits_1_at_every_scale(tmp_path, capsys):
         assert checks == [("c3-reductive-ricci", False)], s
 
 
+def test_empty_block_construction_documents_build(tmp_path, capsys):
+    from homsol.cli import main
+
+    tags = {}
+    for doc in compare_reports.empty_block_construction_documents():
+        path = tmp_path / f"{doc['name']}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["build", str(path), "--json"]) == 0, doc["name"]
+        tags[doc["name"]] = json.loads(capsys.readouterr().out)["classification"]
+    assert tags == {"line-parts": "Einstein", "heis3-parts": "AlgebraicSoliton"}
+
+
+def test_twin_document_is_its_catalog_entry_listed_otherwise():
+    twin = compare_reports.twin_document()
+    doc = document_from_catalog(catalog.get("cplxhyp2"))
+    assert twin["bracket"] != doc.to_json_dict()["bracket"]
+    read = document_from_dict(twin)
+    assert read.bracket == doc.bracket
+    listed_canonically = {**twin, "bracket": doc.to_json_dict()["bracket"]}
+    assert read.content_hash() == document_from_dict(listed_canonically).content_hash()
+
+
 def test_scaled_catalog_documents_are_valid():
     docs = compare_reports.scaled_catalog_documents()
     assert len(docs) == len(compare_reports.SCALES) * len(catalog.names())
@@ -376,7 +398,7 @@ def test_a_nilpotent_decomposition_is_fitted_once(capsys, monkeypatch):
 
 
 def test_build_validates_each_construction_once(tmp_path, capsys, monkeypatch):
-    # one assembly per build, and at most its decomposition, its n-part and its u-part
+    # one assembly per build, and at most its decomposition and its n-part
     from homsol import constructions
     from homsol.cli import main
     from homsol.decomposition import MetricDecomposition
@@ -405,7 +427,7 @@ def test_build_validates_each_construction_once(tmp_path, capsys, monkeypatch):
         report = json.loads(capsys.readouterr().out)
         assert calls["validate"] == 1, doc["name"]
         assert calls["assemble"] == 1, doc["name"]
-        assert 1 <= calls["decomposition"] <= 3, doc["name"]
+        assert 1 <= calls["decomposition"] <= 2, doc["name"]
         assert not report["errors"], doc["name"]
     assert exits == {
         "cplxhyp2-parts": 0,

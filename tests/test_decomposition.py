@@ -322,9 +322,9 @@ def test_moment_dual_identity_on_catalog():
 def test_u_subalgebra_of_cplxhyp2():
     dec = d("cplxhyp2")
     assert np.max(np.abs(dec.blocks().lam1)) == 0.0  # [h,h] has no n-component
-    u = dec.u_decomposition()
-    assert u.bracket.norm == 0.0  # u = R a is abelian
-    assert np.allclose(u.ricci().matrix, 0.0)
+    assert dec.u_bracket.dim == 1
+    assert dec.u_bracket.norm == 0.0  # u = R a is abelian
+    assert np.allclose(dec.u_ricci(), 0.0)
 
 
 def test_derivation_blocks_cplxhyp2_diagonal():

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homsol import catalog
 from homsol.cli import main
@@ -926,3 +928,164 @@ def test_document_commands_do_not_import_numpy_ma(tmp_path):
         env=env, capture_output=True, text=True, check=True, timeout=300,
     )
     assert json.loads(out.stdout.strip().splitlines()[-1]) == []
+
+
+# ---------------------------------------------------------------------------
+# the largest dimension, empty blocks, and one reading of every listing of a bracket
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def max_dim_4(monkeypatch):
+    """tensor.MAX_DIM lowered to 4, so a refusal is tested without allocating a large array."""
+    from homsol import tensor
+
+    assert tensor.MAX_DIM == 48
+    monkeypatch.setattr(tensor, "MAX_DIM", 4)
+
+
+@pytest.mark.usefixtures("max_dim_4")
+def test_cli_refuses_a_document_above_max_dim(capsys, tmp_path):
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps(doc_dict(dim=5, dim_n=5, bracket=[])))
+    assert main(["fit", str(f)]) == 2
+    assert "error [bad-dimension] dim must be at most 4" in capsys.readouterr().err
+    f.write_text(json.dumps(doc_dict(dim=4, dim_n=4, bracket=[])))
+    assert main(["fit", str(f), "--json"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.usefixtures("max_dim_4")
+def test_cli_build_refuses_a_construction_above_max_dim(capsys, tmp_path):
+    # heis3 with a 2-dimensional u assembles in dimension 5
+    red = {"dim": 2, "dim_k": 0, "bracket": []}
+    theta = [np.diag([0.5, 0.5, 1.0]).tolist()] * 2
+    assert_build_refused(capsys, tmp_path, build_doc(reductive=red, theta=theta), "bad-dimension")
+    code, rep = run_build(capsys, tmp_path, build_doc())  # dimension 4 builds
+    assert code == 0 and rep["classification"] == "Einstein"
+
+
+@pytest.mark.usefixtures("max_dim_4")
+def test_tensors_above_max_dim_are_refused():
+    from homsol.tensor import AlgebraTensor
+
+    with pytest.raises(ValueError, match="MAX_DIM"):
+        AlgebraTensor(5)
+    with pytest.raises(ValueError, match="MAX_DIM"):
+        AlgebraTensor.from_dense(np.zeros((5, 5, 5)))
+    assert AlgebraTensor.from_dense(np.zeros((4, 4, 4))) == AlgebraTensor(4)
+
+
+def test_cli_extend_past_max_dim_exits_2(capsys, monkeypatch):
+    # the unimodular extension of heis3 has dimension 4: with MAX_DIM = 3 it is refused,
+    # where it would otherwise print a document no command can read
+    from homsol import tensor
+
+    monkeypatch.setattr(tensor, "MAX_DIM", 3)
+    code, out = run_cli(capsys, "extend", "heis3", "--variant", "unimodular", "--json")
+    assert code == 2
+    errors = json.loads(out)["errors"]
+    assert [e["code"] for e in errors] == ["extend-failed"]
+    assert "MAX_DIM" in errors[0]["detail"]
+
+
+# u = R with n = 0, and u = 0 with n = heis3: the arrays of a zero-extent shape are empty
+EMPTY_N = {
+    "name": "line",
+    "c": 0.0,
+    "nil": {"dim": 0, "d1": []},
+    "reductive": {"dim": 1, "dim_k": 0, "bracket": []},
+    "theta": [[]],
+}
+EMPTY_U = {
+    "name": "heis3-alone",
+    "c": -1.5,
+    "nil": {
+        "dim": 3,
+        "bracket": [{"i": 0, "j": 1, "k": 2, "c": 1.0}],
+        "d1": np.diag([1.0, 1.0, 2.0]).tolist(),
+    },
+    "reductive": {"dim": 0},
+    "theta": [],
+}
+
+
+def test_cli_builds_a_construction_with_an_empty_block(capsys, tmp_path):
+    cases = ((EMPTY_N, "Einstein", 0.0, (1, 1, 0)), (EMPTY_U, "AlgebraicSoliton", -1.5, (3, 0, 3)))
+    for data, tag, c, dims in cases:
+        code, rep = run_build(capsys, tmp_path, data)
+        assert code == 0, data["name"]
+        assert rep["classification"] == tag, data["name"]
+        assert rep["results"]["c"] == pytest.approx(c, abs=1e-12), data["name"]
+        doc = rep["results"]["document"]
+        assert (doc["dim"], doc["dim_h"], doc["dim_n"]) == dims, data["name"]
+        # the printed document is read back and fitted with the same tag
+        f = tmp_path / "built.json"
+        f.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, "fit", str(f), "--json")
+        assert code == 0 and json.loads(out)["classification"] == tag, data["name"]
+    # no p at all: u = k alone, and g = 0; the built document has no ip to print
+    for red in ({"dim": 1, "dim_k": 1}, {"dim": 0}):
+        data = dict(EMPTY_N, reductive=red, theta=[[]] * red["dim"])
+        code, rep = run_build(capsys, tmp_path, data)
+        assert code == 0 and rep["classification"] == "Einstein", red
+        assert "ip" not in rep["results"]["document"], red
+
+
+def test_cli_build_refuses_a_non_empty_array_for_an_empty_block(capsys, tmp_path):
+    nil = {"dim": 0, "d1": [[1.0]]}
+    assert_build_refused(capsys, tmp_path, dict(EMPTY_N, nil=nil), "bad-array")
+    assert_build_refused(capsys, tmp_path, dict(EMPTY_N, theta=[[1.0]]), "bad-array")
+    assert_build_refused(capsys, tmp_path, dict(EMPTY_U, theta=[[[0.5, 0.0, 0.0]]]), "bad-array")
+
+
+def _listings():
+    """(catalog name, another listing of its bracket): shuffled, a constant split, zeros inserted."""
+
+    @st.composite
+    def listing(draw):
+        name = draw(st.sampled_from(sorted(catalog.names())))
+        raw = document_from_catalog(catalog.get(name)).to_json_dict()
+        entries = [dict(e) for e in raw["bracket"]]
+        if entries:
+            pos = draw(st.integers(0, len(entries) - 1))
+            part = entries[pos]["c"] * draw(st.sampled_from([0.5, 0.25, 0.125]))
+            rest = dict(entries[pos], c=entries[pos]["c"] - part)
+            assert part + rest["c"] == entries[pos]["c"]  # dyadic parts of a catalog constant
+            entries[pos]["c"] = part
+            entries.append(rest)
+        dim = raw["dim"]
+        for _ in range(draw(st.integers(0 if entries else 1, 3))):
+            i = draw(st.integers(0, dim - 2))
+            j = draw(st.integers(i + 1, dim - 1))
+            entries.append({"i": i, "j": j, "k": draw(st.integers(0, dim - 1)), "c": 0.0})
+        order = draw(st.permutations(range(len(entries))))
+        return name, dict(raw, bracket=[entries[p] for p in order])
+
+    return listing()
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(_listings())
+def test_every_listing_of_a_bracket_reads_as_one_document(case):
+    import contextlib
+    import io
+    import tempfile
+
+    name, raw = case
+    canonical = document_from_catalog(catalog.get(name))
+    doc = document_from_dict(raw)
+    assert doc.bracket == canonical.bracket
+    assert doc.bracket.entries == canonical.bracket.entries
+    assert doc.content_hash() == canonical.content_hash()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "canonical.json", Path(tmp) / "listing.json"]
+        paths[0].write_text(json.dumps(canonical.to_json_dict()))
+        paths[1].write_text(json.dumps(raw))
+        for command in ("fit", "battery", "stratify"):
+            texts = []
+            for path in paths:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = main([command, str(path), "--json"])
+                texts.append((code, out.getvalue()))
+            assert texts[0] == texts[1], (name, command)

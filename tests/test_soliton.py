@@ -504,3 +504,28 @@ def test_constrained_derivations_vanish_on_k_and_derive():
             assert dec.derivation_residual_on(d) <= 1e-9
         gram = np.einsum("aij,bij->ab", basis, basis)
         assert np.allclose(gram, np.eye(len(basis)), atol=1e-12)
+
+
+def test_each_decomposition_holds_one_certificate():
+    # soliton_fit is made once per decomposition, flags included; the shared
+    # certificate's matrices are read-only, and it equals a cold computation
+    from homsol import decomposition
+
+    for name in ("so3", "solv12", "cplxhyp2", "heis3", "nil7"):
+        dec = get(name).decomposition()
+        cert = soliton_fit(dec)
+        assert soliton_fit(dec) is cert, name
+        for matrix in (cert.d_full, cert.d1):
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 1.0
+        decomposition._validated.cache_clear()
+        cold_dec = get(name).decomposition()
+        assert cold_dec is not dec, name
+        cold = soliton_fit(cold_dec)
+        assert cold is not cert, name
+        assert cold.flags == cert.flags, name
+        assert (cold.tag, cold.c, cold.family) == (cert.tag, cert.c, cert.family), name
+        assert np.array_equal(cold.d_full, cert.d_full) and np.array_equal(cold.d1, cert.d1), name
+    # a nilpotent decomposition is its own nilpotent part: one certificate serves both
+    dec = get("heis3").decomposition()
+    assert soliton_fit(dec.n_decomposition()) is soliton_fit(dec)

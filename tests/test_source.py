@@ -11,19 +11,10 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "homsol"
 # class members that stay although src/homsol does not read them: each has a reader outside it
 OUTSIDE_READERS = {
     "MetricDecomposition.mm_from_blocks": "tests/test_acceptance.py compares it with moment()",
-    "MetricDecomposition.moment": "tests/test_acceptance.py",
-    "SymOperator.matrix": "tests/test_acceptance.py",
     "EquivalenceReport.all_agree": "tests/test_acceptance.py",
     "PairingReport.summands_nonnegative": "tests/test_acceptance.py",
     "PairingReport.split_defect": "tests/test_acceptance.py",
     "CheckedReport.condition": "tests/test_acceptance.py reads battery conditions by name",
-    "StrataReport.passed": "tests/test_acceptance.py",
-    "Check.residual": "tests/test_acceptance.py",
-    "AlgebraTensor.from_dense": "bench/tracer.py times it",
-    "AlgebraTensor.map_basis": "bench/tracer.py times it",
-    "MetricDecomposition.__init__": "bench/tracer.py times it",
-    "MetricDecomposition.ricci": "bench/tracer.py times it",
-    "Report.dumps": "bench/tracer.py times it",
     "MinNormResult.iterations": "bench/tracer.py records it for each min_norm_point call",
     "MinNormResult.coefficients": "tests/test_strata.py checks the convex weights, which "
     "ROADMAP item 5 (the pre-Einstein derivation) needs",
@@ -32,6 +23,9 @@ OUTSIDE_READERS = {
     "AlgebraTensor.scale": "tests/conftest.py rescales brackets with it, which "
     "tests/test_acceptance.py reaches",
 }
+
+# the helpers that read the input formats, which only homsol.io may name
+READER_HELPERS = {"_require_keys", "_dimension", "_finite_number", "_numeric_array", "_bracket"}
 
 
 def _names(node):
@@ -118,20 +112,17 @@ def test_every_class_member_is_read_outside_its_own_body():
     # sets it, unless a reader outside the package is listed for it
     trees = _trees()
     used = Counter(name for tree in trees.values() for name in _attribute_reads(tree))
-    members = set()
-    unused = []
-    for module, tree in trees.items():
+    unread = set()
+    for tree in trees.values():
         for qualname, node in _class_members(tree):
-            members.add(qualname)
             name = qualname.split(".")[1]
-            if name.startswith("__") or qualname in OUTSIDE_READERS:
+            if name.startswith("__"):
                 continue
             if used[name] - Counter(_attribute_reads(node))[name] == 0:
-                unused.append(f"{module}:{qualname}")
-    assert not unused, unused
-    # every listed exception still exists, so none is deleted while its reader needs it
-    missing = sorted(set(OUTSIDE_READERS) - members)
-    assert not missing, missing
+                unread.add(qualname)
+    assert not unread - set(OUTSIDE_READERS), sorted(unread - set(OUTSIDE_READERS))
+    # every listed exception is needed: it exists, and the package does not read it itself
+    assert not set(OUTSIDE_READERS) - unread, sorted(set(OUTSIDE_READERS) - unread)
 
 
 def _is_a_decomposition(arg: ast.arg) -> bool:
@@ -156,19 +147,47 @@ def test_no_function_of_a_decomposition_takes_a_tol():
     assert not offenders, offenders
 
 
+def _constructions(node):
+    """Every ``MetricDecomposition(...)`` call inside node."""
+    calls = [call for call in ast.walk(node) if isinstance(call, ast.Call)]
+    return [call for call in calls if ast.unparse(call.func).split(".")[-1] == "MetricDecomposition"]
+
+
 def test_decompositions_are_constructed_only_through_the_memo():
     # decompose is the one constructor of validated decompositions: a direct
-    # MetricDecomposition(...) elsewhere would build an algebra the memo already
-    # holds again, with its Der(n), label and certificate
+    # MetricDecomposition(...) anywhere but inside its memo, _validated, would
+    # build an algebra the memo already holds again, with its Der(n), label and
+    # certificate
+    trees = _trees()
+    (memo,) = [
+        node
+        for node in trees["decomposition.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_validated"
+    ]
+    allowed = set(map(id, _constructions(memo)))
+    assert len(allowed) == 1
     offenders = [
         f"{module}:{call.lineno}"
-        for module, tree in _trees().items()
-        if module != "decomposition.py"
-        for call in ast.walk(tree)
-        if isinstance(call, ast.Call)
-        and ast.unparse(call.func).split(".")[-1] == "MetricDecomposition"
+        for module, tree in trees.items()
+        for call in _constructions(tree)
+        if id(call) not in allowed
     ]
     assert not offenders, offenders
+
+
+def test_only_io_names_the_reader_helpers():
+    # homsol.io reads both input formats, algebra and construction documents;
+    # a reader helper named elsewhere would be a second reader of one format
+    trees = _trees()
+    offenders = sorted(
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        if module != "io.py"
+        for name in set(_names(tree)) & READER_HELPERS
+    )
+    assert not offenders, offenders
+    io_names = set(_names(trees["io.py"]))
+    assert READER_HELPERS <= io_names, sorted(READER_HELPERS - io_names)
 
 
 def test_no_indented_json_dumps_in_the_package():

@@ -9,7 +9,9 @@ A refactor that claims unchanged behaviour is checked in two steps:
 ``dump`` runs ``fit``, ``battery`` and ``stratify --json`` on every catalog
 entry and on one round of the generated ladder (Heisenberg ``h_{2m+1}``,
 m = 1..8; their rank-one Einstein extensions, m = 1..7; filiform ``L_n``
-with nilsoliton constants, n = 4..14; unit-constant ``L_n``, n = 5..11);
+with nilsoliton constants, n = 4..14; unit-constant ``L_n``, n = 5..11)
+and on ``cplxhyp2-twin``, ``cplxhyp2`` listed out of canonical order, so
+that a document is shown to be read as its canonical bracket;
 ``ricci`` and the three ``extend --variant`` transformations on every
 catalog entry; ``fit``, ``battery``, ``stratify`` and the three
 ``extend`` variants on every catalog entry at ``--tol 1e-6``, so that a
@@ -22,7 +24,9 @@ scale shows up; ``build`` on the construction documents written here
 4-space as k = so(3) rotating R^3 with h = R acting by I, the isotropy
 path; ``cplxhyp2``'s parts with non-identity ``ip`` on n and on h, the
 path through ``ConstructionData.normalized``; and ``cplxhyp2``'s parts
-with theta doubled, which violate (c3), so that ``build`` exits 1);
+with theta doubled, which violate (c3), so that ``build`` exits 1; and
+two constructions with an empty block, u = R with n = 0 and u = 0 with
+n = heis3, whose arrays of a zero extent are empty);
 ``fit`` and ``battery`` on every document that ``build`` and the three
 ``extend`` variants print, read back from a file (``extend`` writes it with
 ``--out``) right after the command, at that command's ``--tol``, so that
@@ -172,6 +176,43 @@ def refused_construction_document() -> dict:
     return doc
 
 
+def empty_block_construction_documents() -> list[dict]:
+    """Builds with an empty block: u = R with n = 0 (flat, Einstein), u = 0 with n = heis3."""
+    return [
+        {
+            "name": "line-parts",
+            "c": 0.0,
+            "nil": {"dim": 0, "d1": []},
+            "reductive": {"dim": 1, "dim_k": 0, "bracket": []},
+            "theta": [[]],
+        },
+        {
+            "name": "heis3-parts",
+            "c": -1.5,
+            "nil": {
+                "dim": 3,
+                "bracket": [{"i": 0, "j": 1, "k": 2, "c": 1.0}],
+                "d1": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]],
+            },
+            "reductive": {"dim": 0},
+            "theta": [],
+        },
+    ]
+
+
+def twin_document() -> dict:
+    """cplxhyp2 listed out of canonical order: reversed, a constant split, a zero entry."""
+    from homsol import catalog
+    from homsol.io import document_from_catalog
+
+    raw = document_from_catalog(catalog.get("cplxhyp2")).to_json_dict()
+    raw["name"] = "cplxhyp2-twin"
+    first, *rest = raw["bracket"]
+    half = dict(first, c=first["c"] / 2)
+    raw["bracket"] = [half, *rest[::-1], {"i": 0, "j": 1, "k": 0, "c": 0.0}, half]
+    return raw
+
+
 def scaled_catalog_documents() -> list[dict]:
     """Every catalog entry with each bracket constant multiplied by each of SCALES."""
     from homsol import catalog
@@ -227,7 +268,7 @@ def dump(src: str) -> dict:
             refit(label, out, argv)
 
         targets = sorted(catalog.names())
-        for doc in ladder_documents():
+        for doc in ladder_documents() + [twin_document()]:
             path = Path(tmp) / f"{doc['name']}.json"
             path.write_text(json.dumps(doc, sort_keys=True))
             targets.append(str(path))
@@ -251,7 +292,8 @@ def dump(src: str) -> dict:
                 runs[f"{command} {doc['name']}"] = _run(main, [command, str(path), "--json"])
             for variant in VARIANTS:
                 extend(f"extend-{variant} {doc['name']}", str(path), variant, ["--json"])
-        for doc in construction_documents() + [refused_construction_document()]:
+        constructions = construction_documents() + [refused_construction_document()]
+        for doc in constructions + empty_block_construction_documents():
             path = Path(tmp) / f"{doc['name']}.json"
             path.write_text(json.dumps(doc, sort_keys=True))
             for suffix, argv in (("", ["--json"]), (f" --tol {OTHER_TOL}", ["--json", "--tol", OTHER_TOL])):
