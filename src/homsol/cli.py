@@ -23,7 +23,7 @@ from .constructions import (
     einstein_from_nonunimodular,
     restrict_to_unimodular_kernel,
 )
-from .decomposition import frob
+from .decomposition import DecompositionError, frob
 from .io import (
     AlgebraDocument,
     DocumentError,
@@ -39,6 +39,7 @@ from .io import (
 from .soliton import (
     _residual_bound,
     algebraic_soliton_equivalences,
+    certificate_flags,
     f_operator_check,
     soliton_fit,
     stratum_compatibility_check,
@@ -64,10 +65,13 @@ def run_document(command: str, doc: AlgebraDocument, tol: float, *args) -> Repor
     """The report of a document command: doc validated, then the command's body run on it."""
     report = Report(command, doc.name, doc.content_hash(), tol)
     dec, violations = validate(doc, tol)
+    if dec is not None:
+        try:
+            DOCUMENT_COMMANDS[command][1](report, dec, *args)
+        except DecompositionError as err:  # soliton_fit's n-not-nilradical
+            violations = err.violations
     for v in violations:
         report.errors.append({"code": v.code, "detail": v.detail, "value": str(v.value)})
-    if dec is not None:
-        DOCUMENT_COMMANDS[command][1](report, dec, *args)
     return report
 
 
@@ -85,7 +89,7 @@ def run_fit(report: Report, dec):
     report.results["c"] = cert.c
     report.results["residual"] = cert.residual
     report.results["derivation"] = cert.d_full
-    report.results["flags"] = cert.flags
+    report.results["flags"] = certificate_flags(dec, cert)
     if dec.dim_n:
         ncert = soliton_fit(dec.n_decomposition())
         report.results["nilpotent_part"] = {
@@ -103,7 +107,7 @@ def run_fit(report: Report, dec):
             "Ric = c I + S(D_p) for some D in Der(g), D k = 0",
             value,
             bound,
-            {"tag": cert.tag, "c": cert.c, "family": cert.family},
+            {"tag": cert.tag, "c": cert.c, "family": "canonical"},
         )
     )
 

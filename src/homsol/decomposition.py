@@ -10,8 +10,8 @@ Structural requirements checked at construction:
 
 * the bracket satisfies Jacobi;
 * [k,k] in k, [k,h] in h, [g,n] in n (block closure of the splitting);
-* n is a nilpotent ideal (maximality as the nilradical is the caller's
-  responsibility and is not certified here);
+* n is a nilpotent ideal (whether it is the nilradical is
+  ``n_is_nilradical``, asked only where the canonical soliton fit fails);
 * ad Z restricted to p is skew for every Z in the k-block.
 
 The Killing-form condition B(k, p) = 0 is neither enforced nor tested:
@@ -45,6 +45,7 @@ from .tensor import (
     AlgebraTensor,
     Check,
     _lower_central_length,
+    _row_space_and_kernel,
     derivation_algebra,
     derivation_residual,
     frob,
@@ -391,6 +392,40 @@ class MetricDecomposition:
     def n_abelian(self) -> bool:
         """Whether n counts as abelian: |mu_n| <= tol |mu|, the one rule of every n-part branch."""
         return self.n_bracket.norm <= self.tol * self.bracket_on.norm
+
+    @property
+    @_once
+    def n_is_nilradical(self) -> bool:
+        """Whether n is the nilradical of g, by Dickson's trace criterion; computed once.
+
+        The nilradical is {x : ad x in Rad(A_g)}, A_g the associative algebra
+        ad g generates, in which ad n generates a nilpotent ideal.  So n is the
+        nilradical iff no y != 0 in k + h has ad y in Rad(A), A the algebra ad
+        of the k + h block generates; in characteristic 0 Rad(A) is the kernel
+        of the trace form tr(a b) on A (Dickson; de Graaf, Lie Algebras: Theory
+        and Algorithms, 2000).  The test: tr(ad y_i w_j), over a basis w_j of A,
+        has a trivial left kernel.  The bracket is divided by |mu|, so the floor
+        ``tol`` of each rank cut, which the traces of nilpotent products stay
+        under, does not depend on scale.
+        """
+        nu, d = self.dim_k + self.dim_h, self.dim
+        if nu == 0:
+            return True
+        if self.bracket_on.norm == 0.0:  # g abelian: its own nilradical
+            return False
+        gens = np.stack([self._ad_on(i) for i in range(nu)]) / self.bracket_on.norm
+
+        def cut(m):
+            return _row_space_and_kernel(m, self.tol, self.tol)
+
+        span, size = cut(gens.reshape(nu, -1))[0], -1
+        while len(span) > size:  # close the span under right multiplication by each generator
+            size = len(span)
+            for g in gens:
+                products = (span.reshape(-1, d, d) @ g).reshape(-1, d * d)
+                span = cut(np.concatenate([span, products]))[0]
+        traces = np.einsum("aij,bji->ab", gens, span.reshape(-1, d, d))
+        return not len(cut(traces.T)[1])
 
     @_once
     def derivations_n(self) -> np.ndarray:

@@ -6,22 +6,20 @@ A decomposition is a semi-algebraic soliton when its Ricci operator is
 
 for a derivation D of g vanishing on k; algebraic when S(D) is itself a
 derivation; Einstein when Ric = c I outright.  Certificates are produced
-by least squares over the relevant affine family:
+by least squares over one affine family, the canonical one
 
-* for a nilpotent algebra, over {c I + S(D) : D in Der(n)};
-* for a full decomposition, first over the canonical family
-      D = -ad H + diag(0, 0, D1),  D1 in Der(n),
-  which is the normal form the structure theory singles out, falling back
-  to the full family {c I + S(D_p) : D in Der(g), D k = 0, D p in p} when
-  the canonical fit fails.
+    D = -ad H + diag(0, 0, D1),  D1 in Der(n),
 
-Every family is fitted by one least-squares routine, and every certificate
-is tagged by one classifier; the certificate's ``family`` says which
-family produced it.  All matrices live in the decomposition's orthonormal
-frame.  The bounds separating "soliton" from "not" are homogeneous in the
-bracket mu (orthonormal frame): a Ricci residual, of degree 2, must be at
-most 1e-6 max(|Ric|, |c|, |mu|^2), and a derivation defect |pi(D) mu|, of
-degree 3, at most 1e-6 |mu|^3.
+which is the normal form the structure theory proves for n the nilradical
+(H = 0 on a nilpotent algebra, where this is {c I + S(D) : D in Der(n)}).
+A decomposition whose canonical fit fails and whose declared n is not the
+nilradical is refused (``n-not-nilradical``) rather than fitted over
+another family.  Every certificate is tagged by one classifier.  All
+matrices live in the decomposition's orthonormal frame.  The bounds
+separating "soliton" from "not" are homogeneous in the bracket mu
+(orthonormal frame): a Ricci residual, of degree 2, must be at most 1e-6
+max(|Ric|, |c|, |mu|^2), and a derivation defect |pi(D) mu|, of degree 3,
+at most 1e-6 |mu|^3.
 
 The battery and its follow-up reports are lists of ``tensor.Check``
 records.  Each condition is a homogeneous identity in mu, so its residual
@@ -46,17 +44,17 @@ seven equivalences use EQUIVALENCE_TOL, and the bracket pairing of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import MetricDecomposition, _once, decompose, frob, sym
+from .decomposition import DecompositionError, MetricDecomposition, Violation, _once, decompose
+from .decomposition import frob, sym
 from .tensor import (
     DEFAULT_TOL,
     AlgebraTensor,
     Check,
     CheckedReport,
-    _derivation_kernel,
     _least_squares,
     derivation_residual,
     moment_map,
@@ -83,8 +81,6 @@ class SolitonCertificate:
     sym_derivation_defect: float  # |pi(S(D)) bracket|
     dim_k: int = 0
     dim_h: int = 0
-    flags: dict = field(default_factory=dict)
-    family: str = "canonical"  # fitted over the canonical family, or the constrained fallback
 
     @property
     def d_p(self) -> np.ndarray:
@@ -143,7 +139,7 @@ def _certificate_residual(dec: MetricDecomposition, c: float, d: np.ndarray) -> 
 
 
 def _certificate(
-    dec: MetricDecomposition, c: float, d: np.ndarray, d1: np.ndarray, family: str = "canonical"
+    dec: MetricDecomposition, c: float, d: np.ndarray, d1: np.ndarray
 ) -> SolitonCertificate:
     """The certificate Ric = c I + S(D_p) for D on g (orthonormal frame), measured and tagged."""
     resid = _certificate_residual(dec, c, d)
@@ -159,36 +155,32 @@ def _certificate(
         sym_derivation_defect=sym_defect,
         dim_k=dec.dim_k,
         dim_h=dec.dim_h,
-        family=family,
     )
 
 
-def _fit(
-    dec: MetricDecomposition,
-    family: str,
-    basis: np.ndarray,
-    offset: np.ndarray | None = None,
-    c: float | None = None,
+def _canonical_fit(
+    dec: MetricDecomposition, c: float | None = None, ders: np.ndarray | None = None
 ) -> SolitonCertificate:
-    """Least squares min |Ric - c I - S(D_p)| over D = offset + sum_i x_i B_i.
+    """Least squares min |Ric - c I - S(D_p)| over D = -ad H + diag(0, 0, S(D1)), D1 in Der(n).
 
-    ``basis`` stacks matrices on g (orthonormal frame, zero on k); those
-    with S(B_p) = 0 cannot move the fit and are dropped.  ``c`` is fitted
-    unless given.  The certificate's D1 is the symmetric n-block of the
-    fitted part sum_i x_i B_i, without the offset; ``family`` names the
-    family in the certificate.  The min-norm solution is lstsq's; a wide
-    sparse design (from FIT_BLOCK_MIN_COLS columns, a nice basis) is solved
-    per block of its column graph on the derivation kernel's block solver
-    (``tensor._least_squares``).
+    On a nilpotent algebra H = 0, so this is the nilsoliton fit
+    Ric = c I + S(D1).  ``ders`` replaces ``dec.derivations_n()`` as the
+    basis of the D1 family; those with S(D1) = 0 cannot move the fit and
+    are dropped.  ``c`` is fitted unless given.  The certificate's D1 is
+    the fitted S(D1).  The min-norm solution is lstsq's; a wide sparse
+    design (from FIT_BLOCK_MIN_COLS columns, a nice basis) is solved per
+    block of its column graph (``tensor._least_squares``).
     """
+    ders = dec.derivations_n() if ders is None else ders
+    basis = np.zeros((len(ders), dec.dim, dec.dim))
+    basis[:, dec.sn, dec.sn] = 0.5 * (ders + np.transpose(ders, (0, 2, 1)))
+    offset = -dec.ad_mean_curvature()
     eye = np.eye(dec.dim_p)
-    ric = dec.ricci().matrix
-    target = ric if offset is None else ric - sym(offset[dec.sp, dec.sp])
+    target = dec.ricci().matrix - sym(offset[dec.sp, dec.sp])
     b_p = basis[:, dec.sp, dec.sp]
-    s_p = 0.5 * (b_p + np.transpose(b_p, (0, 2, 1)))
-    moves = np.sqrt(np.einsum("aij,aij->a", s_p, s_p)) > 1e-12
+    moves = np.sqrt(np.einsum("aij,aij->a", b_p, b_p)) > 1e-12
     basis = basis[moves]
-    cols = s_p[moves].reshape(len(basis), dec.dim_p**2)
+    cols = b_p[moves].reshape(len(basis), dec.dim_p**2)
     if c is None:
         cols = np.concatenate([eye.reshape(1, -1), cols])
     else:
@@ -199,23 +191,7 @@ def _fit(
     if c is None:
         c, x = float(x[0]), x[1:]
     fitted = np.tensordot(x, basis, axes=1)
-    d = fitted if offset is None else offset + fitted
-    return _certificate(dec, c, d, sym(fitted[dec.sn, dec.sn]), family)
-
-
-def _canonical_fit(
-    dec: MetricDecomposition, c: float | None = None, ders: np.ndarray | None = None
-) -> SolitonCertificate:
-    """Fit over the normal form D = -ad H + diag(0, 0, S(D1)), D1 in Der(n).
-
-    On a nilpotent algebra H = 0, so this is the nilsoliton fit
-    Ric = c I + S(D1).  ``ders`` replaces ``dec.derivations_n()`` as the
-    basis of the D1 family.
-    """
-    ders = dec.derivations_n() if ders is None else ders
-    basis = np.zeros((len(ders), dec.dim, dec.dim))
-    basis[:, dec.sn, dec.sn] = 0.5 * (ders + np.transpose(ders, (0, 2, 1)))
-    return _fit(dec, "canonical", basis, offset=-dec.ad_mean_curvature(), c=c)
+    return _certificate(dec, c, offset + fitted, sym(fitted[dec.sn, dec.sn]))
 
 
 def nilsoliton_fit(
@@ -233,52 +209,38 @@ def nilsoliton_fit(
     return _canonical_fit(dec, c_fixed)
 
 
-def constrained_derivations(dec: MetricDecomposition) -> np.ndarray:
-    """Basis of {D in Der(g): D = 0 on the k row and column}, orthonormal frame.
-
-    The entries of D in a k row or column are deleted as unknowns: the
-    kernel of pi restricted to the remaining (a, b) columns, solved as in
-    :func:`tensor.derivation_algebra` (from BLOCK_MIN_COLS unknowns on,
-    block by block on the nonzeros built from the bracket's entries, with
-    its rank cut), is scattered back into n x n matrices that are zero on k.
-    """
-    n, nk = dec.dim, dec.dim_k
-    free = np.arange(nk, n)
-    null = _derivation_kernel(dec.bracket_on, (free[:, None] * n + free).reshape(-1))
-    out = np.zeros((len(null), n, n))
-    out[:, nk:, nk:] = null.reshape(-1, n - nk, n - nk)
-    return out
-
-
 @_once
 def soliton_fit(dec: MetricDecomposition) -> SolitonCertificate:
-    """Best certificate Ric = c I + S(D_p) for a metric reductive decomposition.
+    """Best certificate Ric = c I + S(D_p) over the canonical family -ad H + diag(0, 0, D1).
 
-    Tries the canonical derivation -ad H + diag(0, 0, D1) first; when that
-    family cannot reproduce the Ricci operator, falls back to least squares
-    over every derivation vanishing on k.  Made once per decomposition, flags
-    included, and cached with ``d_full`` and ``d1`` read-only.
+    The normal form is proved for n the nilradical: when the fit fails on
+    a decomposition with a k or h block whose n is not the nilradical
+    (``dec.n_is_nilradical``), the split is refused with a
+    DecompositionError ``n-not-nilradical`` instead.  Made once per
+    decomposition and cached with ``d_full`` and ``d1`` read-only.
     """
     cert = _canonical_fit(dec)
-    # without an h or k block the fallback's family is Der(n) again, the canonical family
-    if not cert.is_soliton and dec.dim_k + dec.dim_h:
-        alt = _fit(dec, "constrained", constrained_derivations(dec))
-        if alt.is_soliton or alt.residual < cert.residual:
-            cert = alt
+    # without an h or k block n is all of g, its own nilradical
+    if not cert.is_soliton and dec.dim_k + dec.dim_h and not dec.n_is_nilradical:
+        detail = "declared n is not the nilradical; the canonical family does not certify the split"
+        raise DecompositionError([Violation("n-not-nilradical", detail)])
+    cert.d_full.flags.writeable = False
+    cert.d1.flags.writeable = False
+    return cert
 
+
+def certificate_flags(dec: MetricDecomposition, cert: SolitonCertificate) -> dict:
+    """``fit``'s two flags: an expanding soliton with [h, h] = 0, an Einstein semisimple g."""
     bb = dec.blocks()
     hh_norm = float(np.sqrt(frob(bb.lam0) ** 2 + frob(bb.lam1) ** 2 + frob(bb.lam2) ** 2))
     ev = np.abs(np.linalg.eigvalsh(dec.killing())) if dec.dim else np.zeros(0)
     semisimple = bool(ev.size and np.min(ev) > 1e-8 * np.max(ev))
-    cert.flags = {
+    return {
         "solvsoliton-isometric": bool(
             cert.is_soliton and cert.expanding and hh_norm <= dec.tol * dec.bracket_on.norm
         ),
         "semisimple-Einstein": bool(cert.tag == TAG_EINSTEIN and semisimple),
     }
-    cert.d_full.flags.writeable = False
-    cert.d1.flags.writeable = False
-    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ MAX_DIM = 48
 
 # singular values s <= RANK_TOL * s_max of a derivation system count as zero (no absolute floor)
 RANK_TOL = 1e-9
-# from this many unknowns on, a derivation system is solved block by block (_derivation_kernel)
+# from this many unknowns on, a derivation system is solved block by block (derivation_algebra)
 BLOCK_MIN_COLS = 64
 # from this many columns on, a sparse least-squares design is solved block by block (_least_squares)
 FIT_BLOCK_MIN_COLS = 72
@@ -579,56 +579,31 @@ def _least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _derivation_kernel(mu: AlgebraTensor, free: np.ndarray | None = None) -> np.ndarray:
-    """Orthonormal rows spanning the kernel of pi on the unknowns ``free`` (all n^2 by default).
-
-    ``free`` lists columns (a, b) of pi_matrix(mu), as a * n + b; the
-    kernel's rows are indexed by its positions.  The cut is RANK_TOL s_max
-    with no floor.  Below BLOCK_MIN_COLS unknowns the whole system's SVD
-    costs less than finding its blocks, and a bracket whose entries would
-    give more than 1/16 as many nonzeros as the dense matrix has cells (a
-    generic basis, where the system is one block) is built dense faster
-    than from its entries: both are solved whole.  Other systems are
-    built from mu's entries (:func:`_pi_entries`) and solved by
-    :func:`_block_kernel`.  The 1/16 is measured (one BLAS thread): over
-    70 brackets h_13, h_17, L_10, L_14 and ext_7 rotated on 0..n of their
-    basis vectors, whose fill spans 6e-4..0.28 of the cells, it picks the
-    faster build and solve 64 times and costs 2.1% over the faster of the
-    two, summed; 1/8 costs 4.7%, 1/32 4.0%.
-    """
-    n = mu.dim
-    width = n * n if free is None else len(free)
-    if width < BLOCK_MIN_COLS or 16 * (3 * n - 2) * len(mu.entries) > n**4 * (n - 1) // 2:
-        m = pi_matrix(mu)
-        return _row_space_and_kernel(m if free is None else m[:, free], RANK_TOL)[1]
-    rows, cols, vals = _pi_entries(mu)
-    if free is not None:
-        place = np.full(n * n, -1)
-        place[free] = np.arange(width)
-        kept = place[cols] >= 0
-        rows, cols, vals = rows[kept], place[cols[kept]], vals[kept]
-    return _block_kernel(rows, cols, vals, width)
-
-
 def derivation_algebra(mu: AlgebraTensor) -> np.ndarray:
     """Orthonormal basis of Der(mu) = ker(a -> pi(a) mu), stacked (m, n, n).
 
-    Orthonormal for the Frobenius pairing tr(A B^t).  From n^2 >=
-    BLOCK_MIN_COLS unknowns on, the nonzero entries of the
-    (n^2(n-1)/2, n^2) matrix of pi are built from mu's entries, at their
-    cost, and the system is solved block by block (two unknowns D_ab share
-    a block when a nonzero row holds both; a nice basis splits h_17's 289
-    unknowns into 129 blocks, the widest 17), with one batched SVD per
-    block width.  Smaller systems, brackets in a generic basis and a system
-    that is one block are solved whole on the nonzero rows, through an
-    economy QR when tall, then one SVD.  Either way singular values s <=
-    RANK_TOL s_max, with s_max over the whole system and no absolute floor,
-    count as zero, so rescaling mu does not change dim Der(mu).
+    Orthonormal for the Frobenius pairing tr(A B^t).  Singular values s <=
+    RANK_TOL s_max, s_max over the whole system and no absolute floor, count
+    as zero, so rescaling mu does not change dim Der(mu).  Below
+    BLOCK_MIN_COLS unknowns, and for a bracket whose entries would give more
+    than 1/16 as many nonzeros as the dense (n^2(n-1)/2, n^2) matrix of pi
+    has cells (a generic basis: one block), the system is solved whole on
+    its nonzero rows.  Otherwise it is built from mu's entries
+    (:func:`_pi_entries`) and solved block by block (:func:`_block_kernel`;
+    a nice basis splits h_17's 289 unknowns into 129 blocks, the widest 17).
+    The 1/16 is measured (one BLAS thread): over 70 brackets h_13, h_17,
+    L_10, L_14 and ext_7 rotated on 0..n of their basis vectors it picks the
+    faster path 64 times and costs 2.1% over the faster, summed; 1/8 costs
+    4.7%, 1/32 4.0%.
     """
     n = mu.dim
     if n == 0:
         return np.zeros((0, 0, 0))
-    return _derivation_kernel(mu).reshape(-1, n, n)
+    if n * n < BLOCK_MIN_COLS or 16 * (3 * n - 2) * len(mu.entries) > n**4 * (n - 1) // 2:
+        null = _row_space_and_kernel(pi_matrix(mu), RANK_TOL)[1]
+    else:
+        null = _block_kernel(*_pi_entries(mu), n * n)
+    return null.reshape(-1, n, n)
 
 
 def derivation_residual(mu: AlgebraTensor, alpha: np.ndarray) -> float:

@@ -371,12 +371,11 @@ def test_compare_prints_one_summary_per_report_that_differs(tmp_path, capsys):
 
 def test_a_nilpotent_decomposition_is_fitted_once(capsys, monkeypatch):
     # fit's certificate and its nilpotent part's are one canonical fit when the
-    # decomposition is its own nilpotent part; without an h or k block the
-    # constrained fallback would refit the same family, so nil7 does not run it
+    # decomposition is its own nilpotent part, also on nil7, which it does not certify
     from homsol import cli, soliton
     from homsol.cli import main
 
-    calls = count_calls(monkeypatch, {"fit": soliton._fit})
+    calls = count_calls(monkeypatch, {"fit": soliton._canonical_fit})
     for target, want in (("heis3", 1), ("fil4", 1), ("nil7", 1)):
         calls.clear()
         main(["fit", target, "--json"])

@@ -4,9 +4,13 @@ import weakref
 import numpy as np
 import pytest
 
-from homsol.catalog import get
+from homsol import constructions
+from homsol.catalog import get, names
 from homsol.decomposition import DecompositionError, MetricDecomposition, sym
+from homsol.soliton import soliton_fit
 from homsol.tensor import AlgebraTensor, moment_operator, tensor_inner, pi_action
+
+from conftest import random_construction
 
 
 def d(name):
@@ -256,6 +260,83 @@ def test_mm_blocks_requires_lam1_zero():
     dec = MetricDecomposition(get("heis3").tensor(), 0, 2, 1)
     with pytest.raises(DecompositionError):
         dec.mm_from_blocks()
+
+
+# ---------------------------------------------------------------------------
+# n against the nilradical
+# ---------------------------------------------------------------------------
+
+def block_rotations(dec, rng):
+    """dec in 10 random rotations within its k, h and n blocks at each bracket scale 1e-10, 1, 1e10."""
+    for scale in (1e-10, 1.0, 1e10):
+        for _ in range(10):
+            q = np.zeros((dec.dim, dec.dim))
+            for block in (dec.sk, dec.sh, dec.sn):
+                m = block.stop - block.start
+                if m:
+                    q[block, block] = np.linalg.qr(rng.standard_normal((m, m)))[0]
+            mu = dec.bracket_on.map_basis(q).scale(scale)
+            yield MetricDecomposition(mu, dec.dim_k, dec.dim_h, dec.dim_n)
+
+
+def assert_nilradical(dec, want, rng, label):
+    assert dec.n_is_nilradical is want, label
+    for copy in block_rotations(dec, rng):
+        assert copy.n_is_nilradical is want, label
+
+
+def ext_bracket(m):
+    """h_{2m+1} extended by e_0 acting as diag(1/2, ..., 1/2, 1), the ladder's ext family."""
+    n = 2 * m + 1
+    ad = [(0, 1 + j, 1 + j, 0.5) for j in range(2 * m)] + [(0, n, n, 1.0)]
+    heis = [(1 + i, 1 + m + i, 1 + 2 * m, 1.0) for i in range(m)]
+    return AlgebraTensor(n + 1, tuple(ad + heis))
+
+
+def test_n_short_of_the_nilradical_is_told(rng):
+    heis3, hyp3 = get("heis3").tensor(), get("hyp3").tensor()
+    cases = {
+        "heis3 with n = span(e2)": MetricDecomposition(heis3, 0, 2, 1),
+        "hyp3 with n = span(e2)": MetricDecomposition(hyp3, 0, 2, 1),
+        # heis3 as R x R^2 with ad e0 nilpotent: the whole algebra is nilpotent
+        "heis3 with n = span(e1, e2)": MetricDecomposition(heis3, 0, 1, 2),
+        # a zero bracket is its own nilradical: no NaN from dividing by |mu| = 0
+        "abelian3 with h = span(e0)": MetricDecomposition(AlgebraTensor(3), 0, 1, 2),
+        "abelian3 with k = span(e0)": MetricDecomposition(AlgebraTensor(3), 1, 1, 1),
+    }
+    for label, dec in cases.items():
+        assert_nilradical(dec, False, rng, label)
+
+
+def test_n_that_is_the_nilradical_is_told(rng):
+    # R x R^2 with ad e0 = [[1, -1], [1, 1]]: the Killing form vanishes on e0
+    # as on n (tr (ad e0)^2 = 0), and still n is the nilradical
+    rot = AlgebraTensor(3, ((0, 1, 1, 1.0), (0, 1, 2, 1.0), (0, 2, 1, -1.0), (0, 2, 2, 1.0)))
+    assert_nilradical(MetricDecomposition(rot, 0, 1, 2), True, rng, "rotation-dilation")
+    for name in sorted(names()):
+        assert_nilradical(get(name).decomposition(), True, rng, name)
+    for m in range(1, 8):
+        assert_nilradical(MetricDecomposition(ext_bracket(m), 0, 1, 2 * m + 1), True, rng, f"ext{m}")
+
+
+def test_n_of_built_and_extended_algebras_is_the_nilradical(rng):
+    transforms = (
+        constructions.einstein_from_nonunimodular,
+        constructions.restrict_to_unimodular_kernel,
+        constructions.einstein_extension_unimodular,
+    )
+    extended = 0
+    for i in range(6):
+        dec = constructions.build_semidirect(random_construction(rng)).decomposition
+        assert_nilradical(dec, True, rng, f"build {i}")
+        for transform in transforms:
+            try:
+                out, _ = transform(dec, soliton_fit(dec))
+            except ValueError:  # not applicable to this algebra
+                continue
+            extended += 1
+            assert_nilradical(out, True, rng, f"{transform.__name__} of build {i}")
+    assert extended >= 6
 
 
 # ---------------------------------------------------------------------------

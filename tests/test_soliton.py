@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -11,9 +12,10 @@ from homsol.soliton import (
     TAG_NONE,
     SolitonCertificate,
     _canonical_derivation,
+    _certificate,
     _classify,
     algebraic_soliton_equivalences,
-    constrained_derivations,
+    certificate_flags,
     f_operator_check,
     nilsoliton_fit,
     soliton_fit,
@@ -121,12 +123,13 @@ def test_fit_scaling_covariance():
 # ---------------------------------------------------------------------------
 
 def test_solv12_fit():
-    cert = soliton_fit(get("solv12").decomposition())
+    dec = get("solv12").decomposition()
+    cert = soliton_fit(dec)
     assert cert.c == pytest.approx(-5.0, abs=1e-9)
     assert np.allclose(sym(cert.d_p), np.diag([0.0, 2.0, -1.0]), atol=1e-9)
     assert cert.residual <= 1e-12
     assert cert.tag == "AlgebraicSoliton"
-    assert cert.flags["solvsoliton-isometric"]
+    assert certificate_flags(dec, cert)["solvsoliton-isometric"]
 
 
 def test_hyp_fit_einstein():
@@ -138,10 +141,11 @@ def test_hyp_fit_einstein():
 
 
 def test_so3_fit_einstein_positive():
-    cert = soliton_fit(get("so3").decomposition())
+    dec = get("so3").decomposition()
+    cert = soliton_fit(dec)
     assert cert.tag == "Einstein"
     assert cert.c == pytest.approx(0.5, abs=1e-12)
-    assert cert.flags["semisimple-Einstein"]
+    assert certificate_flags(dec, cert)["semisimple-Einstein"]
 
 
 def test_cplxhyp2_fit():
@@ -340,7 +344,7 @@ def test_a_nilpotent_part_below_tol_counts_as_abelian_everywhere():
     assert dec.n_abelian and dec.n_bracket.norm > 0.0
     assert len(dec.derivations_n()) == 9 and len(dec.n_decomposition().derivations_n()) == 6
     cert = soliton_fit(dec)
-    assert cert.is_soliton and cert.family == "canonical"
+    assert cert.is_soliton
     assert structure_battery(dec, cert).all_pass
     f_check = f_operator_check(dec, cert)
     assert f_check.all_pass
@@ -406,21 +410,11 @@ def test_block_least_squares_matches_lstsq(monkeypatch):
 # fit optimality against the dense oracle on small instances
 # ---------------------------------------------------------------------------
 
-def test_full_fit_optimality_small(rng):
-    from homsol.soliton import constrained_derivations
-
-    for name in ("solv12", "heis3", "hyp3", "cplxhyp2"):
-        dec = get(name).decomposition()
-        cert = soliton_fit(dec)
-        basis = constrained_derivations(dec)
-        ric = dec.ricci().matrix
-        cols = [np.eye(dec.dim_p).reshape(-1)] + [
-            sym(b[dec.sp, dec.sp]).reshape(-1) for b in basis
-        ]
-        a = np.array(cols).T
-        x, *_ = np.linalg.lstsq(a, ric.reshape(-1), rcond=None)
-        oracle = float(np.linalg.norm(a @ x - ric.reshape(-1)))
-        assert cert.residual <= oracle + 1e-9
+def test_full_fit_optimality_small():
+    # the canonical fit is no worse than the fit over every derivation vanishing on k
+    decs = [get(name).decomposition() for name in ("solv12", "heis3", "hyp3", "cplxhyp2")]
+    for dec in decs + decompositions_with_isotropy():
+        assert soliton_fit(dec).residual <= penalty_fit(dec).residual + 1e-9
 
 
 def test_heis3_plus_line_central_last_ordering():
@@ -431,17 +425,30 @@ def test_heis3_plus_line_central_last_ordering():
     assert np.allclose(cert.d1, np.diag([1.0, 1.0, 2.0, 1.5]), atol=1e-9)
 
 
-def test_fallback_fit_when_declared_n_is_not_nilradical():
-    # heis3 with n = span(e2) only: the canonical family pins D to the
-    # 1-dim n-block and cannot reach the true certificate, so the fit must
-    # fall back to the full derivation family and still land on c = -3/2
+def test_a_declared_n_that_is_not_the_nilradical_is_refused(tmp_path, capsys):
+    # heis3 with n = span(e2) only: the canonical family pins D to the 1-dim
+    # n-block and cannot reach a certificate, and n is not the nilradical, so
+    # the split is refused where a soliton verdict is asked for
+    from homsol.cli import main
+    from homsol.decomposition import DecompositionError
+
     dec = MetricDecomposition(get("heis3").tensor(), 0, 2, 1)
-    cert = soliton_fit(dec)
-    assert cert.tag == "AlgebraicSoliton"
-    assert cert.family == "constrained"
-    assert cert.c == pytest.approx(-1.5, abs=1e-9)
-    assert cert.residual <= 1e-9
-    assert cert.derivation_defect <= 1e-9
+    with pytest.raises(DecompositionError, match="n-not-nilradical"):
+        soliton_fit(dec)
+    doc = {"name": "heis3-misplit", "dim": 3, "dim_k": 0, "dim_h": 2, "dim_n": 1}
+    doc["bracket"] = [{"i": 0, "j": 1, "k": 2, "c": 1.0}]
+    path = tmp_path / "heis3-misplit.json"
+    path.write_text(json.dumps(doc))
+    for command in ("fit", "battery"):
+        assert main([command, str(path), "--json"]) == 2, command
+        report = json.loads(capsys.readouterr().out)
+        assert [e["code"] for e in report["errors"]] == ["n-not-nilradical"], command
+        assert not report["checks"] and not report["results"], command
+    assert main(["ricci", str(path), "--json"]) == 0
+    capsys.readouterr()
+    # stratify asks for no certificate: as before, n = R carries no label
+    assert main(["stratify", str(path), "--json"]) == 2
+    assert [e["code"] for e in json.loads(capsys.readouterr().out)["errors"]] == ["no-stratum"]
 
 
 def test_sphere_fit_einstein_with_isotropy():
@@ -450,7 +457,7 @@ def test_sphere_fit_einstein_with_isotropy():
     cert = soliton_fit(dec)
     assert cert.tag == "Einstein"
     assert cert.c == pytest.approx(1.0, abs=1e-9)
-    assert cert.flags["semisimple-Einstein"]
+    assert certificate_flags(dec, cert)["semisimple-Einstein"]
     rep = structure_battery(dec, cert)
     assert not rep.applicable  # c > 0
     assert all(c.passed for c in rep.checks)
@@ -463,7 +470,7 @@ def test_classify_nan_residual_is_not_detected():
 
 
 # ---------------------------------------------------------------------------
-# derivations vanishing on k
+# the fit over every derivation vanishing on k, spanned independently
 # ---------------------------------------------------------------------------
 
 def constrained_derivations_by_penalty(dec, rank_tol=1e-9):
@@ -482,6 +489,15 @@ def constrained_derivations_by_penalty(dec, rank_tol=1e-9):
     return vh[np.concatenate([s, np.zeros(vh.shape[0] - len(s))]) <= cut]
 
 
+def penalty_fit(dec):
+    """Dense least squares of Ric over {c I + S(D_p)}, D in the penalty-spanned family, tagged."""
+    basis = constrained_derivations_by_penalty(dec).reshape(-1, dec.dim, dec.dim)
+    cols = [np.eye(dec.dim_p).reshape(-1)] + [sym(b[dec.sp, dec.sp]).reshape(-1) for b in basis]
+    x, *_ = np.linalg.lstsq(np.array(cols).T, dec.ricci().matrix.reshape(-1), rcond=None)
+    d = np.tensordot(x[1:], basis, axes=1)
+    return _certificate(dec, float(x[0]), d, sym(d[dec.sn, dec.sn]))
+
+
 def decompositions_with_isotropy():
     sphere = AlgebraTensor(3, ((0, 1, 2, 1.0), (0, 2, 1, -1.0), (1, 2, 0, 1.0)))
     decs = [MetricDecomposition(sphere, 1, 2, 0)]
@@ -493,22 +509,75 @@ def decompositions_with_isotropy():
     return decs
 
 
-def test_constrained_derivations_vanish_on_k_and_derive():
-    for dec in decompositions_with_isotropy():
-        assert dec.dim_k > 0
-        basis = constrained_derivations(dec)
-        assert len(basis) == len(constrained_derivations_by_penalty(dec))
-        nk = dec.dim_k
-        for d in basis:
-            assert not np.any(d[:nk, :]) and not np.any(d[:, :nk])
-            assert dec.derivation_residual_on(d) <= 1e-9
-        gram = np.einsum("aij,bij->ab", basis, basis)
-        assert np.allclose(gram, np.eye(len(basis)), atol=1e-12)
+# n, its diagonal derivations (rows) and a skew derivation commuting with
+# those whose first two entries agree
+SOLVABLE_MENU = (
+    (AlgebraTensor(2), np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])),
+    (AlgebraTensor(3), np.eye(3), np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])),
+    (
+        AlgebraTensor(3, ((0, 1, 2, 1.0),)),
+        np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]),
+        np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+    ),
+    (
+        AlgebraTensor(4, ((0, 1, 2, 1.0), (0, 2, 3, 1.0))),
+        np.array([[1.0, 0.0, 1.0, 2.0], [0.0, 1.0, 1.0, 1.0]]),
+        np.zeros((4, 4)),
+    ),
+)
+
+
+def random_solvable_decomposition(rng):
+    """h = R or R^2 acting on n by torus derivations plus a skew part; half with a random ip.
+
+    Y_0 acts by A_0 = T_0 + t K, T_0 a random torus derivation and K the
+    skew one (zero on fil4); Y_1 by a torus derivation T_1 whose first two
+    entries agree where K is not zero, so that it commutes with A_0 and h is
+    abelian.
+    """
+    nil, torus, skew = SOLVABLE_MENU[rng.integers(0, len(SOLVABLE_MENU))]
+    dim_h, dim_n = int(rng.integers(1, 3)), nil.dim
+    ops = [np.diag(rng.standard_normal(len(torus)) @ torus) + rng.standard_normal() * skew]
+    if dim_h == 2:
+        diag = rng.standard_normal(len(torus)) @ torus
+        if skew.any():
+            diag[:2] = diag[:2].mean()
+        ops.append(np.diag(diag))
+    dim = dim_h + dim_n
+    dense = np.zeros((dim, dim, dim))
+    dense[dim_h:, dim_h:, dim_h:] = nil.dense
+    for a, op in enumerate(ops):
+        dense[a, dim_h:, dim_h:] = op.T  # [Y_a, X_x] = sum_y op[y, x] X_y
+        dense[dim_h:, a, dim_h:] = -op.T
+    ip = None
+    if rng.random() < 0.5:
+        ip = np.zeros((dim, dim))
+        for block in (slice(0, dim_h), slice(dim_h, dim)):
+            m = rng.standard_normal((block.stop - block.start,) * 2)
+            ip[block, block] = m @ m.T + np.eye(len(m))
+    return MetricDecomposition(AlgebraTensor.from_dense(dense), 0, dim_h, dim_n, ip=ip)
+
+
+def test_the_canonical_family_certifies_what_the_full_family_certifies():
+    # wherever n is the nilradical and the canonical fit finds no soliton, the
+    # fit over every derivation does not find one either: the refusal of other
+    # splits loses no certificate
+    rng = np.random.default_rng(2112)
+    failures = 0
+    for _ in range(200):
+        dec = random_solvable_decomposition(rng)
+        if not dec.n_is_nilradical:
+            continue
+        if soliton_fit(dec).is_soliton:
+            continue
+        failures += 1
+        assert not penalty_fit(dec).is_soliton
+    assert failures >= 150
 
 
 def test_each_decomposition_holds_one_certificate():
-    # soliton_fit is made once per decomposition, flags included; the shared
-    # certificate's matrices are read-only, and it equals a cold computation
+    # soliton_fit is made once per decomposition; the shared certificate's
+    # matrices are read-only, and it and its flags equal a cold computation's
     from homsol import decomposition
 
     for name in ("so3", "solv12", "cplxhyp2", "heis3", "nil7"):
@@ -523,8 +592,8 @@ def test_each_decomposition_holds_one_certificate():
         assert cold_dec is not dec, name
         cold = soliton_fit(cold_dec)
         assert cold is not cert, name
-        assert cold.flags == cert.flags, name
-        assert (cold.tag, cold.c, cold.family) == (cert.tag, cert.c, cert.family), name
+        assert certificate_flags(cold_dec, cold) == certificate_flags(dec, cert), name
+        assert (cold.tag, cold.c) == (cert.tag, cert.c), name
         assert np.array_equal(cold.d_full, cert.d_full) and np.array_equal(cold.d1, cert.d1), name
     # a nilpotent decomposition is its own nilpotent part: one certificate serves both
     dec = get("heis3").decomposition()

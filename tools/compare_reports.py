@@ -12,6 +12,9 @@ m = 1..8; their rank-one Einstein extensions, m = 1..7; filiform ``L_n``
 with nilsoliton constants, n = 4..14; unit-constant ``L_n``, n = 5..11)
 and on ``cplxhyp2-twin``, ``cplxhyp2`` listed out of canonical order, so
 that a document is shown to be read as its canonical bracket;
+``fit`` and ``battery`` on ``heis3`` and ``hyp3`` declared with
+``dim_h = 2, dim_n = 1``, splits whose n is not the nilradical, so that a
+change to how such a split is refused shows up;
 ``ricci`` and the three ``extend --variant`` transformations on every
 catalog entry; ``fit``, ``battery``, ``stratify`` and the three
 ``extend`` variants on every catalog entry at ``--tol 1e-6``, so that a
@@ -200,6 +203,21 @@ def empty_block_construction_documents() -> list[dict]:
     ]
 
 
+def misplit_documents() -> list[dict]:
+    """heis3 and hyp3 declared with h = span(e0, e1), n = span(e2): n is not the nilradical."""
+    from homsol import catalog
+    from homsol.io import document_from_catalog
+
+    docs = []
+    for name in ("heis3", "hyp3"):
+        raw = document_from_catalog(catalog.get(name)).to_json_dict()
+        raw.update(name=f"{name}-misplit", dim_h=2, dim_n=1)
+        for key in ("ip", "meta"):  # the catalog's metric and expectations are for its own split
+            raw.pop(key, None)
+        docs.append(raw)
+    return docs
+
+
 def twin_document() -> dict:
     """cplxhyp2 listed out of canonical order: reversed, a constant split, a zero entry."""
     from homsol import catalog
@@ -276,6 +294,11 @@ def dump(src: str) -> dict:
             label = Path(target).stem
             for command in COMMANDS:
                 runs[f"{command} {label}"] = _run(main, [command, target, "--json"])
+        for doc in misplit_documents():
+            path = Path(tmp) / f"{doc['name']}.json"
+            path.write_text(json.dumps(doc, sort_keys=True))
+            for command in REFIT_COMMANDS:
+                runs[f"{command} {doc['name']}"] = _run(main, [command, str(path), "--json"])
         for name in sorted(catalog.names()):
             runs[f"ricci {name}"] = _run(main, ["ricci", name, "--json"])
             for variant in VARIANTS:
