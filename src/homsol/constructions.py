@@ -48,6 +48,7 @@ from .decomposition import (
     DecompositionError,
     MetricDecomposition,
     Violation,
+    _killing,
     decompose,
     frob,
     sym,
@@ -120,7 +121,7 @@ class ConstructionData:
             f_u = np.eye(self.dim_u)
             f_u[self.dim_k :, self.dim_k :] = f_h
             out.u_bracket = self.u_bracket.map_basis(f_u)
-            out.theta = np.einsum("ua,aij->uij", f_u, out.theta)
+            out.theta = np.tensordot(f_u, out.theta, axes=1)  # einsum("ua,aij->uij", f_u, theta)
         return out
 
 
@@ -186,15 +187,14 @@ def _is_reductive(u_bracket: AlgebraTensor, tol: float) -> bool:
     t = u_bracket.dense
     derived = _row_space_and_kernel(t.reshape(-1, n), tol)[0].T
     rank = derived.shape[1]
-    # center: nullspace of x -> ad(x), columns of the (n^2, n) stacked map
-    ad_map = np.array([u_bracket.ad(np.eye(n)[i]).reshape(-1) for i in range(n)]).T
-    center = _row_space_and_kernel(ad_map, tol)[1].T
+    # center: nullspace of x -> ad(x), whose matrix is T read as (n, n^2), transposed
+    center = _row_space_and_kernel(t.reshape(n, n * n).T, tol)[1].T
     if rank + center.shape[1] != n:
         return False
     # [u,u] and z(u) span u: the square matrix of both bases has no kernel
     if len(_row_space_and_kernel(np.concatenate([derived, center], axis=1), tol)[1]):
         return False
-    b = np.einsum("ilk,jkl->ij", t, t)
+    b = _killing(u_bracket)
     if rank:
         ev = np.abs(np.linalg.eigvalsh(derived.T @ b @ derived))
         if not np.min(ev) > tol * np.max(ev):

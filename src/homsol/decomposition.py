@@ -60,18 +60,25 @@ def _once(method):
     The result is stored in the decomposition's ``_cache``, an ndarray
     result read-only: ``decompose`` hands one decomposition to every
     caller on the same metric Lie algebra, so a write into a cached array
-    would change a later command's report.
+    would change a later command's report.  A refusal, a DecompositionError,
+    is cached too and raised again, as a new error, by every later call.
     """
     name = method.__name__
 
     @functools.wraps(method)
     def cached(self):
         if name not in self._cache:
-            value = method(self)
+            try:
+                value = method(self)
+            except DecompositionError as err:
+                value = err
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             self._cache[name] = value
-        return self._cache[name]
+        value = self._cache[name]
+        if isinstance(value, DecompositionError):
+            raise DecompositionError(value.violations)
+        return value
 
     return cached
 
@@ -87,15 +94,14 @@ def symmetric(m: np.ndarray, tol: float) -> bool:
 
 def _killing(mu: AlgebraTensor) -> np.ndarray:
     """The Killing form B(x, y) = tr(ad x ad y) of mu."""
-    t = mu.dense
-    b = np.einsum("ilk,jkl->ij", t, t)
+    n, t = mu.dim, mu.dense
+    b = t.reshape(n, n * n) @ t.transpose(0, 2, 1).reshape(n, n * n).T  # einsum("ilk,jkl->ij", t, t)
     return 0.5 * (b + b.T)
 
 
 def _mean_curvature(mu: AlgebraTensor, dim_k: int) -> np.ndarray:
-    """H in p, the span of the basis vectors from dim_k on, with <H, X> = tr ad X."""
-    eye = np.eye(mu.dim)
-    return np.array([np.trace(mu.ad(eye[i])) for i in range(dim_k, mu.dim)])
+    """H in p, the span of the basis vectors from dim_k on, with <H, X> = tr ad X: H_i = sum_j T_ijj."""
+    return np.trace(mu.dense, axis1=1, axis2=2)[dim_k:]
 
 
 def _ricci(p_bracket: AlgebraTensor, killing: np.ndarray, ad_h: np.ndarray, sp: slice):
@@ -150,9 +156,6 @@ class BracketBlocks:
     def ad_eta(self) -> np.ndarray:
         """Stack of matrices of ad Y_a on n, shape (dim_h, n, n)."""
         return np.transpose(self.eta, (0, 2, 1))
-
-    def ad_mu(self) -> np.ndarray:
-        return np.transpose(self.mu, (0, 2, 1))
 
     def ad_nu2(self) -> np.ndarray:
         """Stack of matrices of ad Z on n, shape (dim_k, n, n)."""
@@ -271,8 +274,8 @@ class MetricDecomposition:
     # -- frame bookkeeping ----------------------------------------------------
 
     def _ad_on(self, i: int) -> np.ndarray:
-        """Matrix of ad(basis vector i) on g, orthonormal frame."""
-        return self.bracket_on.ad(np.eye(self.dim)[i])
+        """Matrix of ad(basis vector i) on g, orthonormal frame; a read-only view."""
+        return self.bracket_on.dense[i].T
 
     def ad_matrix(self, x: np.ndarray) -> np.ndarray:
         """ad of a coordinate vector (orthonormal frame) on g."""
@@ -363,12 +366,15 @@ class MetricDecomposition:
                 [Violation("lam1-nonzero", "blockwise moment operator needs [h,h]_p inside h", frob(bb.lam1))]
             )
         nh, nn = self.dim_h, self.dim_n
-        a_eta = bb.ad_eta()
-        a_mu = bb.ad_mu()
-        m_h = moment_operator(AlgebraTensor.from_dense(bb.lam0)) - 0.5 * np.einsum("aij,bij->ab", a_eta, a_eta)
-        comm = np.einsum("aij,akj->aik", a_eta, a_eta) - np.einsum("aji,ajk->aik", a_eta, a_eta)
+        a_eta = bb.ad_eta()  # a view of eta: (ad Y_a)^t = eta[a]
+        # a_eta and a_mu pair as eta and mu do, flattened
+        eta, mu = bb.eta.reshape(nh, nn * nn), bb.mu.reshape(nn, nn * nn)
+        # einsum("aij,bij->ab", a_eta, a_eta)
+        m_h = moment_operator(AlgebraTensor.from_dense(bb.lam0)) - 0.5 * (eta @ eta.T)
+        # einsum("aij,akj->aik", a_eta, a_eta) - einsum("aji,ajk->aik", a_eta, a_eta)
+        comm = a_eta @ bb.eta - bb.eta @ a_eta
         m_n = moment_operator(self.n_bracket) + 0.5 * np.sum(comm, axis=0)
-        cross = -0.5 * np.einsum("aij,xij->ax", a_eta, a_mu)
+        cross = -0.5 * (eta @ mu.T)  # einsum("aij,xij->ax", a_eta, a_mu)
         m = np.zeros((self.dim_p, self.dim_p))
         m[:nh, :nh] = m_h
         m[nh:, nh:] = m_n
@@ -413,7 +419,8 @@ class MetricDecomposition:
             return True
         if self.bracket_on.norm == 0.0:  # g abelian: its own nilradical
             return False
-        gens = np.stack([self._ad_on(i) for i in range(nu)]) / self.bracket_on.norm
+        flat = self.bracket_on.dense[:nu].reshape(nu, d * d) / self.bracket_on.norm
+        gens = flat.reshape(nu, d, d).transpose(0, 2, 1)  # ad of the k + h basis vectors
 
         def cut(m):
             return _row_space_and_kernel(m, self.tol, self.tol)
@@ -424,7 +431,7 @@ class MetricDecomposition:
             for g in gens:
                 products = (span.reshape(-1, d, d) @ g).reshape(-1, d * d)
                 span = cut(np.concatenate([span, products]))[0]
-        traces = np.einsum("aij,bji->ab", gens, span.reshape(-1, d, d))
+        traces = flat @ span.T  # einsum("aij,bji->ab", gens, span.reshape(-1, d, d))
         return not len(cut(traces.T)[1])
 
     @_once

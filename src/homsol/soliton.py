@@ -251,8 +251,9 @@ def certificate_flags(dec: MetricDecomposition, cert: SolitonCertificate) -> dic
 
 def _action_ricci_term(ops: np.ndarray) -> np.ndarray:
     """C with <C Y_a, Y_b> = tr S(A_a) S(A_b), for the stack of operators A_a = A(Y_a)."""
-    s = 0.5 * (ops + np.transpose(ops, (0, 2, 1)))
-    return np.einsum("aij,bij->ab", s, s)
+    m, n, _ = ops.shape
+    s = (0.5 * (ops + np.transpose(ops, (0, 2, 1)))).reshape(m, n * n)
+    return s @ s.T  # einsum("aij,bij->ab", s, s)
 
 
 def _commutator_sum(ops: np.ndarray) -> float:

@@ -32,10 +32,10 @@ from .tensor import (
     AlgebraTensor,
     Check,
     CheckedReport,
+    _pi_diagonal,
     derivation_algebra,
     frob,
     moment_map,
-    pi_action_dense,
 )
 
 
@@ -215,8 +215,13 @@ class StrataReport(CheckedReport):
 
 
 def _label_gram(beta: np.ndarray, der_basis: np.ndarray) -> np.ndarray:
-    """Symmetrised Gram matrix of (D, D') -> <[beta, D], D'> over a stack of derivations."""
-    gram = np.einsum("aij,bij->ab", beta @ der_basis - der_basis @ beta, der_basis)
+    """Symmetrised Gram matrix of (D, D') -> <[beta, D], D'> over a stack of derivations.
+
+    One (m, n^2) @ (n^2, m) product of the flattened [beta, D_a] and D_b.
+    """
+    m, n = len(der_basis), len(beta)
+    moved = (beta @ der_basis - der_basis @ beta).reshape(m, n * n)
+    gram = moved @ der_basis.reshape(m, n * n).T  # einsum("aij,bij->ab", [beta, D], D)
     return 0.5 * (gram + gram.T)
 
 
@@ -285,7 +290,7 @@ def _properties(
 
     # tr(beta D) = 0 on Der(mu): |proj_Der beta| = sqrt(sum_i tr(beta D_i)^2), the same for
     # every orthonormal basis D_i of Der(mu)
-    proj = frob(np.einsum("k,akk->a", data.beta_raw, der_basis))
+    proj = frob(np.diagonal(der_basis, axis1=1, axis2=2) @ data.beta_raw)  # einsum("k,akk->a", ...)
     checks.append(
         asserted(
             Check.of_degree(
@@ -300,7 +305,7 @@ def _properties(
     )
 
     # <pi(beta + |beta|^2 I) mu, mu> >= 0, equality iff it is a derivation
-    moved = pi_action_dense(data.e_beta, mu.dense)
+    moved = _pi_diagonal(data.beta_raw + nsq, mu.dense)  # E_beta = diag(beta + |beta|^2)
     pairing = float(np.sum(moved * mu.dense))
     checks.append(
         asserted(
@@ -368,30 +373,28 @@ def e_beta_pairing(dec) -> PairingReport:
     if not stratum.nice_position:
         raise ValueError("nilpotent part is not in nice position")
 
-    npd = dec.dim_p
     sh, sn = dec.sh_p, dec.sn_p
-    e_b = np.zeros((npd, npd))
-    e_b[sn, sn] = stratum.e_beta
+    e_b = np.zeros(dec.dim_p)  # the diagonal of E_beta
+    e_b[sn] = stratum.beta_raw + stratum.beta_norm_sq
 
     t_p = dec.p_bracket.dense
+    # pi(E_beta) acts on each structure constant by its weight, so each component's
+    # pairing is the sum of the pairing density over that component's cells
+    density = _pi_diagonal(e_b, t_p) * t_p
 
-    def component(si, sj, sk):
-        comp = np.zeros_like(t_p)
-        comp[si, sj, sk] = t_p[si, sj, sk]
-        if si != sj:
-            comp[sj, si, sk] = t_p[sj, si, sk]
-        return comp
+    def term(si, sj, sk):
+        cells = density[si, sj, sk].sum()
+        if si != sj:  # and the cells of [sj, si]
+            cells += density[sj, si, sk].sum()
+        return float(cells)
 
-    terms = {}
-    for name, comp in (
-        ("lam0", component(sh, sh, sh)),
-        ("lam1", component(sh, sh, sn)),
-        ("eta", component(sh, sn, sn)),
-        ("mu", component(sn, sn, sn)),
-    ):
-        terms[name] = float(np.sum(pi_action_dense(e_b, comp) * comp))
-
-    direct = float(np.sum(pi_action_dense(e_b, t_p) * t_p))
+    terms = {
+        "lam0": term(sh, sh, sh),
+        "lam1": term(sh, sh, sn),
+        "eta": term(sh, sn, sn),
+        "mu": term(sn, sn, sn),
+    }
+    direct = float(density.sum())
     total = sum(terms.values())
     worst = max(-min(terms.values()), abs(total - direct))
     check = Check.of_degree(

@@ -217,14 +217,16 @@ class AlgebraTensor:
 
     def ad(self, x: np.ndarray) -> np.ndarray:
         """Matrix of mu(x, .)."""
-        return np.einsum("ijk,i->kj", self.dense, x)
+        n = self.dim
+        return (x @ self.dense.reshape(n, n * n)).reshape(n, n).T  # einsum("ijk,i->kj", T, x)
 
     def map_basis(self, frame: np.ndarray) -> "AlgebraTensor":
         """Structure constants in the basis given by the columns of ``frame``."""
+        n = self.dim
         finv = np.linalg.inv(frame)
-        t = np.einsum("ia,ijk->ajk", frame, self.dense)
-        t = np.einsum("jb,ajk->abk", frame, t)
-        t = np.einsum("ck,abk->abc", finv, t)
+        t = (frame.T @ self.dense.reshape(n, n * n)).reshape(n, n, n)  # einsum("ia,ijk->ajk", frame, T)
+        t = frame.T @ t  # einsum("jb,ajk->abk", frame, t)
+        t = (t.reshape(n * n, n) @ finv.T).reshape(n, n, n)  # einsum("ck,abk->abc", finv, t)
         return AlgebraTensor.from_dense(t, zero_tol=0.0)
 
     def scale(self, c: float) -> "AlgebraTensor":
@@ -247,11 +249,22 @@ def pi_action(alpha: np.ndarray, mu: AlgebraTensor) -> AlgebraTensor:
 
 
 def pi_action_dense(alpha: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The dense array of pi(alpha) mu for the dense tensor t of mu (no canonicalization)."""
-    out = np.einsum("kl,ijl->ijk", alpha, t)
-    out -= np.einsum("pi,pjk->ijk", alpha, t)
-    out -= np.einsum("pj,ipk->ijk", alpha, t)
+    """The dense array of pi(alpha) mu for the dense tensor t of mu (no canonicalization).
+
+    alpha acts on each slot of t by one matrix product over a view of t:
+    on the output slot t read as (n^2, n), on the first t read as (n, n^2),
+    and on the second each t[i].
+    """
+    n = t.shape[0]
+    out = (t.reshape(n * n, n) @ alpha.T).reshape(n, n, n)  # einsum("kl,ijl->ijk", alpha, t)
+    out -= (alpha.T @ t.reshape(n, n * n)).reshape(n, n, n)  # einsum("pi,pjk->ijk", alpha, t)
+    out -= alpha.T @ t  # einsum("pj,ipk->ijk", alpha, t)
     return out
+
+
+def _pi_diagonal(e: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """pi(diag e) mu for the dense tensor t of mu: each T_ijk times its weight e_k - e_i - e_j."""
+    return (e - e[:, None, None] - e[:, None]) * t
 
 
 def jacobi_residual(mu: AlgebraTensor) -> float:
@@ -305,7 +318,7 @@ def _lower_central_length(mu: AlgebraTensor, tol: float) -> int | None:
     basis = np.eye(n)
     for step in range(1, n + 2):
         # span of [g, W] for the current term W; the degree-1 floor recognises a zero map
-        img = np.einsum("ijk,ja->iak", t, basis).reshape(-1, n)
+        img = (basis.T @ t).reshape(-1, n)  # einsum("ijk,ja->iak", t, basis)
         row, _ = _row_space_and_kernel(img, tol, floor=tol * mu.norm)
         if len(row) == 0:
             return step
@@ -316,10 +329,10 @@ def _lower_central_length(mu: AlgebraTensor, tol: float) -> int | None:
 
 
 def _gram_pair(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # out[p,q] = sum_{ij} T_ijp T_ijq ; inn[p,q] = sum_{jk} T_pjk T_qjk
-    out = np.einsum("ijp,ijq->pq", t, t)
-    inn = np.einsum("pjk,qjk->pq", t, t)
-    return out, inn
+    """out = r^t r and inn = s s^t, r and s the tensor t read as (n^2, n) and as (n, n^2)."""
+    n = t.shape[0]
+    r, s = t.reshape(n * n, n), t.reshape(n, n * n)
+    return r.T @ r, s @ s.T  # einsum("ijp,ijq->pq", t, t), einsum("pjk,qjk->pq", t, t)
 
 
 def moment_map(mu: AlgebraTensor) -> np.ndarray:
@@ -574,8 +587,8 @@ def _least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         rhs = np.where(block_rows >= 0, b[block_rows], 0.0)
         inv = np.zeros_like(s)
         np.divide(1.0, s, out=inv, where=s > cut)
-        coef = np.einsum("brk,br->bk", u, rhs) * inv
-        x[block_cols] = np.einsum("bk,bkw->bw", coef, vh[:, : s.shape[1]])
+        coef = (rhs[:, None] @ u)[:, 0] * inv  # einsum("brk,br->bk", u, rhs)
+        x[block_cols] = (coef[:, None] @ vh[:, : s.shape[1]])[:, 0]  # einsum("bk,bkw->bw", coef, vh)
     return x
 
 

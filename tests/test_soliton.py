@@ -451,6 +451,31 @@ def test_a_declared_n_that_is_not_the_nilradical_is_refused(tmp_path, capsys):
     assert [e["code"] for e in json.loads(capsys.readouterr().out)["errors"]] == ["no-stratum"]
 
 
+def test_a_refused_split_runs_the_canonical_fit_once(tmp_path, capsys, monkeypatch):
+    # the refusal is cached with the decomposition, so fit, battery and extend of one
+    # document in one process fit the canonical family once between them
+    from homsol import soliton
+    from homsol.cli import main
+
+    calls = []
+    fit = soliton._canonical_fit
+
+    def counted(dec, *args, **kwargs):
+        calls.append(dec)
+        return fit(dec, *args, **kwargs)
+
+    monkeypatch.setattr(soliton, "_canonical_fit", counted)
+    doc = {"name": "heis3-misplit", "dim": 3, "dim_k": 0, "dim_h": 2, "dim_n": 1}
+    doc["bracket"] = [{"i": 0, "j": 1, "k": 2, "c": 1.0}]
+    path = tmp_path / "heis3-misplit.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["fit"], ["battery"], ["extend", "--variant", "unimodular"]):
+        assert main([*argv, str(path), "--json"]) == 2, argv
+        report = json.loads(capsys.readouterr().out)
+        assert [e["code"] for e in report["errors"]] == ["n-not-nilradical"], argv
+    assert len(calls) == 1
+
+
 def test_sphere_fit_einstein_with_isotropy():
     mu = AlgebraTensor(3, ((0, 1, 2, 1.0), (0, 2, 1, -1.0), (1, 2, 0, 1.0)))
     dec = MetricDecomposition(mu, 1, 2, 0)

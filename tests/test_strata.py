@@ -6,12 +6,14 @@ import pytest
 from homsol.strata import (
     _label_gram,
     _properties,
+    e_beta_pairing,
     min_norm_point,
     pair_weight,
     strata_properties,
     stratum_label,
 )
-from homsol.tensor import AlgebraTensor, derivation_algebra
+from homsol.tensor import AlgebraTensor, _pi_diagonal, derivation_algebra
+from test_tensor import assert_matches, contraction_brackets, pi_action_einsum, read_only
 
 HEIS3 = AlgebraTensor(3, ((0, 1, 2, 1.0),))
 FIL4 = AlgebraTensor(4, ((0, 1, 2, 1.0), (0, 2, 3, 1.0)))
@@ -283,3 +285,107 @@ def test_stratify_values_do_not_depend_on_the_derivation_basis():
             for a, b in zip(got.checks, want.checks):
                 assert a.passed == b.passed, a.name
                 assert abs(a.value - b.value) <= 1e-12 * max(1.0, abs(b.value)), a.name
+
+
+# ---------------------------------------------------------------------------
+# the label kernels against their einsum formulas
+# ---------------------------------------------------------------------------
+# As in test_tensor.py: each kernel against the einsum it replaced, to 1e-12
+# relative to the size of its operands.
+
+def label_gram_einsum(beta, der_basis):
+    gram = np.einsum("aij,bij->ab", beta @ der_basis - der_basis @ beta, der_basis)
+    return 0.5 * (gram + gram.T)
+
+
+def label_brackets():
+    """The nonzero brackets of test_tensor.contraction_brackets with their labels and Der."""
+    for label, mu in contraction_brackets():
+        if mu.entries:
+            yield label, mu, stratum_label(mu), derivation_algebra(mu)
+
+
+def test_label_gram_matches_its_einsum_formula():
+    seen = 0
+    for label, mu, data, ders in label_brackets():
+        beta = np.diag(data.beta_raw)
+        cases = {
+            "plain": (beta, ders),
+            "read-only": (read_only(beta), read_only(ders)),
+            "transposed": (beta, np.transpose(ders, (0, 2, 1))),
+        }
+        for kind, (b, stack) in cases.items():
+            scale = np.linalg.norm(b) * np.linalg.norm(stack) ** 2
+            assert_matches(_label_gram(b, stack), label_gram_einsum(b, stack), scale, (label, kind))
+        seen += 1
+    assert seen >= 18 + 2 * 33
+
+
+def test_diagonal_action_matches_the_einsum_pi_action():
+    rng = np.random.default_rng(47)
+    for label, mu in contraction_brackets():
+        e = rng.standard_normal(mu.dim)
+        for kind, v in {"plain": e, "read-only": read_only(e), "strided": np.repeat(e, 2)[::2]}.items():
+            want = pi_action_einsum(np.diag(v), mu.dense)
+            assert_matches(_pi_diagonal(v, mu.dense), want, np.linalg.norm(v) * mu.norm, (label, kind))
+
+
+def test_label_checks_match_their_einsum_formulas():
+    # the label's projection to Der and its E_beta pairing, as _properties reports them
+    for label, mu, data, ders in label_brackets():
+        checks = {c.name: c.value for c in _properties(mu, data, ders, 1e-9).checks}
+        proj = np.linalg.norm(np.einsum("k,akk->a", data.beta_raw, ders))
+        scale = np.linalg.norm(data.beta_raw) * np.linalg.norm(ders)
+        assert abs(checks["label-trace-orthogonal-to-derivations"] - proj) <= 1e-12 * scale, label
+        moved = pi_action_einsum(data.e_beta, mu.dense)
+        scale = np.linalg.norm(data.e_beta) * mu.norm_sq
+        assert abs(checks["shifted-label-pairing-nonnegative"] + np.sum(moved * mu.dense)) <= 1e-12 * scale, label
+        scale = np.linalg.norm(data.e_beta) * mu.norm
+        assert abs(checks["pairing-equality-clause"] - np.linalg.norm(moved)) <= 1e-12 * scale, label
+
+
+def e_beta_pairing_einsum(dec):
+    """The four summands and the direct pairing of e_beta_pairing, each pi(E_beta) an einsum."""
+    sh, sn = dec.sh_p, dec.sn_p
+    e_b = np.zeros((dec.dim_p, dec.dim_p))
+    e_b[sn, sn] = dec.n_stratum().e_beta
+    t_p = dec.p_bracket.dense
+
+    def component(si, sj, sk):
+        comp = np.zeros_like(t_p)
+        comp[si, sj, sk] = t_p[si, sj, sk]
+        if si != sj:
+            comp[sj, si, sk] = t_p[sj, si, sk]
+        return comp
+
+    blocks = {"lam0": (sh, sh, sh), "lam1": (sh, sh, sn), "eta": (sh, sn, sn), "mu": (sn, sn, sn)}
+    terms = {}
+    for name, cells in blocks.items():
+        comp = component(*cells)
+        terms[name] = float(np.sum(pi_action_einsum(e_b, comp) * comp))
+    return terms, float(np.sum(pi_action_einsum(e_b, t_p) * t_p)), np.linalg.norm(e_b)
+
+
+def test_e_beta_pairing_matches_its_einsum_formula():
+    # every catalog and ladder document whose nilpotent part is nonzero and in nice position
+    from homsol import catalog
+    from homsol.io import document_from_catalog, document_from_dict, validate
+    from test_compare_reports import compare_reports
+
+    docs = [document_from_dict(raw) for raw in compare_reports.ladder_documents()]
+    docs += [document_from_catalog(catalog.get(name)) for name in sorted(catalog.names())]
+    seen = 0
+    for doc in docs:
+        dec, _ = validate(doc)
+        try:
+            rep = e_beta_pairing(dec)
+        except ValueError:  # a zero nilpotent part, or one not in nice position
+            continue
+        terms, direct, e_norm = e_beta_pairing_einsum(dec)
+        scale = e_norm * dec.p_bracket.norm_sq
+        got = {"lam0": rep.lam0_term, "lam1": rep.lam1_term, "eta": rep.eta_term, "mu": rep.mu_term}
+        for name, want in terms.items():
+            assert abs(got[name] - want) <= 1e-12 * scale, (doc.name, name)
+        assert abs(rep.direct - direct) <= 1e-12 * scale, doc.name
+        seen += 1
+    assert seen >= 20

@@ -9,12 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homsol import tensor
 from homsol.catalog import get
+from homsol.decomposition import MetricDecomposition, _killing, _mean_curvature
+from homsol.soliton import _action_ricci_term
 from homsol.tensor import (
     RANK_TOL,
     AlgebraTensor,
     _block_kernel,
+    _block_svds,
+    _gram_pair,
     _increasing_triples,
+    _least_squares,
+    _lower_central_length,
     _pair_index,
     _pi_entries,
     _row_space_and_kernel,
@@ -25,6 +32,7 @@ from homsol.tensor import (
     moment_operator,
     nilpotency_class,
     pi_action,
+    pi_action_dense,
     pi_matrix,
     tensor_inner,
 )
@@ -746,3 +754,224 @@ def test_from_dense_is_bitwise_the_constructor_path():
                     assert not got.dense.flags.writeable
                     with pytest.raises(ValueError):
                         got.dense[...] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# the matrix-product kernels against their einsum formulas
+# ---------------------------------------------------------------------------
+# Each kernel is compared with the einsum it replaced to 1e-12 relative to the
+# size of its operands (|alpha| |T| for pi(alpha) mu, |T|^2 for a Gram matrix),
+# since a contraction that cancels, such as pi(D) mu for a derivation D, has no
+# size of its own.
+
+def pi_action_einsum(alpha, t):
+    return (
+        np.einsum("kl,ijl->ijk", alpha, t)
+        - np.einsum("pi,pjk->ijk", alpha, t)
+        - np.einsum("pj,ipk->ijk", alpha, t)
+    )
+
+
+def ad_einsum(t, x):
+    return np.einsum("ijk,i->kj", t, x)
+
+
+def map_basis_einsum(t, frame):
+    t = np.einsum("ia,ijk->ajk", frame, t)
+    t = np.einsum("jb,ajk->abk", frame, t)
+    return np.einsum("ck,abk->abc", np.linalg.inv(frame), t)
+
+
+def gram_pair_einsum(t):
+    return np.einsum("ijp,ijq->pq", t, t), np.einsum("pjk,qjk->pq", t, t)
+
+
+def killing_einsum(t):
+    b = np.einsum("ilk,jkl->ij", t, t)
+    return 0.5 * (b + b.T)
+
+
+def lower_central_length_einsum(mu, tol):
+    n, t = mu.dim, mu.dense
+    if n == 0:
+        return 1
+    basis = np.eye(n)
+    for step in range(1, n + 2):
+        img = np.einsum("ijk,ja->iak", t, basis).reshape(-1, n)
+        row, _ = _row_space_and_kernel(img, tol, floor=tol * mu.norm)
+        if len(row) == 0:
+            return step
+        if len(row) >= basis.shape[1]:
+            return None
+        basis = row.T
+    return None
+
+
+def action_ricci_term_einsum(ops):
+    s = 0.5 * (ops + np.transpose(ops, (0, 2, 1)))
+    return np.einsum("aij,bij->ab", s, s)
+
+
+def block_least_squares_einsum(a, b):
+    """tensor._least_squares's block solve of a sparse design, with its two batched einsums."""
+    _, solved = _block_svds(a, *np.nonzero(a))
+    cut = np.finfo(float).eps * max(a.shape) * max(float(s.max()) for *_, s, _ in solved)
+    x = np.zeros(a.shape[1])
+    for block_cols, block_rows, u, s, vh in solved:
+        rhs = np.where(block_rows >= 0, b[block_rows], 0.0)
+        inv = np.zeros_like(s)
+        np.divide(1.0, s, out=inv, where=s > cut)
+        coef = np.einsum("brk,br->bk", u, rhs) * inv
+        x[block_cols] = np.einsum("bk,bkw->bw", coef, vh[:, : s.shape[1]])
+    return x
+
+
+def assert_matches(got, want, scale, label):
+    assert got.shape == want.shape, label
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale, label
+
+
+def read_only(a):
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+def contraction_brackets():
+    """(label, bracket): seeded random skew tensors of dimension 0-9, and every catalog and
+    ladder bracket (whole and n-block) in its own basis and in a random orthonormal one.
+
+    Each bracket's dense array is its cached, read-only one.
+    """
+    rng = np.random.default_rng(41)
+    for n in range(10):
+        for r in range(2):
+            yield f"random dim {n} #{r}", random_skew_bracket(rng, n)
+    for label, mu in derivation_brackets():
+        yield label, mu
+        yield f"{label} rotated", mu.map_basis(random_orthogonal(rng, mu.dim))
+
+
+def operators(rng, n):
+    """A random operator as given, read-only, transposed (a strided view) and read-only transposed."""
+    a = rng.standard_normal((n, n))
+    return {"plain": a, "read-only": read_only(a), "transposed": a.T, "read-only transposed": read_only(a).T}
+
+
+def test_pi_action_dense_matches_its_einsum_formula():
+    rng = np.random.default_rng(42)
+    seen = 0
+    for label, mu in contraction_brackets():
+        t = mu.dense
+        assert not t.flags.writeable
+        ops = operators(rng, mu.dim)
+        if mu.dim and not label.startswith("random"):
+            # ad e_0 read off the cached tensor: a derivation of a Lie bracket, so pi(ad e_0) mu
+            # cancels to roundoff
+            ops["inner derivation"] = t[0].T
+        for kind, alpha in ops.items():
+            got = pi_action_dense(alpha, t)
+            assert_matches(got, pi_action_einsum(alpha, t), np.linalg.norm(alpha) * mu.norm, (label, kind))
+        seen += 1
+    assert seen >= 20 + 2 * (33 + 17)
+
+
+def test_ad_matches_its_einsum_formula():
+    rng = np.random.default_rng(43)
+    for label, mu in contraction_brackets():
+        n = mu.dim
+        x = rng.standard_normal(n)
+        vectors = {"plain": x, "read-only": read_only(x), "strided": np.repeat(x, 2)[::2]}
+        vectors.update((f"basis {i}", row) for i, row in enumerate(np.eye(n)))
+        for kind, v in vectors.items():
+            assert_matches(mu.ad(v), ad_einsum(mu.dense, v), np.linalg.norm(v) * mu.norm, (label, kind))
+
+
+def test_ad_of_the_basis_vectors_of_a_decomposition_match_their_einsum_formula():
+    # MetricDecomposition._ad_on(i) reads ad e_i off the dense tensor, on each Lie bracket
+    # taken as g = h (no k, no n), in its own basis and rotated
+    for label, mu in contraction_brackets():
+        if label.startswith("random"):
+            continue
+        dec = MetricDecomposition(mu, 0, mu.dim, 0)
+        for i, e in enumerate(np.eye(mu.dim)):
+            assert_matches(dec._ad_on(i), ad_einsum(dec.bracket_on.dense, e), mu.norm, (label, i))
+
+
+def test_map_basis_matches_its_einsum_formula():
+    rng = np.random.default_rng(44)
+    for label, mu in contraction_brackets():
+        n = mu.dim
+        q = random_orthogonal(rng, n)
+        general = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        frames = {"orthogonal": q, "read-only": read_only(q), "transposed": q.T, "general": general}
+        for kind, frame in frames.items():
+            got = mu.map_basis(frame).dense
+            want = map_basis_einsum(mu.dense, frame)
+            scale = np.linalg.norm(frame) ** 2 * np.linalg.norm(np.linalg.inv(frame)) * mu.norm
+            assert_matches(got, want, scale, (label, kind))
+
+
+def test_gram_pair_and_moment_operator_match_their_einsum_formulas():
+    for label, mu in contraction_brackets():
+        out, inn = _gram_pair(mu.dense)
+        want_out, want_inn = gram_pair_einsum(mu.dense)
+        assert_matches(out, want_out, mu.norm_sq, label)
+        assert_matches(inn, want_inn, mu.norm_sq, label)
+        assert_matches(moment_operator(mu), 0.25 * want_out - 0.5 * want_inn, mu.norm_sq, label)
+
+
+def test_killing_form_and_mean_curvature_match_their_einsum_formulas():
+    for label, mu in contraction_brackets():
+        assert_matches(_killing(mu), killing_einsum(mu.dense), mu.norm_sq, label)
+        traces = np.array([np.trace(ad_einsum(mu.dense, e)) for e in np.eye(mu.dim)])
+        for dim_k in {0, mu.dim // 2, mu.dim}:
+            assert_matches(_mean_curvature(mu, dim_k), traces[dim_k:], mu.norm, (label, dim_k))
+
+
+def test_lower_central_length_matches_its_einsum_formula():
+    nilpotent = 0
+    for label, mu in contraction_brackets():
+        got = _lower_central_length(mu, 1e-9)
+        assert got == lower_central_length_einsum(mu, 1e-9), label
+        nilpotent += got is not None
+    assert nilpotent >= 2 * 33
+
+
+def test_action_ricci_term_matches_its_einsum_formula():
+    rng = np.random.default_rng(45)
+    for n in range(10):
+        for m in range(4):
+            ops = rng.standard_normal((m, n, n))
+            stacks = {
+                "plain": ops,
+                "read-only": read_only(ops),
+                "transposed": np.transpose(ops, (0, 2, 1)),  # as BracketBlocks.ad_eta stacks them
+            }
+            for kind, stack in stacks.items():
+                want = action_ricci_term_einsum(stack)
+                assert_matches(_action_ricci_term(stack), want, np.linalg.norm(stack) ** 2, (n, m, kind))
+
+
+def test_block_least_squares_matches_its_einsum_formula(monkeypatch):
+    # designs of 8-16 blocks, so sparse enough to be solved block by block: random blocks of
+    # 1-6 columns on their own rows, permuted, some rank-deficient, some columns no entry holds
+    monkeypatch.setattr(tensor, "FIT_BLOCK_MIN_COLS", 0)
+    rng = np.random.default_rng(46)
+    for trial in range(40):
+        widths = rng.integers(1, 7, size=rng.integers(8, 17))
+        depths = rng.integers(1, 8, size=len(widths))
+        a = np.zeros((depths.sum(), widths.sum() + trial % 3))
+        r = c = 0
+        for w, d in zip(widths, depths):
+            block = rng.standard_normal((d, w))
+            if rng.random() < 0.3:
+                block[:, -1] = block[:, 0]
+            a[r : r + d, c : c + w] = block
+            r, c = r + d, c + w
+        a = a[rng.permutation(len(a))][:, rng.permutation(a.shape[1])]
+        assert 4 * np.count_nonzero(a) <= a.size, trial
+        b = rng.standard_normal(len(a))
+        s = np.linalg.svd(a, compute_uv=False)
+        scale = np.linalg.norm(b) / np.min(s[s > 1e-8 * s[0]])  # |x| is at most this
+        assert_matches(_least_squares(a, b), block_least_squares_einsum(a, b), scale, trial)
