@@ -55,7 +55,6 @@ from .decomposition import (
     symmetric,
 )
 from .soliton import (
-    SOLITON_RESIDUAL_TOL,
     TAG_ALGEBRAIC,
     TAG_EINSTEIN,
     SolitonCertificate,
@@ -63,10 +62,11 @@ from .soliton import (
     _canonical_derivation,
     _certificate,
     _commutator_sum,
+    _derivation_bound,
     _residual_bound,
     soliton_fit,
 )
-from .tensor import DEFAULT_TOL, AlgebraTensor, _row_space_and_kernel, norm_range_fault
+from .tensor import DEFAULT_TOL, AlgebraTensor, _row_space_and_kernel
 
 
 class ConstructionError(DecompositionError):
@@ -158,7 +158,7 @@ def validate_construction(
     if not r <= _residual_bound(ric_n, data.c, norm):
         out.append(Violation("nil-certificate", "Ric_n != c I + D1", r))
     r = ndec.derivation_residual_on(d1)
-    if not r <= SOLITON_RESIDUAL_TOL * norm**3:
+    if not r <= _derivation_bound(norm):
         out.append(Violation("d1-not-derivation", "D1 is not a derivation of n", r))
 
     # u reductive
@@ -207,8 +207,8 @@ def assemble_semidirect(data: ConstructionData, tol: float = DEFAULT_TOL) -> Met
 
     Only the decomposition's own invariants are checked (Jacobi still
     requires theta to be a homomorphism into Der(n)); compatibility with a
-    soliton certificate is :func:`validate_construction`'s job.  A bracket
-    whose (|mu|^2)^2 leaves the normal range raises ValueError.
+    soliton certificate is :func:`validate_construction`'s job.  A bracket,
+    or an n-block, whose (|mu|^2)^2 leaves the normal range raises ValueError.
     """
     data = data.normalized()
     du, dn = data.dim_u, data.dim_n
@@ -220,10 +220,11 @@ def assemble_semidirect(data: ConstructionData, tol: float = DEFAULT_TOL) -> Met
         t[a, du:, du:] = theta[a].T  # row x, col k: <[Y_a, X_x], X_k> = theta[a][k, x]
         t[du:, a, du:] = -theta[a].T
     t[du:, du:, du:] = data.n_bracket.dense
-    fault = norm_range_fault(float(np.vdot(t, t)), bool(np.any(t)))  # vdot: no overflow warning
+    bracket = AlgebraTensor.from_dense(t)
+    # the decomposition's range rule, on g and on its n-block, refused here as bad data
+    fault = bracket.range_fault() or data.n_bracket.range_fault()
     if fault:
         raise ValueError("%s: %s" % fault)
-    bracket = AlgebraTensor.from_dense(t)
     return decompose(bracket, data.dim_k, data.dim_h, dn, tol=tol)
 
 

@@ -8,6 +8,8 @@ ranges), and can be pulled back to the user basis on request.
 
 Structural requirements checked at construction:
 
+* the bracket in the orthonormal frame and its n-block, the brackets
+  computed in, are in range (``AlgebraTensor.range_fault``), checked first;
 * the bracket satisfies Jacobi;
 * [k,k] in k, [k,h] in h, [g,n] in n (block closure of the splitting);
 * n is a nilpotent ideal (whether it is the nilradical is
@@ -35,7 +37,7 @@ symmetrization A -> (A + A^t)/2.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
@@ -58,9 +60,10 @@ def _once(method):
     """A method of no arguments, or a function of one decomposition, cached under its name.
 
     The result is stored in the decomposition's ``_cache``, an ndarray
-    result read-only: ``decompose`` hands one decomposition to every
-    caller on the same metric Lie algebra, so a write into a cached array
-    would change a later command's report.  A refusal, a DecompositionError,
+    result, and each ndarray field of a dataclass result, read-only:
+    ``decompose`` hands one decomposition to every caller on the same
+    metric Lie algebra, so a write into a cached array would change a later
+    command's report.  A refusal, a DecompositionError,
     is cached too and raised again, as a new error, by every later call.
     """
     name = method.__name__
@@ -72,8 +75,9 @@ def _once(method):
                 value = method(self)
             except DecompositionError as err:
                 value = err
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+            for array in (value, *(vars(value).values() if is_dataclass(value) else ())):
+                if isinstance(array, np.ndarray):
+                    array.flags.writeable = False
             self._cache[name] = value
         value = self._cache[name]
         if isinstance(value, DecompositionError):
@@ -206,7 +210,12 @@ class MetricDecomposition:
             # an identity frame leaves the bracket as it is: share it rather than rebuild it
             same = np.array_equal(full, np.eye(self.dim))
             self.bracket_on = bracket if same else bracket.map_basis(full)
-            violations += self._structure_violations()
+            # the brackets computed in: every quantity here is of degree at most 4 in one of them
+            fault = self.bracket_on.range_fault() or self.n_bracket.range_fault()
+            if fault:
+                violations = [Violation(fault[0], f"{fault[1]}, in the orthonormal frame or on n")]
+            else:
+                violations = self._structure_violations()
         if violations:
             raise DecompositionError(violations)
 
@@ -343,14 +352,15 @@ class MetricDecomposition:
 
     @_once
     def blocks(self) -> BracketBlocks:
+        """The components, as views of the read-only ``bracket_on.dense``."""
         t = self.bracket_on.dense
         return BracketBlocks(
-            lam0=t[self.sh, self.sh, self.sh].copy(),
-            lam1=t[self.sh, self.sh, self.sn].copy(),
-            lam2=t[self.sh, self.sh, self.sk].copy(),
-            eta=t[self.sh, self.sn, self.sn].copy(),
-            mu=t[self.sn, self.sn, self.sn].copy(),
-            nu2=t[self.sk, self.sn, self.sn].copy(),
+            lam0=t[self.sh, self.sh, self.sh],
+            lam1=t[self.sh, self.sh, self.sn],
+            lam2=t[self.sh, self.sh, self.sk],
+            eta=t[self.sh, self.sn, self.sn],
+            mu=t[self.sn, self.sn, self.sn],
+            nu2=t[self.sk, self.sn, self.sn],
         )
 
     def mm_from_blocks(self) -> SymOperator:
@@ -462,12 +472,7 @@ class MetricDecomposition:
 
     def check(self, name: str, anchor: str, value: float, degree: int, **info) -> Check:
         """``value <= tol |mu|^degree`` at this decomposition's tol and orthonormal-frame |mu|."""
-        return Check.of_degree(name, anchor, value, self.tol, self._norm(), degree, **info)
-
-    @_once
-    def _norm(self) -> float:
-        """|mu| in the orthonormal frame; computed once, as a battery makes a dozen checks."""
-        return self.bracket_on.norm
+        return Check.of_degree(name, anchor, value, self.tol, self.bracket_on.norm, degree, **info)
 
 
 # The decompositions ``decompose`` keeps.  A build, its three extensions and the

@@ -33,7 +33,7 @@ from . import catalog as _catalog
 from . import tensor as _tensor
 from .constructions import ConstructionData
 from .decomposition import DecompositionError, MetricDecomposition, decompose
-from .tensor import DEFAULT_TOL, AlgebraTensor, Check, norm_range_fault
+from .tensor import DEFAULT_TOL, AlgebraTensor, Check
 
 TOOL_VERSION = "0.1.0"
 
@@ -172,8 +172,7 @@ def document_from_dict(raw: dict) -> AlgebraDocument:
     if dims["dim"] != dims["dim_k"] + dims["dim_h"] + dims["dim_n"]:
         raise DocumentError("dimension-sum", "dim must equal dim_k + dim_h + dim_n")
     bracket = _bracket(raw["bracket"], dims["dim"], "bracket")
-    # |mu|^2 over ordered pairs: twice the sum over i < j, without numpy's overflow warning
-    fault = norm_range_fault(2.0 * sum(c * c for *_, c in bracket.entries), bool(bracket.entries))
+    fault = bracket.range_fault()
     if fault:
         raise DocumentError(*fault)
     ip = None

@@ -101,6 +101,11 @@ def _residual_bound(ric: np.ndarray, c: float, mu_norm: float) -> float:
     return SOLITON_RESIDUAL_TOL * max(frob(ric), abs(c), mu_norm**2)
 
 
+def _derivation_bound(mu_norm: float) -> float:
+    """Bound on a derivation defect |pi(D) mu|, degree 3 in the bracket."""
+    return SOLITON_RESIDUAL_TOL * mu_norm**3
+
+
 def _classify(
     ric: np.ndarray,
     c: float,
@@ -116,7 +121,7 @@ def _classify(
     residual or defect gives NotDetected.
     """
     bound = _residual_bound(ric, c, mu_norm)
-    der_bound = 1e-6 * mu_norm**3
+    der_bound = _derivation_bound(mu_norm)
     if not (residual <= bound and der_defect <= der_bound):
         return TAG_NONE
     if frob(ric - c * np.eye(ric.shape[0])) <= bound:
@@ -217,15 +222,13 @@ def soliton_fit(dec: MetricDecomposition) -> SolitonCertificate:
     a decomposition with a k or h block whose n is not the nilradical
     (``dec.n_is_nilradical``), the split is refused with a
     DecompositionError ``n-not-nilradical`` instead.  Made once per
-    decomposition and cached with ``d_full`` and ``d1`` read-only.
+    decomposition and cached with ``d_full`` and ``d1`` read-only (``_once``).
     """
     cert = _canonical_fit(dec)
     # without an h or k block n is all of g, its own nilradical
     if not cert.is_soliton and dec.dim_k + dec.dim_h and not dec.n_is_nilradical:
         detail = "declared n is not the nilradical; the canonical family does not certify the split"
         raise DecompositionError([Violation("n-not-nilradical", detail)])
-    cert.d_full.flags.writeable = False
-    cert.d1.flags.writeable = False
     return cert
 
 

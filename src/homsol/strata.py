@@ -249,31 +249,29 @@ def _properties(
     beta = np.diag(data.beta_raw)
     nsq = data.beta_norm_sq
     norm = mu.norm
-    checks = [Check.of_degree("label-trace", "tr beta = -1", abs(data.trace + 1.0), tol, norm, 0)]
+
+    def check(name: str, anchor: str, value: float, degree: int = 0, scale: float = tol) -> Check:
+        return Check.of_degree(name, anchor, value, scale, norm, degree)
+
+    # a check that needs nice position is reported, not asserted, without it
+    def asserted(record: Check) -> Check:
+        return record if data.nice_position else record.skipped("needs nice position")
+
+    checks = [check("label-trace", "tr beta = -1", abs(data.trace + 1.0))]
 
     # <[beta, D], D> >= 0 on Der(mu): PSD of the restricted bilinear form
     gram = _label_gram(beta, der_basis)
     lam_min = float(np.min(np.linalg.eigvalsh(gram))) if len(gram) else 0.0
-    checks.append(
-        Check.of_degree(
-            "bracket-with-label-psd", "<[beta,D],D> >= 0 for D in Der(mu)", -lam_min, tol, norm, 0
-        )
-    )
+    checks.append(check("bracket-with-label-psd", "<[beta,D],D> >= 0 for D in Der(mu)", -lam_min))
 
     # beta + |beta|^2 I positive definite (diagonal): its least entry exceeds tol
     min_entry = float(np.min(data.beta_raw + nsq))
-    checks.append(
-        Check.of_degree(
-            "shifted-label-positive", "beta + |beta|^2 I > 0", -min_entry, -tol, norm, 0
-        )
-    )
+    checks.append(check("shifted-label-positive", "beta + |beta|^2 I > 0", -min_entry, scale=-tol))
 
     # |beta| <= |m(mu)|, equality iff identical sorted spectra
     m = moment_map(mu)
     gap = float(np.linalg.norm(m)) - float(np.sqrt(nsq))
-    checks.append(
-        Check.of_degree("label-below-moment-norm", "|beta| <= |m(mu)|", -gap, tol, norm, 0)
-    )
+    checks.append(check("label-below-moment-norm", "|beta| <= |m(mu)|", -gap))
     spec_gap = float(np.max(np.abs(np.linalg.eigvalsh(m) - data.beta)))
     checks.append(
         Check(
@@ -284,41 +282,17 @@ def _properties(
         )
     )
 
-    # the rest needs nice position; without it they are reported, not asserted
-    def asserted(check: Check) -> Check:
-        return check if data.nice_position else check.skipped("needs nice position")
-
     # tr(beta D) = 0 on Der(mu): |proj_Der beta| = sqrt(sum_i tr(beta D_i)^2), the same for
     # every orthonormal basis D_i of Der(mu)
     proj = frob(np.diagonal(der_basis, axis1=1, axis2=2) @ data.beta_raw)  # einsum("k,akk->a", ...)
-    checks.append(
-        asserted(
-            Check.of_degree(
-                "label-trace-orthogonal-to-derivations",
-                "tr(beta D) = 0 for D in Der(mu)",
-                proj,
-                tol,
-                norm,
-                0,
-            )
-        )
-    )
+    anchor = "tr(beta D) = 0 for D in Der(mu)"
+    checks.append(asserted(check("label-trace-orthogonal-to-derivations", anchor, proj)))
 
     # <pi(beta + |beta|^2 I) mu, mu> >= 0, equality iff it is a derivation
     moved = _pi_diagonal(data.beta_raw + nsq, mu.dense)  # E_beta = diag(beta + |beta|^2)
     pairing = float(np.sum(moved * mu.dense))
-    checks.append(
-        asserted(
-            Check.of_degree(
-                "shifted-label-pairing-nonnegative",
-                "<pi(beta + |beta|^2 I) mu, mu> >= 0",
-                -pairing,
-                tol,
-                norm,
-                2,
-            )
-        )
-    )
+    anchor = "<pi(beta + |beta|^2 I) mu, mu> >= 0"
+    checks.append(asserted(check("shifted-label-pairing-nonnegative", anchor, -pairing, 2)))
     der_res = frob(moved)
     checks.append(
         asserted(

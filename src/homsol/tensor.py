@@ -18,7 +18,8 @@ Conventions fixed here and used by every downstream module:
       M = (|mu|^2 / 4) m(mu),   tr(M E) = (1/4) <pi(E) mu, mu>.
 
 Under this ordered-pair convention the Heisenberg bracket mu(e1,e2) = e3
-has |mu|^2 = 2 and m(mu) = diag(-1, -1, 1).
+has |mu|^2 = 2 and m(mu) = diag(-1, -1, 1).  A tensor sums its |mu|^2
+once, when it is made, and owns the one range rule on it (``range_fault``).
 
 The one record type of every report, ``Check``, lives here too, since
 every other module imports this one: a condition homogeneous of degree d
@@ -126,20 +127,12 @@ def frob(x) -> float:
     return out
 
 
-def norm_range_fault(norm_sq: float, nonzero: bool) -> tuple[str, str] | None:
-    """(code, detail) refusing a bracket of |mu|^2 = norm_sq outside the range computed in, else None.
-
-    |mu|^2 is summed over ordered pairs, as ``AlgebraTensor.norm_sq``
-    computes it.  The library forms quantities of degree 4 in mu (c^2,
-    tr F^2), so (|mu|^2)^2 must be finite; and it must not underflow, since
-    a nonzero bracket whose quantities of degree 4 round to 0 would pass as
-    an abelian or Einstein one.
-    """
-    if not math.isfinite(norm_sq * norm_sq):
-        return "bracket-norm-overflow", "(|mu|^2)^2 of the bracket is not finite"
-    if nonzero and norm_sq * norm_sq < sys.float_info.min:
-        return "bracket-norm-underflow", "(|mu|^2)^2 of the nonzero bracket is below the normal range"
-    return None
+def _store(mu: "AlgebraTensor", dense: np.ndarray):
+    """Give mu its read-only dense array and its |mu|^2, which are not part of its equality or hash."""
+    dense.setflags(write=False)
+    object.__setattr__(mu, "_dense", dense)
+    with np.errstate(over="ignore"):  # an out-of-range |mu|^2 is range_fault's to report
+        object.__setattr__(mu, "_norm_sq", float(np.sum(dense**2)))
 
 
 def _canonical_entries(dim: int, entries) -> tuple[Entry, ...]:
@@ -174,8 +167,7 @@ class AlgebraTensor:
         for i, j, k, c in self.entries:
             dense[i, j, k] = c
             dense[j, i, k] = -c
-        dense.setflags(write=False)
-        object.__setattr__(self, "_dense", dense)
+        _store(self, dense)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, zero_tol: float = 0.0) -> "AlgebraTensor":
@@ -197,10 +189,10 @@ class AlgebraTensor:
         entries = tuple(zip(i.tolist(), j.tolist(), k.tolist(), dense[i, j, k].tolist()))
         u = np.where(keep, dense, 0.0)
         skew_dense = u - u.swapaxes(0, 1)
-        skew_dense.setflags(write=False)
         out = object.__new__(cls)  # no __post_init__: nothing to canonicalize
-        for name, value in (("dim", n), ("entries", entries), ("_dense", skew_dense)):
-            object.__setattr__(out, name, value)
+        object.__setattr__(out, "dim", n)
+        object.__setattr__(out, "entries", entries)
+        _store(out, skew_dense)
         return out
 
     @property
@@ -209,11 +201,25 @@ class AlgebraTensor:
 
     @property
     def norm_sq(self) -> float:
-        return float(np.sum(self.dense**2))
+        """|mu|^2 over ordered pairs, summed once when the tensor is made."""
+        return self._norm_sq  # type: ignore[attr-defined]
 
     @property
     def norm(self) -> float:
-        return float(np.sqrt(self.norm_sq))
+        return math.sqrt(self._norm_sq)  # type: ignore[attr-defined]
+
+    def range_fault(self) -> tuple[str, str] | None:
+        """(code, detail) when (|mu|^2)^2 leaves the float range, else None.
+
+        The library forms quantities of degree 4 in mu (c^2, tr F^2); a nonzero
+        bracket whose ones round to 0 would pass as an abelian or Einstein one.
+        """
+        sq = self._norm_sq * self._norm_sq  # type: ignore[attr-defined]
+        if not math.isfinite(sq):
+            return "bracket-norm-overflow", "(|mu|^2)^2 of the bracket is not finite"
+        if self.entries and sq < sys.float_info.min:
+            return "bracket-norm-underflow", "(|mu|^2)^2 of the nonzero bracket is below the normal range"
+        return None
 
     def ad(self, x: np.ndarray) -> np.ndarray:
         """Matrix of mu(x, .)."""

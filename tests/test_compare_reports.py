@@ -337,9 +337,15 @@ def test_validation_memo_keys_on_the_metric_lie_algebra_alone():
 
 def test_arrays_cached_on_a_decomposition_are_read_only():
     dec, _ = validate(document_from_catalog(catalog.get("cplxhyp2")))
-    for cached in (dec.derivations_n(), dec.killing(), dec.mean_curvature(), dec.ad_mean_curvature()):
+    blocks, ricci, stratum = dec.blocks(), dec.ricci(), dec.n_stratum()
+    cached = [dec.derivations_n(), dec.killing(), dec.mean_curvature(), dec.ad_mean_curvature()]
+    cached += [blocks.lam0, blocks.lam1, blocks.eta, blocks.mu, ricci.matrix, ricci.frame]
+    cached += [stratum.beta_raw, stratum.beta]
+    for array in cached:
         with pytest.raises(ValueError, match="read-only"):
-            cached[0, 0] = 1.0
+            array[(0,) * array.ndim] = 1.0
+    # cplxhyp2 has no k-block: these are empty, and read-only too
+    assert not blocks.lam2.flags.writeable and not blocks.nu2.flags.writeable
 
 
 def test_compare_prints_one_summary_per_report_that_differs(tmp_path, capsys):

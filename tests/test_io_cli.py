@@ -389,6 +389,55 @@ def test_cli_smallest_accepted_scale_keeps_the_tag(capsys, tmp_path, command):
     assert json.loads(out)["classification"] == "AlgebraicSoliton"
 
 
+def range_documents() -> dict:
+    """name: document of tools/compare_reports.py's range documents."""
+    from test_compare_reports import compare_reports
+
+    return {raw["name"]: raw for raw in compare_reports.range_documents()}
+
+
+RANGE_ARGV = [["ricci"], ["fit"], ["battery"], ["stratify"], ["extend", "--variant", "unimodular"]]
+
+
+@pytest.mark.parametrize("argv", RANGE_ARGV, ids=lambda argv: argv[0])
+@pytest.mark.parametrize(
+    "name, fault",
+    [
+        ("heis3-frame-overflow", "bracket-norm-overflow"),
+        ("heis3-frame-underflow", "bracket-norm-underflow"),
+        ("cplxhyp2-n-underflow", "bracket-norm-underflow"),
+    ],
+)
+def test_cli_out_of_range_in_the_frame_or_the_nilpotent_part_exit_2(capsys, tmp_path, argv, name, fault):
+    # in range in the user basis, so the document is read; but the library computes in the
+    # orthonormal frame of ip and in the nilpotent part, and there (|mu|^2)^2 leaves the range
+    f = tmp_path / f"{name}.json"
+    f.write_text(json.dumps(range_documents()[name]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_cli(capsys, argv[0], str(f), *argv[1:], "--json")
+    assert code == 2
+    assert [e["code"] for e in json.loads(out)["errors"]] == [fault]
+
+
+@pytest.mark.parametrize("argv", RANGE_ARGV, ids=lambda argv: argv[0])
+def test_cli_in_range_in_both_bases_keeps_the_unit_scale_verdicts(capsys, tmp_path, argv):
+    # heis3 at c = 1e72 with ip = diag(1e-8, 1, 1): (|mu|^2)^2 is 4e304 in the orthonormal frame
+    f = tmp_path / "heis3-frame-in-range.json"
+    f.write_text(json.dumps(range_documents()["heis3-frame-in-range"]))
+    verdicts = []
+    for target in (str(f), "heis3"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run_cli(capsys, argv[0], target, *argv[1:], "--json")
+        rep = json.loads(out)
+        nil_tag = rep["results"].get("nilpotent_part", {}).get("tag")
+        checks = [(c["name"], c["passed"]) for c in rep["checks"]]
+        verdicts.append((code, rep["classification"], nil_tag, checks))
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][0] == 0
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 @pytest.mark.parametrize("command", ["fit", "battery", "stratify"])
 def test_cli_non_finite_ip_exit_2(capsys, tmp_path, command, bad):
@@ -494,6 +543,17 @@ def test_cli_build_bracket_norm_out_of_range_exit_2(capsys, tmp_path):
         assert code == 2, fault
         assert [e["code"] for e in rep["errors"]] == ["bad-construction"], fault
         assert fault in rep["errors"][0]["detail"]
+
+
+def test_cli_build_nilpotent_part_out_of_range_exit_2(capsys, tmp_path):
+    # g is in range, but its n-block [e1, e2] = 1e-120 e3 has (|mu|^2)^2 below the normal range
+    nil = dict(build_doc()["nil"], bracket=[{"i": 0, "j": 1, "k": 2, "c": 1e-120}])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run_build(capsys, tmp_path, build_doc(nil=nil))
+    assert code == 2
+    assert [e["code"] for e in rep["errors"]] == ["bad-construction"]
+    assert "bracket-norm-underflow" in rep["errors"][0]["detail"]
 
 
 def test_cli_build_non_symmetric_ip_exit_2(capsys, tmp_path):

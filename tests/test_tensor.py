@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -754,6 +755,48 @@ def test_from_dense_is_bitwise_the_constructor_path():
                     assert not got.dense.flags.writeable
                     with pytest.raises(ValueError):
                         got.dense[...] = 0.0
+
+
+def test_norm_sq_is_the_sum_of_the_dense_squares_bit_for_bit():
+    # |mu|^2 is summed once, when a tensor is made, on every path that makes one
+    rng = np.random.default_rng(23)
+    seen = 0
+    for label, mu in contraction_brackets():
+        frame = random_orthogonal(rng, mu.dim) * rng.uniform(0.5, 2.0, mu.dim)
+        made = {
+            "given": mu,
+            "constructor": AlgebraTensor(mu.dim, mu.entries),
+            "from_dense": AlgebraTensor.from_dense(mu.dense),
+            "map_basis": mu.map_basis(frame),
+            "scale": mu.scale(-3.7e4),
+        }
+        for how, out in made.items():
+            want = float(np.sum(out.dense**2))
+            assert out.norm_sq.hex() == want.hex(), (label, how)
+            assert out.norm.hex() == float(np.sqrt(want)).hex(), (label, how)
+        # the stored |mu|^2 is no part of equality or hash, the decomposition memo's key
+        assert made["constructor"] == mu and hash(made["constructor"]) == hash(mu), label
+        seen += 1
+    assert seen >= 20 + 2 * (33 + 17)
+
+
+def test_range_fault_of_a_bracket_out_of_range_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c, fault in (
+            (1e300, "bracket-norm-overflow"),
+            (1e77, "bracket-norm-overflow"),
+            (1e76, None),
+            (1e-77, None),
+            (1e-78, "bracket-norm-underflow"),
+            (1e-100, "bracket-norm-underflow"),
+        ):
+            mu = AlgebraTensor(3, ((0, 1, 2, c),))
+            for out in (mu, AlgebraTensor.from_dense(mu.dense)):
+                got = out.range_fault()
+                assert (got and got[0]) == fault, c
+        assert AlgebraTensor(3).range_fault() is None
+        assert AlgebraTensor(0).range_fault() is None
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,12 @@ and on ``cplxhyp2-twin``, ``cplxhyp2`` listed out of canonical order, so
 that a document is shown to be read as its canonical bracket;
 ``fit`` and ``battery`` on ``heis3`` and ``hyp3`` declared with
 ``dim_h = 2, dim_n = 1``, splits whose n is not the nilradical, so that a
-change to how such a split is refused shows up;
+change to how such a split is refused shows up; ``fit``, ``battery`` and
+``stratify`` on the four range documents (``heis3`` at ``c = 1e75`` and
+``1e-75`` with an ``ip`` that moves it out of range in the orthonormal
+frame, ``cplxhyp2`` with an n-block of size 1e-120, and ``heis3`` at
+``c = 1e72``, in range in both bases), so that a change to the range rule
+shows up;
 ``ricci`` and the three ``extend --variant`` transformations on every
 catalog entry; ``fit``, ``battery``, ``stratify`` and the three
 ``extend`` variants on every catalog entry at ``--tol 1e-6``, so that a
@@ -38,7 +43,8 @@ they are served the decomposition the command built; and
 ``--tol 1e-6``.  Everything runs
 in-process through ``homsol.cli.main``, and every exit code and report
 goes to one JSON file, with the sha256 of the command's standard output
-and, for ``extend``, of the file ``--out`` wrote.
+and, for ``extend``, of the file ``--out`` wrote; a command that raises
+is recorded with the exception's type and message as its exit code.
 The BLAS and OpenMP thread counts are pinned to 1 before numpy loads, so
 one tree dumped twice gives the same numbers.
 
@@ -231,6 +237,31 @@ def twin_document() -> dict:
     return raw
 
 
+def range_documents() -> list[dict]:
+    """Brackets in range in the user basis whose frame bracket or n-block is not, and one that is.
+
+    heis3 at c = 1e75 with ip = diag(1e-8, 1, 1): (|mu|^2)^2 is 4e300 in the
+    user basis and 4e316 in the orthonormal frame; at c = 1e-75 with
+    ip = diag(1e8, 1, 1) it underflows in the frame; cplxhyp2 with
+    [e1, e2] = 1e-120 e3, whose n-block underflows; and heis3 at c = 1e72
+    with ip = diag(1e-8, 1, 1), in range in both bases.
+    """
+    from homsol import catalog
+    from homsol.io import document_from_catalog
+
+    docs = []
+    for name, c, ip_00 in (("overflow", 1e75, 1e-8), ("underflow", 1e-75, 1e8), ("in-range", 1e72, 1e-8)):
+        raw = _document(f"heis3-frame-{name}", 0, 3, [(0, 1, 2, c)])
+        raw["ip"] = [[ip_00, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        docs.append(raw)
+    raw = document_from_catalog(catalog.get("cplxhyp2")).to_json_dict()
+    raw.update(name="cplxhyp2-n-underflow", meta={})
+    for entry in raw["bracket"]:
+        if (entry["i"], entry["j"]) == (1, 2):
+            entry["c"] = 1e-120
+    return docs + [raw]
+
+
 def scaled_catalog_documents() -> list[dict]:
     """Every catalog entry with each bracket constant multiplied by each of SCALES."""
     from homsol import catalog
@@ -252,9 +283,13 @@ def _sha256(text: str) -> str:
 
 
 def _run(main, argv: list[str]) -> dict:
+    """The exit code, report and output hash of one command; an exception's text for its exit code."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except Exception as err:  # a tree that crashes on a document is compared, not aborted
+            code = f"{type(err).__name__}: {err}"
     text = out.getvalue()
     try:
         report = json.loads(text)
@@ -286,7 +321,7 @@ def dump(src: str) -> dict:
             refit(label, out, argv)
 
         targets = sorted(catalog.names())
-        for doc in ladder_documents() + [twin_document()]:
+        for doc in ladder_documents() + [twin_document()] + range_documents():
             path = Path(tmp) / f"{doc['name']}.json"
             path.write_text(json.dumps(doc, sort_keys=True))
             targets.append(str(path))
