@@ -86,8 +86,8 @@ def _fixed_entries() -> list[CatalogEntry]:
         dim_k=0,
         dim_h=0,
         dim_n=4,
-        # central summand ordered before the bracket image so the label
-        # diagonal comes out ascending (nice position)
+        # central summand ordered before the bracket image, so the label diagonal
+        # comes out ascending (nice position); the checks do not depend on the order
         entries=((0, 1, 3, 1.0),),
         meta={
             "description": "Heisenberg algebra plus a central line",

@@ -152,24 +152,22 @@ def _stratify(dec) -> tuple[Groups, dict]:
     ders = dec.n_decomposition().derivations_n()
     rep = _properties(dec.n_bracket, dec.n_stratum(), ders, dec.tol)
     data = rep.stratum
+    pairing = e_beta_pairing(dec)
     results = {
         "beta": data.beta,
         "beta_raw": data.beta_raw,
         "beta_norm_sq": data.beta_norm_sq,
         "support": [list(s) for s in data.support],
-        "nice_position": data.nice_position,
-    }
-    groups: Groups = {"stratum-properties": rep.checks}
-    if data.nice_position:
-        pairing = e_beta_pairing(dec)
-        results["pairing_terms"] = {
+        "nice_position": data.nice_position,  # reported only: no check depends on it
+        "pairing_terms": {
             "lam0": pairing.lam0_term,
             "lam1": pairing.lam1_term,
             "eta": pairing.eta_term,
             "mu": pairing.mu_term,
             "total": pairing.total,
-        }
-        groups["bracket-pairing"] = pairing.checks
+        },
+    }
+    groups: Groups = {"stratum-properties": rep.checks, "bracket-pairing": pairing.checks}
     return groups, results
 
 

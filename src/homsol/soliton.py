@@ -326,9 +326,9 @@ def _f_operator(dec: MetricDecomposition, cert: SolitonCertificate) -> np.ndarra
 def f_operator_check(dec: MetricDecomposition, cert: SolitonCertificate) -> CheckedReport:
     """Verify that F = S(ad_p H + D_p) has the forced shape.
 
-    For a nonzero nilpotent part in nice position F must equal t E_beta
-    with t = -c/|beta|^2; for a nilpotent part that counts as abelian
-    (``dec.n_abelian``) it must equal t (0 (+) I_n) with
+    For a nonzero nilpotent part, in any basis order, F must equal
+    t E_beta with t = -c/|beta|^2; for a nilpotent part that counts as
+    abelian (``dec.n_abelian``) it must equal t (0 (+) I_n) with
     t = (|H|^2 + tr D_n)/dim n; and c tr F + tr F^2 = 0
     in all cases.  The shape presumes [h,h] inside k + h, which is the
     battery's condition (i) and is not tested again here.  The check
@@ -348,10 +348,6 @@ def f_operator_check(dec: MetricDecomposition, cert: SolitonCertificate) -> Chec
         target[dec.sn_p, dec.sn_p] = t * np.eye(dec.dim_n)
     else:
         stratum = dec.n_stratum()
-        if not stratum.nice_position:
-            reason = "nilpotent part is not in nice position; label comparison unavailable"
-            skip = Check("f-operator-shape", "S(ad_p H + D_p) = t E_beta").skipped(reason)
-            return CheckedReport(checks=[skip], skipped=True)
         branch = "nilpotent-part"
         t = -c / stratum.beta_norm_sq
         target[dec.sn_p, dec.sn_p] = t * stratum.e_beta
@@ -431,19 +427,14 @@ class CompatibilityReport(CheckedReport):
     mu_scalar_variant_residual: float = np.nan  # coefficient -c/|mu|^2 instead of -c/|beta|^2
 
 
-def _skipped_compatibility(reason: str) -> CompatibilityReport:
-    skip = Check("stratum-compatibility", "m(mu) = beta and friends").skipped(reason)
-    return CompatibilityReport(checks=[skip], skipped=True)
-
-
 def stratum_compatibility_check(
     dec: MetricDecomposition, cert: SolitonCertificate
 ) -> CompatibilityReport:
     """Moment-map and label compatibilities of an expanding certificate.
 
-    Requires a nilpotent part in nice position that does not count as
-    abelian (``dec.n_abelian``; skips otherwise)
-    and a certificate that carries its D1 (raises ValueError otherwise).
+    Requires a nilpotent part that does not count as abelian
+    (``dec.n_abelian``; skips otherwise), in any basis order, and a
+    certificate that carries its D1 (raises ValueError otherwise).
     The scalar identity F = -(c/|beta|^2) E_beta is ``f_operator_check``'s;
     the variant with |mu|^2 in the denominator is evaluated and reported
     here, as it fails whenever |mu|^2 != |beta|^2.
@@ -453,10 +444,10 @@ def stratum_compatibility_check(
     bb = dec.blocks()
     mu = dec.n_bracket
     if dec.n_abelian:  # an empty n counts as abelian too
-        return _skipped_compatibility("nilpotent part is abelian or empty")
+        reason = "nilpotent part is abelian or empty"
+        skip = Check("stratum-compatibility", "m(mu) = beta and friends").skipped(reason)
+        return CompatibilityReport(checks=[skip], skipped=True)
     stratum = dec.n_stratum()
-    if not stratum.nice_position:
-        return _skipped_compatibility("nilpotent part not in nice position")
 
     c = cert.c
     r = frob(moment_map(mu) - np.diag(stratum.beta_raw))

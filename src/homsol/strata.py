@@ -11,10 +11,11 @@ hull point itself) and chamber-normalized with ascending diagonal.  The
 bracket sits in *nice position* when the raw hull point already lies in
 the ascending chamber, equivalently when
 
-    min over support of <beta, alpha_ij^k> = |beta|^2,
+    min over support of <beta, alpha_ij^k> = |beta|^2.
 
-which an orthogonal change of basis can always arrange but which this
-module only tests.
+That flag is reported and gates nothing: every label check is computed
+from the raw hull point, which a permutation of the basis permutes, so
+each check runs, with the same verdict, in every basis order.
 
 The minimum-norm point itself is computed with Wolfe's active-set method:
 exact affine solves on a corral of points, finite termination on the small
@@ -181,7 +182,7 @@ def support_of(mu: AlgebraTensor) -> tuple[tuple[int, int, int], ...]:
 
 
 def stratum_label(mu: AlgebraTensor, tol: float = DEFAULT_TOL) -> StratumData:
-    """Label beta of a nonzero bracket plus the nice-position test.
+    """Label beta of a nonzero bracket plus the nice-position flag, which only reports.
 
     The support threshold is relative to the largest structure constant;
     the support, hence beta, is discontinuous in mu, so the threshold is
@@ -228,13 +229,13 @@ def _label_gram(beta: np.ndarray, der_basis: np.ndarray) -> np.ndarray:
 def strata_properties(mu: AlgebraTensor, tol: float = DEFAULT_TOL) -> StrataReport:
     """Evaluate the label inequalities for a nonzero nilpotent bracket.
 
-    Always evaluated: tr beta = -1, PSD of D -> <[beta, D], D> on the
-    derivation algebra, positivity of beta + |beta|^2 I, and
-    |beta| <= |m(mu)| with its equality clause.  Only asserted in nice
-    position: tr(beta D) = 0 on derivations, reported as the norm
+    tr beta = -1, PSD of D -> <[beta, D], D> on the derivation algebra,
+    positivity of beta + |beta|^2 I, |beta| <= |m(mu)| with its equality
+    clause, tr(beta D) = 0 on derivations, reported as the norm
     |proj_Der beta| of the label's projection to Der(mu), and
     <pi(beta + |beta|^2 I) mu, mu> >= 0 with equality exactly for a
-    derivation.  A check of the form q >= 0 reports -q.
+    derivation.  Each is evaluated in every basis order; none depends on
+    nice position.  A check of the form q >= 0 reports -q.
     """
     return _properties(mu, stratum_label(mu, tol), derivation_algebra(mu), tol)
 
@@ -252,10 +253,6 @@ def _properties(
 
     def check(name: str, anchor: str, value: float, degree: int = 0, scale: float = tol) -> Check:
         return Check.of_degree(name, anchor, value, scale, norm, degree)
-
-    # a check that needs nice position is reported, not asserted, without it
-    def asserted(record: Check) -> Check:
-        return record if data.nice_position else record.skipped("needs nice position")
 
     checks = [check("label-trace", "tr beta = -1", abs(data.trace + 1.0))]
 
@@ -286,22 +283,20 @@ def _properties(
     # every orthonormal basis D_i of Der(mu)
     proj = frob(np.diagonal(der_basis, axis1=1, axis2=2) @ data.beta_raw)  # einsum("k,akk->a", ...)
     anchor = "tr(beta D) = 0 for D in Der(mu)"
-    checks.append(asserted(check("label-trace-orthogonal-to-derivations", anchor, proj)))
+    checks.append(check("label-trace-orthogonal-to-derivations", anchor, proj))
 
     # <pi(beta + |beta|^2 I) mu, mu> >= 0, equality iff it is a derivation
     moved = _pi_diagonal(data.beta_raw + nsq, mu.dense)  # E_beta = diag(beta + |beta|^2)
     pairing = float(np.sum(moved * mu.dense))
     anchor = "<pi(beta + |beta|^2 I) mu, mu> >= 0"
-    checks.append(asserted(check("shifted-label-pairing-nonnegative", anchor, -pairing, 2)))
+    checks.append(check("shifted-label-pairing-nonnegative", anchor, -pairing, 2))
     der_res = frob(moved)
     checks.append(
-        asserted(
-            Check(
-                "pairing-equality-clause",
-                "pairing = 0 iff beta + |beta|^2 I in Der(mu)",
-                der_res,
-                verdict=(abs(pairing) <= tol * norm**2) == (der_res <= 1e-6 * norm),
-            )
+        Check(
+            "pairing-equality-clause",
+            "pairing = 0 iff beta + |beta|^2 I in Der(mu)",
+            der_res,
+            verdict=(abs(pairing) <= tol * norm**2) == (der_res <= 1e-6 * norm),
         )
     )
     return StrataReport(checks=checks, stratum=data)
@@ -332,10 +327,9 @@ def e_beta_pairing(dec) -> PairingReport:
 
     E_beta vanishes on h and equals beta + |beta|^2 I on n.  The pairing
     splits over the four bracket components; the h x h -> h term vanishes
-    identically, the remaining three are individually nonnegative when the
-    nilpotent part is in nice position (refused otherwise, since that is
-    the hypothesis that makes the label usable).  The label is the
-    decomposition's own, ``dec.n_stratum()``, at its tolerance.
+    identically, the remaining three are individually nonnegative.  The
+    label is the decomposition's own, ``dec.n_stratum()``, at its
+    tolerance, in whatever order the basis lists n.
 
     Its one check, ``bracket-pairing-nonnegative``, reports the most
     negative summand, negated, or the gap between the summed and the
@@ -344,8 +338,6 @@ def e_beta_pairing(dec) -> PairingReport:
     if dec.dim_n == 0 or dec.n_bracket.norm == 0.0:
         raise ValueError("pairing needs a nonzero nilpotent part")
     stratum = dec.n_stratum()
-    if not stratum.nice_position:
-        raise ValueError("nilpotent part is not in nice position")
 
     sh, sn = dec.sh_p, dec.sn_p
     e_b = np.zeros(dec.dim_p)  # the diagonal of E_beta

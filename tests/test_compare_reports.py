@@ -104,6 +104,26 @@ def test_twin_document_is_its_catalog_entry_listed_otherwise():
     assert read.content_hash() == document_from_dict(listed_canonically).content_hash()
 
 
+def test_permuted_n_document_relabels_bracket_and_metric_together(tmp_path, capsys):
+    from homsol.cli import main
+
+    raw = document_from_catalog(catalog.get("cplxhyp2")).to_json_dict()
+    raw.pop("meta")
+    # a metric that couples two n vectors, so a wrongly permuted ip shows up
+    raw["ip"] = [[4.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 1.0, 2.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+    twin = compare_reports.permuted_n_document(raw, (2, 0, 1), "twin")  # p-vectors 1, 2, 3 -> 3, 1, 2
+    assert twin["ip"][1][1] == 2.0 and twin["ip"][1][3] == twin["ip"][3][1] == 1.0
+    assert compare_reports.permuted_n_document(twin, (1, 2, 0), raw["name"]) == raw
+    reports = []
+    for doc in (raw, twin):
+        path = tmp_path / f"{doc['name']}.json"
+        path.write_text(json.dumps(doc))
+        main(["fit", str(path), "--json"])
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[1]["classification"] == reports[0]["classification"]
+    assert reports[1]["results"]["c"] == pytest.approx(reports[0]["results"]["c"], rel=1e-12)
+
+
 def test_scaled_catalog_documents_are_valid():
     docs = compare_reports.scaled_catalog_documents()
     assert len(docs) == len(compare_reports.SCALES) * len(catalog.names())

@@ -760,7 +760,8 @@ def test_cli_fit_tag_and_exit_code_are_scale_invariant(capsys, tmp_path, name):
 
 
 # 2-step nilpotent algebra whose label misses nice position by a relative
-# gap of 7e-3: nice at --tol 1e-2, not nice at 1e-3 or the default
+# gap of 7e-3: nice at --tol 1e-2, not nice at 1e-3 or the default.  Not a
+# nilsoliton, so stratify exits 1 at each of them
 NEAR_NICE = doc_dict(
     name="near-nice",
     dim=9,
@@ -775,16 +776,66 @@ NEAR_NICE = doc_dict(
 )
 
 
-@pytest.mark.parametrize("tol", ["1e-3", "1e-2"])
-def test_cli_battery_and_stratify_agree_on_nice_position(capsys, tmp_path, tol):
+@pytest.mark.parametrize("tol", [None, "1e-3", "1e-2"])
+def test_cli_label_checks_run_whether_or_not_the_basis_is_nice(capsys, tmp_path, tol):
+    # nice position only reports: NEAR_NICE (nice at 1e-2 alone) and heis3 with its centre
+    # first (never nice) get the label comparison and every label check at each tol
     path = tmp_path / "near-nice.json"
     path.write_text(json.dumps(NEAR_NICE))
-    for target in ("heis3", "fil4", "cplxhyp2", str(path)):
-        _, out = run_cli(capsys, "stratify", target, "--json", "--tol", tol)
-        nice = json.loads(out)["results"]["nice_position"]
-        _, out = run_cli(capsys, "battery", target, "--json", "--tol", tol)
-        shape = next(r for r in json.loads(out)["checks"] if r["name"] == "f-operator-shape")
-        assert (shape["info"].get("branch") == "nilpotent-part") == nice, target
+    centre_first = tmp_path / "heis3-centre-first.json"
+    centre_first.write_text(json.dumps(doc_dict(bracket=[{"i": 1, "j": 2, "k": 0, "c": 1.0}])))
+    argv = ["--json"] + (["--tol", tol] if tol else [])
+    for target in (path, centre_first):
+        code, out = run_cli(capsys, "stratify", str(target), *argv)
+        if target == path:
+            assert code == 1
+        records = json.loads(out)["checks"]
+        _, out = run_cli(capsys, "battery", str(target), *argv)
+        records += json.loads(out)["checks"]
+        shape = next(r for r in records if r["name"] == "f-operator-shape")
+        assert shape["info"]["branch"] == "nilpotent-part", target
+        assert not any("nice" in r.get("info", {}).get("skipped", "") for r in records), target
+
+
+def _permuted_twin_verdicts(capsys, path: Path) -> tuple[list, dict]:
+    """Exit code, tag and (name, verdict) of each record of fit, battery and stratify, plus the numbers."""
+    verdicts, numbers = [], {}
+    for command in ("fit", "battery", "stratify"):
+        code, out = run_cli(capsys, command, str(path), "--json")
+        rep = json.loads(out)
+        verdicts.append((command, code, rep["classification"], [(r["name"], r["passed"]) for r in rep["checks"]]))
+        for key in ("c", "beta_norm_sq", "beta"):  # beta is the sorted label
+            if key in rep["results"]:
+                numbers[command, key] = np.asarray(rep["results"][key], dtype=float)
+    return verdicts, numbers
+
+
+def test_cli_reports_do_not_depend_on_the_order_of_the_n_basis(capsys, tmp_path):
+    # every catalog and ladder document with dim n >= 2, against a twin whose n-block is
+    # relabelled by a random permutation: same exit codes, tags, checks and verdicts
+    from test_compare_reports import compare_reports
+
+    rng = np.random.default_rng(5)
+    docs = [document_from_catalog(catalog.get(name)).to_json_dict() for name in sorted(catalog.names())]
+    docs += compare_reports.ladder_documents()
+    docs = [raw for raw in docs if raw["dim_n"] >= 2]
+    assert len(docs) == 48
+    for raw in docs:
+        perm = rng.permutation(raw["dim_n"])
+        while (perm == np.arange(raw["dim_n"])).all():
+            perm = rng.permutation(raw["dim_n"])
+        twin = compare_reports.permuted_n_document(raw, perm, f"{raw['name']}-twin")
+        results = []
+        for doc in (raw, twin):
+            path = tmp_path / f"{doc['name']}.json"
+            path.write_text(json.dumps(doc))
+            results.append(_permuted_twin_verdicts(capsys, path))
+        (want, want_numbers), (got, got_numbers) = results
+        assert got == want, (raw["name"], perm)
+        assert got_numbers.keys() == want_numbers.keys(), raw["name"]
+        for key, value in want_numbers.items():
+            gap = np.max(np.abs(got_numbers[key] - value))
+            assert gap <= 1e-12 * max(1.0, np.max(np.abs(value))), (raw["name"], key)
 
 
 def test_cli_soliton_detected_record_prints_the_applied_bound(capsys, tmp_path):

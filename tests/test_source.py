@@ -202,3 +202,27 @@ def test_no_indented_json_dumps_in_the_package():
         and any(k.arg == "indent" for k in call.keywords)
     ]
     assert not offenders, offenders
+
+
+def test_nice_position_is_only_reported():
+    # every label check runs in every order of the n basis, so no check may branch on
+    # the nice-position flag: its one read is cli._stratify writing it into results
+    trees = _trees()
+    reads = [
+        f"{module}:{node.lineno}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "nice_position" and isinstance(node.ctx, ast.Load)
+    ]
+    (stratify,) = [
+        node for node in trees["cli.py"].body if isinstance(node, ast.FunctionDef) and node.name == "_stratify"
+    ]
+    written = [
+        f"cli.py:{value.lineno}"
+        for results in ast.walk(stratify)
+        if isinstance(results, ast.Dict)
+        for key, value in zip(results.keys, results.values)
+        if isinstance(key, ast.Constant) and key.value == "nice_position"
+    ]
+    assert len(written) == 1
+    assert reads == written, reads

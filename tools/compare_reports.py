@@ -12,6 +12,10 @@ m = 1..8; their rank-one Einstein extensions, m = 1..7; filiform ``L_n``
 with nilsoliton constants, n = 4..14; unit-constant ``L_n``, n = 5..11)
 and on ``cplxhyp2-twin``, ``cplxhyp2`` listed out of canonical order, so
 that a document is shown to be read as its canonical bracket;
+``fit``, ``battery`` and ``stratify`` on three twins whose n-block is
+permuted (``heis3`` with its centre first, ``fil4`` reversed, and
+``cplxhyp2`` with its centre in the middle of n), so that a change to how
+a verdict depends on the order of the basis shows up;
 ``fit`` and ``battery`` on ``heis3`` and ``hyp3`` declared with
 ``dim_h = 2, dim_n = 1``, splits whose n is not the nilradical, so that a
 change to how such a split is refused shows up; ``fit``, ``battery`` and
@@ -237,6 +241,47 @@ def twin_document() -> dict:
     return raw
 
 
+def permuted_n_document(raw: dict, perm, name: str) -> dict:
+    """``raw`` with its n-block relabelled: n's basis vector a becomes n's vector perm[a].
+
+    Each bracket entry is written with i < j again, its constant negated
+    where the pair was swapped, and ``ip`` (on p = h + n) is permuted to
+    match, so the twin describes the same metric Lie algebra.  ``meta``,
+    which may describe the old basis, is dropped.
+    """
+    offset = raw["dim_k"] + raw["dim_h"]
+    index = list(range(offset)) + [offset + int(a) for a in perm]
+    twin = {key: value for key, value in raw.items() if key not in ("bracket", "ip", "meta")}
+    twin["name"] = name
+    twin["bracket"] = []
+    for entry in raw["bracket"]:
+        i, j, c = index[entry["i"]], index[entry["j"]], entry["c"]
+        if i > j:
+            i, j, c = j, i, -c
+        twin["bracket"].append({"i": i, "j": j, "k": index[entry["k"]], "c": c})
+    if "ip" in raw:
+        p_index = [a - raw["dim_k"] for a in index[raw["dim_k"]:]]
+        old = sorted(range(len(p_index)), key=p_index.__getitem__)  # the inverse relabelling
+        twin["ip"] = [[raw["ip"][a][b] for b in old] for a in old]
+    return twin
+
+
+def permuted_twin_documents() -> list[dict]:
+    """heis3 with its centre first, fil4 reversed and cplxhyp2 with its centre in the middle of n."""
+    from homsol import catalog
+    from homsol.io import document_from_catalog
+
+    twins = (
+        ("heis3", (1, 2, 0), "heis3-centre-first"),
+        ("fil4", (3, 2, 1, 0), "fil4-reversed"),
+        ("cplxhyp2", (0, 2, 1), "cplxhyp2-n-permuted"),
+    )
+    return [
+        permuted_n_document(document_from_catalog(catalog.get(base)).to_json_dict(), perm, name)
+        for base, perm, name in twins
+    ]
+
+
 def range_documents() -> list[dict]:
     """Brackets in range in the user basis whose frame bracket or n-block is not, and one that is.
 
@@ -321,7 +366,8 @@ def dump(src: str) -> dict:
             refit(label, out, argv)
 
         targets = sorted(catalog.names())
-        for doc in ladder_documents() + [twin_document()] + range_documents():
+        docs = ladder_documents() + [twin_document()] + range_documents() + permuted_twin_documents()
+        for doc in docs:
             path = Path(tmp) / f"{doc['name']}.json"
             path.write_text(json.dumps(doc, sort_keys=True))
             targets.append(str(path))
