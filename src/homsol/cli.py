@@ -2,7 +2,9 @@
 
 Subcommands: ricci, fit, battery, stratify, build, extend, catalog,
 verify-all.  Exit codes: 0 all checks pass, 1 check failures, 2 input or
-usage errors.  Reports are deterministic; --json prints one JSON object.
+usage errors, 141 (the shell's code for SIGPIPE) when the reader of
+standard output closes it before the report is written.  Reports are
+deterministic; --json prints one JSON object.
 """
 
 from __future__ import annotations
@@ -446,7 +448,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the exit code of a command whose reader closed standard output early: 128 + SIGPIPE
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv=None) -> int:
+    """Run one command; its exit code, EXIT_BROKEN_PIPE without a traceback when stdout's reader is gone."""
     args = build_parser().parse_args(argv)
     try:
         tol = _tolerance(args.tol)
@@ -467,7 +474,14 @@ def main(argv=None) -> int:
     except DocumentError as err:
         print(f"error [{err.code}] {err.detail}", file=sys.stderr)
         return 2
-    return _emit(report, args)
+    try:
+        code = _emit(report, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is left unwritten goes nowhere, so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -13,12 +13,22 @@ Both input formats, algebra and construction documents, are read here
 alone.  A bracket is read once, into its canonical ``AlgebraTensor``, which
 the document holds, writes and hashes: every listing of it is one document.
 
+A document file is read once per process: ``load`` reads the file's text
+and looks it up in a memo keyed on that text (``_document``, the
+``MEMO_SIZE`` most recent), which parses it, reads it with
+``document_from_dict`` and hashes it on a miss.  So ``fit``, ``battery``
+and ``stratify`` of one file share one frozen ``AlgebraDocument``, whose
+``ip`` is read-only and whose hash is computed once; a file rewritten with
+other text is read again, and a text that fails is not kept, so each
+``parse-error`` names the path it came from.
+
 Reports are deterministic: identical input and configuration produce
 byte-identical JSON (sorted keys, no timestamps, input content hash).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -32,7 +42,7 @@ import numpy as np
 from . import catalog as _catalog
 from . import tensor as _tensor
 from .constructions import ConstructionData
-from .decomposition import DecompositionError, MetricDecomposition, decompose
+from .decomposition import MEMO_SIZE, DecompositionError, MetricDecomposition, decompose
 from .tensor import DEFAULT_TOL, AlgebraTensor, Check
 
 TOOL_VERSION = "0.1.0"
@@ -49,7 +59,7 @@ class DocumentError(ValueError):
         super().__init__(f"{code}: {detail}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlgebraDocument:
     name: str
     dim_k: int
@@ -58,6 +68,7 @@ class AlgebraDocument:
     bracket: AlgebraTensor
     ip: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
+    _sha256: str = field(default="", init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -82,8 +93,11 @@ class AlgebraDocument:
         return _json_text(self.to_json_dict())
 
     def content_hash(self) -> str:
-        payload = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        """The sha256 of the document's compact sorted JSON; computed on the first call and kept."""
+        if not self._sha256:
+            payload = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+            object.__setattr__(self, "_sha256", hashlib.sha256(payload.encode()).hexdigest())
+        return self._sha256
 
 
 def _require_keys(raw, required: set, allowed: set, what: str) -> dict:
@@ -228,21 +242,40 @@ def document_from_catalog(entry: "_catalog.CatalogEntry") -> AlgebraDocument:
     return AlgebraDocument(entry.name, *dims, entry.tensor(), entry.ip, dict(entry.meta))
 
 
-def read_json(path: Path):
-    """The JSON value in the file at path; a file that cannot be read or parsed raises DocumentError."""
+def _parsed(path: Path, parse):
+    """parse of the text of the file at path; a file that cannot be read or parsed raises DocumentError."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return parse(path.read_text(encoding="utf-8"))
     except OSError as err:  # a directory, a missing or unreadable file
         raise DocumentError("not-readable", f"{path}: {err.strerror}") from None
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
         raise DocumentError("parse-error", f"{path}: {err}") from None
 
 
+def read_json(path: Path):
+    """The JSON value in the file at path; a file that cannot be read or parsed raises DocumentError."""
+    return _parsed(path, json.loads)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _document(text: str) -> AlgebraDocument:
+    """The document a file's text holds, hashed; the one caller of ``document_from_dict``.
+
+    Its ``ip`` is made read-only: the document is shared by every later load
+    of the same text.  A text that raises is not kept.
+    """
+    doc = document_from_dict(json.loads(text))
+    if doc.ip is not None:
+        doc.ip.flags.writeable = False
+    doc.content_hash()
+    return doc
+
+
 def load(path_or_name: str) -> AlgebraDocument:
-    """Load a document from a JSON file, or from the catalog by name."""
+    """Load a document from a JSON file, read once per text (``_document``), or from the catalog by name."""
     p = Path(path_or_name)
     if p.exists():
-        return document_from_dict(read_json(p))
+        return _parsed(p, _document)
     try:
         return document_from_catalog(_catalog.get(path_or_name))
     except KeyError:

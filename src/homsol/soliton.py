@@ -283,6 +283,12 @@ def structure_battery(
 
     The report is purely descriptive for c >= 0 (the forward statement
     assumes an expanding constant; the converse computations still run).
+
+    (iii) is fitted over ``dec.derivations_n()`` with c fixed, except on a
+    decomposition that is its own nilpotent part (no k, no h) given a
+    certificate at ``soliton_fit(dec).c``: there the cached canonical
+    certificate is that fit (same family, H = 0, c at the free optimum,
+    so the same minimizer up to roundoff) and is read instead.
     """
     c = cert.c
     bb = dec.blocks()
@@ -294,7 +300,11 @@ def structure_battery(
 
     mu = dec.n_bracket
     # D1 ranges over the decomposition's Der(n), all of gl(n) where n counts as abelian
-    nfit = _canonical_fit(dec.n_decomposition(), c, dec.derivations_n())
+    ndec = dec.n_decomposition()
+    if ndec is dec and soliton_fit(dec).c == c:
+        nfit = soliton_fit(dec)
+    else:
+        nfit = _canonical_fit(ndec, c, dec.derivations_n())
     checks.append(
         dec.check("nilpotent-part-soliton", "Ric_n = c I + D1, D1 in Der(n)", nfit.residual, 2)
     )

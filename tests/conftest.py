@@ -8,14 +8,15 @@ used by the blockwise-moment suite).
 
 ``decomposition.decompose`` keeps the decompositions it validated (for
 ``io.validate``, the builds, the extensions and the n-parts) for later
-callers in the process; each test starts with that one memo empty, and a
-test that counts the work of single commands asks for ``cold_commands``.
+callers in the process, and ``io.load`` the documents it read, by their
+text; each test starts with both memos empty, and a test that counts the
+work of single commands asks for ``cold_commands``.
 """
 
 import numpy as np
 import pytest
 
-from homsol import cli, decomposition
+from homsol import cli, decomposition, io
 from homsol.constructions import ConstructionData, assemble_semidirect
 from homsol.tensor import AlgebraTensor, derivation_algebra
 
@@ -159,23 +160,28 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def _empty_memos():
+    decomposition._validated.cache_clear()
+    io._document.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def _empty_validation_memo():
-    """No test is served a decomposition that an earlier test validated."""
-    decomposition._validated.cache_clear()
+    """No test is served a decomposition or a document that an earlier test made."""
+    _empty_memos()
 
 
 @pytest.fixture
 def cold_commands(monkeypatch):
-    """``homsol.cli.main`` with the validation memo emptied before each call.
+    """``homsol.cli.main`` with the validation and document memos emptied before each call.
 
-    Every command then validates its document afresh, as the first command
-    on a document in a new process does.
+    Every command then reads and validates its document afresh, as the first
+    command on a document in a new process does.
     """
     main = cli.main
 
     def cold_main(argv=None):
-        decomposition._validated.cache_clear()
+        _empty_memos()
         return main(argv)
 
     monkeypatch.setattr(cli, "main", cold_main)

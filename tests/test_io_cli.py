@@ -1200,3 +1200,96 @@ def test_every_listing_of_a_bracket_reads_as_one_document(case):
                     code = main([command, str(path), "--json"])
                 texts.append((code, out.getvalue()))
             assert texts[0] == texts[1], (name, command)
+
+
+# ---------------------------------------------------------------------------
+# the document memo: each text is parsed, read and hashed once per process
+# ---------------------------------------------------------------------------
+
+IP_DIAG = [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+def test_one_text_at_two_paths_is_read_once(capsys, tmp_path, monkeypatch):
+    from homsol import io as hio
+
+    reads = []
+    read = hio.document_from_dict
+
+    def counted(raw):
+        reads.append(raw["name"])
+        return read(raw)
+
+    monkeypatch.setattr(hio, "document_from_dict", counted)
+    text = json.dumps(doc_dict(ip=IP_DIAG))
+    paths = [tmp_path / "one.json", tmp_path / "copy" / "two.json"]
+    paths[1].parent.mkdir()
+    for path in paths:
+        path.write_text(text)
+    for command in ("fit", "battery", "stratify"):
+        outs = [run_cli(capsys, command, str(path), "--json") for path in paths]
+        assert outs[0] == outs[1], command
+        assert outs[0][0] == 0, command
+    assert reads == ["heis3"]
+
+
+def test_a_rewritten_file_is_read_again(capsys, tmp_path):
+    from homsol import io as hio
+
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc_dict()))
+    code, out = run_cli(capsys, "fit", str(path), "--json")
+    assert (code, json.loads(out)["input"]["name"]) == (0, "heis3")
+    argv = ["extend", "heis3", "--variant", "unimodular", "--out", str(path), "--json"]
+    assert run_cli(capsys, *argv)[0] == 0
+    served = run_cli(capsys, "fit", str(path), "--json")
+    assert json.loads(served[1])["input"]["name"] == "heis3-unimodular"
+    hio._document.cache_clear()
+    assert run_cli(capsys, "fit", str(path), "--json") == served
+
+
+def test_a_malformed_text_names_each_path_it_is_read_from(capsys, tmp_path):
+    paths = [tmp_path / "one.json", tmp_path / "two.json"]
+    for path in paths:
+        path.write_text('{"name": ')
+    for path in paths + paths:
+        assert main(["fit", str(path)]) == 2, path
+        assert f"error [parse-error] {path}: " in capsys.readouterr().err, path
+
+
+def test_a_loaded_document_is_frozen_with_a_read_only_ip(tmp_path):
+    import dataclasses
+
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc_dict(ip=IP_DIAG)))
+    doc = load(str(path))
+    assert load(str(path)) is doc
+    assert not doc.ip.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        doc.ip[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        doc.name = "other"
+    assert doc.content_hash() == document_from_dict(doc_dict(ip=IP_DIAG)).content_hash()
+
+
+# ---------------------------------------------------------------------------
+# a reader that closes standard output early
+# ---------------------------------------------------------------------------
+
+def test_a_closed_pipe_ends_without_a_traceback(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps({f"r{i}": {"exit": 0, "report": {"x": 1.0}} for i in range(50)}))
+    new.write_text(json.dumps({f"r{i}": {"exit": 0, "report": {"x": 2.0}} for i in range(50)}))
+    env = dict(os.environ, PYTHONPATH=str(root / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    for argv in (
+        ["-m", "homsol.cli", "verify-all", "--json"],
+        [str(root / "tools" / "compare_reports.py"), "compare", str(old), str(new)],
+    ):
+        proc = subprocess.Popen(
+            [sys.executable, *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        proc.stdout.close()  # before the command writes anything
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=300) == 141, argv
+        assert "Traceback" not in err and not err, (argv, err)

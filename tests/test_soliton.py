@@ -623,3 +623,64 @@ def test_each_decomposition_holds_one_certificate():
     # a nilpotent decomposition is its own nilpotent part: one certificate serves both
     dec = get("heis3").decomposition()
     assert soliton_fit(dec.n_decomposition()) is soliton_fit(dec)
+
+
+# the battery's records that its fit of the nilpotent part, condition (iii), feeds
+NILPOTENT_PART_RECORDS = {"nilpotent-part-soliton": 2, "ricci-reassembly": 2, "reassembled-derivation": 3}
+
+
+def nilpotent_decompositions():
+    """(name, dec) for every catalog entry and ladder document without a k or h block."""
+    from homsol.catalog import names
+    from homsol.io import document_from_dict, validate
+    from test_compare_reports import compare_reports
+
+    decs = [(name, get(name).decomposition()) for name in sorted(names())]
+    decs += [(raw["name"], validate(document_from_dict(raw))[0]) for raw in compare_reports.ladder_documents()]
+    return [(name, dec) for name, dec in decs if dec.dim_k + dec.dim_h == 0]
+
+
+def forced_nilpotent_part_records(dec, c):
+    """The values of NILPOTENT_PART_RECORDS from a refit of the nilpotent part at c."""
+    nfit = soliton._canonical_fit(dec, c, dec.derivations_n())
+    d_full = _canonical_derivation(dec, nfit.d1)
+    return {
+        "nilpotent-part-soliton": nfit.residual,
+        "ricci-reassembly": soliton._certificate_residual(dec, c, d_full),
+        "reassembled-derivation": dec.derivation_residual_on(d_full),
+    }
+
+
+def test_the_battery_of_a_nilpotent_algebra_reads_its_certificate(monkeypatch):
+    # on g = n at the certificate's own c, condition (iii) is the canonical fit:
+    # the battery reads the cached certificate, and its records equal a refit's
+    fits = []
+    canonical_fit = soliton._canonical_fit
+
+    def counted(*args, **kwargs):
+        fits.append(args[0])
+        return canonical_fit(*args, **kwargs)
+
+    cases = nilpotent_decompositions()
+    assert len(cases) >= 25
+    for name, dec in cases:
+        cert = soliton_fit(dec)
+        monkeypatch.setattr(soliton, "_canonical_fit", counted)
+        records = {r.name: r for r in structure_battery(dec, cert).checks}
+        monkeypatch.setattr(soliton, "_canonical_fit", canonical_fit)
+        assert not fits, name
+        for record, value in forced_nilpotent_part_records(dec, cert.c).items():
+            degree = NILPOTENT_PART_RECORDS[record]
+            assert abs(records[record].value - value) <= 1e-12 * dec.bracket_on.norm**degree, (name, record)
+            assert records[record].passed == dec.check(record, "", value, degree).passed, (name, record)
+
+
+def test_a_certificate_at_another_constant_is_refitted():
+    dec = get("heis3").decomposition()
+    cert = soliton_fit(dec)
+    shifted = replace(cert, c=cert.c * (1.0 + 1e-3))
+    reused = {r.name: r.value for r in structure_battery(dec, cert).checks}
+    refit = {r.name: r.value for r in structure_battery(dec, shifted).checks}
+    assert refit["nilpotent-part-soliton"] != reused["nilpotent-part-soliton"]
+    forced = forced_nilpotent_part_records(dec, shifted.c)
+    assert {name: refit[name] for name in NILPOTENT_PART_RECORDS} == forced

@@ -226,3 +226,27 @@ def test_nice_position_is_only_reported():
     ]
     assert len(written) == 1
     assert reads == written, reads
+
+
+def test_document_files_are_read_only_through_the_memo():
+    # io._document, memoized on a file's text, is the one reader of document_from_dict:
+    # every file a document command loads is parsed, read and hashed once per text
+    trees = _trees()
+    (memo,) = [
+        node
+        for node in trees["io.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_document"
+    ]
+    assert [ast.unparse(d) for d in memo.decorator_list] == ["functools.lru_cache(maxsize=MEMO_SIZE)"]
+    inside = set(map(id, ast.walk(memo)))
+    reads = [
+        (module, node)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and isinstance(node.ctx, ast.Load)
+        and (node.id if isinstance(node, ast.Name) else node.attr) == "document_from_dict"
+    ]
+    offenders = [f"{module}:{node.lineno}" for module, node in reads if id(node) not in inside]
+    assert not offenders, offenders
+    assert len(reads) == 1

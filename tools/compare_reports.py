@@ -62,7 +62,9 @@ exits 1 if there is any difference, 0 otherwise.  A report whose values
 are exactly equal in both dumps but whose text hashes differ is printed
 as ``text differs`` and counts as a difference too, so a change that
 claims byte-identical reports can show it; a dump without hashes is
-compared on its values alone.
+compared on its values alone.  Either command exits 141 (the shell's code
+for SIGPIPE), without a traceback, when the reader of its standard output
+closes it early (``compare A B | head``).
 """
 
 from __future__ import annotations
@@ -484,7 +486,21 @@ def summaries(old: dict, new: dict) -> list[str]:
     return out
 
 
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
+
+
 def main(argv=None) -> int:
+    try:
+        code = _command(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is left unwritten goes nowhere, so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _command(argv) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
     p = sub.add_parser("dump", help="write every report of one source tree to a file")
