@@ -181,9 +181,9 @@ def validate_construction(
 
 def _is_reductive(u_bracket: AlgebraTensor, tol: float) -> bool:
     """u is reductive iff u = [u,u] (+) z(u) with Killing nondegenerate on [u,u]."""
-    n = u_bracket.dim
-    if n == 0:
+    if not u_bracket.entries:  # abelian, of dimension 0 too: all of u is its center
         return True
+    n = u_bracket.dim
     t = u_bracket.dense
     derived = _row_space_and_kernel(t.reshape(-1, n), tol)[0].T
     rank = derived.shape[1]

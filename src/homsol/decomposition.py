@@ -44,6 +44,7 @@ import numpy as np
 from .strata import StratumData, stratum_label
 from .tensor import (
     DEFAULT_TOL,
+    MEMO_SIZE,
     AlgebraTensor,
     Check,
     _lower_central_length,
@@ -194,22 +195,27 @@ class MetricDecomposition:
         self.sh_p = slice(0, dim_h)  # h inside p
         self.sn_p = slice(dim_h, self.dim_p)
 
-        if ip is None:
-            ip = np.eye(self.dim_p)
-        self.ip = np.asarray(ip, dtype=float)
         self._cache: dict = {}
-
-        violations = self._metric_violations()
+        if ip is None:
+            # the identity passes every metric test while tol < 1 (its eigenvalues are 1), is its
+            # own Cholesky factor and inverse, and leaves the bracket as it is
+            self.ip = np.eye(self.dim_p)
+            violations = [] if tol < 1 else self._metric_violations()
+            self.frame_p, self.frame_g, self.bracket_on = np.eye(self.dim_p), np.eye(self.dim), bracket
+        else:
+            self.ip = np.asarray(ip, dtype=float)
+            violations = self._metric_violations()
+            if not violations:
+                # orthonormalize p by Cholesky; h/n blocks stay separate
+                lo = np.linalg.cholesky(self.ip)
+                self.frame_p = np.linalg.inv(lo).T  # columns = orthonormal basis
+                full = np.eye(self.dim)
+                full[self.sp, self.sp] = self.frame_p
+                self.frame_g = full
+                # an identity frame leaves the bracket as it is: share it rather than rebuild it
+                same = np.array_equal(full, np.eye(self.dim))
+                self.bracket_on = bracket if same else bracket.map_basis(full)
         if not violations:
-            # orthonormalize p by Cholesky; h/n blocks stay separate
-            lo = np.linalg.cholesky(self.ip)
-            self.frame_p = np.linalg.inv(lo).T  # columns = orthonormal basis
-            full = np.eye(self.dim)
-            full[self.sp, self.sp] = self.frame_p
-            self.frame_g = full
-            # an identity frame leaves the bracket as it is: share it rather than rebuild it
-            same = np.array_equal(full, np.eye(self.dim))
-            self.bracket_on = bracket if same else bracket.map_basis(full)
             # the brackets computed in: every quantity here is of degree at most 4 in one of them
             fault = self.bracket_on.range_fault() or self.n_bracket.range_fault()
             if fault:
@@ -311,7 +317,7 @@ class MetricDecomposition:
         """The bracket's block s x s -> s; the bracket itself when s spans g."""
         if s.stop - s.start == self.dim:
             return self.bracket_on
-        return AlgebraTensor.from_dense(self.bracket_on.dense[s, s, s])
+        return self.bracket_on.block(s)
 
     @_once
     def killing(self) -> np.ndarray:
@@ -473,13 +479,6 @@ class MetricDecomposition:
     def check(self, name: str, anchor: str, value: float, degree: int, **info) -> Check:
         """``value <= tol |mu|^degree`` at this decomposition's tol and orthonormal-frame |mu|."""
         return Check.of_degree(name, anchor, value, self.tol, self.bracket_on.norm, degree, **info)
-
-
-# The decompositions ``decompose`` keeps.  A build, its three extensions and the
-# refits of what they print read the built algebra, its n-part (each extension's
-# too) and each extension in turn; with the previous extension not yet evicted
-# that is four, and three would drop the n-part before it is read again.
-MEMO_SIZE = 4
 
 
 def decompose(

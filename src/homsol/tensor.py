@@ -28,6 +28,7 @@ in mu passes when its residual is at most tol |mu|^d.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import sys
@@ -47,6 +48,13 @@ RANK_TOL = 1e-9
 BLOCK_MIN_COLS = 64
 # from this many columns on, a sparse least-squares design is solved block by block (_least_squares)
 FIT_BLOCK_MIN_COLS = 72
+
+# The size of each of the library's memos (decomposition.decompose, io._document and the
+# lower central series of _lower_central_length).  A build, its three extensions and the
+# refits of what they print read the built algebra, its n-part (each extension's too) and
+# each extension in turn; with the previous extension not yet evicted that is four, and
+# three would drop the n-part before it is read again.
+MEMO_SIZE = 4
 
 Entry = tuple[int, int, int, float]
 
@@ -135,6 +143,15 @@ def _store(mu: "AlgebraTensor", dense: np.ndarray):
         object.__setattr__(mu, "_norm_sq", float(np.sum(dense**2)))
 
 
+def _made(dim: int, entries: tuple[Entry, ...], dense: np.ndarray) -> "AlgebraTensor":
+    """A tensor from entries already canonical and the dense array they give: no __post_init__."""
+    out = object.__new__(AlgebraTensor)
+    object.__setattr__(out, "dim", dim)
+    object.__setattr__(out, "entries", entries)
+    _store(out, dense)
+    return out
+
+
 def _canonical_entries(dim: int, entries) -> tuple[Entry, ...]:
     acc: dict[tuple[int, int, int], float] = {}
     for i, j, k, c in entries:
@@ -188,12 +205,22 @@ class AlgebraTensor:
         i, j, k = np.nonzero(keep)
         entries = tuple(zip(i.tolist(), j.tolist(), k.tolist(), dense[i, j, k].tolist()))
         u = np.where(keep, dense, 0.0)
-        skew_dense = u - u.swapaxes(0, 1)
-        out = object.__new__(cls)  # no __post_init__: nothing to canonicalize
-        object.__setattr__(out, "dim", n)
-        object.__setattr__(out, "entries", entries)
-        _store(out, skew_dense)
-        return out
+        return _made(n, entries, u - u.swapaxes(0, 1))
+
+    def block(self, s: slice) -> "AlgebraTensor":
+        """The block s x s -> s of mu, an algebra on the span of the basis vectors in s.
+
+        Equal bit for bit to ``from_dense(self.dense[s, s, s])``, built from
+        mu's entries: those with i, j and k in s, shifted, and a copy of the
+        dense slice, which is exactly what they give.
+        """
+        a, b = s.start, s.stop
+        lo = bisect.bisect_left(self.entries, (a,))  # the entries are sorted: i in s is one run
+        hi = bisect.bisect_left(self.entries, (b,), lo)
+        entries = tuple(
+            (i - a, j - a, k - a, c) for i, j, k, c in self.entries[lo:hi] if j < b and a <= k < b
+        )
+        return _made(b - a, entries, self.dense[s, s, s].copy())
 
     @property
     def dense(self) -> np.ndarray:
@@ -315,11 +342,16 @@ def nilpotency_class(mu: AlgebraTensor, tol: float = DEFAULT_TOL) -> int | None:
     return _lower_central_length(mu, tol)
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def _lower_central_length(mu: AlgebraTensor, tol: float) -> int | None:
-    """nilpotency_class without its Jacobi test, for callers that have made their own."""
-    n = mu.dim
-    if n == 0:
+    """nilpotency_class without its Jacobi test, for callers that have made their own.
+
+    Memoized on the bracket's value and tol: the algebras a construction
+    and its extensions produce share one n-block, whose series is run once.
+    """
+    if not mu.entries:  # abelian, or of dimension 0
         return 1
+    n = mu.dim
     t = mu.dense
     basis = np.eye(n)
     for step in range(1, n + 2):

@@ -8,15 +8,16 @@ used by the blockwise-moment suite).
 
 ``decomposition.decompose`` keeps the decompositions it validated (for
 ``io.validate``, the builds, the extensions and the n-parts) for later
-callers in the process, and ``io.load`` the documents it read, by their
-text; each test starts with both memos empty, and a test that counts the
-work of single commands asks for ``cold_commands``.
+callers in the process, ``io.load`` the documents it read, by their
+text, and ``tensor._lower_central_length`` the nilpotency tests of the
+n-blocks; each test starts with the three memos empty, and a test that
+counts the work of single commands asks for ``cold_commands``.
 """
 
 import numpy as np
 import pytest
 
-from homsol import cli, decomposition, io
+from homsol import cli, decomposition, io, tensor
 from homsol.constructions import ConstructionData, assemble_semidirect
 from homsol.tensor import AlgebraTensor, derivation_algebra
 
@@ -163,17 +164,18 @@ def rng():
 def _empty_memos():
     decomposition._validated.cache_clear()
     io._document.cache_clear()
+    tensor._lower_central_length.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def _empty_validation_memo():
-    """No test is served a decomposition or a document that an earlier test made."""
+    """No test is served a decomposition, a document or a nilpotency test that an earlier test made."""
     _empty_memos()
 
 
 @pytest.fixture
 def cold_commands(monkeypatch):
-    """``homsol.cli.main`` with the validation and document memos emptied before each call.
+    """``homsol.cli.main`` with every memo emptied before each call.
 
     Every command then reads and validates its document afresh, as the first
     command on a document in a new process does.

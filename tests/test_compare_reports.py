@@ -213,15 +213,19 @@ def test_each_command_builds_the_n_block_tensor_at_most_once(tmp_path, capsys, m
     n_block = np.zeros(0)
     builds = Counter()
     from_dense = AlgebraTensor.from_dense.__func__
+    block = AlgebraTensor.block
 
-    def counted(cls, dense, *args, **kwargs):
-        out = from_dense(cls, dense, *args, **kwargs)
+    def count(out):
         # a zero n-block cannot be told from other zero tensors, so only nonzero ones count
         if np.any(n_block) and out.dense.shape == n_block.shape and np.array_equal(out.dense, n_block):
             builds["n"] += 1
         return out
 
-    monkeypatch.setattr(AlgebraTensor, "from_dense", classmethod(counted))
+    # a tensor is built from a dense array, or as a block of another from its entries
+    monkeypatch.setattr(
+        AlgebraTensor, "from_dense", classmethod(lambda cls, *a, **k: count(from_dense(cls, *a, **k)))
+    )
+    monkeypatch.setattr(AlgebraTensor, "block", lambda self, s: count(block(self, s)))
     seen = Counter()
     for target, doc in targets:
         dec, _ = validate(doc)
@@ -235,6 +239,43 @@ def test_each_command_builds_the_n_block_tensor_at_most_once(tmp_path, capsys, m
             seen.update(builds)
     assert seen["n"]  # the counter saw the builds
     capsys.readouterr()
+
+
+def test_a_round_trip_runs_the_n_block_series_once_per_distinct_n_block(tmp_path, capsys, monkeypatch):
+    # build, the three extend variants and the refit of each document they print make
+    # several algebras with one n-block: its lower central series is computed once
+    from homsol import decomposition, tensor
+    from homsol.cli import main
+
+    memo = tensor._lower_central_length
+    asked = []
+
+    def spy(mu, tol):
+        asked.append((mu, tol))
+        return memo(mu, tol)
+
+    monkeypatch.setattr(decomposition, "_lower_central_length", spy)
+    for raw in compare_reports.construction_documents():
+        name = raw["name"]
+        parts = tmp_path / f"{name}.json"
+        parts.write_text(json.dumps(raw))
+        built = tmp_path / f"{name}-built.json"
+        capsys.readouterr()
+        assert main(["build", str(parts), "--json"]) == 0, name
+        built.write_text(json.dumps(json.loads(capsys.readouterr().out)["results"]["document"]))
+        main(["fit", str(built), "--json"])
+        targets = [("nonunimodular", built), ("restrict", built)]
+        if raw["nil"]["bracket"]:  # a flat n has D = 0: nothing to extend by
+            nil, dim_n = tmp_path / f"{name}-nil.json", raw["nil"]["dim"]
+            dims = {"dim": dim_n, "dim_k": 0, "dim_h": 0, "dim_n": dim_n}
+            nil.write_text(json.dumps({"name": nil.stem, **dims, "bracket": raw["nil"]["bracket"]}))
+            targets.append(("unimodular", nil))
+        for variant, target in targets:
+            out = tmp_path / f"{name}-{variant}.json"
+            assert main(["extend", f"--variant={variant}", str(target), "--out", str(out), "--json"]) == 0
+            main(["fit", str(out), "--json"])
+    assert memo.cache_info().misses == len(set(asked))
+    assert len(asked) >= 2 * len(set(asked)), (len(asked), len(set(asked)))
 
 
 def count_calls(monkeypatch, fns) -> Counter:

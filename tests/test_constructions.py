@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from homsol.catalog import get
 from homsol.constructions import (
     ConstructionData,
     ConstructionError,
+    _is_reductive,
     assemble_semidirect,
     build_semidirect,
     einstein_extension_unimodular,
@@ -16,7 +18,7 @@ from homsol.constructions import (
 )
 from homsol.decomposition import MetricDecomposition
 from homsol.soliton import SolitonCertificate, soliton_fit, structure_battery
-from homsol.tensor import AlgebraTensor, jacobi_residual
+from homsol.tensor import DEFAULT_TOL, AlgebraTensor, jacobi_residual
 
 from conftest import random_construction, random_lambda1zero
 
@@ -165,6 +167,15 @@ def test_builder_with_isotropy(rng):
             assert res.certificate.residual <= 1e-9
             assert res.decomposition.dim_k == 3
     assert seen
+
+
+def test_an_abelian_u_is_reductive_as_the_svd_path_finds():
+    # a zero bracket returns before the SVDs; a stand-in with the same dense array and a
+    # nonempty entry list runs them, and they agree: u = z(u), [u,u] = 0
+    for n in range(1, 5):
+        zero = AlgebraTensor(n)
+        stand_in = SimpleNamespace(dim=n, dense=zero.dense, entries=(None,))
+        assert _is_reductive(zero, DEFAULT_TOL) is _is_reductive(stand_in, DEFAULT_TOL) is True, n
 
 
 def test_metric_data_normalization():

@@ -31,6 +31,34 @@ def test_dim_mismatch_rejected():
         MetricDecomposition(AlgebraTensor(3), 1, 1, 2)
 
 
+def test_no_inner_product_is_the_identity_inner_product():
+    # ip=None takes the identity frame without factorizing it; an explicit identity takes
+    # the Cholesky path: both give the same frame, bracket, Ricci operator and certificate
+    for name in names():
+        e = get(name)
+        dims = (e.dim_k, e.dim_h, e.dim_n)
+        default = MetricDecomposition(e.tensor(), *dims)
+        explicit = MetricDecomposition(e.tensor(), *dims, ip=np.eye(e.dim_h + e.dim_n))
+        assert default.bracket_on is default.bracket, name
+        for attr in ("ip", "frame_p", "frame_g"):
+            assert np.array_equal(getattr(default, attr), getattr(explicit, attr)), (name, attr)
+        assert default.bracket_on == explicit.bracket_on, name
+        assert default.bracket_on.dense.tobytes() == explicit.bracket_on.dense.tobytes(), name
+        assert np.array_equal(default.ricci().matrix, explicit.ricci().matrix), name
+        want = vars(soliton_fit(explicit))
+        for field, value in vars(soliton_fit(default)).items():
+            same = np.array_equal if isinstance(value, np.ndarray) else lambda a, b: a == b
+            assert same(value, want[field]), (name, field)
+    # at tol >= 1 the identity's eigenvalues 1 are not above tol: refused alike
+    for tol in (1.0, 2.0):
+        refusals = []
+        for ip in (None, np.eye(3)):
+            with pytest.raises(DecompositionError) as err:
+                MetricDecomposition(get("heis3").tensor(), 0, 0, 3, ip=ip, tol=tol)
+            refusals.append([v.code for v in err.value.violations])
+        assert refusals == [["ip-not-pd"]] * 2, tol
+
+
 def test_ip_not_pd_rejected():
     ip = np.diag([1.0, -1.0, 1.0])
     with pytest.raises(DecompositionError) as err:

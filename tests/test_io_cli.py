@@ -987,6 +987,26 @@ def test_cli_reused_parser_prints_what_a_fresh_parser_prints(capsys, tmp_path, m
     assert fresh[6][0] == 0
 
 
+def test_cli_runs_the_command_body_the_module_holds_when_called(capsys, monkeypatch):
+    # a wrapper put on homsol.cli.run_<command> after import is the body main runs,
+    # and the report it prints is the unwrapped one's
+    from homsol import cli
+
+    main(["fit", "heis3", "--json"])
+    plain = capsys.readouterr().out
+    seen = []
+    body = cli.run_fit
+
+    def wrapped(report, dec, *args):
+        seen.append(report.input_name)
+        return body(report, dec, *args)
+
+    monkeypatch.setattr(cli, "run_fit", wrapped)
+    assert main(["fit", "heis3", "--json"]) == 0
+    assert seen == ["heis3"]
+    assert capsys.readouterr().out == plain
+
+
 def test_cli_fit_and_battery_pass_when_the_nilpotent_part_is_abelian_up_to_tol(capsys, tmp_path):
     # cplxhyp2 with [e1, e2] = 1e-12 e3: fit and battery treat n alike, as abelian
     raw = document_from_catalog(catalog.get("cplxhyp2")).to_json_dict()

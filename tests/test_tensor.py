@@ -478,6 +478,39 @@ def derivation_brackets():
             yield f"{label} n-block", dec.n_bracket
 
 
+def test_a_block_from_entries_is_from_dense_of_its_slice():
+    # the decomposition's sub-brackets (k, h, n, p and u = k + h) are built from the bracket's
+    # entries; each is the tensor from_dense makes of the dense slice, bit for bit
+    from homsol import catalog
+    from homsol.io import document_from_catalog, document_from_dict, validate
+    from test_compare_reports import compare_reports
+
+    def assert_same_block(mu, s, label):
+        got, want = mu.block(s), AlgebraTensor.from_dense(mu.dense[s, s, s])
+        assert got.dim == want.dim and got.entries == want.entries, label
+        assert got.dense.tobytes() == want.dense.tobytes(), label
+        assert got.norm_sq == want.norm_sq, label
+        assert not got.dense.flags.writeable and not np.shares_memory(got.dense, mu.dense), label
+        return bool(got.entries) and got.dim < mu.dim
+
+    docs = [document_from_dict(raw) for raw in compare_reports.ladder_documents()]
+    docs += [document_from_catalog(catalog.get(name)) for name in sorted(catalog.names())]
+    nonzero = 0
+    for doc in docs:
+        dec, _ = validate(doc)
+        for s in (dec.sk, dec.sh, dec.sn, dec.sp, slice(0, dec.dim_k + dec.dim_h)):
+            nonzero += assert_same_block(dec.bracket_on, s, (doc.name, s))
+    assert nonzero  # proper blocks with entries, not only empty or whole ones
+    # every slice of sparse random skew maps, whose entries leave and enter each block
+    rng = np.random.default_rng(26)
+    for n in range(7):
+        t = rng.standard_normal((n, n, n)) * (rng.random((n, n, n)) < 0.4)
+        mu = AlgebraTensor.from_dense(t - t.swapaxes(0, 1))
+        for a in range(n + 1):
+            for b in range(a, n + 1):
+                assert_same_block(mu, slice(a, b), (n, a, b))
+
+
 def test_derivation_algebra_matches_the_full_row_kernel():
     seen = 0
     for label, mu in derivation_brackets():
