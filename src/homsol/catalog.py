@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .decomposition import MetricDecomposition, decompose
 from .tensor import DEFAULT_TOL, AlgebraTensor
 
@@ -25,7 +23,6 @@ class CatalogEntry:
     dim_h: int
     dim_n: int
     entries: tuple
-    ip: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -36,7 +33,7 @@ class CatalogEntry:
         return AlgebraTensor(self.dim, tuple(self.entries))
 
     def decomposition(self, tol: float = DEFAULT_TOL) -> MetricDecomposition:
-        return decompose(self.tensor(), self.dim_k, self.dim_h, self.dim_n, ip=self.ip, tol=tol)
+        return decompose(self.tensor(), self.dim_k, self.dim_h, self.dim_n, tol=tol)
 
 
 def abelian(n: int) -> CatalogEntry:

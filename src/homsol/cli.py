@@ -205,8 +205,8 @@ def run_build(path: str, tol: float) -> Report:
         violations = err.violations
     except ValueError as err:
         # a file read_json refuses, a document construction_from_dict refuses
-        # (DocumentError), an inner product that is not symmetric or not positive
-        # definite (LinAlgError) and a bracket whose norm leaves the range computed in
+        # (DocumentError), an inner product that metric_faults refuses and a bracket
+        # whose norm leaves the range computed in
         report.errors.append({"code": "bad-construction", "detail": str(err)})
         return report
     report.input_name = name

@@ -51,8 +51,9 @@ from .decomposition import (
     _killing,
     decompose,
     frob,
+    metric_faults,
+    orthonormal_frame,
     sym,
-    symmetric,
 )
 from .soliton import (
     TAG_ALGEBRAIC,
@@ -105,19 +106,23 @@ class ConstructionData:
         return self.n_bracket.dim
 
     def normalized(self) -> "ConstructionData":
-        """Same data rewritten in bases where ip_n and ip_h are identities."""
+        """Same data in bases where ip_n and ip_h are identities; ValueError if metric_faults refuses one."""
+        for what, ip in (("ip_n", self.ip_n), ("ip_h", self.ip_h)):
+            faults = [] if ip is None else metric_faults(np.asarray(ip, dtype=float))
+            if faults:
+                raise ValueError(f"{what} {faults[0].detail}")  # "ip_n must be symmetric"
         if self.ip_n is None and self.ip_h is None:
             return self
         out = replace(self, ip_n=None, ip_h=None)
         out.d1, out.theta = np.asarray(self.d1, dtype=float), np.asarray(self.theta, dtype=float)
         if self.ip_n is not None:
-            f_n = np.linalg.inv(np.linalg.cholesky(np.asarray(self.ip_n, dtype=float))).T
+            f_n = orthonormal_frame(np.asarray(self.ip_n, dtype=float))
             f_n_inv = np.linalg.inv(f_n)
             out.n_bracket = self.n_bracket.map_basis(f_n)
             out.d1 = f_n_inv @ out.d1 @ f_n
             out.theta = np.stack([f_n_inv @ t @ f_n for t in out.theta])
         if self.ip_h is not None:
-            f_h = np.linalg.inv(np.linalg.cholesky(np.asarray(self.ip_h, dtype=float))).T
+            f_h = orthonormal_frame(np.asarray(self.ip_h, dtype=float))
             f_u = np.eye(self.dim_u)
             f_u[self.dim_k :, self.dim_k :] = f_h
             out.u_bracket = self.u_bracket.map_basis(f_u)
@@ -134,13 +139,10 @@ def validate_construction(
     violations are the report: ``jacobi`` for theta, ``isotropy-not-skew``
     for (c1).  Otherwise (d1), u reductive (on ``dec.u_bracket``), (c2) and
     (c3) (on ``dec.u_ricci()``) are checked, a residual of degree d against
-    tol |mu|^d, |mu| the norm of g; NaN fails.  A non-symmetric ``ip_n`` or
-    ``ip_h``, or a bracket out of range, raises ValueError.  The arrays'
-    shapes are the caller's to check, as ``io.construction_from_dict`` does.
+    tol |mu|^d, |mu| the norm of g; NaN fails.  An ``ip_n`` or ``ip_h`` that
+    ``metric_faults`` refuses, or a bracket out of range, raises ValueError.
+    The arrays' shapes are the caller's to check, as ``io.construction_from_dict`` does.
     """
-    for what, ip in (("ip_n", data.ip_n), ("ip_h", data.ip_h)):
-        if ip is not None and not symmetric(np.asarray(ip, dtype=float), tol):
-            raise ValueError(f"{what} must be symmetric")
     data = data.normalized()
     dn, dh = data.dim_n, data.dim_h
     try:

@@ -3,10 +3,11 @@
 The basis is user-ordered as k-block, h-block, n-block; the inner product
 lives on p = h + n and must make h and n orthogonal.  All operators are
 computed in an internal frame whose p-part is orthonormalized by Cholesky
-(block-diagonal across h/n, so the declared splitting keeps its index
-ranges), and can be pulled back to the user basis on request.
-
-Structural requirements checked at construction:
+(``orthonormal_frame``, block-diagonal across h/n, so the declared
+splitting keeps its index ranges), and can be pulled back to the user
+basis on request.  Checked at construction: an inner product, unless
+there is none (the identity), at ``RANK_TOL`` whatever tol
+(``metric_faults``, h orthogonal to n); then, at tol:
 
 * the bracket in the orthonormal frame and its n-block, the brackets
   computed in, are in range (``AlgebraTensor.range_fault``), checked first;
@@ -45,6 +46,7 @@ from .strata import StratumData, stratum_label
 from .tensor import (
     DEFAULT_TOL,
     MEMO_SIZE,
+    RANK_TOL,
     AlgebraTensor,
     Check,
     _lower_central_length,
@@ -92,11 +94,6 @@ def sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def symmetric(m: np.ndarray, tol: float) -> bool:
-    """|m - m^t| <= tol |m|, the one rule for a symmetric inner product; NaN fails."""
-    return frob(m - m.T) <= tol * frob(m)
-
-
 def _killing(mu: AlgebraTensor) -> np.ndarray:
     """The Killing form B(x, y) = tr(ad x ad y) of mu."""
     n, t = mu.dim, mu.dense
@@ -126,6 +123,25 @@ class DecompositionError(ValueError):
         self.violations = list(violations)
         msg = "; ".join(f"{v.code}: {v.detail}" for v in self.violations)
         super().__init__(msg or "invalid decomposition")
+
+
+def metric_faults(ip: np.ndarray) -> list[Violation]:
+    """The fault, if any, that keeps ip from being an inner product, at ``RANK_TOL`` whatever tol.
+
+    Symmetric, |ip - ip^t| <= RANK_TOL |ip|, then positive definite, the least eigenvalue
+    above RANK_TOL times the largest; NaN fails.  A detail names no subject: callers add it.
+    """
+    if not frob(ip - ip.T) <= RANK_TOL * frob(ip):
+        return [Violation("ip-not-symmetric", "must be symmetric")]
+    evals = np.linalg.eigvalsh(ip)
+    if len(evals) and not evals[0] > RANK_TOL * evals[-1]:
+        return [Violation("ip-not-pd", "not positive definite", float(evals[0]))]
+    return []
+
+
+def orthonormal_frame(ip: np.ndarray) -> np.ndarray:
+    """Columns: a basis orthonormal for ip, from its Cholesky factor; ip passed ``metric_faults``."""
+    return np.linalg.inv(np.linalg.cholesky(ip)).T
 
 
 @dataclass
@@ -196,25 +212,17 @@ class MetricDecomposition:
         self.sn_p = slice(dim_h, self.dim_p)
 
         self._cache: dict = {}
-        if ip is None:
-            # the identity passes every metric test while tol < 1 (its eigenvalues are 1), is its
-            # own Cholesky factor and inverse, and leaves the bracket as it is
-            self.ip = np.eye(self.dim_p)
-            violations = [] if tol < 1 else self._metric_violations()
-            self.frame_p, self.frame_g, self.bracket_on = np.eye(self.dim_p), np.eye(self.dim), bracket
+        if ip is None:  # the identity, whose frame is the user basis: the bracket is shared
+            self.ip, self.frame_p, self.frame_g = np.eye(self.dim_p), np.eye(self.dim_p), np.eye(self.dim)
+            self.bracket_on, violations = bracket, []
         else:
             self.ip = np.asarray(ip, dtype=float)
             violations = self._metric_violations()
             if not violations:
-                # orthonormalize p by Cholesky; h/n blocks stay separate
-                lo = np.linalg.cholesky(self.ip)
-                self.frame_p = np.linalg.inv(lo).T  # columns = orthonormal basis
-                full = np.eye(self.dim)
-                full[self.sp, self.sp] = self.frame_p
-                self.frame_g = full
-                # an identity frame leaves the bracket as it is: share it rather than rebuild it
-                same = np.array_equal(full, np.eye(self.dim))
-                self.bracket_on = bracket if same else bracket.map_basis(full)
+                self.frame_p = orthonormal_frame(self.ip)  # h/n blocks stay separate
+                self.frame_g = np.eye(self.dim)
+                self.frame_g[self.sp, self.sp] = self.frame_p
+                self.bracket_on = bracket.map_basis(self.frame_g)
         if not violations:
             # the brackets computed in: every quantity here is of degree at most 4 in one of them
             fault = self.bracket_on.range_fault() or self.n_bracket.range_fault()
@@ -228,23 +236,13 @@ class MetricDecomposition:
     # -- validation ---------------------------------------------------------
 
     def _metric_violations(self) -> list[Violation]:
-        out = []
+        """``metric_faults`` of ip, and h orthogonal to n, at the same ``RANK_TOL`` cut."""
         if self.ip.shape != (self.dim_p, self.dim_p):
-            out.append(Violation("ip-shape", f"expected {self.dim_p}x{self.dim_p}"))
-            return out
-        size = frob(self.ip)
-        if not symmetric(self.ip, self.tol):
-            out.append(Violation("ip-not-symmetric", "inner product must be symmetric"))
-            return out
-        if self.dim_p:
-            evals = np.linalg.eigvalsh(self.ip)
-            if evals[0] <= self.tol * evals[-1]:
-                out.append(
-                    Violation("ip-not-pd", "inner product not positive definite", float(evals[0]))
-                )
-        hn = self.ip[self.sh_p, self.sn_p]
-        if hn.size and np.max(np.abs(hn)) > self.tol * size:
-            out.append(Violation("h-n-not-orthogonal", "ip must make h and n orthogonal", float(np.max(np.abs(hn)))))
+            return [Violation("ip-shape", f"expected {self.dim_p}x{self.dim_p}")]
+        out = [Violation(v.code, f"inner product {v.detail}", v.value) for v in metric_faults(self.ip)]
+        hn = np.abs(self.ip[self.sh_p, self.sn_p])
+        if hn.size and np.max(hn) > RANK_TOL * frob(self.ip):
+            out.append(Violation("h-n-not-orthogonal", "ip must make h and n orthogonal", float(np.max(hn))))
         return out
 
     def _structure_violations(self) -> list[Violation]:
@@ -493,13 +491,15 @@ def decompose(
 
     Memoized on what a decomposition is a function of: the canonical
     bracket, the block dimensions, the inner product's shape and bytes, and
-    ``tol``.  Equal inputs get the same ``MetricDecomposition``, so the
-    Der(n), label and certificate it caches once serve every later caller
-    in the process on that metric Lie algebra.  The ``MEMO_SIZE`` most
-    recent are kept, refusals included.
+    ``tol``; an inner product equal to the identity on p is keyed as none,
+    so both listings of that metric share one entry.  Equal inputs get the
+    same ``MetricDecomposition``, so the Der(n), label and certificate it
+    caches once serve every later caller in the process on that metric Lie
+    algebra.  The ``MEMO_SIZE`` most recent are kept, refusals included.
     """
     ip = None if ip is None else np.asarray(ip, dtype=float)
-    ip_key = None if ip is None else (ip.shape, ip.tobytes())
+    plain = ip is None or np.array_equal(ip, np.eye(dim_h + dim_n))  # the identity is no metric
+    ip_key = None if plain else (ip.shape, ip.tobytes())
     dec, violations = _validated(bracket, dim_k, dim_h, dim_n, ip_key, tol)
     if violations:
         raise DecompositionError(violations)

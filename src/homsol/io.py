@@ -6,7 +6,7 @@ Document schema (strict): a JSON object with keys exactly
     dim     int, = dim_k + dim_h + dim_n, at most tensor.MAX_DIM
     dim_k, dim_h, dim_n   ints >= 0
     bracket list of {"i": int, "j": int, "k": int, "c": number}, i < j
-    ip      optional (dim_h+dim_n) x (dim_h+dim_n) symmetric matrix
+    ip      optional p x p inner product, p = dim_h+dim_n, checked at RANK_TOL; the identity is no ip
     meta    optional free-form object
 
 Both input formats, algebra and construction documents, are read here
@@ -239,7 +239,7 @@ def construction_from_dict(raw) -> tuple[str, ConstructionData]:
 
 def document_from_catalog(entry: "_catalog.CatalogEntry") -> AlgebraDocument:
     dims = (entry.dim_k, entry.dim_h, entry.dim_n)
-    return AlgebraDocument(entry.name, *dims, entry.tensor(), entry.ip, dict(entry.meta))
+    return AlgebraDocument(entry.name, *dims, entry.tensor(), meta=dict(entry.meta))
 
 
 def _parsed(path: Path, parse):
@@ -287,9 +287,9 @@ def load(path_or_name: str) -> AlgebraDocument:
 def document_from_decomposition(
     dec: MetricDecomposition, name: str, meta: dict | None = None
 ) -> AlgebraDocument:
-    ip = dec.ip if np.any(dec.ip != np.eye(dec.dim_p)) else None
+    """The document of dec's bracket in its orthonormal frame, which needs no ``ip``."""
     dims = (dec.dim_k, dec.dim_h, dec.dim_n)
-    return AlgebraDocument(name, *dims, dec.bracket, ip, meta or {})
+    return AlgebraDocument(name, *dims, dec.bracket_on, meta=meta or {})
 
 
 def validate(doc: AlgebraDocument, tol: float = DEFAULT_TOL):

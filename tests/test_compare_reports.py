@@ -124,6 +124,24 @@ def test_permuted_n_document_relabels_bracket_and_metric_together(tmp_path, caps
     assert reports[1]["results"]["c"] == pytest.approx(reports[0]["results"]["c"], rel=1e-12)
 
 
+def test_identity_ip_documents_report_what_their_catalog_entries_report(tmp_path, capsys):
+    from homsol.cli import main
+
+    docs = compare_reports.identity_ip_documents()
+    assert [doc["name"] for doc in docs] == ["solv12-identity-ip", "cplxhyp2-identity-ip"]
+    for doc in docs:
+        path = tmp_path / f"{doc['name']}.json"
+        path.write_text(json.dumps(doc))
+        base = doc["name"].removesuffix("-identity-ip")
+        for command in compare_reports.COMMANDS:
+            reports = []
+            for target in (str(path), base):
+                code = main([command, target, "--json"])
+                report = json.loads(capsys.readouterr().out)
+                reports.append((code, {k: v for k, v in report.items() if k != "input"}))
+            assert reports[0] == reports[1], (doc["name"], command)
+
+
 def test_scaled_catalog_documents_are_valid():
     docs = compare_reports.scaled_catalog_documents()
     assert len(docs) == len(compare_reports.SCALES) * len(catalog.names())

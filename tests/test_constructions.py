@@ -199,6 +199,20 @@ def test_metric_data_normalization():
     assert res.certificate.tag == "Einstein"
 
 
+def test_every_entry_point_refuses_a_metric_before_factorizing_it():
+    # the raw assembly too: the rule's own text, not the factorization's LinAlgError
+    cases = (
+        (np.diag([1.0, -1.0, 1.0]), "ip_n not positive definite"),
+        (np.triu(np.ones((3, 3))), "ip_n must be symmetric"),
+    )
+    for ip_n, detail in cases:
+        data = replace(heis3_extension_data(), ip_n=ip_n)
+        for entry in (assemble_semidirect, validate_construction, build_semidirect):
+            with pytest.raises(ValueError) as err:
+                entry(data)
+            assert str(err.value) == detail, entry.__name__
+
+
 # ---------------------------------------------------------------------------
 # lambda1 = 0 assemblies for the blockwise moment operator
 # ---------------------------------------------------------------------------

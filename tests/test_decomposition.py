@@ -6,7 +6,7 @@ import pytest
 
 from homsol import constructions
 from homsol.catalog import get, names
-from homsol.decomposition import DecompositionError, MetricDecomposition, sym
+from homsol.decomposition import DecompositionError, MetricDecomposition, decompose, sym
 from homsol.soliton import soliton_fit
 from homsol.tensor import AlgebraTensor, moment_operator, tensor_inner, pi_action
 
@@ -31,6 +31,14 @@ def test_dim_mismatch_rejected():
         MetricDecomposition(AlgebraTensor(3), 1, 1, 2)
 
 
+def assert_same_ricci_and_fit(default, explicit, label):
+    assert np.array_equal(default.ricci().matrix, explicit.ricci().matrix), label
+    want = vars(soliton_fit(explicit))
+    for field, value in vars(soliton_fit(default)).items():
+        same = np.array_equal if isinstance(value, np.ndarray) else lambda a, b: a == b
+        assert same(value, want[field]), (label, field)
+
+
 def test_no_inner_product_is_the_identity_inner_product():
     # ip=None takes the identity frame without factorizing it; an explicit identity takes
     # the Cholesky path: both give the same frame, bracket, Ricci operator and certificate
@@ -44,19 +52,23 @@ def test_no_inner_product_is_the_identity_inner_product():
             assert np.array_equal(getattr(default, attr), getattr(explicit, attr)), (name, attr)
         assert default.bracket_on == explicit.bracket_on, name
         assert default.bracket_on.dense.tobytes() == explicit.bracket_on.dense.tobytes(), name
-        assert np.array_equal(default.ricci().matrix, explicit.ricci().matrix), name
-        want = vars(soliton_fit(explicit))
-        for field, value in vars(soliton_fit(default)).items():
-            same = np.array_equal if isinstance(value, np.ndarray) else lambda a, b: a == b
-            assert same(value, want[field]), (name, field)
-    # at tol >= 1 the identity's eigenvalues 1 are not above tol: refused alike
+        assert_same_ricci_and_fit(default, explicit, name)
+    # the metric rules do not read tol: at tol >= 1 the identity is a metric all the same,
+    # refused as ip-not-pd by neither listing
     for tol in (1.0, 2.0):
-        refusals = []
-        for ip in (None, np.eye(3)):
-            with pytest.raises(DecompositionError) as err:
-                MetricDecomposition(get("heis3").tensor(), 0, 0, 3, ip=ip, tol=tol)
-            refusals.append([v.code for v in err.value.violations])
-        assert refusals == [["ip-not-pd"]] * 2, tol
+        default, explicit = (
+            MetricDecomposition(get("heis3").tensor(), 0, 0, 3, ip=ip, tol=tol) for ip in (None, np.eye(3))
+        )
+        assert_same_ricci_and_fit(default, explicit, tol)
+
+
+def test_an_identity_inner_product_is_no_inner_product():
+    # decompose keys an ip equal to the identity as none: both listings share one entry
+    for name in names():
+        e = get(name)
+        dims = (e.dim_k, e.dim_h, e.dim_n)
+        identity = np.eye(e.dim_h + e.dim_n)
+        assert decompose(e.tensor(), *dims, ip=identity) is decompose(e.tensor(), *dims), name
 
 
 def test_ip_not_pd_rejected():
@@ -482,7 +494,7 @@ def test_cached_parts_hold_no_reference_cycle():
                     dec = validate(document_from_catalog(get(name)))[0]
                 else:
                     e = get(name)
-                    dec = MetricDecomposition(e.tensor(), e.dim_k, e.dim_h, e.dim_n, ip=e.ip)
+                    dec = MetricDecomposition(e.tensor(), e.dim_k, e.dim_h, e.dim_n)
                 structure_battery(dec, soliton_fit(dec))
                 dec.derivations_n()
                 dec.n_decomposition()

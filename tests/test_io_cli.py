@@ -568,6 +568,41 @@ def test_cli_build_non_symmetric_ip_exit_2(capsys, tmp_path):
         assert f"{what} must be symmetric" in rep["errors"][0]["detail"]
 
 
+# the default tol and one far above it: the inner-product rules read neither
+TOL_ARGS = ([], ["--tol", "0.5"])
+
+
+def test_cli_inner_product_faults_exit_2_at_every_tol(capsys, tmp_path):
+    # heis3 with a non-symmetric ip, whose Cholesky factor would read one triangle, and
+    # solv12 with an ip that couples h and n
+    non_symmetric = doc_dict(ip=[[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    coupled = document_from_catalog(catalog.get("solv12")).to_json_dict()
+    coupled["ip"] = [[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    f = tmp_path / "doc.json"
+    for raw, error in ((non_symmetric, "ip-not-symmetric"), (coupled, "h-n-not-orthogonal")):
+        f.write_text(json.dumps(raw))
+        for tol in TOL_ARGS:
+            code, out = run_cli(capsys, "fit", str(f), "--json", *tol)
+            assert code == 2, (error, tol)
+            assert [e["code"] for e in json.loads(out)["errors"]] == [error], (error, tol)
+
+
+def test_cli_build_ip_not_positive_definite_exit_2_as_a_document_does(capsys, tmp_path):
+    # an ip_n of condition number 1e12, past the RANK_TOL cut, and an indefinite one
+    f = tmp_path / "ip.json"
+    for ip in (np.diag([1e-12, 1.0, 1.0]).tolist(), np.diag([1.0, -1.0, 1.0]).tolist()):
+        for tol in TOL_ARGS:
+            f.write_text(json.dumps(build_doc(nil=dict(build_doc()["nil"], ip=ip))))
+            code, out = run_cli(capsys, "build", str(f), "--json", *tol)
+            assert code == 2, (ip, tol)
+            errors = json.loads(out)["errors"]
+            assert errors == [{"code": "bad-construction", "detail": "ip_n not positive definite"}], (ip, tol)
+            f.write_text(json.dumps(doc_dict(ip=ip)))  # the same metric on heis3's document
+            code, out = run_cli(capsys, "fit", str(f), "--json", *tol)
+            assert code == 2, (ip, tol)
+            assert [e["code"] for e in json.loads(out)["errors"]] == ["ip-not-pd"], (ip, tol)
+
+
 def test_cli_unreadable_file_exit_2(capsys, tmp_path):
     latin = tmp_path / "latin1.json"
     latin.write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))

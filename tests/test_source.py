@@ -250,3 +250,26 @@ def test_document_files_are_read_only_through_the_memo():
     offenders = [f"{module}:{node.lineno}" for module, node in reads if id(node) not in inside]
     assert not offenders, offenders
     assert len(reads) == 1
+
+
+def test_the_inner_product_is_checked_and_factorized_in_one_place():
+    # metric_faults is the one inner-product rule, of documents and constructions alike, and
+    # orthonormal_frame the one factorization; no metric rule reads the residual tol, so an
+    # inner product is refused or accepted whatever --tol
+    trees = _trees()
+    functions = {
+        node.name: node
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    }
+    factorizations = [
+        node
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "cholesky"
+    ]
+    assert len(factorizations) == 1
+    assert id(factorizations[0]) in set(map(id, ast.walk(functions["orthonormal_frame"])))
+    for name in ("metric_faults", "_metric_violations"):
+        assert "tol" not in set(_names(functions[name])), name

@@ -23,7 +23,9 @@ change to how such a split is refused shows up; ``fit``, ``battery`` and
 ``1e-75`` with an ``ip`` that moves it out of range in the orthonormal
 frame, ``cplxhyp2`` with an n-block of size 1e-120, and ``heis3`` at
 ``c = 1e72``, in range in both bases), so that a change to the range rule
-shows up;
+shows up; ``fit``, ``battery`` and ``stratify`` on ``solv12`` and
+``cplxhyp2`` listed with an identity ``ip``, so that a change to how the
+identity metric is told from no metric shows up;
 ``ricci`` and the three ``extend --variant`` transformations on every
 catalog entry; ``fit``, ``battery``, ``stratify`` and the three
 ``extend`` variants on every catalog entry at ``--tol 1e-6``, so that a
@@ -309,6 +311,21 @@ def range_documents() -> list[dict]:
     return docs + [raw]
 
 
+def identity_ip_documents() -> list[dict]:
+    """solv12 and cplxhyp2 listed with the identity ip on p, the metric they carry without one."""
+    from homsol import catalog
+    from homsol.io import document_from_catalog
+
+    docs = []
+    for name in ("solv12", "cplxhyp2"):
+        raw = document_from_catalog(catalog.get(name)).to_json_dict()
+        dim_p = raw["dim_h"] + raw["dim_n"]
+        identity = [[float(a == b) for b in range(dim_p)] for a in range(dim_p)]
+        raw.update(name=f"{name}-identity-ip", ip=identity)
+        docs.append(raw)
+    return docs
+
+
 def scaled_catalog_documents() -> list[dict]:
     """Every catalog entry with each bracket constant multiplied by each of SCALES."""
     from homsol import catalog
@@ -369,6 +386,7 @@ def dump(src: str) -> dict:
 
         targets = sorted(catalog.names())
         docs = ladder_documents() + [twin_document()] + range_documents() + permuted_twin_documents()
+        docs += identity_ip_documents()
         for doc in docs:
             path = Path(tmp) / f"{doc['name']}.json"
             path.write_text(json.dumps(doc, sort_keys=True))
