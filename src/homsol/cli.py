@@ -25,7 +25,7 @@ from .constructions import (
     einstein_from_nonunimodular,
     restrict_to_unimodular_kernel,
 )
-from .decomposition import DecompositionError, frob
+from .decomposition import DecompositionError, frob, orthonormal_frame
 from .io import (
     AlgebraDocument,
     DocumentError,
@@ -52,15 +52,16 @@ from .tensor import DEFAULT_TOL, Check
 
 
 def _tolerance(flag: float | None) -> float:
-    """--tol, else HOMSOL_TOL, else the default; a tolerance must be finite and positive."""
+    """--tol, else HOMSOL_TOL, else the default, strictly between 0 and 1: at 1 or above
+    every rule that bounds a part by the whole passes (n counts as abelian whatever it is)."""
     raw = flag if flag is not None else os.environ.get("HOMSOL_TOL") or DEFAULT_TOL
     try:
         tol = float(raw)
-        if np.isfinite(tol) and tol > 0.0:
+        if 0.0 < tol < 1.0:
             return tol
     except ValueError:
         pass
-    raise DocumentError("bad-tolerance", f"tolerance {raw!r} is not a finite positive number")
+    raise DocumentError("bad-tolerance", f"tolerance {raw!r} is not a number between 0 and 1")
 
 
 def run_document(command: str, doc: AlgebraDocument, tol: float, *args) -> Report:
@@ -79,10 +80,13 @@ def run_document(command: str, doc: AlgebraDocument, tol: float, *args) -> Repor
     return report
 
 
-def run_ricci(report: Report, dec):
+def run_ricci(report: Report, dec, ip):
+    """Ric in dec's orthonormal frame, and in the basis the document lists, whose metric is ip."""
     ric = dec.ricci()
     report.results["ricci"] = ric.matrix
-    report.results["ricci_user_basis"] = ric.user_matrix
+    # dec may be shared with another listing of its algebra: the listed basis is the document's
+    frame = np.eye(dec.dim_p) if ip is None else orthonormal_frame(ip)
+    report.results["ricci_user_basis"] = frame @ ric.matrix @ np.linalg.inv(frame)
     report.results["eigenvalues"] = np.linalg.eigvalsh(ric.matrix)
     report.add(dec.check("ricci-symmetric", "Ric = Ric^t", ric.symmetry_defect(), 2))
 
@@ -466,9 +470,10 @@ def main(argv=None) -> int:
         elif args.command == "build":
             report = run_build(args.document, tol)
         else:
-            extra = [args.variant] if args.command == "extend" else []
-            report = run_document(args.command, load(args.document), tol, *extra)
-            if extra and args.out and "document" in report.results:
+            doc, extend = load(args.document), args.command == "extend"
+            extra = [args.variant] if extend else [doc.ip] if args.command == "ricci" else []
+            report = run_document(args.command, doc, tol, *extra)
+            if extend and args.out and "document" in report.results:
                 try:
                     Path(args.out).write_text(_json_text(report.results["document"]) + "\n")
                 except OSError as err:

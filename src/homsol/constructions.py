@@ -20,13 +20,16 @@ whose Ricci operator is then predicted to be
 with H in h defined by <H, Y> = tr theta(Y).  The prediction is always
 cross-checked against the direct Ricci computation.
 
-The assembled algebra's decomposition checks Jacobi, which on g says that
+g is assembled in the bases the parts are listed in, and ``decompose``,
+given the metric diag(ip_h, ip_n) on p, writes it in its orthonormal frame,
+where every check reads it; D1 is the one array the builder moves into
+that frame itself.  The decomposition checks Jacobi, which on g says that
 u and n are Lie algebras and theta a homomorphism into Der(n), and ad k
 skew on p, which is (c1); the builder checks (d1), u reductive, (c2), (c3).
 
 Three metric modifications move between solitons and Einstein spaces; all
-three return decompositions expressed in an adapted orthonormal basis (so
-their stored inner product is the identity):
+three return decompositions written in an adapted orthonormal basis, like
+every decomposition:
 
 * on a non-unimodular algebraic soliton, replacing the adjoint action of H
   on the unimodular kernel by alpha (S(ad H) + D), alpha = |H|/sqrt(tr D1),
@@ -40,7 +43,7 @@ their stored inner product is the identity):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,30 +108,6 @@ class ConstructionData:
     def dim_n(self) -> int:
         return self.n_bracket.dim
 
-    def normalized(self) -> "ConstructionData":
-        """Same data in bases where ip_n and ip_h are identities; ValueError if metric_faults refuses one."""
-        for what, ip in (("ip_n", self.ip_n), ("ip_h", self.ip_h)):
-            faults = [] if ip is None else metric_faults(np.asarray(ip, dtype=float))
-            if faults:
-                raise ValueError(f"{what} {faults[0].detail}")  # "ip_n must be symmetric"
-        if self.ip_n is None and self.ip_h is None:
-            return self
-        out = replace(self, ip_n=None, ip_h=None)
-        out.d1, out.theta = np.asarray(self.d1, dtype=float), np.asarray(self.theta, dtype=float)
-        if self.ip_n is not None:
-            f_n = orthonormal_frame(np.asarray(self.ip_n, dtype=float))
-            f_n_inv = np.linalg.inv(f_n)
-            out.n_bracket = self.n_bracket.map_basis(f_n)
-            out.d1 = f_n_inv @ out.d1 @ f_n
-            out.theta = np.stack([f_n_inv @ t @ f_n for t in out.theta])
-        if self.ip_h is not None:
-            f_h = orthonormal_frame(np.asarray(self.ip_h, dtype=float))
-            f_u = np.eye(self.dim_u)
-            f_u[self.dim_k :, self.dim_k :] = f_h
-            out.u_bracket = self.u_bracket.map_basis(f_u)
-            out.theta = np.tensordot(f_u, out.theta, axes=1)  # einsum("ua,aij->uij", f_u, theta)
-        return out
-
 
 def validate_construction(
     data: ConstructionData, tol: float = DEFAULT_TOL
@@ -139,11 +118,10 @@ def validate_construction(
     violations are the report: ``jacobi`` for theta, ``isotropy-not-skew``
     for (c1).  Otherwise (d1), u reductive (on ``dec.u_bracket``), (c2) and
     (c3) (on ``dec.u_ricci()``) are checked, a residual of degree d against
-    tol |mu|^d, |mu| the norm of g; NaN fails.  An ``ip_n`` or ``ip_h`` that
-    ``metric_faults`` refuses, or a bracket out of range, raises ValueError.
+    tol |mu|^d, |mu| the norm of g; NaN fails.  Bad data raises ValueError,
+    as :func:`assemble_semidirect` says.
     The arrays' shapes are the caller's to check, as ``io.construction_from_dict`` does.
     """
-    data = data.normalized()
     dn, dh = data.dim_n, data.dim_h
     try:
         dec = assemble_semidirect(data, tol)
@@ -155,7 +133,7 @@ def validate_construction(
 
     # (d1) the nilpotent part carries the declared certificate
     ric_n = ndec.ricci().matrix
-    d1 = np.asarray(data.d1, dtype=float)
+    d1 = _d1_on(data)
     r = frob(ric_n - data.c * np.eye(dn) - d1)
     if not r <= _residual_bound(ric_n, data.c, norm):
         out.append(Violation("nil-certificate", "Ric_n != c I + D1", r))
@@ -204,16 +182,35 @@ def _is_reductive(u_bracket: AlgebraTensor, tol: float) -> bool:
     return True
 
 
+def _d1_on(data: ConstructionData) -> np.ndarray:
+    """D1 in the orthonormal frame of ip_n that g's decomposition is written in."""
+    d1 = np.asarray(data.d1, dtype=float)
+    if data.ip_n is None:
+        return d1
+    f_n = orthonormal_frame(np.asarray(data.ip_n, dtype=float))
+    return np.linalg.inv(f_n) @ d1 @ f_n
+
+
 def assemble_semidirect(data: ConstructionData, tol: float = DEFAULT_TOL) -> MetricDecomposition:
-    """Raw semidirect sum g = u (+) n with bracket [Y, X] = theta(Y) X.
+    """Raw semidirect sum g = u (+) n with bracket [Y, X] = theta(Y) X, in the user bases.
 
     Only the decomposition's own invariants are checked (Jacobi still
     requires theta to be a homomorphism into Der(n)); compatibility with a
-    soliton certificate is :func:`validate_construction`'s job.  A bracket,
-    or an n-block, whose (|mu|^2)^2 leaves the normal range raises ValueError.
+    soliton certificate is :func:`validate_construction`'s job.  The metric
+    on p is diag(ip_h, ip_n), which ``decompose`` writes g's bracket in the
+    orthonormal frame of.  An ``ip_n`` or ``ip_h`` that ``metric_faults``
+    refuses, a metric on p that ``decompose`` refuses, and a bracket or an
+    n-block whose (|mu|^2)^2 in that frame leaves the normal range raise
+    ValueError: bad data, not a failed condition.
     """
-    data = data.normalized()
-    du, dn = data.dim_u, data.dim_n
+    du, dn, dh = data.dim_u, data.dim_n, data.dim_h
+    ip = None if data.ip_n is None and data.ip_h is None else np.eye(dh + dn)
+    for what, part, s in (("ip_n", data.ip_n, slice(dh, None)), ("ip_h", data.ip_h, slice(0, dh))):
+        if part is not None:
+            faults = metric_faults(np.asarray(part, dtype=float))
+            if faults:
+                raise ValueError(f"{what} {faults[0].detail}")  # "ip_n must be symmetric"
+            ip[s, s] = part
     dim = du + dn
     t = np.zeros((dim, dim, dim))
     t[:du, :du, :du] = data.u_bracket.dense
@@ -222,12 +219,13 @@ def assemble_semidirect(data: ConstructionData, tol: float = DEFAULT_TOL) -> Met
         t[a, du:, du:] = theta[a].T  # row x, col k: <[Y_a, X_x], X_k> = theta[a][k, x]
         t[du:, a, du:] = -theta[a].T
     t[du:, du:, du:] = data.n_bracket.dense
-    bracket = AlgebraTensor.from_dense(t)
-    # the decomposition's range rule, on g and on its n-block, refused here as bad data
-    fault = bracket.range_fault() or data.n_bracket.range_fault()
-    if fault:
-        raise ValueError("%s: %s" % fault)
-    return decompose(bracket, data.dim_k, data.dim_h, dn, tol=tol)
+    try:
+        return decompose(AlgebraTensor.from_dense(t), data.dim_k, dh, dn, ip=ip, tol=tol)
+    except DecompositionError as err:
+        bad = [v for v in err.violations if v.code.startswith(("ip-", "bracket-norm-"))]
+        if bad:
+            raise ValueError("; ".join(f"{v.code}: {v.detail}" for v in bad)) from None
+        raise
 
 
 @dataclass
@@ -251,7 +249,7 @@ def build_semidirect(data: ConstructionData, tol: float = DEFAULT_TOL) -> BuildR
         raise ConstructionError(violations)
     # the normal form D = -ad H + diag(0, 0, D1), with -ad H = diag(-ad_u H, -theta(H)) on
     # g = u + n: u is reductive, hence unimodular, so <H, Y> = tr theta(Y)
-    d1 = np.asarray(data.normalized().d1, dtype=float)  # in the frame g was assembled in
+    d1 = _d1_on(data)
     d_full = _canonical_derivation(dec, d1)
     predicted = data.c * np.eye(dec.dim_p) + sym(d_full[dec.sp, dec.sp])
     return BuildResult(

@@ -1,13 +1,15 @@
 """Metric reductive decompositions g = k + h + n with an inner product on p.
 
-The basis is user-ordered as k-block, h-block, n-block; the inner product
-lives on p = h + n and must make h and n orthogonal.  All operators are
-computed in an internal frame whose p-part is orthonormalized by Cholesky
-(``orthonormal_frame``, block-diagonal across h/n, so the declared
-splitting keeps its index ranges), and can be pulled back to the user
-basis on request.  Checked at construction: an inner product, unless
-there is none (the identity), at ``RANK_TOL`` whatever tol
-(``metric_faults``, h orthogonal to n); then, at tol:
+The basis is ordered as k-block, h-block, n-block; the inner product
+lives on p = h + n and must make h and n orthogonal.  A decomposition
+holds one basis, orthonormal on p: ``decompose`` checks a listed inner
+product at ``RANK_TOL`` whatever tol (``metric_faults``, its shape, h
+orthogonal to n) and writes the bracket in the frame its Cholesky factor
+gives (``orthonormal_frame``, block-diagonal across h/n, so the declared
+splitting keeps its index ranges); without one the listed basis is that
+frame.  Every operator is computed in that frame, and a caller that wants
+another basis (``cli.run_ricci``'s listed one) maps it there itself.
+Checked at construction, at tol:
 
 * the bracket in the orthonormal frame and its n-block, the brackets
   computed in, are in range (``AlgebraTensor.range_fault``), checked first;
@@ -21,10 +23,13 @@ The Killing-form condition B(k, p) = 0 is neither enforced nor tested:
 no computation here reads the mixed block B(k, p).
 
 ``decompose`` is the one constructor of validated decompositions, and its
-memo ``_validated`` the only place one is made.  It keeps the most recent
-ones, so every command, construction and n-part on the same metric Lie
-algebra in a process shares one decomposition and whatever it has cached;
-u = k + h is read on its block (``u_bracket``, ``u_ricci``), not as one.
+memo ``_validated``, keyed on the bracket in the orthonormal frame, the
+only place one is made.  It keeps the most recent ones, so every command,
+construction and n-part in a process whose bracket reads the same in that
+frame (a listing with an inner product and its orthonormal twin, which
+``build`` and ``extend`` print, included) shares one decomposition and
+whatever it has cached; u = k + h is read on its block (``u_bracket``,
+``u_ricci``), not as one.
 
 The Ricci operator of the decomposition is
 
@@ -144,16 +149,23 @@ def orthonormal_frame(ip: np.ndarray) -> np.ndarray:
     return np.linalg.inv(np.linalg.cholesky(ip)).T
 
 
+def _metric_violations(ip: np.ndarray, dim_h: int, dim_n: int) -> list[Violation]:
+    """ip's shape on p = h + n, ``metric_faults`` of it, and h orthogonal to n at the same ``RANK_TOL``."""
+    dim_p = dim_h + dim_n
+    if ip.shape != (dim_p, dim_p):
+        return [Violation("ip-shape", f"expected {dim_p}x{dim_p}")]
+    out = [Violation(v.code, f"inner product {v.detail}", v.value) for v in metric_faults(ip)]
+    hn = np.abs(ip[:dim_h, dim_h:])
+    if hn.size and np.max(hn) > RANK_TOL * frob(ip):
+        out.append(Violation("h-n-not-orthogonal", "ip must make h and n orthogonal", float(np.max(hn))))
+    return out
+
+
 @dataclass
 class SymOperator:
     """Symmetric operator on p (or a sub-block), in the orthonormal frame."""
 
     matrix: np.ndarray
-    frame: np.ndarray  # columns: orthonormal p-basis in user coords
-
-    @property
-    def user_matrix(self) -> np.ndarray:
-        return self.frame @ self.matrix @ np.linalg.inv(self.frame)
 
     def symmetry_defect(self) -> float:
         return frob(self.matrix - self.matrix.T)
@@ -184,22 +196,14 @@ class BracketBlocks:
 
 
 class MetricDecomposition:
-    """Immutable container; all derived operators are cached on first use."""
+    """A bracket in a basis orthonormal on p, split as k + h + n; derived operators cached on first use."""
 
-    def __init__(
-        self,
-        bracket: AlgebraTensor,
-        dim_k: int,
-        dim_h: int,
-        dim_n: int,
-        ip: np.ndarray | None = None,
-        tol: float = DEFAULT_TOL,
-    ):
+    def __init__(self, bracket: AlgebraTensor, dim_k: int, dim_h: int, dim_n: int, tol: float = DEFAULT_TOL):
         if dim_k + dim_h + dim_n != bracket.dim:
             raise DecompositionError(
                 [Violation("dim-mismatch", f"{dim_k}+{dim_h}+{dim_n} != {bracket.dim}")]
             )
-        self.bracket = bracket
+        self.bracket_on = bracket
         self.dim_k, self.dim_h, self.dim_n = dim_k, dim_h, dim_n
         self.dim = bracket.dim
         self.dim_p = dim_h + dim_n
@@ -212,38 +216,16 @@ class MetricDecomposition:
         self.sn_p = slice(dim_h, self.dim_p)
 
         self._cache: dict = {}
-        if ip is None:  # the identity, whose frame is the user basis: the bracket is shared
-            self.ip, self.frame_p, self.frame_g = np.eye(self.dim_p), np.eye(self.dim_p), np.eye(self.dim)
-            self.bracket_on, violations = bracket, []
+        # the brackets computed in: every quantity here is of degree at most 4 in one of them
+        fault = bracket.range_fault() or self.n_bracket.range_fault()
+        if fault:
+            violations = [Violation(fault[0], f"{fault[1]}, in the orthonormal frame or on n")]
         else:
-            self.ip = np.asarray(ip, dtype=float)
-            violations = self._metric_violations()
-            if not violations:
-                self.frame_p = orthonormal_frame(self.ip)  # h/n blocks stay separate
-                self.frame_g = np.eye(self.dim)
-                self.frame_g[self.sp, self.sp] = self.frame_p
-                self.bracket_on = bracket.map_basis(self.frame_g)
-        if not violations:
-            # the brackets computed in: every quantity here is of degree at most 4 in one of them
-            fault = self.bracket_on.range_fault() or self.n_bracket.range_fault()
-            if fault:
-                violations = [Violation(fault[0], f"{fault[1]}, in the orthonormal frame or on n")]
-            else:
-                violations = self._structure_violations()
+            violations = self._structure_violations()
         if violations:
             raise DecompositionError(violations)
 
     # -- validation ---------------------------------------------------------
-
-    def _metric_violations(self) -> list[Violation]:
-        """``metric_faults`` of ip, and h orthogonal to n, at the same ``RANK_TOL`` cut."""
-        if self.ip.shape != (self.dim_p, self.dim_p):
-            return [Violation("ip-shape", f"expected {self.dim_p}x{self.dim_p}")]
-        out = [Violation(v.code, f"inner product {v.detail}", v.value) for v in metric_faults(self.ip)]
-        hn = np.abs(self.ip[self.sh_p, self.sn_p])
-        if hn.size and np.max(hn) > RANK_TOL * frob(self.ip):
-            out.append(Violation("h-n-not-orthogonal", "ip must make h and n orthogonal", float(np.max(hn))))
-        return out
 
     def _structure_violations(self) -> list[Violation]:
         # each bound is tol |mu|^degree, |mu| in the orthonormal frame
@@ -294,9 +276,6 @@ class MetricDecomposition:
         """ad of a coordinate vector (orthonormal frame) on g."""
         return self.bracket_on.ad(x)
 
-    def _sym_op(self, m: np.ndarray) -> SymOperator:
-        return SymOperator(matrix=m, frame=self.frame_p)
-
     # -- core operators -------------------------------------------------------
 
     @property
@@ -336,7 +315,7 @@ class MetricDecomposition:
 
     @_once
     def ricci(self) -> SymOperator:
-        return self._sym_op(_ricci(self.p_bracket, self.killing(), self.ad_mean_curvature(), self.sp))
+        return SymOperator(_ricci(self.p_bracket, self.killing(), self.ad_mean_curvature(), self.sp))
 
     @property
     @_once
@@ -352,7 +331,7 @@ class MetricDecomposition:
         return _ricci(self._sub_bracket(self.sh), _killing(u), u.ad(h), self.sh)
 
     def moment(self) -> SymOperator:
-        return self._sym_op(moment_operator(self.p_bracket))
+        return SymOperator(moment_operator(self.p_bracket))
 
     @_once
     def blocks(self) -> BracketBlocks:
@@ -394,7 +373,7 @@ class MetricDecomposition:
         m[nh:, nh:] = m_n
         m[:nh, nh:] = cross
         m[nh:, :nh] = cross.T
-        return self._sym_op(m)
+        return SymOperator(m)
 
     # -- sub-decompositions ---------------------------------------------------
 
@@ -489,27 +468,33 @@ def decompose(
 ) -> MetricDecomposition:
     """The validated decomposition of these inputs; raises DecompositionError when invalid.
 
-    Memoized on what a decomposition is a function of: the canonical
-    bracket, the block dimensions, the inner product's shape and bytes, and
-    ``tol``; an inner product equal to the identity on p is keyed as none,
-    so both listings of that metric share one entry.  Equal inputs get the
-    same ``MetricDecomposition``, so the Der(n), label and certificate it
-    caches once serve every later caller in the process on that metric Lie
-    algebra.  The ``MEMO_SIZE`` most recent are kept, refusals included.
+    An inner product ip on p is checked (``_metric_violations``) and the
+    bracket written in the frame ``orthonormal_frame(ip)`` spans; no ip is
+    the identity, whose frame is the listed basis.  Memoized on what a
+    decomposition is a function of: the bracket in that frame, the block
+    dimensions and ``tol``.  So a listing with an inner product and its
+    orthonormal twin get the same ``MetricDecomposition``, and so do an
+    identity ``ip`` and none, which maps the bracket to itself bit for bit.
+    The ``MEMO_SIZE`` most recent are kept, refusals included.
     """
-    ip = None if ip is None else np.asarray(ip, dtype=float)
-    plain = ip is None or np.array_equal(ip, np.eye(dim_h + dim_n))  # the identity is no metric
-    ip_key = None if plain else (ip.shape, ip.tobytes())
-    dec, violations = _validated(bracket, dim_k, dim_h, dim_n, ip_key, tol)
+    if ip is not None and dim_k + dim_h + dim_n == bracket.dim:  # else MetricDecomposition refuses
+        ip = np.asarray(ip, dtype=float)
+        violations = _metric_violations(ip, dim_h, dim_n)
+        if violations:
+            raise DecompositionError(violations)
+        frame = np.eye(bracket.dim)
+        frame[dim_k:, dim_k:] = orthonormal_frame(ip)
+        with np.errstate(over="ignore", invalid="ignore"):  # out of range in the frame: range_fault's
+            bracket = bracket.map_basis(frame)
+    dec, violations = _validated(bracket, dim_k, dim_h, dim_n, tol)
     if violations:
         raise DecompositionError(violations)
     return dec
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _validated(bracket: AlgebraTensor, dim_k: int, dim_h: int, dim_n: int, ip_key, tol: float):
-    ip = None if ip_key is None else np.frombuffer(ip_key[1]).reshape(ip_key[0])
+def _validated(bracket: AlgebraTensor, dim_k: int, dim_h: int, dim_n: int, tol: float):
     try:
-        return MetricDecomposition(bracket, dim_k, dim_h, dim_n, ip=ip, tol=tol), ()
+        return MetricDecomposition(bracket, dim_k, dim_h, dim_n, tol), ()
     except DecompositionError as err:
         return None, tuple(err.violations)

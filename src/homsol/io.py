@@ -186,9 +186,6 @@ def document_from_dict(raw: dict) -> AlgebraDocument:
     if dims["dim"] != dims["dim_k"] + dims["dim_h"] + dims["dim_n"]:
         raise DocumentError("dimension-sum", "dim must equal dim_k + dim_h + dim_n")
     bracket = _bracket(raw["bracket"], dims["dim"], "bracket")
-    fault = bracket.range_fault()
-    if fault:
-        raise DocumentError(*fault)
     ip = None
     if "ip" in raw:
         dp = dims["dim_h"] + dims["dim_n"]

@@ -97,7 +97,7 @@ class SolitonCertificate:
 
 
 def _residual_bound(ric: np.ndarray, c: float, mu_norm: float) -> float:
-    """Bound on the residual |Ric - c I - S(D_p)| and the Einstein gap, degree 2 in the bracket."""
+    """Bound on the residual |Ric - c I - S(D_p)|, degree 2 in the bracket."""
     return SOLITON_RESIDUAL_TOL * max(frob(ric), abs(c), mu_norm**2)
 
 
@@ -113,18 +113,21 @@ def _classify(
     der_defect: float,
     sym_defect: float,
     mu_norm: float,
+    tol: float,
 ) -> str:
     """Tag of Ric = c I + S(D_p) from its residual and the defects |pi(D) mu|, |pi(S(D)) mu|.
 
     Bounds scale with the bracket: degree 2 for Ricci residuals, degree 3
-    for derivation defects, with |mu| in the orthonormal frame.  A NaN
-    residual or defect gives NotDetected.
+    for derivation defects, with |mu| in the orthonormal frame.  Einstein
+    is |Ric - c I| <= tol max(|Ric|, |c|, |mu|^2), the rule ``extend``
+    judges its Einstein metrics by.  A NaN residual or defect gives
+    NotDetected.
     """
     bound = _residual_bound(ric, c, mu_norm)
     der_bound = _derivation_bound(mu_norm)
     if not (residual <= bound and der_defect <= der_bound):
         return TAG_NONE
-    if frob(ric - c * np.eye(ric.shape[0])) <= bound:
+    if frob(ric - c * np.eye(ric.shape[0])) <= tol * max(frob(ric), abs(c), mu_norm**2):
         return TAG_EINSTEIN
     if sym_defect <= der_bound:
         return TAG_ALGEBRAIC
@@ -155,7 +158,7 @@ def _certificate(
         d_full=d,
         d1=d1,
         residual=resid,
-        tag=_classify(dec.ricci().matrix, c, resid, der_defect, sym_defect, dec.bracket_on.norm),
+        tag=_classify(dec.ricci().matrix, c, resid, der_defect, sym_defect, dec.bracket_on.norm, dec.tol),
         derivation_defect=der_defect,
         sym_derivation_defect=sym_defect,
         dim_k=dec.dim_k,

@@ -196,12 +196,14 @@ class AlgebraTensor:
             raise ValueError(f"dimension {n} exceeds MAX_DIM = {MAX_DIM}")
         if n == 0:
             return cls(0)
-        skew_defect = np.max(np.abs(dense + np.swapaxes(dense, 0, 1)))
+        # a non-finite entry is kept, whatever its defect, for range_fault to refuse
+        with np.errstate(over="ignore", invalid="ignore"):
+            skew_defect = np.max(np.abs(dense + np.swapaxes(dense, 0, 1)))
         if skew_defect > max(zero_tol, 1e-12 * np.max(np.abs(dense))):
             raise ValueError(f"tensor is not skew-symmetric (defect {skew_defect:.3e})")
         # the kept strict upper triangle, in C order, is already the canonical entry list
         upper = np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None]
-        keep = upper & (np.abs(dense) > max(zero_tol, 0.0))
+        keep = upper & ~(np.abs(dense) <= max(zero_tol, 0.0))
         i, j, k = np.nonzero(keep)
         entries = tuple(zip(i.tolist(), j.tolist(), k.tolist(), dense[i, j, k].tolist()))
         u = np.where(keep, dense, 0.0)

@@ -151,9 +151,7 @@ def random_lambda1zero(rng):
     dec = assemble_semidirect(data)
     if ip is None:
         return dec
-    from homsol.decomposition import MetricDecomposition
-
-    return MetricDecomposition(dec.bracket, dec.dim_k, dec.dim_h, dec.dim_n, ip=ip)
+    return decomposition.decompose(dec.bracket_on, dec.dim_k, dec.dim_h, dec.dim_n, ip=ip)
 
 
 @pytest.fixture

@@ -314,6 +314,22 @@ def count_calls(monkeypatch, fns) -> Counter:
     return calls
 
 
+def test_a_build_with_inner_products_factorizes_the_metric_on_p_once(tmp_path, capsys, monkeypatch):
+    # decompose writes g in the frame of diag(ip_h, ip_n), once; the builder moves only D1
+    # into the frame of ip_n, once in validate_construction and once in build_semidirect
+    from homsol import decomposition
+    from homsol.cli import main
+
+    calls = count_calls(monkeypatch, {"frame": decomposition.orthonormal_frame})
+    raw = compare_reports.construction_documents()[3]
+    assert raw["nil"].get("ip") and raw["reductive"].get("ip"), raw["name"]
+    path = tmp_path / f"{raw['name']}.json"
+    path.write_text(json.dumps(raw))
+    assert main(["build", str(path), "--json"]) == 0
+    capsys.readouterr()
+    assert calls["frame"] == 3
+
+
 def one_document_per_ladder_family(tmp_path) -> list[str]:
     paths, families = [], set()
     for raw in compare_reports.ladder_documents():
@@ -418,7 +434,7 @@ def test_arrays_cached_on_a_decomposition_are_read_only():
     dec, _ = validate(document_from_catalog(catalog.get("cplxhyp2")))
     blocks, ricci, stratum = dec.blocks(), dec.ricci(), dec.n_stratum()
     cached = [dec.derivations_n(), dec.killing(), dec.mean_curvature(), dec.ad_mean_curvature()]
-    cached += [blocks.lam0, blocks.lam1, blocks.eta, blocks.mu, ricci.matrix, ricci.frame]
+    cached += [blocks.lam0, blocks.lam1, blocks.eta, blocks.mu, ricci.matrix]
     cached += [stratum.beta_raw, stratum.beta]
     for array in cached:
         with pytest.raises(ValueError, match="read-only"):

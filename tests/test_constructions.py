@@ -146,7 +146,7 @@ def test_random_constructions_build_clean(rng):
         res = build_semidirect(random_construction(rng))
         assert res.prediction_residual <= 1e-9
         assert res.certificate.residual <= 1e-9
-        assert jacobi_residual(res.decomposition.bracket) <= 1e-10
+        assert jacobi_residual(res.decomposition.bracket_on) <= 1e-10
 
 
 def test_round_trip_battery(rng):
@@ -193,8 +193,8 @@ def test_metric_data_normalization():
         theta=raw.theta,
         ip_n=s * np.eye(3),
     )
-    norm = data.normalized()
-    assert np.allclose(norm.n_bracket.dense, raw.n_bracket.dense, atol=1e-12)
+    dec = assemble_semidirect(data)
+    assert np.allclose(dec.n_bracket.dense, raw.n_bracket.dense, atol=1e-12)
     res = build_semidirect(data)
     assert res.certificate.tag == "Einstein"
 
@@ -211,6 +211,16 @@ def test_every_entry_point_refuses_a_metric_before_factorizing_it():
             with pytest.raises(ValueError) as err:
                 entry(data)
             assert str(err.value) == detail, entry.__name__
+
+
+def test_the_metric_on_p_is_judged_as_a_document_metric_is():
+    # ip_h and ip_n each pass metric_faults, but diag(ip_h, ip_n), the metric g is decomposed
+    # in, has condition number 1e10, past the RANK_TOL cut that refuses it in a document
+    data = replace(heis3_extension_data(), ip_h=np.array([[1e-6]]), ip_n=1e4 * np.eye(3))
+    for entry in (assemble_semidirect, validate_construction, build_semidirect):
+        with pytest.raises(ValueError) as err:
+            entry(data)
+        assert str(err.value) == "ip-not-pd: inner product not positive definite", entry.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +245,7 @@ def test_einstein_from_solv12():
     assert cert.tag == "Einstein"
     assert cert.c == pytest.approx(-5.0, abs=1e-9)
     assert np.allclose(out.ricci().matrix, -5.0 * np.eye(3), atol=1e-9)
-    assert jacobi_residual(out.bracket) <= 1e-10
+    assert jacobi_residual(out.bracket_on) <= 1e-10
     # new action of the unit direction along H is sqrt(5/2) I on n
     ad_unit = out.ad_matrix(np.eye(3)[0])[1:, 1:]
     assert np.allclose(ad_unit, np.sqrt(2.5) * np.eye(2), atol=1e-9)
@@ -359,12 +369,12 @@ def test_all_transformations_produce_lie_algebras(rng):
         h = dec.mean_curvature()
         if np.linalg.norm(h) > 1e-9:
             out, _ = einstein_from_nonunimodular(dec, cert)
-            assert jacobi_residual(out.bracket) <= 1e-10
+            assert jacobi_residual(out.bracket_on) <= 1e-10
             out2, _ = restrict_to_unimodular_kernel(dec, cert)
-            assert jacobi_residual(out2.bracket) <= 1e-10
+            assert jacobi_residual(out2.bracket_on) <= 1e-10
         elif cert.d1 is not None and np.trace(cert.d1) > 1e-9:
             out, _ = einstein_extension_unimodular(dec, cert)
-            assert jacobi_residual(out.bracket) <= 1e-10
+            assert jacobi_residual(out.bracket_on) <= 1e-10
 
 
 def test_build_refuses_so3_on_empty_n():

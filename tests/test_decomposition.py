@@ -4,9 +4,9 @@ import weakref
 import numpy as np
 import pytest
 
-from homsol import constructions
+from homsol import constructions, decomposition
 from homsol.catalog import get, names
-from homsol.decomposition import DecompositionError, MetricDecomposition, decompose, sym
+from homsol.decomposition import DecompositionError, MetricDecomposition, decompose, orthonormal_frame, sym
 from homsol.soliton import soliton_fit
 from homsol.tensor import AlgebraTensor, moment_operator, tensor_inner, pi_action
 
@@ -39,17 +39,21 @@ def assert_same_ricci_and_fit(default, explicit, label):
         assert same(value, want[field]), (label, field)
 
 
+def cold_decompose(*args, **kwargs):
+    """decompose with its memo emptied first, so the decomposition is made afresh."""
+    decomposition._validated.cache_clear()
+    return decompose(*args, **kwargs)
+
+
 def test_no_inner_product_is_the_identity_inner_product():
-    # ip=None takes the identity frame without factorizing it; an explicit identity takes
-    # the Cholesky path: both give the same frame, bracket, Ricci operator and certificate
+    # ip=None takes the listed bracket as it is; an explicit identity is checked, factorized
+    # and the bracket mapped: both give the same bracket, Ricci operator and certificate
     for name in names():
         e = get(name)
         dims = (e.dim_k, e.dim_h, e.dim_n)
-        default = MetricDecomposition(e.tensor(), *dims)
-        explicit = MetricDecomposition(e.tensor(), *dims, ip=np.eye(e.dim_h + e.dim_n))
-        assert default.bracket_on is default.bracket, name
-        for attr in ("ip", "frame_p", "frame_g"):
-            assert np.array_equal(getattr(default, attr), getattr(explicit, attr)), (name, attr)
+        default = cold_decompose(e.tensor(), *dims)
+        explicit = cold_decompose(e.tensor(), *dims, ip=np.eye(e.dim_h + e.dim_n))
+        assert default is not explicit, name
         assert default.bracket_on == explicit.bracket_on, name
         assert default.bracket_on.dense.tobytes() == explicit.bracket_on.dense.tobytes(), name
         assert_same_ricci_and_fit(default, explicit, name)
@@ -57,7 +61,7 @@ def test_no_inner_product_is_the_identity_inner_product():
     # refused as ip-not-pd by neither listing
     for tol in (1.0, 2.0):
         default, explicit = (
-            MetricDecomposition(get("heis3").tensor(), 0, 0, 3, ip=ip, tol=tol) for ip in (None, np.eye(3))
+            cold_decompose(get("heis3").tensor(), 0, 0, 3, ip=ip, tol=tol) for ip in (None, np.eye(3))
         )
         assert_same_ricci_and_fit(default, explicit, tol)
 
@@ -74,7 +78,7 @@ def test_an_identity_inner_product_is_no_inner_product():
 def test_ip_not_pd_rejected():
     ip = np.diag([1.0, -1.0, 1.0])
     with pytest.raises(DecompositionError) as err:
-        MetricDecomposition(AlgebraTensor(3), 0, 0, 3, ip=ip)
+        decompose(AlgebraTensor(3), 0, 0, 3, ip=ip)
     assert any(v.code == "ip-not-pd" for v in err.value.violations)
 
 
@@ -82,7 +86,7 @@ def test_h_n_orthogonality_required():
     ip = np.eye(3)
     ip[0, 1] = ip[1, 0] = 0.5  # couples the h and n blocks of solv-like dims
     with pytest.raises(DecompositionError) as err:
-        MetricDecomposition(AlgebraTensor(3), 0, 1, 2, ip=ip)
+        decompose(AlgebraTensor(3), 0, 1, 2, ip=ip)
     assert any(v.code == "h-n-not-orthogonal" for v in err.value.violations)
 
 
@@ -215,16 +219,14 @@ def test_ricci_scaling_covariance():
     for name in ("heis3", "solv12", "cplxhyp2"):
         dec = d(name)
         for s in (0.5, 2.0, 7.0):
-            scaled = MetricDecomposition(dec.bracket, dec.dim_k, dec.dim_h, dec.dim_n, ip=s * dec.ip)
+            scaled = decompose(dec.bracket_on, dec.dim_k, dec.dim_h, dec.dim_n, ip=s * np.eye(dec.dim_p))
             assert np.allclose(scaled.ricci().matrix, dec.ricci().matrix / s, atol=1e-10)
 
 
 def test_ricci_with_nonidentity_metric_heis3():
     # metric diag(a, b, c) on heis3: known closed form via renormalized bracket
     a, b, c = 2.0, 3.0, 5.0
-    dec = MetricDecomposition(
-        get("heis3").tensor(), 0, 0, 3, ip=np.diag([a, b, c])
-    )
+    dec = decompose(get("heis3").tensor(), 0, 0, 3, ip=np.diag([a, b, c]))
     # orthonormal frame scales mu(e1,e2)=e3 by sqrt(c/(a*b))
     lam = np.sqrt(c / (a * b))
     want = lam**2 * np.diag([-0.5, -0.5, 0.5])
@@ -383,14 +385,18 @@ def test_n_of_built_and_extended_algebras_is_the_nilradical(rng):
 # derivation block lemma
 # ---------------------------------------------------------------------------
 
-def assert_derivation_block_lemma(dec, d_user, tol=1e-9):
+def assert_derivation_block_lemma(dec, d_user, ip=None, tol=1e-9):
     """Assert the block lemma for a derivation D of g with D k inside k; return tr D|_p, tr D|_n.
 
-    Hypotheses: D is a derivation and B(k, p) = 0.  Conclusions: D p in p,
-    D n in n, tr D|_p = tr D|_n and tr(B_p D_p) = 0.  Each is held to
-    tol |D| |mu|^degree, |mu| in the orthonormal frame.
+    D is given in the listed basis, whose metric on p is ip (None: the
+    identity), and moved into dec's orthonormal frame here.  Hypotheses: D
+    is a derivation and B(k, p) = 0.  Conclusions: D p in p, D n in n,
+    tr D|_p = tr D|_n and tr(B_p D_p) = 0.  Each is held to tol |D| |mu|^degree,
+    |mu| in the orthonormal frame.
     """
-    g = dec.frame_g
+    g = np.eye(dec.dim)
+    if ip is not None:
+        g[dec.sp, dec.sp] = orthonormal_frame(ip)
     dd = np.linalg.inv(g) @ d_user @ g
     scale = np.linalg.norm(dd)
     norm = dec.bracket_on.norm
@@ -416,11 +422,18 @@ def test_derivation_blocks_diagonal_derivation():
     trace_p, trace_n = assert_derivation_block_lemma(d("solv12"), np.diag([0.0, 1.0, 2.0]))
     assert trace_p == pytest.approx(3.0)
     assert trace_n == pytest.approx(3.0)
+    # the same D in a metric that is not diagonal on n: its matrix in the frame is not
+    # diagonal, its traces are the same
+    ip = np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 3.0]])
+    dec = decompose(get("solv12").tensor(), 0, 1, 2, ip=ip)
+    trace_p, trace_n = assert_derivation_block_lemma(dec, np.diag([0.0, 1.0, 2.0]), ip)
+    assert trace_p == pytest.approx(3.0)
+    assert trace_n == pytest.approx(3.0)
 
 
 def test_derivation_blocks_inner():
     dec = d("cplxhyp2")
-    assert_derivation_block_lemma(dec, dec.bracket.ad(np.eye(4)[0]))
+    assert_derivation_block_lemma(dec, dec.bracket_on.ad(np.eye(4)[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -320,12 +320,20 @@ def test_cli_verify_all(capsys):
     assert len(rep["checks"]) > 60
 
 
+def assert_refused_in_the_report(capsys, argv, code):
+    """argv exits 2, without a RuntimeWarning, with the one error code in its --json report."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        exit_code, out = run_cli(capsys, *argv, "--json")
+    assert exit_code == 2
+    assert [e["code"] for e in json.loads(out)["errors"]] == [code]
+
+
 def test_cli_overflowing_bracket_exit_2(capsys, tmp_path):
-    # |mu|^2 = 2e600 overflows; the document is refused instead of fitted
+    # |mu|^2 = 2e600 overflows; the bracket is refused instead of fitted
     f = tmp_path / "huge.json"
     f.write_text(json.dumps(doc_dict(bracket=[{"i": 0, "j": 1, "k": 2, "c": 1e300}])))
-    assert main(["fit", str(f)]) == 2
-    assert "bracket-norm-overflow" in capsys.readouterr().err
+    assert_refused_in_the_report(capsys, ["fit", str(f)], "bracket-norm-overflow")
 
 
 # not nilpotent: [e0,e1] = e2, [e1,e2] = e0 spans a copy of the Euclidean algebra
@@ -343,10 +351,11 @@ def test_cli_not_nilpotent_fails_at_default_tolerance(capsys, tmp_path, monkeypa
 
 @pytest.mark.parametrize(
     "flag, env",
-    [("nan", None), ("inf", None), ("-1", None), ("0", None), (None, "abc")],
+    [("nan", None), ("inf", None), ("-1", None), ("0", None), (None, "abc"), ("1", None), (None, "2")],
 )
 def test_cli_bad_tolerance_exit_2(capsys, tmp_path, monkeypatch, flag, env):
-    # a NaN, infinite or non-positive tolerance would disable every check
+    # a NaN, infinite or non-positive tolerance would disable every check; at 1 or above
+    # every part counts as small beside the whole (n as abelian whatever its bracket)
     monkeypatch.delenv("HOMSOL_TOL", raising=False)
     if env is not None:
         monkeypatch.setenv("HOMSOL_TOL", env)
@@ -365,8 +374,7 @@ def test_cli_degree_four_overflow_exit_2(capsys, tmp_path, command, c):
     # |mu|^2 is finite, but c ~ |mu|^2 squared is not
     f = tmp_path / "big.json"
     f.write_text(json.dumps(doc_dict(bracket=[{"i": 0, "j": 1, "k": 2, "c": c}])))
-    assert main([command, str(f)]) == 2
-    assert "bracket-norm-overflow" in capsys.readouterr().err
+    assert_refused_in_the_report(capsys, [command, str(f)], "bracket-norm-overflow")
 
 
 @pytest.mark.parametrize("c", [1e-100, 1e-170])
@@ -376,8 +384,7 @@ def test_cli_degree_four_underflow_exit_2(capsys, tmp_path, command, c):
     # and the nonzero bracket would pass as Einstein or as abelian
     f = tmp_path / "tiny.json"
     f.write_text(json.dumps(doc_dict(bracket=[{"i": 0, "j": 1, "k": 2, "c": c}])))
-    assert main([command, str(f)]) == 2
-    assert "bracket-norm-underflow" in capsys.readouterr().err
+    assert_refused_in_the_report(capsys, [command, str(f)], "bracket-norm-underflow")
 
 
 @pytest.mark.parametrize("command", ["fit", "battery"])
@@ -418,6 +425,52 @@ def test_cli_out_of_range_in_the_frame_or_the_nilpotent_part_exit_2(capsys, tmp_
         code, out = run_cli(capsys, argv[0], str(f), *argv[1:], "--json")
     assert code == 2
     assert [e["code"] for e in json.loads(out)["errors"]] == [fault]
+
+
+@pytest.mark.parametrize("argv", RANGE_ARGV, ids=lambda argv: argv[0])
+def test_cli_out_of_range_as_listed_in_range_in_the_frame_is_computed(capsys, tmp_path, argv):
+    # heis3 at c = 1e77 with ip = diag(1e8, 1, 1): (|mu|^2)^2 is 4e308, beyond the float range,
+    # as listed, but [f0, f1] = 1e73 f2 in the orthonormal frame, the one bracket computed in
+    f = tmp_path / "heis3-frame-listed-overflow.json"
+    f.write_text(json.dumps(range_documents()["heis3-frame-listed-overflow"]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_cli(capsys, argv[0], str(f), *argv[1:], "--json")
+    assert code == 0, out
+    assert json.loads(out)["classification"] in ("", "AlgebraicSoliton", "Einstein")  # ricci: none
+
+
+def test_an_ip_document_and_its_printed_orthonormal_twin_share_one_decomposition(capsys, tmp_path):
+    # decompose keys its memo on the bracket in the orthonormal frame: cplxhyp2 listed with an
+    # inner product that is not diagonal on n, and the document of its frame bracket, with no
+    # ip, are one entry whichever is read first
+    from homsol import decomposition
+    from homsol.io import document_from_decomposition
+
+    raw = document_from_catalog(catalog.get("cplxhyp2")).to_json_dict()
+    ip = [[4.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 2.0]]
+    raw.update(name="cplxhyp2-ip", ip=ip, meta={})
+    doc = document_from_dict(raw)
+    dec = validate(doc)[0]
+    twin = document_from_decomposition(dec, "cplxhyp2-orthonormal")
+    assert twin.ip is None and twin.bracket != doc.bracket
+    assert validate(twin)[0] is dec
+    decomposition._validated.cache_clear()
+    assert validate(twin)[0] is validate(doc)[0] is not dec
+
+    # ricci: one operator in the frame, and each listing's own basis in ricci_user_basis
+    results = []
+    for listing in (doc, twin):
+        path = tmp_path / f"{listing.name}.json"
+        path.write_text(listing.dumps())
+        code, out = run_cli(capsys, "ricci", str(path), "--json")
+        assert code == 0
+        results.append(json.loads(out)["results"])
+    assert results[0]["ricci"] == results[1]["ricci"] == results[1]["ricci_user_basis"]
+    frame = decomposition.orthonormal_frame(np.array(ip))
+    ric = np.array(results[0]["ricci"])
+    assert np.allclose(results[0]["ricci_user_basis"], frame @ ric @ np.linalg.inv(frame), atol=1e-12)
+    assert not np.allclose(results[0]["ricci_user_basis"], ric)
 
 
 @pytest.mark.parametrize("argv", RANGE_ARGV, ids=lambda argv: argv[0])

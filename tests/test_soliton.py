@@ -7,8 +7,10 @@ import pytest
 from homsol import soliton
 from homsol.catalog import get
 from homsol.constructions import assemble_semidirect, build_semidirect
-from homsol.decomposition import MetricDecomposition, sym
+from homsol.decomposition import MetricDecomposition, decompose, sym
 from homsol.soliton import (
+    TAG_ALGEBRAIC,
+    TAG_EINSTEIN,
     TAG_NONE,
     SolitonCertificate,
     _canonical_derivation,
@@ -157,7 +159,7 @@ def test_cplxhyp2_fit():
 def test_full_fit_scaling_covariance():
     dec = get("solv12").decomposition()
     for s in (0.5, 3.0):
-        scaled = MetricDecomposition(dec.bracket, dec.dim_k, dec.dim_h, dec.dim_n, ip=s * dec.ip)
+        scaled = decompose(dec.bracket_on, dec.dim_k, dec.dim_h, dec.dim_n, ip=s * np.eye(dec.dim_p))
         cert = soliton_fit(scaled)
         assert cert.c == pytest.approx(-5.0 / s, rel=1e-9)
         assert cert.tag == "AlgebraicSoliton"
@@ -490,8 +492,17 @@ def test_sphere_fit_einstein_with_isotropy():
 
 def test_classify_nan_residual_is_not_detected():
     ric = -1.5 * np.eye(3)
-    assert _classify(ric, -1.5, np.nan, 0.0, 0.0, 1.0) == TAG_NONE
-    assert _classify(ric, -1.5, 0.0, np.nan, 0.0, 1.0) == TAG_NONE
+    assert _classify(ric, -1.5, np.nan, 0.0, 0.0, 1.0, 1e-9) == TAG_NONE
+    assert _classify(ric, -1.5, 0.0, np.nan, 0.0, 1.0, 1e-9) == TAG_NONE
+
+
+def test_the_einstein_tag_is_held_to_tol():
+    # |Ric - c I| <= tol max(|Ric|, |c|, |mu|^2), the bound extend's Einstein check applies;
+    # a gap of 5e-6 relative, inside the soliton residual bound, is Einstein only at a tol above it
+    ric = -1.5 * np.eye(3)
+    ric[0, 0] += 1.5 * 5e-6
+    assert _classify(ric, -1.5, 0.0, 0.0, 0.0, 1.0, 1e-9) == TAG_ALGEBRAIC
+    assert _classify(ric, -1.5, 0.0, 0.0, 0.0, 1.0, 1e-5) == TAG_EINSTEIN
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +513,7 @@ def constrained_derivations_by_penalty(dec, rank_tol=1e-9):
     """Kernel of pi stacked with weighted rows forcing D = 0 on the k row and column."""
     n = dec.dim
     rows = [pi_matrix(dec.bracket_on)]
-    w = max(1.0, dec.bracket.norm)
+    w = max(1.0, dec.bracket_on.norm)
     for z in range(dec.dim_k):
         for a in range(n):
             for idx in (a * n + z, z * n + a):
@@ -580,7 +591,7 @@ def random_solvable_decomposition(rng):
         for block in (slice(0, dim_h), slice(dim_h, dim)):
             m = rng.standard_normal((block.stop - block.start,) * 2)
             ip[block, block] = m @ m.T + np.eye(len(m))
-    return MetricDecomposition(AlgebraTensor.from_dense(dense), 0, dim_h, dim_n, ip=ip)
+    return decompose(AlgebraTensor.from_dense(dense), 0, dim_h, dim_n, ip=ip)
 
 
 def test_the_canonical_family_certifies_what_the_full_family_certifies():

@@ -273,3 +273,18 @@ def test_the_inner_product_is_checked_and_factorized_in_one_place():
     assert id(factorizations[0]) in set(map(id, ast.walk(functions["orthonormal_frame"])))
     for name in ("metric_faults", "_metric_violations"):
         assert "tol" not in set(_names(functions[name])), name
+
+
+def test_a_bracket_is_written_in_its_orthonormal_frame_in_one_place():
+    # decompose alone maps a bracket into the frame of its inner product, so a decomposition
+    # holds one basis; the builder moves only D1 into that frame, and ricci maps its operator
+    # back into the basis a document lists
+    callers = sorted(
+        f"{module}:{fn.name}"
+        for module, tree in _trees().items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        and fn.name != "orthonormal_frame"
+        and "orthonormal_frame" in set(_names(fn))
+    )
+    assert callers == ["cli.py:run_ricci", "constructions.py:_d1_on", "decomposition.py:decompose"]

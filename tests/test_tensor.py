@@ -832,6 +832,21 @@ def test_range_fault_of_a_bracket_out_of_range_without_a_warning():
         assert AlgebraTensor(0).range_fault() is None
 
 
+def test_from_dense_keeps_a_non_finite_entry_for_range_fault_to_refuse():
+    # a NaN or infinite entry is no zero: from_dense keeps it, without a warning, so the
+    # tensor is refused rather than read as a finite bracket with that entry dropped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf, -np.inf):
+            t = np.zeros((3, 3, 3))
+            t[0, 1, 2], t[1, 0, 2] = 1.0, -1.0
+            t[0, 2, 1], t[2, 0, 1] = bad, -bad
+            for zero_tol in (0.0, 1e-8):
+                mu = AlgebraTensor.from_dense(t, zero_tol=zero_tol)
+                assert [e[:3] for e in mu.entries] == [(0, 1, 2), (0, 2, 1)], bad
+                assert mu.range_fault()[0] == "bracket-norm-overflow", bad
+
+
 # ---------------------------------------------------------------------------
 # the matrix-product kernels against their einsum formulas
 # ---------------------------------------------------------------------------

@@ -19,13 +19,16 @@ a verdict depends on the order of the basis shows up;
 ``fit`` and ``battery`` on ``heis3`` and ``hyp3`` declared with
 ``dim_h = 2, dim_n = 1``, splits whose n is not the nilradical, so that a
 change to how such a split is refused shows up; ``fit``, ``battery`` and
-``stratify`` on the four range documents (``heis3`` at ``c = 1e75`` and
+``stratify`` on the five range documents (``heis3`` at ``c = 1e75`` and
 ``1e-75`` with an ``ip`` that moves it out of range in the orthonormal
-frame, ``cplxhyp2`` with an n-block of size 1e-120, and ``heis3`` at
-``c = 1e72``, in range in both bases), so that a change to the range rule
-shows up; ``fit``, ``battery`` and ``stratify`` on ``solv12`` and
+frame, ``cplxhyp2`` with an n-block of size 1e-120, ``heis3`` at
+``c = 1e72``, in range in both bases, and ``heis3`` at ``c = 1e77``, out of
+range as listed and in range in its frame), so that a change to the range
+rule shows up; ``fit``, ``battery`` and ``stratify`` on ``solv12`` and
 ``cplxhyp2`` listed with an identity ``ip``, so that a change to how the
-identity metric is told from no metric shows up;
+identity metric is told from no metric shows up; ``ricci`` on each of
+these documents listed with an ``ip``, so that a change to the basis
+``ricci_user_basis`` is written in shows up;
 ``ricci`` and the three ``extend --variant`` transformations on every
 catalog entry; ``fit``, ``battery``, ``stratify`` and the three
 ``extend`` variants on every catalog entry at ``--tol 1e-6``, so that a
@@ -36,8 +39,8 @@ change to how the tolerance reaches a check shows up; ``fit``,
 scale shows up; ``build`` on the construction documents written here
 (``cplxhyp2`` and ``solv12`` assembled from their parts; real hyperbolic
 4-space as k = so(3) rotating R^3 with h = R acting by I, the isotropy
-path; ``cplxhyp2``'s parts with non-identity ``ip`` on n and on h, the
-path through ``ConstructionData.normalized``; and ``cplxhyp2``'s parts
+path; ``cplxhyp2``'s parts with non-identity ``ip`` on n and on h, which
+``decompose`` writes in the orthonormal frame; and ``cplxhyp2``'s parts
 with theta doubled, which violate (c3), so that ``build`` exits 1; and
 two constructions with an empty block, u = R with n = 0 and u = 0 with
 n = heis3, whose arrays of a zero extent are empty);
@@ -287,19 +290,22 @@ def permuted_twin_documents() -> list[dict]:
 
 
 def range_documents() -> list[dict]:
-    """Brackets in range in the user basis whose frame bracket or n-block is not, and one that is.
+    """Brackets whose range differs between the listed basis and the frame, and one in range in both.
 
     heis3 at c = 1e75 with ip = diag(1e-8, 1, 1): (|mu|^2)^2 is 4e300 in the
     user basis and 4e316 in the orthonormal frame; at c = 1e-75 with
-    ip = diag(1e8, 1, 1) it underflows in the frame; cplxhyp2 with
-    [e1, e2] = 1e-120 e3, whose n-block underflows; and heis3 at c = 1e72
-    with ip = diag(1e-8, 1, 1), in range in both bases.
+    ip = diag(1e8, 1, 1) it underflows in the frame; heis3 at c = 1e72
+    with ip = diag(1e-8, 1, 1), in range in both bases; heis3 at c = 1e77
+    with ip = diag(1e8, 1, 1), 4e308 as listed, out of range, and 4e292 in
+    the frame, the one bracket judged; and cplxhyp2 with [e1, e2] = 1e-120 e3,
+    whose n-block underflows.
     """
     from homsol import catalog
     from homsol.io import document_from_catalog
 
     docs = []
-    for name, c, ip_00 in (("overflow", 1e75, 1e-8), ("underflow", 1e-75, 1e8), ("in-range", 1e72, 1e-8)):
+    cases = (("overflow", 1e75, 1e-8), ("underflow", 1e-75, 1e8), ("in-range", 1e72, 1e-8))
+    for name, c, ip_00 in cases + (("listed-overflow", 1e77, 1e8),):
         raw = _document(f"heis3-frame-{name}", 0, 3, [(0, 1, 2, c)])
         raw["ip"] = [[ip_00, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         docs.append(raw)
@@ -395,6 +401,10 @@ def dump(src: str) -> dict:
             label = Path(target).stem
             for command in COMMANDS:
                 runs[f"{command} {label}"] = _run(main, [command, target, "--json"])
+        for doc in docs:  # ricci_user_basis: the operator in the basis a document lists with its ip
+            if "ip" in doc:
+                path = Path(tmp) / f"{doc['name']}.json"
+                runs[f"ricci {doc['name']}"] = _run(main, ["ricci", str(path), "--json"])
         for doc in misplit_documents():
             path = Path(tmp) / f"{doc['name']}.json"
             path.write_text(json.dumps(doc, sort_keys=True))
