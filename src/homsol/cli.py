@@ -280,13 +280,14 @@ def run_extend(report: Report, dec, variant: str):
         )
 
 
-# name: (help, body(report, dec, *args) run by run_document, by name, on a valid document)
+# name: (help, body(report, dec, *extra) run by run_document, by name, on a valid document,
+#        extra(doc, parsed command line): the arguments the body takes after dec)
 DOCUMENT_COMMANDS = {
-    "ricci": ("Ricci operator of a decomposition", run_ricci),
-    "fit": ("soliton certificate by least squares", run_fit),
-    "battery": ("full structural condition battery", run_battery),
-    "stratify": ("stratum label and its property checks", run_stratify),
-    "extend": ("Einstein/soliton metric transformations", run_extend),
+    "ricci": ("Ricci operator of a decomposition", run_ricci, lambda doc, args: (doc.ip,)),
+    "fit": ("soliton certificate by least squares", run_fit, lambda doc, args: ()),
+    "battery": ("full structural condition battery", run_battery, lambda doc, args: ()),
+    "stratify": ("stratum label and its property checks", run_stratify, lambda doc, args: ()),
+    "extend": ("Einstein/soliton metric transformations", run_extend, lambda doc, args: (args.variant,)),
 }
 
 
@@ -437,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for name, (help_, _) in DOCUMENT_COMMANDS.items():
+    for name, (help_, *_) in DOCUMENT_COMMANDS.items():
         if name == "extend":  # the listing has build before extend
             p = sub.add_parser("build", help="semidirect construction from parts", parents=[common])
             p.add_argument("document", help="construction JSON file")
@@ -470,10 +471,10 @@ def main(argv=None) -> int:
         elif args.command == "build":
             report = run_build(args.document, tol)
         else:
-            doc, extend = load(args.document), args.command == "extend"
-            extra = [args.variant] if extend else [doc.ip] if args.command == "ricci" else []
+            doc = load(args.document)
+            extra = DOCUMENT_COMMANDS[args.command][2](doc, args)
             report = run_document(args.command, doc, tol, *extra)
-            if extend and args.out and "document" in report.results:
+            if args.command == "extend" and args.out and "document" in report.results:
                 try:
                     Path(args.out).write_text(_json_text(report.results["document"]) + "\n")
                 except OSError as err:

@@ -22,10 +22,11 @@ cross-checked against the direct Ricci computation.
 
 g is assembled in the bases the parts are listed in, and ``decompose``,
 given the metric diag(ip_h, ip_n) on p, writes it in its orthonormal frame,
-where every check reads it; D1 is the one array the builder moves into
-that frame itself.  The decomposition checks Jacobi, which on g says that
-u and n are Lie algebras and theta a homomorphism into Der(n), and ad k
-skew on p, which is (c1); the builder checks (d1), u reductive, (c2), (c3).
+where every check reads it; the builder moves D1 alone into that frame,
+once (``ConstructionData.d1_on``).  The decomposition checks Jacobi, which
+on g says that u and n are Lie algebras and theta a homomorphism into
+Der(n), and ad k skew on p, which is (c1); the builder checks (d1), u
+reductive, (c2), (c3).
 
 Three metric modifications move between solitons and Einstein spaces; all
 three return decompositions written in an adapted orthonormal basis, like
@@ -43,6 +44,7 @@ every decomposition:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +110,15 @@ class ConstructionData:
     def dim_n(self) -> int:
         return self.n_bracket.dim
 
+    @functools.cached_property
+    def d1_on(self) -> np.ndarray:
+        """D1 in the orthonormal frame of ip_n that g's decomposition is written in."""
+        d1 = np.asarray(self.d1, dtype=float)
+        if self.ip_n is None:
+            return d1
+        f_n = orthonormal_frame(np.asarray(self.ip_n, dtype=float))
+        return np.linalg.inv(f_n) @ d1 @ f_n
+
 
 def validate_construction(
     data: ConstructionData, tol: float = DEFAULT_TOL
@@ -133,7 +144,7 @@ def validate_construction(
 
     # (d1) the nilpotent part carries the declared certificate
     ric_n = ndec.ricci().matrix
-    d1 = _d1_on(data)
+    d1 = data.d1_on
     r = frob(ric_n - data.c * np.eye(dn) - d1)
     if not r <= _residual_bound(ric_n, data.c, norm):
         out.append(Violation("nil-certificate", "Ric_n != c I + D1", r))
@@ -180,15 +191,6 @@ def _is_reductive(u_bracket: AlgebraTensor, tol: float) -> bool:
         if not np.min(ev) > tol * np.max(ev):
             return False
     return True
-
-
-def _d1_on(data: ConstructionData) -> np.ndarray:
-    """D1 in the orthonormal frame of ip_n that g's decomposition is written in."""
-    d1 = np.asarray(data.d1, dtype=float)
-    if data.ip_n is None:
-        return d1
-    f_n = orthonormal_frame(np.asarray(data.ip_n, dtype=float))
-    return np.linalg.inv(f_n) @ d1 @ f_n
 
 
 def assemble_semidirect(data: ConstructionData, tol: float = DEFAULT_TOL) -> MetricDecomposition:
@@ -249,7 +251,7 @@ def build_semidirect(data: ConstructionData, tol: float = DEFAULT_TOL) -> BuildR
         raise ConstructionError(violations)
     # the normal form D = -ad H + diag(0, 0, D1), with -ad H = diag(-ad_u H, -theta(H)) on
     # g = u + n: u is reductive, hence unimodular, so <H, Y> = tr theta(Y)
-    d1 = _d1_on(data)
+    d1 = data.d1_on
     d_full = _canonical_derivation(dec, d1)
     predicted = data.c * np.eye(dec.dim_p) + sym(d_full[dec.sp, dec.sp])
     return BuildResult(

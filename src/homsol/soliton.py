@@ -118,16 +118,16 @@ def _classify(
     """Tag of Ric = c I + S(D_p) from its residual and the defects |pi(D) mu|, |pi(S(D)) mu|.
 
     Bounds scale with the bracket: degree 2 for Ricci residuals, degree 3
-    for derivation defects, with |mu| in the orthonormal frame.  Einstein
-    is |Ric - c I| <= tol max(|Ric|, |c|, |mu|^2), the rule ``extend``
-    judges its Einstein metrics by.  A NaN residual or defect gives
-    NotDetected.
+    for derivation defects, with |mu| in the orthonormal frame.  Einstein is
+    a gap |Ric - c I| within the residual bound at min(tol, SOLITON_RESIDUAL_TOL),
+    so a coarse tol cannot turn a soliton Einstein.  NaN gives NotDetected.
     """
     bound = _residual_bound(ric, c, mu_norm)
     der_bound = _derivation_bound(mu_norm)
     if not (residual <= bound and der_defect <= der_bound):
         return TAG_NONE
-    if frob(ric - c * np.eye(ric.shape[0])) <= tol * max(frob(ric), abs(c), mu_norm**2):
+    gap_bound = min(tol, SOLITON_RESIDUAL_TOL) * max(frob(ric), abs(c), mu_norm**2)
+    if frob(ric - c * np.eye(ric.shape[0])) <= gap_bound:
         return TAG_EINSTEIN
     if sym_defect <= der_bound:
         return TAG_ALGEBRAIC

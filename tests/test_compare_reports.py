@@ -316,7 +316,7 @@ def count_calls(monkeypatch, fns) -> Counter:
 
 def test_a_build_with_inner_products_factorizes_the_metric_on_p_once(tmp_path, capsys, monkeypatch):
     # decompose writes g in the frame of diag(ip_h, ip_n), once; the builder moves only D1
-    # into the frame of ip_n, once in validate_construction and once in build_semidirect
+    # into the frame of ip_n, once for validate_construction and build_semidirect together
     from homsol import decomposition
     from homsol.cli import main
 
@@ -327,7 +327,7 @@ def test_a_build_with_inner_products_factorizes_the_metric_on_p_once(tmp_path, c
     path.write_text(json.dumps(raw))
     assert main(["build", str(path), "--json"]) == 0
     capsys.readouterr()
-    assert calls["frame"] == 3
+    assert calls["frame"] == 2
 
 
 def one_document_per_ladder_family(tmp_path) -> list[str]:

@@ -368,6 +368,14 @@ def test_cli_bad_tolerance_exit_2(capsys, tmp_path, monkeypatch, flag, env):
     assert "error [bad-tolerance]" in captured.err
 
 
+@pytest.mark.parametrize("tol", ["1e-9", "0.1", "0.5"])
+def test_cli_a_coarse_tolerance_does_not_turn_a_soliton_einstein(capsys, tol):
+    # solv12 has Ric = diag(-5, -3, -6), c = -5: |Ric - c I| = 2.24 is inside 0.5 max(|Ric|, |c|)
+    code, out = run_cli(capsys, "fit", "solv12", "--tol", tol, "--json")
+    assert code == 0
+    assert json.loads(out)["classification"] == "AlgebraicSoliton"
+
+
 @pytest.mark.parametrize("c", [1e77, 1e100])
 @pytest.mark.parametrize("command", ["fit", "battery"])
 def test_cli_degree_four_overflow_exit_2(capsys, tmp_path, command, c):

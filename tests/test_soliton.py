@@ -496,13 +496,16 @@ def test_classify_nan_residual_is_not_detected():
     assert _classify(ric, -1.5, 0.0, np.nan, 0.0, 1.0, 1e-9) == TAG_NONE
 
 
-def test_the_einstein_tag_is_held_to_tol():
-    # |Ric - c I| <= tol max(|Ric|, |c|, |mu|^2), the bound extend's Einstein check applies;
-    # a gap of 5e-6 relative, inside the soliton residual bound, is Einstein only at a tol above it
-    ric = -1.5 * np.eye(3)
-    ric[0, 0] += 1.5 * 5e-6
-    assert _classify(ric, -1.5, 0.0, 0.0, 0.0, 1.0, 1e-9) == TAG_ALGEBRAIC
-    assert _classify(ric, -1.5, 0.0, 0.0, 0.0, 1.0, 1e-5) == TAG_EINSTEIN
+def test_the_einstein_tag_is_held_to_tol_and_never_looser_than_the_residual_bound():
+    # |Ric - c I| <= min(tol, SOLITON_RESIDUAL_TOL) max(|Ric|, |c|, |mu|^2): a gap of 5e-8
+    # relative is Einstein only at a tol above it, and a gap of 5e-6 at no tol
+    einstein = {5e-8: {1e-7, 1e-5, 0.5}, 5e-6: set()}
+    for gap, tols in einstein.items():
+        ric = -1.5 * np.eye(3)
+        ric[0, 0] += 1.5 * gap
+        for tol in (1e-9, 1e-7, 1e-5, 0.5):
+            expected = TAG_EINSTEIN if tol in tols else TAG_ALGEBRAIC
+            assert _classify(ric, -1.5, 0.0, 0.0, 0.0, 1.0, tol) == expected, (gap, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -287,4 +287,4 @@ def test_a_bracket_is_written_in_its_orthonormal_frame_in_one_place():
         and fn.name != "orthonormal_frame"
         and "orthonormal_frame" in set(_names(fn))
     )
-    assert callers == ["cli.py:run_ricci", "constructions.py:_d1_on", "decomposition.py:decompose"]
+    assert callers == ["cli.py:run_ricci", "constructions.py:d1_on", "decomposition.py:decompose"]
