@@ -7,7 +7,7 @@ minimum-norm points in weight hulls, and the semidirect constructions that
 move between solitons and Einstein metrics.
 """
 
-from .catalog import CATALOG, CatalogEntry
+from .catalog import CATALOG, CatalogEntry, ladder
 from .constructions import (
     BuildResult,
     ConstructionData,
@@ -93,6 +93,7 @@ __all__ = [
     "einstein_from_nonunimodular",
     "f_operator_check",
     "jacobi_residual",
+    "ladder",
     "load",
     "min_norm_point",
     "moment_map",

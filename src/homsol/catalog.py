@@ -6,11 +6,17 @@ the declared splitting, and the expected classification used by the
 nilpotent (every derivation is nilpotent, checked by an Engel chain on its
 derivation algebra), so no metric on it is a nilsoliton; it is bundled as
 the documented negative control for the nilsoliton fit.
+
+Four generated families stand beside ``abelian(n)`` and ``hyp(n)``:
+``heis(m)``, ``ext(m)`` and ``fil(n, unit)``, listed in ``ladder()``.  They
+carry no ``meta`` and are not in ``CATALOG``; ``heis3``, ``fil4`` and
+``cplxhyp2`` are members of them, renamed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 from .decomposition import MetricDecomposition, decompose
 from .tensor import DEFAULT_TOL, AlgebraTensor
@@ -66,13 +72,42 @@ def hyp(n: int) -> CatalogEntry:
     )
 
 
+def heis(m: int) -> CatalogEntry:
+    """Heisenberg h_{2m+1}: [x_i, y_i] = z, basis x_0..x_{m-1}, y_0..y_{m-1}, z."""
+    entries = tuple((i, m + i, 2 * m, 1.0) for i in range(m))
+    return CatalogEntry(f"heis-m{m}", 0, 0, 2 * m + 1, entries)
+
+
+def ext(m: int) -> CatalogEntry:
+    """R A + h_{2m+1} with ad A = diag(1/2, ..., 1/2, 1), A basis vector 0: Einstein."""
+    n = 2 * m + 1
+    ad = tuple((0, 1 + j, 1 + j, 0.5) for j in range(2 * m)) + ((0, n, n, 1.0),)
+    shifted = tuple((1 + i, 1 + j, 1 + k, c) for i, j, k, c in heis(m).entries)
+    return CatalogEntry(f"ext-m{m}", 0, 1, n, ad + shifted)
+
+
+def fil(n: int, unit: bool = False) -> CatalogEntry:
+    """Filiform L_n: [e0, e_j] = a_j e_{j+1}, a_j = sqrt(j (n-1-j)) (a nilsoliton) or 1."""
+    entries = tuple(
+        (0, j, j + 1, 1.0 if unit else math.sqrt(j * (n - 1 - j))) for j in range(1, n - 1)
+    )
+    return CatalogEntry(f"{'unit' if unit else 'fil'}-n{n}", 0, 0, n, entries)
+
+
+def ladder() -> list[CatalogEntry]:
+    """h_3..h_17, their extensions for m = 1..7, L_4..L_14 and unit-constant L_5..L_11."""
+    return (
+        [heis(m) for m in range(1, 9)]
+        + [ext(m) for m in range(1, 8)]
+        + [fil(n) for n in range(4, 15)]
+        + [fil(n, unit=True) for n in range(5, 12)]
+    )
+
+
 def _fixed_entries() -> list[CatalogEntry]:
-    heis3 = CatalogEntry(
+    heis3 = replace(
+        heis(1),
         name="heis3",
-        dim_k=0,
-        dim_h=0,
-        dim_n=3,
-        entries=((0, 1, 2, 1.0),),
         meta={
             "description": "Heisenberg algebra, the canonical nilsoliton",
             "expected": {"tag": "AlgebraicSoliton", "c": -1.5},
@@ -92,12 +127,9 @@ def _fixed_entries() -> list[CatalogEntry]:
             "basis": "e2 spans the extra center, [e0,e1] = e3",
         },
     )
-    fil4 = CatalogEntry(
+    fil4 = replace(
+        fil(4, unit=True),
         name="fil4",
-        dim_k=0,
-        dim_h=0,
-        dim_n=4,
-        entries=((0, 1, 2, 1.0), (0, 2, 3, 1.0)),
         meta={
             "description": "4-dimensional filiform nilsoliton",
             "expected": {"tag": "AlgebraicSoliton", "c": -1.5},
@@ -125,12 +157,9 @@ def _fixed_entries() -> list[CatalogEntry]:
             "expected": {"tag": "AlgebraicSoliton", "c": -5.0},
         },
     )
-    cplxhyp2 = CatalogEntry(
+    cplxhyp2 = replace(
+        ext(1),
         name="cplxhyp2",
-        dim_k=0,
-        dim_h=1,
-        dim_n=3,
-        entries=((0, 1, 1, 0.5), (0, 2, 2, 0.5), (0, 3, 3, 1.0), (1, 2, 3, 1.0)),
         meta={
             "description": "Einstein extension of heis3 (complex hyperbolic plane)",
             "expected": {"tag": "Einstein", "c": -1.5},

@@ -396,7 +396,7 @@ def _emit(report: Report, args) -> int:
             print(f"[{status}] {check.name}{extra}")
         if report.classification:
             print(f"classification: {report.classification}")
-        for key in ("c", "residual", "beta"):
+        for key in ("c", "residual", "beta", "eigenvalues"):
             if key in report.results:
                 print(f"{key}: {_fmt(report.results[key])}")
         if "document" in report.results:
@@ -417,9 +417,7 @@ def _emit(report: Report, args) -> int:
 def _fmt(v):
     if isinstance(v, np.ndarray):
         return np.array2string(v, precision=9, suppress_small=True)
-    if isinstance(v, float):
-        return f"{v:.9g}"
-    return str(v)
+    return f"{v:.9g}"
 
 
 @functools.cache

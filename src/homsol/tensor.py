@@ -38,8 +38,10 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
-# the largest dimension computed in: the dense pi system of a bracket in a generic basis
-# (pi_matrix, n^4 (n-1)/2 doubles) fits in 1 GiB up to n = 48
+# the largest dimension computed in.  The dense pi system of a bracket in a generic basis
+# (pi_matrix, n^4 (n-1)/2 doubles) is 1 GB at n = 48, and its solve peaks near 4x the
+# matrix (rotated h_21: 97 MB for a 15 MB matrix, h_29: 342 MB for 79 MB), so n = 48
+# needs about 4 GB; a bounded solve is ROADMAP item 12
 MAX_DIM = 48
 
 # singular values s <= RANK_TOL * s_max of a derivation system count as zero (no absolute floor)

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -22,6 +23,17 @@ def test_ladder_documents_are_valid():
     for raw in docs:
         dec, violations = validate(document_from_dict(raw))
         assert dec is not None and not violations, raw["name"]
+
+
+def test_ladder_agrees_with_the_benchmarks_copy(monkeypatch):
+    # bench/workloads.py writes the ladder out without homsol, on purpose; the two agree
+    # entry for entry, in one order.  It is imported for reading: no bytecode is written.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(_PATH.parents[1] / "bench"))  # for its `from oracle import`
+    workloads = importlib.import_module("workloads")
+    got = [(e.dim_k, e.dim_h, e.dim_n, list(e.entries)) for e in catalog.ladder()]
+    assert len(got) == 33
+    assert got == [workloads.ladder_shape(f, s) for f, s in workloads.LADDER]
 
 
 def report(c=-1.5, passed=True, checks=1):

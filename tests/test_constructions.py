@@ -178,6 +178,28 @@ def test_an_abelian_u_is_reductive_as_the_svd_path_finds():
         assert _is_reductive(zero, DEFAULT_TOL) is _is_reductive(stand_in, DEFAULT_TOL) is True, n
 
 
+@pytest.mark.parametrize(
+    "label, dim, entries",
+    [
+        # aff(1), [a, b] = b: [u, u] + z(u) is too small to span u
+        ("aff(1)", 2, ((0, 1, 1, 1.0),)),
+        # R a + heis3 with ad a = diag(1, -1, 0): [u, u] and z(u) overlap in the centre
+        ("R + heis3", 4, ((0, 1, 1, 1.0), (0, 2, 2, -1.0), (1, 2, 3, 1.0))),
+        # sl(2, R) + R^2: perfect, but the Killing form vanishes on the radical R^2
+        (
+            "sl(2) + R^2",
+            5,
+            ((0, 1, 1, 2.0), (0, 2, 2, -2.0), (1, 2, 0, 1.0), (0, 3, 3, 1.0), (0, 4, 4, -1.0),
+             (1, 4, 3, 1.0), (2, 3, 4, 1.0)),
+        ),
+    ],
+)
+def test_non_reductive_u_is_told(label, dim, entries):
+    u = AlgebraTensor(dim, entries)
+    assert jacobi_residual(u) == 0.0, label
+    assert _is_reductive(u, DEFAULT_TOL) is False, label
+
+
 def test_metric_data_normalization():
     # same algebra handed in with a non-identity metric on n
     raw = heis3_extension_data()

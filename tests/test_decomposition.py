@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from homsol import constructions, decomposition
-from homsol.catalog import get, names
+from homsol.catalog import ext, get, names
 from homsol.decomposition import DecompositionError, MetricDecomposition, decompose, orthonormal_frame, sym
 from homsol.soliton import soliton_fit
 from homsol.tensor import AlgebraTensor, moment_operator, tensor_inner, pi_action
@@ -327,14 +327,6 @@ def assert_nilradical(dec, want, rng, label):
         assert copy.n_is_nilradical is want, label
 
 
-def ext_bracket(m):
-    """h_{2m+1} extended by e_0 acting as diag(1/2, ..., 1/2, 1), the ladder's ext family."""
-    n = 2 * m + 1
-    ad = [(0, 1 + j, 1 + j, 0.5) for j in range(2 * m)] + [(0, n, n, 1.0)]
-    heis = [(1 + i, 1 + m + i, 1 + 2 * m, 1.0) for i in range(m)]
-    return AlgebraTensor(n + 1, tuple(ad + heis))
-
-
 def test_n_short_of_the_nilradical_is_told(rng):
     heis3, hyp3 = get("heis3").tensor(), get("hyp3").tensor()
     cases = {
@@ -358,7 +350,7 @@ def test_n_that_is_the_nilradical_is_told(rng):
     for name in sorted(names()):
         assert_nilradical(get(name).decomposition(), True, rng, name)
     for m in range(1, 8):
-        assert_nilradical(MetricDecomposition(ext_bracket(m), 0, 1, 2 * m + 1), True, rng, f"ext{m}")
+        assert_nilradical(ext(m).decomposition(), True, rng, f"ext{m}")
 
 
 def test_n_of_built_and_extended_algebras_is_the_nilradical(rng):

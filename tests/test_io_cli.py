@@ -268,6 +268,62 @@ def test_cli_build_rejects_bad_data(capsys, tmp_path):
     assert not rep["passed"]
 
 
+def refused_constructions():
+    """Build documents that each fail one condition (the name), with the set of failing records.
+
+    aff(1) acting trivially on R: every condition holds but u reductive.  R acting on
+    R^2 by a Jordan block: theta(Y) is not normal, so (c2) fails, and (c3) with it.
+    nil7 with u = 0 and D1 = Ric_n - c I: the certificate holds, D1 is no derivation.
+    """
+    nil7 = catalog.get("nil7")
+    d1 = nil7.decomposition().ricci().matrix + 0.5 * np.eye(7)
+    aff = [{"i": 0, "j": 1, "k": 1, "c": 1.0}]
+    return {
+        "u-not-reductive": (
+            {
+                "c": -1.0,
+                "nil": {"dim": 1, "bracket": [], "d1": [[1.0]]},
+                "reductive": {"dim": 2, "dim_k": 0, "bracket": aff},
+                "theta": [[[0.0]], [[0.0]]],
+            },
+            {"u-not-reductive"},
+        ),
+        "c2-commutator-sum": (
+            {
+                "c": -1.0,
+                "nil": {"dim": 2, "bracket": [], "d1": np.eye(2).tolist()},
+                "reductive": {"dim": 1, "dim_k": 0, "bracket": []},
+                "theta": [[[1.0, 1.0], [0.0, 1.0]]],
+            },
+            {"c2-commutator-sum", "c3-reductive-ricci"},
+        ),
+        "d1-not-derivation": (
+            {
+                "c": -0.5,
+                "nil": {
+                    "dim": 7,
+                    "bracket": document_from_catalog(nil7).to_json_dict()["bracket"],
+                    "d1": d1.tolist(),
+                },
+                "reductive": {"dim": 0, "dim_k": 0, "bracket": []},
+                "theta": [],
+            },
+            {"d1-not-derivation"},
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["u-not-reductive", "c2-commutator-sum", "d1-not-derivation"])
+def test_cli_build_refuses_data_that_fails_one_condition(capsys, tmp_path, name):
+    data, failing = refused_constructions()[name]
+    f = tmp_path / f"{name}.json"
+    f.write_text(json.dumps(dict(data, name=name)))
+    code, out = run_cli(capsys, "build", str(f), "--json")
+    rep = json.loads(out)
+    assert code == 1 and not rep["errors"] and "document" not in rep["results"]
+    assert {c["name"] for c in rep["checks"] if not c["passed"]} == failing
+
+
 def test_cli_catalog_lists(capsys):
     code, out = run_cli(capsys, "catalog", "--json")
     assert code == 0
@@ -825,6 +881,77 @@ def test_cli_verify_all_summaries_match_battery_and_stratify(capsys):
 
 
 # ---------------------------------------------------------------------------
+# text output, the default of every command
+# ---------------------------------------------------------------------------
+
+def run_text(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_text_output_prints_a_pass_line_and_the_results(capsys):
+    code, out, err = run_text(capsys, "fit", "heis3")
+    assert code == 0 and not err
+    passed, tag, c, residual = out.splitlines()
+    assert passed.startswith("[pass] soliton-detected value=")
+    assert (tag, c) == ("classification: AlgebraicSoliton", "c: -1.5")
+    assert residual.startswith("residual: ")
+
+
+def test_text_output_prints_a_fail_line(capsys):
+    code, out, _ = run_text(capsys, "fit", "nil7")
+    assert code == 1
+    assert out.splitlines()[0].startswith("[FAIL] soliton-detected value=")
+    assert "classification: NotDetected" in out.splitlines()
+
+
+def test_text_output_prints_a_skipped_check(capsys):
+    code, out, _ = run_text(capsys, "battery", "hyp3")
+    assert code == 0
+    assert "[skip] stratum-compatibility (nilpotent part is abelian or empty)" in out.splitlines()
+
+
+def test_text_output_prints_an_error_line(capsys):
+    code, out, err = run_text(capsys, "stratify", "abelian3")
+    assert code == 2 and not err
+    assert out == "error [no-stratum] nilpotent part is abelian or empty; no label\n"
+
+
+def test_text_output_prints_the_extended_document(capsys):
+    code, out, _ = run_text(capsys, "extend", "--variant", "unimodular", "heis3")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1:3] == ["classification: Einstein", "c: -1.5"]
+    doc = json.loads("\n".join(lines[lines.index("{"):]))
+    assert (doc["name"], doc["dim"]) == ("heis3-unimodular", 4)
+
+
+def test_text_output_prints_the_catalog_table(capsys):
+    code, out, _ = run_text(capsys, "catalog")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == catalog.names()
+    assert lines[catalog.names().index("cplxhyp2")] == (
+        "cplxhyp2     dim  4 (0,1,3)    Einstein extension of heis3 (complex hyperbolic plane)"
+    )
+
+
+def test_text_output_prints_the_ricci_eigenvalues(capsys):
+    code, out, _ = run_text(capsys, "ricci", "solv12")
+    assert code == 0
+    assert out.splitlines() == ["[pass] ricci-symmetric value=0.000e+00", "eigenvalues: [-6. -5. -3.]"]
+
+
+def test_quiet_prints_failures_only_on_stderr(capsys):
+    assert run_text(capsys, "fit", "heis3", "--quiet") == (0, "", "")
+    assert run_text(capsys, "fit", "nil7", "--quiet") == (1, "", "FAIL soliton-detected\n")
+    code, out, err = run_text(capsys, "stratify", "abelian3", "--quiet")
+    assert (code, out) == (2, "")
+    assert err == "error [no-stratum] nilpotent part is abelian or empty; no label\n"
+
+
+# ---------------------------------------------------------------------------
 # verdicts that must not depend on the bracket's scale or on the command
 # ---------------------------------------------------------------------------
 
@@ -1135,19 +1262,10 @@ def test_document_commands_do_not_import_numpy_ma(tmp_path):
     # time in every process: fit, battery, stratify and verify-all run without it, also on
     # brackets large enough for the block solvers
     paths = []
-    for m in (5, 8):
-        n = 2 * m + 1
-        heis = [{"i": i, "j": m + i, "k": 2 * m, "c": 1.0} for i in range(m)]
-        ad = [{"i": 0, "j": 1 + j, "k": 1 + j, "c": 0.5} for j in range(2 * m)]
-        ad.append({"i": 0, "j": n, "k": n, "c": 1.0})
-        ext = [{"i": 1 + e["i"], "j": 1 + e["j"], "k": 1 + e["k"], "c": 1.0} for e in heis]
-        for name, doc in (
-            (f"h{n}", doc_dict(name=f"h{n}", dim=n, dim_n=n, bracket=heis)),
-            (f"ext{m}", doc_dict(name=f"ext{m}", dim=n + 1, dim_h=1, dim_n=n, bracket=ad + ext)),
-        ):
-            path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps(doc))
-            paths.append(str(path))
+    for entry in (catalog.heis(5), catalog.ext(5), catalog.heis(8), catalog.ext(8)):
+        path = tmp_path / f"{entry.name}.json"
+        path.write_text(document_from_catalog(entry).dumps())
+        paths.append(str(path))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run(

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from homsol import soliton
-from homsol.catalog import get
+from homsol.catalog import ext, fil, get, heis
 from homsol.constructions import assemble_semidirect, build_semidirect
 from homsol.decomposition import MetricDecomposition, decompose, sym
 from homsol.soliton import (
     TAG_ALGEBRAIC,
     TAG_EINSTEIN,
     TAG_NONE,
+    TAG_SEMI_ALGEBRAIC,
     SolitonCertificate,
     _canonical_derivation,
     _certificate,
@@ -358,22 +359,12 @@ def test_a_nilpotent_part_below_tol_counts_as_abelian_everywhere():
 # the canonical fit's least squares, block by block
 # ---------------------------------------------------------------------------
 
-def heis_bracket(m):
-    return AlgebraTensor(2 * m + 1, tuple((i, m + i, 2 * m, 1.0) for i in range(m)))
-
-
 def fit_decompositions():
     """(label, decomposition) whose canonical fit has a design that splits into blocks."""
-    for m in range(3, 9):  # rank-deficient designs: Der(h_{2m+1}) meets so in u(m)
-        yield f"h{2 * m + 1}", MetricDecomposition(heis_bracket(m), 0, 0, 2 * m + 1)
-    for n in (6, 10, 14):
-        fil = tuple((0, j, j + 1, float(np.sqrt(j * (n - 1 - j)))) for j in range(1, n - 1))
-        yield f"L{n}", MetricDecomposition(AlgebraTensor(n, fil), 0, 0, n)
-    for m in (3, 5, 7):
-        n = 2 * m + 1
-        ad = [(0, 1 + j, 1 + j, 0.5) for j in range(2 * m)] + [(0, n, n, 1.0)]
-        heis = [(1 + i, 1 + m + i, 1 + 2 * m, 1.0) for i in range(m)]
-        yield f"ext{m}", MetricDecomposition(AlgebraTensor(n + 1, tuple(ad + heis)), 0, 1, n)
+    # rank-deficient designs at h_7..h_17: Der(h_{2m+1}) meets so in u(m)
+    generated = [heis(m) for m in range(3, 9)] + [fil(n) for n in (6, 10, 14)]
+    for e in generated + [ext(m) for m in (3, 5, 7)]:
+        yield e.name, MetricDecomposition(e.tensor(), e.dim_k, e.dim_h, e.dim_n)
     # an abelian n, whose family gl(n) holds I, the direction of c
     yield "abelian8", MetricDecomposition(AlgebraTensor(8), 0, 0, 8)
     hyp = tuple((0, j, j, 1.0) for j in range(1, 9))
@@ -494,6 +485,13 @@ def test_classify_nan_residual_is_not_detected():
     ric = -1.5 * np.eye(3)
     assert _classify(ric, -1.5, np.nan, 0.0, 0.0, 1.0, 1e-9) == TAG_NONE
     assert _classify(ric, -1.5, 0.0, np.nan, 0.0, 1.0, 1e-9) == TAG_NONE
+
+
+def test_classify_a_non_symmetric_derivation_is_semi_algebraic():
+    # residual and |pi(D) mu| in bound, Ric - c I away from 0, |pi(S(D)) mu| = 1 out of bound
+    ric = np.diag([-1.0, -2.0])
+    assert _classify(ric, -1.0, 0.0, 0.0, 1.0, 1.0, 1e-9) == TAG_SEMI_ALGEBRAIC
+    assert _classify(ric, -1.0, 0.0, 0.0, 0.0, 1.0, 1e-9) == TAG_ALGEBRAIC
 
 
 def test_the_einstein_tag_is_held_to_tol_and_never_looser_than_the_residual_bound():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homsol import tensor
-from homsol.catalog import get
+from homsol.catalog import fil, get, heis
 from homsol.decomposition import MetricDecomposition, _killing, _mean_curvature
 from homsol.soliton import _action_ricci_term
 from homsol.tensor import (
@@ -400,29 +400,15 @@ def test_nullspace_tall_rank_deficient():
     assert_kernel(m, _row_space_and_kernel(m, 1e-9)[1], 7)
 
 
-def heis(m):
-    return AlgebraTensor(2 * m + 1, tuple((i, m + i, 2 * m, 1.0) for i in range(m)))
-
-
-def filiform(n, unit):
-    return AlgebraTensor(
-        n,
-        tuple(
-            (0, j, j + 1, 1.0 if unit else float(np.sqrt(j * (n - 1 - j))))
-            for j in range(1, n - 1)
-        ),
-    )
-
-
 @pytest.mark.parametrize("m", range(1, 9))
 def test_heisenberg_derivation_dims(m):
-    assert derivation_algebra(heis(m)).shape[0] == 2 * m * m + 3 * m + 1
+    assert derivation_algebra(heis(m).tensor()).shape[0] == 2 * m * m + 3 * m + 1
 
 
 @pytest.mark.parametrize("n", range(4, 15))
 def test_filiform_derivation_dims(n):
     for unit in (False, True):
-        assert derivation_algebra(filiform(n, unit)).shape[0] == 2 * n - 1
+        assert derivation_algebra(fil(n, unit).tensor()).shape[0] == 2 * n - 1
 
 
 def nullspace_full_rows(m, rank_tol):
@@ -526,7 +512,7 @@ def test_derivation_algebra_of_a_rotated_heisenberg_algebra():
     # a random orthonormal basis makes pi_matrix dense: there are no zero rows to drop
     rng = np.random.default_rng(15)
     q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
-    mu = heis(4).map_basis(q)
+    mu = heis(4).tensor().map_basis(q)
     assert np.all(np.any(pi_matrix(mu) != 0.0, axis=1))
     assert derivation_algebra(mu).shape[0] == 45
 
@@ -611,7 +597,7 @@ def test_pi_entries_are_the_nonzeros_of_the_dense_matrix_bit_for_bit():
 
 def test_derivation_dims_do_not_change_under_rotation():
     rng = np.random.default_rng(19)
-    for mu, want in ((heis(3), 28), (filiform(8, False), 15)):
+    for mu, want in ((heis(3).tensor(), 28), (fil(8).tensor(), 15)):
         assert derivation_algebra(mu).shape[0] == want
         for _ in range(3):
             assert derivation_algebra(mu.map_basis(random_orthogonal(rng, mu.dim))).shape[0] == want
@@ -626,10 +612,9 @@ def test_derivation_dims_do_not_depend_on_the_bracket_scale():
 
 _RSS_SCRIPT = """
 import json, resource, sys
-from homsol.tensor import AlgebraTensor, derivation_algebra
-m = int(sys.argv[1])
-mu = AlgebraTensor(2 * m + 1, tuple((i, m + i, 2 * m, 1.0) for i in range(m)))
-dim = derivation_algebra(mu).shape[0]
+from homsol.catalog import heis
+from homsol.tensor import derivation_algebra
+dim = derivation_algebra(heis(int(sys.argv[1])).tensor()).shape[0]
 print(json.dumps({"dim": dim, "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
 
@@ -725,7 +710,7 @@ def test_from_dense_entries_equal_loop_exactly():
 
 def test_jacobi_residual_matches_loop():
     rng = np.random.default_rng(12)
-    brackets = [HEIS3, FIL4, SO3, ABELIAN4, heis(4), filiform(9, False)]
+    brackets = [HEIS3, FIL4, SO3, ABELIAN4, heis(4).tensor(), fil(9).tensor()]
     for n in range(1, 10):
         brackets += [random_skew_bracket(rng, n) for _ in range(3)]
     for mu in brackets:

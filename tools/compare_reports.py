@@ -7,11 +7,13 @@ A refactor that claims unchanged behaviour is checked in two steps:
     python tools/compare_reports.py compare old.json new.json
 
 ``dump`` runs ``fit``, ``battery`` and ``stratify --json`` on every catalog
-entry and on one round of the generated ladder (Heisenberg ``h_{2m+1}``,
-m = 1..8; their rank-one Einstein extensions, m = 1..7; filiform ``L_n``
-with nilsoliton constants, n = 4..14; unit-constant ``L_n``, n = 5..11)
-and on ``cplxhyp2-twin``, ``cplxhyp2`` listed out of canonical order, so
-that a document is shown to be read as its canonical bracket;
+entry and on the generated ladder (Heisenberg ``h_{2m+1}``, m = 1..8; their
+rank-one Einstein extensions, m = 1..7; filiform ``L_n`` with nilsoliton
+constants, n = 4..14; unit-constant ``L_n``, n = 5..11), which it reads,
+like the catalog's names, from the dumped tree's ``homsol.catalog``, so
+the tree must have ``catalog.ladder()``; and on ``cplxhyp2-twin``,
+``cplxhyp2`` listed out of canonical order, so that a document is shown to
+be read as its canonical bracket;
 ``fit``, ``battery`` and ``stratify`` on three twins whose n-block is
 permuted (``heis3`` with its centre first, ``fil4`` reversed, and
 ``cplxhyp2`` with its centre in the middle of n), so that a change to how
@@ -106,23 +108,10 @@ def _document(name: str, dim_h: int, dim_n: int, entries) -> dict:
 
 
 def ladder_documents() -> list[dict]:
-    docs = []
-    for m in range(1, 9):
-        heis = [(i, m + i, 2 * m, 1.0) for i in range(m)]
-        docs.append(_document(f"heis-m{m}", 0, 2 * m + 1, heis))
-    for m in range(1, 8):
-        # A = e_0 acts by diag(1/2, ..., 1/2, 1) on h_{2m+1}
-        n = 2 * m + 1
-        ad = [(0, 1 + j, 1 + j, 0.5) for j in range(2 * m)] + [(0, n, n, 1.0)]
-        heis = [(1 + i, 1 + m + i, 1 + 2 * m, 1.0) for i in range(m)]
-        docs.append(_document(f"ext-m{m}", 1, n, ad + heis))
-    for unit, sizes in ((False, range(4, 15)), (True, range(5, 12))):
-        for n in sizes:
-            fil = [
-                (0, j, j + 1, 1.0 if unit else math.sqrt(j * (n - 1 - j))) for j in range(1, n - 1)
-            ]
-            docs.append(_document(f"{'unit' if unit else 'fil'}-n{n}", 0, n, fil))
-    return docs
+    """One document per entry of the dumped tree's ``catalog.ladder()``, its bracket as listed there."""
+    from homsol import catalog
+
+    return [_document(e.name, e.dim_h, e.dim_n, e.entries) for e in catalog.ladder()]
 
 
 def construction_documents() -> list[dict]:
