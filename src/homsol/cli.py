@@ -5,15 +5,26 @@ verify-all.  Exit codes: 0 all checks pass, 1 check failures, 2 input or
 usage errors, 141 (the shell's code for SIGPIPE) when the reader of
 standard output closes it before the report is written.  Reports are
 deterministic; --json prints one JSON object.
+
+The command line is described once: ``OPTIONS`` (the options of every
+command) and ``COMMANDS`` (each command's help, its document argument if
+it takes one, and its own options), in argparse's ``add_argument``
+keywords.  ``_read_argv`` reads a well-formed argv by that table: a known
+command, its document, and its options spelled in full as ``--opt value``
+or ``--opt=value``, each at most once.  Every other argv (no command,
+``-h``, an abbreviation, a repeat, a value that starts with ``-``, a bad
+choice or number, a missing or extra argument) goes to the argparse
+parser ``build_parser`` builds from the same table, which prints help and
+usage errors; argparse is imported only then, once per process.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -72,7 +83,7 @@ def run_document(command: str, doc: AlgebraDocument, tol: float, *args) -> Repor
         try:
             # the body is looked up by name when called, so a wrapper put on the module's
             # run_<command> after import (a tracer's, a test's) is the one that runs
-            globals()[DOCUMENT_COMMANDS[command][1].__name__](report, dec, *args)
+            globals()[DOCUMENT_COMMANDS[command][0].__name__](report, dec, *args)
         except DecompositionError as err:  # soliton_fit's n-not-nilradical
             violations = err.violations
     for v in violations:
@@ -280,14 +291,14 @@ def run_extend(report: Report, dec, variant: str):
         )
 
 
-# name: (help, body(report, dec, *extra) run by run_document, by name, on a valid document,
+# name: (body(report, dec, *extra) run by run_document, by name, on a valid document,
 #        extra(doc, parsed command line): the arguments the body takes after dec)
 DOCUMENT_COMMANDS = {
-    "ricci": ("Ricci operator of a decomposition", run_ricci, lambda doc, args: (doc.ip,)),
-    "fit": ("soliton certificate by least squares", run_fit, lambda doc, args: ()),
-    "battery": ("full structural condition battery", run_battery, lambda doc, args: ()),
-    "stratify": ("stratum label and its property checks", run_stratify, lambda doc, args: ()),
-    "extend": ("Einstein/soliton metric transformations", run_extend, lambda doc, args: (args.variant,)),
+    "ricci": (run_ricci, lambda doc, args: (doc.ip,)),
+    "fit": (run_fit, lambda doc, args: ()),
+    "battery": (run_battery, lambda doc, args: ()),
+    "stratify": (run_stratify, lambda doc, args: ()),
+    "extend": (run_extend, lambda doc, args: (args.variant,)),
 }
 
 
@@ -420,36 +431,110 @@ def _fmt(v):
     return f"{v:.9g}"
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and shared by every later ``main`` call."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--tol", type=float, default=None, help="residual tolerance (env HOMSOL_TOL)"
-    )
-    common.add_argument("--json", action="store_true", help="emit the report as one JSON object")
-    common.add_argument("--quiet", action="store_true", help="print failures only")
+# the command line, as argparse's add_argument keywords: the options every command takes,
+# then per command its help, the help of its document argument (None: it takes none) and
+# its own options; build_parser builds argparse from it and _read_argv reads by it
+OPTIONS = {
+    "--tol": {"type": float, "default": None, "help": "residual tolerance (env HOMSOL_TOL)"},
+    "--json": {"action": "store_true", "help": "emit the report as one JSON object"},
+    "--quiet": {"action": "store_true", "help": "print failures only"},
+}
+DOCUMENT = "JSON file or catalog name"
+COMMANDS = {
+    "ricci": ("Ricci operator of a decomposition", DOCUMENT, {}),
+    "fit": ("soliton certificate by least squares", DOCUMENT, {}),
+    "battery": ("full structural condition battery", DOCUMENT, {}),
+    "stratify": ("stratum label and its property checks", DOCUMENT, {}),
+    "build": ("semidirect construction from parts", "construction JSON file", {}),
+    "extend": (
+        "Einstein/soliton metric transformations",
+        DOCUMENT,
+        {
+            "--variant": {"required": True, "choices": ["nonunimodular", "restrict", "unimodular"]},
+            "--out": {"default": None, "help": "write the produced document here"},
+        },
+    ),
+    "catalog": (
+        "list bundled algebras",
+        None,
+        {"--dump": {"default": None, "help": "write all catalog documents to a directory"}},
+    ),
+    "verify-all": ("run every check over the bundled catalog", None, {}),
+}
 
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a well-formed argv, by the table; None for any other argv.
+
+    Well formed: a command of ``COMMANDS``, its document if it takes one,
+    and options of the table, each once, spelled in full as ``--opt value``
+    or ``--opt=value``, with a value that is not empty, does not start with
+    ``-`` and passes the option's type and choices.  A declined argv is
+    argparse's to read, to refuse or to answer with help.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command = argv[0]
+    _, document, own = COMMANDS[command]
+    options = OPTIONS | own
+    read = {"command": command}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):  # the document, once, where the command takes one
+            if not token or not document or "document" in read:
+                return None
+            read["document"] = token
+            continue
+        flag, eq, value = token.partition("=")
+        spec = options.get(flag)
+        if spec is None or flag[2:] in read:
+            return None
+        if spec.get("action") == "store_true":
+            if eq:
+                return None
+            read[flag[2:]] = True
+            continue
+        if not eq:
+            value = next(tokens, "")
+        if not value or value.startswith("-"):
+            return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        read[flag[2:]] = value
+    if document and "document" not in read:
+        return None
+    for flag, spec in options.items():
+        if flag[2:] not in read:
+            if spec.get("required"):
+                return None
+            read[flag[2:]] = False if spec.get("action") == "store_true" else spec.get("default")
+    return SimpleNamespace(**read)
+
+
+@functools.cache
+def build_parser():
+    """The argparse parser of the table, built on the first argv ``_read_argv`` declines and kept."""
+    import argparse
+
+    common = argparse.ArgumentParser(add_help=False)
+    for flag, spec in OPTIONS.items():
+        common.add_argument(flag, **spec)
     ap = argparse.ArgumentParser(
         prog="homsol",
         description="Curvature and soliton structure of metric Lie algebras",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    for name, (help_, *_) in DOCUMENT_COMMANDS.items():
-        if name == "extend":  # the listing has build before extend
-            p = sub.add_parser("build", help="semidirect construction from parts", parents=[common])
-            p.add_argument("document", help="construction JSON file")
+    for name, (help_, document, own) in COMMANDS.items():
         p = sub.add_parser(name, help=help_, parents=[common])
-        p.add_argument("document", help="JSON file or catalog name")
-    p = sub.choices["extend"]
-    p.add_argument("--variant", required=True, choices=["nonunimodular", "restrict", "unimodular"])
-    p.add_argument("--out", default=None, help="write the produced document here")
-
-    p = sub.add_parser("catalog", help="list bundled algebras", parents=[common])
-    p.add_argument("--dump", default=None, help="write all catalog documents to a directory")
-
-    sub.add_parser("verify-all", help="run every check over the bundled catalog", parents=[common])
+        if document:
+            p.add_argument("document", help=document)
+        for flag, spec in own.items():
+            p.add_argument(flag, **spec)
     return ap
 
 
@@ -459,7 +544,8 @@ EXIT_BROKEN_PIPE = 141
 
 def main(argv=None) -> int:
     """Run one command; its exit code, EXIT_BROKEN_PIPE without a traceback when stdout's reader is gone."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     try:
         tol = _tolerance(args.tol)
         if args.command == "catalog":
@@ -470,7 +556,7 @@ def main(argv=None) -> int:
             report = run_build(args.document, tol)
         else:
             doc = load(args.document)
-            extra = DOCUMENT_COMMANDS[args.command][2](doc, args)
+            extra = DOCUMENT_COMMANDS[args.command][1](doc, args)
             report = run_document(args.command, doc, tol, *extra)
             if args.command == "extend" and args.out and "document" in report.results:
                 try:

@@ -13,7 +13,8 @@ Both input formats, algebra and construction documents, are read here
 alone.  A bracket is read once, into its canonical ``AlgebraTensor``, which
 the document holds, writes and hashes: every listing of it is one document.
 
-A document file is read once per process: ``load`` reads the file's text
+A document file is read once per process: ``load`` opens the path (the
+catalog is asked only when no file is there), reads the file's text
 and looks it up in a memo keyed on that text (``_document``, the
 ``MEMO_SIZE`` most recent), which parses it, reads it with
 ``document_from_dict`` and hashes it on a miss.  So ``fit``, ``battery``
@@ -28,6 +29,7 @@ byte-identical JSON (sorted keys, no timestamps, input content hash).
 
 from __future__ import annotations
 
+import errno
 import functools
 import hashlib
 import json
@@ -239,13 +241,32 @@ def document_from_catalog(entry: "_catalog.CatalogEntry") -> AlgebraDocument:
     return AlgebraDocument(entry.name, *dims, entry.tensor(), meta=dict(entry.meta))
 
 
-def _parsed(path: Path, parse):
-    """parse of the text of the file at path; a file that cannot be read or parsed raises DocumentError."""
+# the errors of opening a path that Path.exists reads as no file there
+_NO_FILE = frozenset({errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP})
+
+
+def _parsed(path: Path, parse, missing=None):
+    """parse of the text of the file at path; a file that cannot be read or parsed raises DocumentError.
+
+    With ``missing``, a path that names no file (one ``Path.exists`` would
+    call absent) gives ``missing()`` instead: the path is opened, not
+    tested first.
+    """
     try:
-        return parse(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
     except OSError as err:  # a directory, a missing or unreadable file
+        if missing is not None and err.errno in _NO_FILE:
+            return missing()
         raise DocumentError("not-readable", f"{path}: {err.strerror}") from None
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
+    except UnicodeDecodeError as err:
+        raise DocumentError("parse-error", f"{path}: {err}") from None
+    except ValueError:  # a path with a NUL byte, which names no file
+        if missing is None:
+            raise
+        return missing()
+    try:
+        return parse(text)
+    except (json.JSONDecodeError, RecursionError) as err:
         raise DocumentError("parse-error", f"{path}: {err}") from None
 
 
@@ -269,16 +290,18 @@ def _document(text: str) -> AlgebraDocument:
 
 
 def load(path_or_name: str) -> AlgebraDocument:
-    """Load a document from a JSON file, read once per text (``_document``), or from the catalog by name."""
-    p = Path(path_or_name)
-    if p.exists():
-        return _parsed(p, _document)
-    try:
-        return document_from_catalog(_catalog.get(path_or_name))
-    except KeyError:
-        raise DocumentError(
-            "not-found", f"{path_or_name!r} is neither a file nor a catalog name"
-        ) from None
+    """Load a document from a JSON file, read once per text (``_document``), or from the catalog by
+    name when no file is at that path: the path is opened first, and the catalog asked only then."""
+
+    def from_catalog():
+        try:
+            return document_from_catalog(_catalog.get(path_or_name))
+        except KeyError:
+            raise DocumentError(
+                "not-found", f"{path_or_name!r} is neither a file nor a catalog name"
+            ) from None
+
+    return _parsed(Path(path_or_name), _document, from_catalog)
 
 
 def document_from_decomposition(

@@ -7,7 +7,8 @@ derivation algebra, enough for a valid decomposition with [h,h] inside u,
 used by the blockwise-moment suite).
 
 ``decomposition.decompose`` keeps the decompositions it validated (for
-``io.validate``, the builds, the extensions and the n-parts) for later
+``io.validate``, the builds, the extensions and the n-parts), and the
+frame brackets of the inner products it was listed with, for later
 callers in the process, ``io.load`` the documents it read, by their
 text, and ``tensor._lower_central_length`` the nilpotency tests of the
 n-blocks; each test starts with the three memos empty, and a test that
@@ -72,29 +73,23 @@ def _diagonal_theta(rng, param, dim_h, c):
     raise RuntimeError("could not draw independent diagonal derivations")
 
 
+def so3_isotropy_construction(c: float) -> ConstructionData:
+    """k = so(3) acting by rotations on an abelian R^3, h = R a by s I, s^2 = -c/3: hyperbolic 4-space."""
+    theta = np.zeros((4, 3, 3))
+    theta[0] = np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=float)
+    theta[1] = np.array([[0, 0, 1], [0, 0, 0], [-1, 0, 0]], dtype=float)
+    theta[2] = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
+    theta[3] = np.sqrt(-c / 3.0) * np.eye(3)
+    u = AlgebraTensor(4, SO3.entries)
+    return ConstructionData(
+        n_bracket=ABELIAN3, c=c, d1=-c * np.eye(3), u_bracket=u, dim_k=3, theta=theta
+    )
+
+
 def random_construction(rng) -> ConstructionData:
     """Compatible data: u abelian or so(3) + R, theta diagonal or rotational."""
     if rng.random() < 0.25:
-        # k = so(3) acting by rotations on an abelian R^3, h = R a by s I
-        c = -float(rng.uniform(1.0, 5.0))
-        s = np.sqrt(-c / 3.0)
-        theta = np.zeros((4, 3, 3))
-        e = np.eye(3)
-        theta[0] = np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=float)
-        theta[1] = np.array([[0, 0, 1], [0, 0, 0], [-1, 0, 0]], dtype=float)
-        theta[2] = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
-        theta[3] = s * e
-        u = AlgebraTensor(
-            4,
-            (
-                (0, 1, 2, 1.0),
-                (1, 2, 0, 1.0),
-                (0, 2, 1, -1.0),
-            ),
-        )
-        return ConstructionData(
-            n_bracket=ABELIAN3, c=c, d1=-c * np.eye(3), u_bracket=u, dim_k=3, theta=theta
-        )
+        return so3_isotropy_construction(-float(rng.uniform(1.0, 5.0)))
     nil, c, d1, param = nil_part(rng)
     dim_h = int(rng.integers(1, min(3, param.shape[0]) + 1))
     theta = _diagonal_theta(rng, param, dim_h, c)
@@ -161,6 +156,7 @@ def rng():
 
 def _empty_memos():
     decomposition._validated.cache_clear()
+    decomposition._FRAMED.clear()
     io._document.cache_clear()
     tensor._lower_central_length.cache_clear()
 

@@ -342,6 +342,33 @@ def test_a_build_with_inner_products_factorizes_the_metric_on_p_once(tmp_path, c
     assert calls["frame"] == 2
 
 
+def test_a_document_with_an_inner_product_is_factorized_once_per_process(tmp_path, capsys, monkeypatch):
+    # decompose keeps the frame bracket of a listed ip, so fit, fit, battery and stratify of
+    # one document check and factorize its ip once; the count was 4 when only the
+    # decomposition was kept
+    from homsol import decomposition
+    from homsol.cli import main
+
+    calls = count_calls(monkeypatch, {"frame": decomposition.orthonormal_frame})
+    raw = document_from_catalog(catalog.get("heis3")).to_json_dict()
+    raw.update(name="heis3-ip", ip=[[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], meta={})
+    path = tmp_path / "heis3-ip.json"
+    path.write_text(json.dumps(raw))
+    for command in ("fit", "fit", "battery", "stratify"):
+        assert main([command, str(path), "--json"]) == 0, command
+    capsys.readouterr()
+    assert calls["frame"] == 1
+    # an ip refused is refused again, from the memo, with the same violations
+    raw.update(name="heis3-ip-bad", ip=[[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    path.write_text(json.dumps(raw))
+    reports = []
+    for _ in range(2):
+        assert main(["fit", str(path), "--json"]) == 2
+        reports.append(json.loads(capsys.readouterr().out)["errors"])
+    assert reports[0] == reports[1] and [e["code"] for e in reports[0]] == ["ip-not-symmetric"]
+    assert calls["frame"] == 1
+
+
 def one_document_per_ladder_family(tmp_path) -> list[str]:
     paths, families = [], set()
     for raw in compare_reports.ladder_documents():
@@ -646,3 +673,38 @@ def test_dump_hashes_the_text_a_command_printed():
     run = compare_reports._run(main, ["fit", "heis3", "--json"])
     text = json.dumps(run["report"], sort_keys=True, indent=2) + "\n"
     assert run["sha256"] == compare_reports._sha256(text)
+
+
+def test_dump_records_a_usage_error_and_hashes_the_standard_error():
+    from homsol.cli import main
+
+    run = compare_reports._run(main, ["fit", "heis3", "--tol", "x"])
+    assert run["exit"] == 2 and run["report"] == ""
+    assert run["stderr_sha256"] != compare_reports._sha256("")
+    run = compare_reports._run(main, ["fit", "-h"])
+    assert run["exit"] == 0 and run["report"].startswith("usage: homsol fit")
+    assert run["stderr_sha256"] == compare_reports._sha256("")
+
+
+def test_front_end_runs_print_what_argparse_alone_prints(monkeypatch):
+    # the option table reads the well-formed argv of FRONT_END_ARGV; argparse reading every one
+    # gives the same exit codes, standard output and standard error
+    from homsol import cli
+
+    monkeypatch.delenv("HOMSOL_TOL", raising=False)
+    table = compare_reports.front_end_runs(cli.main)
+    read = [argv for argv in compare_reports.FRONT_END_ARGV if cli._read_argv(argv) is not None]
+    assert len(read) == 8  # the first seven, and --tol=nan, a float that main refuses
+    monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
+    assert compare_reports.front_end_runs(cli.main) == table
+    assert {run["exit"] for run in table.values()} == {0, 2}
+
+
+def test_compare_reads_a_dump_without_standard_error_hashes_as_it_reads_one_without_any(tmp_path, capsys):
+    new = {"fit a": {"exit": 0, "report": {"c": -1.5}, "sha256": "1", "stderr_sha256": "2"}}
+    old = {"fit a": {"exit": 0, "report": {"c": -1.5}, "sha256": "1"}}
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    for path, dump in zip(paths, (old, new)):
+        path.write_text(json.dumps(dump))
+    assert compare_reports.main(["compare", *map(str, paths)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["1 vs 1 reports, 0 differences, 0 text differs"]

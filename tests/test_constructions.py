@@ -16,11 +16,11 @@ from homsol.constructions import (
     restrict_to_unimodular_kernel,
     validate_construction,
 )
-from homsol.decomposition import MetricDecomposition
+from homsol.decomposition import DecompositionError, MetricDecomposition, decompose
 from homsol.soliton import SolitonCertificate, soliton_fit, structure_battery
 from homsol.tensor import DEFAULT_TOL, AlgebraTensor, jacobi_residual
 
-from conftest import random_construction, random_lambda1zero
+from conftest import HEIS3, random_construction, random_lambda1zero, so3_isotropy_construction
 
 
 def solv12_data(c=-5.0):
@@ -436,3 +436,61 @@ def test_isotropy_instances_respect_invariants(rng):
         assert np.max(np.abs(kill[dec.sk, dec.sp])) <= bound
         checked += 1
     assert checked
+
+
+# ---------------------------------------------------------------------------
+# refusals that no valid input reaches: a fitted certificate is symmetric, D + S(ad H)
+# annihilates H and vanishes on k, and H is orthogonal to [g, g]; each test hands the
+# transformation a certificate or a mean curvature made by hand to reach one
+# ---------------------------------------------------------------------------
+
+TRANSFORMATIONS = (einstein_from_nonunimodular, restrict_to_unimodular_kernel, einstein_extension_unimodular)
+
+
+def _bumped(cert: SolitonCertificate, *cells) -> SolitonCertificate:
+    """cert with 1 added to its derivation at each (row, column) cell."""
+    d_full = cert.d_full.copy()
+    for cell in cells:
+        d_full[cell] += 1.0
+    return replace(cert, d_full=d_full)
+
+
+def test_a_certificate_whose_derivation_is_not_symmetric_is_refused():
+    dec = get("solv12").decomposition()
+    cert = soliton_fit(dec)
+    restrict_to_unimodular_kernel(dec, cert)  # the fitted certificate is taken
+    for transformation in TRANSFORMATIONS:
+        with pytest.raises(ValueError, match="certificate derivation is not symmetric"):
+            transformation(dec, _bumped(cert, (1, 2)))
+
+
+def test_restrict_refuses_a_kernel_of_h_that_is_not_an_ideal(monkeypatch):
+    # heis3 declared as h alone, with a mean curvature along its centre e2 instead of H = 0:
+    # [e0, e1] = e2 escapes the kernel of that vector
+    dec = decompose(HEIS3, 0, 3, 0)
+    cert = SolitonCertificate(
+        c=-1.5, d_full=np.zeros((3, 3)), d1=np.zeros((0, 0)), residual=0.0,
+        tag="AlgebraicSoliton", derivation_defect=0.0, sym_derivation_defect=0.0, dim_h=3,
+    )
+    monkeypatch.setattr(dec, "mean_curvature", lambda: np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(DecompositionError) as err:
+        restrict_to_unimodular_kernel(dec, cert)
+    assert [v.code for v in err.value.violations] == ["kernel-not-ideal"]
+
+
+def test_restrict_refuses_a_derivation_that_moves_h():
+    # solv12's certificate with D + S(ad H) coupling the H direction (h, index 0) to n
+    dec = get("solv12").decomposition()
+    with pytest.raises(DecompositionError) as err:
+        restrict_to_unimodular_kernel(dec, _bumped(soliton_fit(dec), (0, 1), (1, 0)))
+    assert [v.code for v in err.value.violations] == ["dprime-moves-h"]
+
+
+def test_restrict_refuses_a_derivation_with_a_k_block():
+    # real hyperbolic 4-space with so(3) isotropy: its certificate with D nonzero on k
+    res = build_semidirect(so3_isotropy_construction(-3.0))
+    dec, cert = res.decomposition, res.certificate
+    restrict_to_unimodular_kernel(dec, cert)  # the built certificate is taken
+    with pytest.raises(DecompositionError) as err:
+        restrict_to_unimodular_kernel(dec, _bumped(cert, (0, 0)))
+    assert [v.code for v in err.value.violations] == ["dprime-k-block"]

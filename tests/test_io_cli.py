@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homsol import catalog
+from homsol import catalog, cli
 from homsol.cli import main
 from homsol.io import DocumentError, document_from_catalog, document_from_dict, load, validate
 
@@ -374,6 +374,21 @@ def test_cli_verify_all(capsys):
     rep = json.loads(out)
     assert rep["passed"]
     assert len(rep["checks"]) > 60
+
+
+def test_cli_verify_all_fails_an_entry_whose_decomposition_is_invalid(capsys, monkeypatch):
+    # no bundled entry is invalid: so(3) declared as n, which is not nilpotent, is checked
+    # for validity alone
+    from dataclasses import replace
+
+    bad = replace(catalog.get("so3"), name="so3-as-n", dim_h=0, dim_n=3)
+    monkeypatch.setitem(catalog.CATALOG, bad.name, bad)
+    checks = cli._verify_one(bad.name, 1e-9)
+    assert [(c.name, c.passed) for c in checks] == [("so3-as-n:valid", False)]
+    code, out = run_cli(capsys, "verify-all", "--json")
+    assert code == 1
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+    assert failed == ["so3-as-n:valid"]
 
 
 def assert_refused_in_the_report(capsys, argv, code):
@@ -1155,13 +1170,14 @@ def test_cli_every_record_passes_exactly_when_its_value_is_within_its_tolerance(
 
 
 # ---------------------------------------------------------------------------
-# one parser per process
+# one option table; argparse for the argv it declines, built once per process
 # ---------------------------------------------------------------------------
 
 def test_cli_reused_parser_prints_what_a_fresh_parser_prints(capsys, tmp_path, monkeypatch):
+    # each call read by a freshly built argparse parser prints what the same calls print in
+    # one process, where the option table reads the well-formed argv and argparse is built
+    # once, for the first argv the table declines
     import argparse
-
-    from homsol import cli
 
     monkeypatch.delenv("HOMSOL_TOL", raising=False)
     out_file = tmp_path / "restricted.json"
@@ -1173,6 +1189,7 @@ def test_cli_reused_parser_prints_what_a_fresh_parser_prints(capsys, tmp_path, m
         ["fit", "heis3", "--json"],
         ["extend", "heis3", "--json"],  # --variant is required
         ["stratify", "fil4", "--json"],
+        ["fit", "--js", "heis3"],  # an abbreviation, which argparse reads and the table declines
     ]
 
     def run(argv):
@@ -1186,28 +1203,188 @@ def test_cli_reused_parser_prints_what_a_fresh_parser_prints(capsys, tmp_path, m
         return code, captured.out, captured.err, written
 
     fresh = []
-    for argv in calls:
-        cli.build_parser.cache_clear()
-        fresh.append(run(argv))
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_read_argv", lambda argv: None)
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            fresh.append(run(argv))
 
-    constructed = []
+    built_in = []  # the index of the call during which each ArgumentParser was made
+    reused = []
     init = argparse.ArgumentParser.__init__
 
     def counted(self, *args, **kwargs):
-        constructed.append(self)
+        built_in.append(len(reused))
         init(self, *args, **kwargs)
 
     cli.build_parser.cache_clear()
-    run(["catalog", "--json"])
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    reused = [run(argv) for argv in calls]
-    assert constructed == []
+    for argv in calls:
+        reused.append(run(argv))
     assert reused == fresh
+    assert [i for i, argv in enumerate(calls) if cli._read_argv(argv) is None] == [5, 7]
+    assert set(built_in) == {5}
+    assert cli.build_parser.cache_info().misses == 1
     assert fresh[0][3] is not None and fresh[1][3] is None and fresh[2][3] is None
     assert json.loads(fresh[3][1])["config"]["tolerance"] == 1e-3
     assert json.loads(fresh[4][1])["config"]["tolerance"] == 1e-9
     assert fresh[5][0] == ("exit", 2)
     assert fresh[6][0] == 0
+    assert json.loads(fresh[7][1])["classification"] == "AlgebraicSoliton"
+
+
+# tokens of the option table, and malformed ones: help, the end of options, abbreviations,
+# values that start with "-" or that the option's type or choices refuse, explicit values
+# of flags, empty and lone-dash arguments, unknown commands
+_ARGV_TOKENS = [
+    "fit", "ricci", "battery", "stratify", "build", "extend", "catalog", "verify-all", "nope",
+    "heis3", "x.json", "--tol", "1e-3", "0.5", "--json", "--quiet", "--variant", "restrict",
+    "unimodular", "--out", "o.json", "--dump", "d", "--tol=1e-3", "--variant=nonunimodular",
+    "--out=o.json", "--dump=d", "-h", "--help", "--", "--js", "--var=restrict", "-1e-3",
+    "--tol=-1", "--tol=nan", "nan", "--variant=bad", "bad", "--json=1", "", "-", "-1",
+]
+
+
+def _argparse_reads(argv):
+    """vars of argparse's namespace for argv, or None when it refuses argv or prints help."""
+    import contextlib
+    import io
+
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _same_reading(a: dict, b: dict) -> bool:
+    """a == b, with a NaN equal to a NaN."""
+    nan = [k for k, v in a.items() if isinstance(v, float) and v != v]
+    return a.keys() == b.keys() and all(b[k] != b[k] for k in nan) and (
+        {k: v for k, v in a.items() if k not in nan} == {k: v for k, v in b.items() if k not in nan}
+    )
+
+
+@st.composite
+def _table_argv(draw):
+    """A command, its document if it takes one and a draw of its options, in any order and
+    spelling, with values of every option's kind; now and then one token more from the list."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    _, document, own = cli.COMMANDS[command]
+    parts = [[draw(st.sampled_from(["heis3", "x.json"]))]] if document else []
+    for flag, spec in (cli.OPTIONS | own).items():
+        if not (spec.get("required") or draw(st.booleans())):
+            continue
+        if spec.get("action") == "store_true":
+            parts.append([flag])
+            continue
+        value = draw(st.sampled_from([*spec.get("choices", []), "1e-3", "nan", "o.json", "-1", ""]))
+        parts.append([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+    argv = [command, *(token for part in draw(st.permutations(parts)) for token in part)]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(_ARGV_TOKENS)))
+    return argv
+
+
+@settings(max_examples=800, derandomize=True, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(_ARGV_TOKENS), max_size=7),
+        st.tuples(
+            st.sampled_from(list(cli.COMMANDS)),
+            st.lists(st.sampled_from(_ARGV_TOKENS[9:]), max_size=6),
+        ).map(lambda t: [t[0], *t[1]]),
+        _table_argv(),
+    )
+)
+def test_read_argv_reads_what_argparse_reads_or_declines(argv):
+    read = cli._read_argv(argv)
+    parsed = _argparse_reads(argv)
+    if read is not None:
+        assert parsed is not None, argv  # every argv argparse refuses is declined
+        assert _same_reading(vars(read), parsed), (argv, vars(read), parsed)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "heis3", "--json"],
+        ["extend", "--variant=unimodular", "heis3", "--out", "o.json", "--quiet"],
+        ["catalog", "--dump=d", "--tol", "1e-3"],
+        ["verify-all", "--tol=nan"],
+        ["build", "x.json"],
+    ],
+)
+def test_read_argv_reads_well_formed_argv(argv):
+    read = cli._read_argv(argv)
+    assert read is not None and _same_reading(vars(read), _argparse_reads(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [], ["-h"], ["fit", "-h"], ["--"], ["fit", "--", "heis3"], ["fit", "heis3", "--js"],
+        ["extend", "heis3", "--var=restrict"], ["fit", "heis3", "--tol", "1e-3", "--tol", "1e-4"],
+        ["fit", "heis3", "--tol", "-1e-3"], ["fit", "heis3", "--tol=-1"], ["extend", "heis3", "--variant=bad"],
+        ["fit", "heis3", "--json=1"], ["fit", ""], ["fit", "-"], ["nope", "heis3"], ["fit"],
+        ["fit", "heis3", "fil4"], ["catalog", "heis3"], ["extend", "heis3"], ["verify-all", "--tol"],
+    ],
+)
+def test_read_argv_declines_what_argparse_must_read(argv):
+    assert cli._read_argv(argv) is None
+
+
+_NO_ARGPARSE = """
+import contextlib, io, json, sys
+from homsol.cli import main
+out = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["fit", "heis3", "--json"], ["battery", "cplxhyp2"], ["stratify", "fil4", "--quiet"],
+                 ["extend", "--variant=unimodular", "heis3", "--out", out], ["ricci", out, "--tol", "1e-6"],
+                 ["catalog"], ["verify-all", "--json"]):
+        assert main(argv) == 0, argv
+before = "argparse" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        main(["fit", "heis3", "--js"])
+    except SystemExit:
+        pass
+print(json.dumps([before, "argparse" in sys.modules]))
+"""
+
+
+def test_well_formed_argv_do_not_import_argparse(tmp_path):
+    # argparse is imported for the first argv the option table declines, and not before
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_ARGPARSE, str(tmp_path / "ext.json")],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == [False, True]
+
+
+def test_load_opens_the_path_and_asks_the_catalog_only_when_no_file_is_there(tmp_path, monkeypatch):
+    # no stat before the open: a name, a file, a directory, a missing path and paths that name
+    # no file get the document or the error code that testing the path first gave
+    def no_test(self):
+        raise AssertionError(f"{self} tested before it was opened")
+
+    monkeypatch.setattr(Path, "exists", no_test)
+    monkeypatch.setattr(Path, "is_file", no_test)
+    f = tmp_path / "heis3.json"
+    f.write_text(document_from_catalog(catalog.get("heis3")).dumps())
+    assert load(str(f)).content_hash() == load("heis3").content_hash()
+    unreadable = {str(tmp_path): "not-readable", "": "not-readable"}
+    missing = [str(tmp_path / "nope.json"), f"{f}/heis3", "a\x00b", "heis3.json/x"]
+    for target, code in [*unreadable.items(), *((m, "not-found") for m in missing)]:
+        with pytest.raises(DocumentError) as err:
+            load(target)
+        assert err.value.code == code, target
+    (tmp_path / "loop").symlink_to(tmp_path / "loop")
+    with pytest.raises(DocumentError) as err:
+        load(str(tmp_path / "loop"))
+    assert err.value.code == "not-found"
 
 
 def test_cli_runs_the_command_body_the_module_holds_when_called(capsys, monkeypatch):

@@ -51,11 +51,15 @@ n = heis3, whose arrays of a zero extent are empty);
 ``--out``) right after the command, at that command's ``--tol``, so that
 they are served the decomposition the command built; and
 ``verify-all --json``.  ``build`` and ``verify-all`` also run at
-``--tol 1e-6``.  Everything runs
+``--tol 1e-6``.  The front end is dumped too: each argv of
+``FRONT_END_ARGV``, well-formed ones in each spelling and ones the parser
+must answer with help or a usage error, runs with ``COLUMNS=80``, so help
+text is wrapped the same way on every tree.  Everything runs
 in-process through ``homsol.cli.main``, and every exit code and report
-goes to one JSON file, with the sha256 of the command's standard output
-and, for ``extend``, of the file ``--out`` wrote; a command that raises
-is recorded with the exception's type and message as its exit code.
+goes to one JSON file, with the sha256 of the command's standard output,
+of its standard error and, for ``extend``, of the file ``--out`` wrote; a
+command that exits (``SystemExit``) is recorded with its exit status, and
+one that raises with the exception's type and message, as its exit code.
 The BLAS and OpenMP thread counts are pinned to 1 before numpy loads, so
 one tree dumped twice gives the same numbers.
 
@@ -68,8 +72,8 @@ in that report, so roundoff can be told from a change of scale), and
 exits 1 if there is any difference, 0 otherwise.  A report whose values
 are exactly equal in both dumps but whose text hashes differ is printed
 as ``text differs`` and counts as a difference too, so a change that
-claims byte-identical reports can show it; a dump without hashes is
-compared on its values alone.  Either command exits 141 (the shell's code
+claims byte-identical reports can show it; a dump without hashes, or
+without the standard-error hash, is compared on what it has.  Either command exits 141 (the shell's code
 for SIGPIPE), without a traceback, when the reader of its standard output
 closes it early (``compare A B | head``).
 """
@@ -86,6 +90,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 COMMANDS = ("fit", "battery", "stratify")
 REFIT_COMMANDS = ("fit", "battery")  # run on each document a build or an extend prints
@@ -93,7 +98,45 @@ VARIANTS = ("nonunimodular", "restrict", "unimodular")
 SCALES = (1e-10, 1e-4, 1e4, 1e10)
 OTHER_TOL = "1e-6"  # a --tol away from the default, so a change to tol plumbing shows up
 TOL = 1e-12
-HASHES = ("sha256", "out_sha256")  # of the standard output, of the file extend --out wrote
+# of the standard output, of the file extend --out wrote, of the standard error
+HASHES = ("sha256", "out_sha256", "stderr_sha256")
+# argv for the front end: well-formed ones in each spelling, then ones that get help or a
+# usage error (help, the end of options, abbreviations, a repeat, values that start with "-"
+# or that the option's type or choices refuse, an explicit value of a flag, empty and
+# lone-dash arguments, an unknown command, a missing or an extra argument)
+FRONT_END_ARGV = (
+    ["fit", "heis3"],
+    ["battery", "cplxhyp2", "--quiet"],
+    ["stratify", "--tol=1e-3", "fil4", "--json"],
+    ["extend", "--variant", "restrict", "solv12", "--json", "--tol", "1e-6"],
+    ["ricci", "heis3", "--tol", "1e-6"],
+    ["catalog"],
+    ["fit", "no-such-document", "--json"],
+    [],
+    ["-h"],
+    ["fit", "-h"],
+    ["extend", "--help"],
+    ["--"],
+    ["fit", "--", "heis3"],
+    ["fit", "heis3", "--js"],
+    ["extend", "heis3", "--var=restrict"],
+    ["fit", "heis3", "--tol", "1e-3", "--tol", "1e-4"],
+    ["fit", "heis3", "--tol", "-1e-3"],
+    ["fit", "heis3", "--tol=-1"],
+    ["fit", "heis3", "--tol=nan"],
+    ["fit", "heis3", "--tol", "x"],
+    ["extend", "heis3", "--variant=bad"],
+    ["fit", "heis3", "--json=1"],
+    ["fit", ""],
+    ["fit", "-"],
+    ["nope", "heis3"],
+    ["fit"],
+    ["fit", "heis3", "fil4"],
+    ["catalog", "heis3"],
+    ["catalog", "--dump"],
+    ["extend", "heis3"],
+    ["verify-all", "--tol"],
+)
 
 
 def _document(name: str, dim_h: int, dim_n: int, entries) -> dict:
@@ -342,11 +385,13 @@ def _sha256(text: str) -> str:
 
 
 def _run(main, argv: list[str]) -> dict:
-    """The exit code, report and output hash of one command; an exception's text for its exit code."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    """The exit code, report and output hashes of one command; an exception's text for its exit code."""
+    out, err_out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err_out):
         try:
             code = main(argv)
+        except SystemExit as err:  # help and usage errors
+            code = err.code
         except Exception as err:  # a tree that crashes on a document is compared, not aborted
             code = f"{type(err).__name__}: {err}"
     text = out.getvalue()
@@ -354,7 +399,14 @@ def _run(main, argv: list[str]) -> dict:
         report = json.loads(text)
     except json.JSONDecodeError:
         report = text
-    return {"exit": code, "report": report, "sha256": _sha256(text)}
+    hashes = {"sha256": _sha256(text), "stderr_sha256": _sha256(err_out.getvalue())}
+    return {"exit": code, "report": report, **hashes}
+
+
+def front_end_runs(main) -> dict:
+    """One run per argv of FRONT_END_ARGV, with the terminal 80 columns wide for argparse's help."""
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        return {f"front-end {json.dumps(argv)}": _run(main, argv) for argv in FRONT_END_ARGV}
 
 
 def dump(src: str) -> dict:
@@ -429,6 +481,7 @@ def dump(src: str) -> dict:
                 refit(label, built, argv)
     runs["verify-all"] = _run(main, ["verify-all", "--json"])
     runs[f"verify-all --tol {OTHER_TOL}"] = _run(main, ["verify-all", "--json", "--tol", OTHER_TOL])
+    runs.update(front_end_runs(main))
     return runs
 
 
