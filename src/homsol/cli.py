@@ -8,10 +8,10 @@ deterministic; --json prints one JSON object.
 
 The command line is described once: ``OPTIONS`` (the options of every
 command) and ``COMMANDS`` (each command's help, its document argument if
-it takes one, and its own options), in argparse's ``add_argument``
-keywords.  ``_read_argv`` reads a well-formed argv by that table: a known
-command, its document, and its options spelled in full as ``--opt value``
-or ``--opt=value``, each at most once.  Every other argv (no command,
+it takes one, its own options, in argparse's ``add_argument`` keywords,
+and a document command's body).  ``_read_argv`` reads a well-formed argv
+by that table: a known command, its document, and its options spelled in
+full as ``--opt value`` or ``--opt=value``, each at most once.  Every other argv (no command,
 ``-h``, an abbreviation, a repeat, a value that starts with ``-``, a bad
 choice or number, a missing or extra argument) goes to the argparse
 parser ``build_parser`` builds from the same table, which prints help and
@@ -23,6 +23,8 @@ from __future__ import annotations
 import functools
 import os
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -83,7 +85,7 @@ def run_document(command: str, doc: AlgebraDocument, tol: float, *args) -> Repor
         try:
             # the body is looked up by name when called, so a wrapper put on the module's
             # run_<command> after import (a tracer's, a test's) is the one that runs
-            globals()[DOCUMENT_COMMANDS[command][0].__name__](report, dec, *args)
+            globals()[COMMANDS[command].body.__name__](report, dec, *args)
         except DecompositionError as err:  # soliton_fit's n-not-nilradical
             violations = err.violations
     for v in violations:
@@ -291,17 +293,6 @@ def run_extend(report: Report, dec, variant: str):
         )
 
 
-# name: (body(report, dec, *extra) run by run_document, by name, on a valid document,
-#        extra(doc, parsed command line): the arguments the body takes after dec)
-DOCUMENT_COMMANDS = {
-    "ricci": (run_ricci, lambda doc, args: (doc.ip,)),
-    "fit": (run_fit, lambda doc, args: ()),
-    "battery": (run_battery, lambda doc, args: ()),
-    "stratify": (run_stratify, lambda doc, args: ()),
-    "extend": (run_extend, lambda doc, args: (args.variant,)),
-}
-
-
 def run_catalog(dump_dir: str | None) -> Report:
     report = Report(command="catalog", input_name="", input_hash="", tolerance=0.0)
     listing = {}
@@ -432,34 +423,56 @@ def _fmt(v):
 
 
 # the command line, as argparse's add_argument keywords: the options every command takes,
-# then per command its help, the help of its document argument (None: it takes none) and
-# its own options; build_parser builds argparse from it and _read_argv reads by it
+# then per command a Command; build_parser builds argparse from it and _read_argv reads by it
 OPTIONS = {
     "--tol": {"type": float, "default": None, "help": "residual tolerance (env HOMSOL_TOL)"},
     "--json": {"action": "store_true", "help": "emit the report as one JSON object"},
     "--quiet": {"action": "store_true", "help": "print failures only"},
 }
+
+
+@dataclass(frozen=True)
+class Command:
+    help: str
+    document: str | None  # the help of its document argument; None: it takes none
+    options: dict  # its own options
+    # a document command's body(report, dec, *extra), run by run_document, by name, on a valid
+    # document, and extra(doc, parsed command line): the arguments the body takes after dec
+    body: Callable | None = None
+    extra: Callable | None = None
+
+
 DOCUMENT = "JSON file or catalog name"
 COMMANDS = {
-    "ricci": ("Ricci operator of a decomposition", DOCUMENT, {}),
-    "fit": ("soliton certificate by least squares", DOCUMENT, {}),
-    "battery": ("full structural condition battery", DOCUMENT, {}),
-    "stratify": ("stratum label and its property checks", DOCUMENT, {}),
-    "build": ("semidirect construction from parts", "construction JSON file", {}),
-    "extend": (
+    "ricci": Command(
+        "Ricci operator of a decomposition", DOCUMENT, {}, run_ricci, lambda doc, args: (doc.ip,)
+    ),
+    "fit": Command(
+        "soliton certificate by least squares", DOCUMENT, {}, run_fit, lambda doc, args: ()
+    ),
+    "battery": Command(
+        "full structural condition battery", DOCUMENT, {}, run_battery, lambda doc, args: ()
+    ),
+    "stratify": Command(
+        "stratum label and its property checks", DOCUMENT, {}, run_stratify, lambda doc, args: ()
+    ),
+    "build": Command("semidirect construction from parts", "construction JSON file", {}),
+    "extend": Command(
         "Einstein/soliton metric transformations",
         DOCUMENT,
         {
             "--variant": {"required": True, "choices": ["nonunimodular", "restrict", "unimodular"]},
             "--out": {"default": None, "help": "write the produced document here"},
         },
+        run_extend,
+        lambda doc, args: (args.variant,),
     ),
-    "catalog": (
+    "catalog": Command(
         "list bundled algebras",
         None,
         {"--dump": {"default": None, "help": "write all catalog documents to a directory"}},
     ),
-    "verify-all": ("run every check over the bundled catalog", None, {}),
+    "verify-all": Command("run every check over the bundled catalog", None, {}),
 }
 
 
@@ -475,8 +488,8 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     if not argv or argv[0] not in COMMANDS:
         return None
     command = argv[0]
-    _, document, own = COMMANDS[command]
-    options = OPTIONS | own
+    document = COMMANDS[command].document
+    options = OPTIONS | COMMANDS[command].options
     read = {"command": command}
     tokens = iter(argv[1:])
     for token in tokens:
@@ -529,11 +542,11 @@ def build_parser():
         description="Curvature and soliton structure of metric Lie algebras",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (help_, document, own) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_, parents=[common])
-        if document:
-            p.add_argument("document", help=document)
-        for flag, spec in own.items():
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, parents=[common])
+        if command.document:
+            p.add_argument("document", help=command.document)
+        for flag, spec in command.options.items():
             p.add_argument(flag, **spec)
     return ap
 
@@ -556,7 +569,7 @@ def main(argv=None) -> int:
             report = run_build(args.document, tol)
         else:
             doc = load(args.document)
-            extra = DOCUMENT_COMMANDS[args.command][1](doc, args)
+            extra = COMMANDS[args.command].extra(doc, args)
             report = run_document(args.command, doc, tol, *extra)
             if args.command == "extend" and args.out and "document" in report.results:
                 try:

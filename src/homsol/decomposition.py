@@ -475,37 +475,21 @@ def decompose(
     dimensions and ``tol``.  So a listing with an inner product and its
     orthonormal twin get the same ``MetricDecomposition``, and so do an
     identity ``ip`` and none, which maps the bracket to itself bit for bit.
-    The ``MEMO_SIZE`` most recent are kept, refusals included.  The frame
-    bracket of a listed ip, or the ip's refusal, is kept too (``_FRAMED``,
-    keyed on the listed bracket, the block dimensions and the ip's shape
-    and bytes), so a repeated listing is checked and factorized once.
+    The ``MEMO_SIZE`` most recent are kept, refusals included.
     """
     if ip is not None and dim_k + dim_h + dim_n == bracket.dim:  # else MetricDecomposition refuses
         ip = np.asarray(ip, dtype=float)
-        key = (bracket, dim_k, dim_h, dim_n, ip.shape, ip.tobytes())
-        framed = _FRAMED.pop(key, None)
-        if framed is None:
-            framed = tuple(_metric_violations(ip, dim_h, dim_n))
-            if not framed:
-                frame = np.eye(bracket.dim)
-                frame[dim_k:, dim_k:] = orthonormal_frame(ip)
-                with np.errstate(over="ignore", invalid="ignore"):  # out of range: range_fault's
-                    framed = bracket.map_basis(frame)
-        _FRAMED[key] = framed  # the most recent last
-        if len(_FRAMED) > MEMO_SIZE:
-            del _FRAMED[next(iter(_FRAMED))]
-        if isinstance(framed, tuple):
-            raise DecompositionError(list(framed))
-        bracket = framed
+        violations = _metric_violations(ip, dim_h, dim_n)
+        if violations:
+            raise DecompositionError(violations)
+        frame = np.eye(bracket.dim)
+        frame[dim_k:, dim_k:] = orthonormal_frame(ip)
+        with np.errstate(over="ignore", invalid="ignore"):  # out of range in the frame: range_fault's
+            bracket = bracket.map_basis(frame)
     dec, violations = _validated(bracket, dim_k, dim_h, dim_n, tol)
     if violations:
         raise DecompositionError(violations)
     return dec
-
-
-# (listed bracket, dim_k, dim_h, dim_n, ip shape, ip bytes) -> its frame bracket, or the ip's
-# violations; the MEMO_SIZE most recently used, oldest first
-_FRAMED: dict[tuple, AlgebraTensor | tuple[Violation, ...]] = {}
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)

@@ -245,34 +245,25 @@ def document_from_catalog(entry: "_catalog.CatalogEntry") -> AlgebraDocument:
 _NO_FILE = frozenset({errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP})
 
 
-def _parsed(path: Path, parse, missing=None):
-    """parse of the text of the file at path; a file that cannot be read or parsed raises DocumentError.
-
-    With ``missing``, a path that names no file (one ``Path.exists`` would
-    call absent) gives ``missing()`` instead: the path is opened, not
-    tested first.
-    """
+def _parsed(path: Path, fh, parse):
+    """parse of the text of fh, the file opened at path; a file that cannot be read or parsed
+    raises DocumentError."""
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as err:  # a directory, a missing or unreadable file
-        if missing is not None and err.errno in _NO_FILE:
-            return missing()
+        return parse(fh.read())
+    except OSError as err:
         raise DocumentError("not-readable", f"{path}: {err.strerror}") from None
-    except UnicodeDecodeError as err:
-        raise DocumentError("parse-error", f"{path}: {err}") from None
-    except ValueError:  # a path with a NUL byte, which names no file
-        if missing is None:
-            raise
-        return missing()
-    try:
-        return parse(text)
-    except (json.JSONDecodeError, RecursionError) as err:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
         raise DocumentError("parse-error", f"{path}: {err}") from None
 
 
 def read_json(path: Path):
     """The JSON value in the file at path; a file that cannot be read or parsed raises DocumentError."""
-    return _parsed(path, json.loads)
+    try:
+        fh = path.open(encoding="utf-8")
+    except OSError as err:  # a directory, a missing or unreadable file
+        raise DocumentError("not-readable", f"{path}: {err.strerror}") from None
+    with fh:
+        return _parsed(path, fh, json.loads)
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
@@ -292,16 +283,23 @@ def _document(text: str) -> AlgebraDocument:
 def load(path_or_name: str) -> AlgebraDocument:
     """Load a document from a JSON file, read once per text (``_document``), or from the catalog by
     name when no file is at that path: the path is opened first, and the catalog asked only then."""
-
-    def from_catalog():
-        try:
-            return document_from_catalog(_catalog.get(path_or_name))
-        except KeyError:
-            raise DocumentError(
-                "not-found", f"{path_or_name!r} is neither a file nor a catalog name"
-            ) from None
-
-    return _parsed(Path(path_or_name), _document, from_catalog)
+    path = Path(path_or_name)
+    try:
+        fh = path.open(encoding="utf-8")
+    except OSError as err:
+        if err.errno not in _NO_FILE:  # a directory, an unreadable file
+            raise DocumentError("not-readable", f"{path}: {err.strerror}") from None
+    except ValueError:  # a path with a NUL byte, which names no file
+        pass
+    else:
+        with fh:
+            return _parsed(path, fh, _document)
+    try:
+        return document_from_catalog(_catalog.get(path_or_name))
+    except KeyError:
+        raise DocumentError(
+            "not-found", f"{path_or_name!r} is neither a file nor a catalog name"
+        ) from None
 
 
 def document_from_decomposition(

@@ -7,8 +7,7 @@ derivation algebra, enough for a valid decomposition with [h,h] inside u,
 used by the blockwise-moment suite).
 
 ``decomposition.decompose`` keeps the decompositions it validated (for
-``io.validate``, the builds, the extensions and the n-parts), and the
-frame brackets of the inner products it was listed with, for later
+``io.validate``, the builds, the extensions and the n-parts) for later
 callers in the process, ``io.load`` the documents it read, by their
 text, and ``tensor._lower_central_length`` the nilpotency tests of the
 n-blocks; each test starts with the three memos empty, and a test that
@@ -156,7 +155,6 @@ def rng():
 
 def _empty_memos():
     decomposition._validated.cache_clear()
-    decomposition._FRAMED.clear()
     io._document.cache_clear()
     tensor._lower_central_length.cache_clear()
 

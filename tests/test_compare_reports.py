@@ -342,33 +342,6 @@ def test_a_build_with_inner_products_factorizes_the_metric_on_p_once(tmp_path, c
     assert calls["frame"] == 2
 
 
-def test_a_document_with_an_inner_product_is_factorized_once_per_process(tmp_path, capsys, monkeypatch):
-    # decompose keeps the frame bracket of a listed ip, so fit, fit, battery and stratify of
-    # one document check and factorize its ip once; the count was 4 when only the
-    # decomposition was kept
-    from homsol import decomposition
-    from homsol.cli import main
-
-    calls = count_calls(monkeypatch, {"frame": decomposition.orthonormal_frame})
-    raw = document_from_catalog(catalog.get("heis3")).to_json_dict()
-    raw.update(name="heis3-ip", ip=[[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], meta={})
-    path = tmp_path / "heis3-ip.json"
-    path.write_text(json.dumps(raw))
-    for command in ("fit", "fit", "battery", "stratify"):
-        assert main([command, str(path), "--json"]) == 0, command
-    capsys.readouterr()
-    assert calls["frame"] == 1
-    # an ip refused is refused again, from the memo, with the same violations
-    raw.update(name="heis3-ip-bad", ip=[[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    path.write_text(json.dumps(raw))
-    reports = []
-    for _ in range(2):
-        assert main(["fit", str(path), "--json"]) == 2
-        reports.append(json.loads(capsys.readouterr().out)["errors"])
-    assert reports[0] == reports[1] and [e["code"] for e in reports[0]] == ["ip-not-symmetric"]
-    assert calls["frame"] == 1
-
-
 def one_document_per_ladder_family(tmp_path) -> list[str]:
     paths, families = [], set()
     for raw in compare_reports.ladder_documents():

@@ -1270,9 +1270,8 @@ def _table_argv(draw):
     """A command, its document if it takes one and a draw of its options, in any order and
     spelling, with values of every option's kind; now and then one token more from the list."""
     command = draw(st.sampled_from(list(cli.COMMANDS)))
-    _, document, own = cli.COMMANDS[command]
-    parts = [[draw(st.sampled_from(["heis3", "x.json"]))]] if document else []
-    for flag, spec in (cli.OPTIONS | own).items():
+    parts = [[draw(st.sampled_from(["heis3", "x.json"]))]] if cli.COMMANDS[command].document else []
+    for flag, spec in (cli.OPTIONS | cli.COMMANDS[command].options).items():
         if not (spec.get("required") or draw(st.booleans())):
             continue
         if spec.get("action") == "store_true":
