@@ -52,6 +52,7 @@ from .io import (
     validate,
 )
 from .soliton import (
+    _derivation_bound,
     _residual_bound,
     algebraic_soliton_equivalences,
     certificate_flags,
@@ -119,18 +120,20 @@ def run_fit(report: Report, dec):
             "tag": ncert.tag,
             "d1": ncert.d1,
         }
-    bound = _residual_bound(dec.ricci().matrix, cert.c, dec.bracket_on.norm)
+    norm = dec.bracket_on.norm
+    bound = _residual_bound(dec.ricci().matrix, cert.c, norm)
     # NotDetected with the residual in bound: D is no derivation, so there is no certificate
     value = cert.residual if cert.is_soliton or not cert.residual <= bound else np.inf
-    report.add(
-        Check(
-            "soliton-detected",
-            "Ric = c I + S(D_p) for some D in Der(g), D k = 0",
-            value,
-            bound,
-            {"tag": cert.tag, "c": cert.c, "family": "canonical"},
-        )
-    )
+    route = {
+        "tag": cert.tag,
+        "c": cert.c,
+        "family": cert.family,
+        "c_from": cert.c_from,
+        "derivation_defect": cert.derivation_defect,
+        "derivation_bound": _derivation_bound(norm),
+    }
+    anchor = "Ric = c I + S(D_p) for some D in Der(g), D k = 0"
+    report.add(Check("soliton-detected", anchor, value, bound, route))
 
 
 Groups = dict[str, list[Check]]

@@ -5,13 +5,18 @@ A decomposition is a semi-algebraic soliton when its Ricci operator is
     Ric = c I + S(D_p)
 
 for a derivation D of g vanishing on k; algebraic when S(D) is itself a
-derivation; Einstein when Ric = c I outright.  Certificates are produced
-by least squares over one affine family, the canonical one
+derivation; Einstein when Ric = c I outright.  Certificates live in one
+affine family, the canonical one
 
     D = -ad H + diag(0, 0, D1),  D1 in Der(n),
 
 which is the normal form the structure theory proves for n the nilradical
 (H = 0 on a nilpotent algebra, where this is {c I + S(D) : D in Der(n)}).
+The theory also forces D1: the metric on n is a nilsoliton with the
+soliton's own constant, Ric_n = c I + D1.  So a certificate is first
+written in closed form, D1 = Ric_n - c I with c read off the h block or
+the trace of Ric_n, and only when that does not certify is it found by
+least squares over Der(n).
 A decomposition whose canonical fit fails and whose declared n is not the
 nilradical is refused (``n-not-nilradical``) rather than fitted over
 another family.  Every certificate is tagged by one classifier.  All
@@ -81,6 +86,9 @@ class SolitonCertificate:
     sym_derivation_defect: float  # |pi(S(D)) bracket|
     dim_k: int = 0
     dim_h: int = 0
+    # how D1 was found: "closed-form" (Ric_n - c I), "canonical" (least squares) or "given"
+    family: str = "given"
+    c_from: str = "given"  # "h-block" or "trace" (closed form), "fit" (least squares)
 
     @property
     def d_p(self) -> np.ndarray:
@@ -147,9 +155,12 @@ def _certificate_residual(dec: MetricDecomposition, c: float, d: np.ndarray) -> 
 
 
 def _certificate(
-    dec: MetricDecomposition, c: float, d: np.ndarray, d1: np.ndarray
+    dec: MetricDecomposition, c: float, d: np.ndarray, d1: np.ndarray, **route: str
 ) -> SolitonCertificate:
-    """The certificate Ric = c I + S(D_p) for D on g (orthonormal frame), measured and tagged."""
+    """The certificate Ric = c I + S(D_p) for D on g (orthonormal frame), measured and tagged.
+
+    ``route`` names how c and D were found (``family``, ``c_from``).
+    """
     resid = _certificate_residual(dec, c, d)
     der_defect = dec.derivation_residual_on(d)
     sym_defect = dec.derivation_residual_on(sym(d))
@@ -163,6 +174,7 @@ def _certificate(
         sym_derivation_defect=sym_defect,
         dim_k=dec.dim_k,
         dim_h=dec.dim_h,
+        **route,
     )
 
 
@@ -171,13 +183,14 @@ def _canonical_fit(
 ) -> SolitonCertificate:
     """Least squares min |Ric - c I - S(D_p)| over D = -ad H + diag(0, 0, S(D1)), D1 in Der(n).
 
-    On a nilpotent algebra H = 0, so this is the nilsoliton fit
-    Ric = c I + S(D1).  ``ders`` replaces ``dec.derivations_n()`` as the
-    basis of the D1 family; those with S(D1) = 0 cannot move the fit and
-    are dropped.  ``c`` is fitted unless given.  The certificate's D1 is
-    the fitted S(D1).  The min-norm solution is lstsq's; a wide sparse
-    design (from FIT_BLOCK_MIN_COLS columns, a nice basis) is solved per
-    block of its column graph (``tensor._least_squares``).
+    The route where the closed form does not certify.  On a nilpotent
+    algebra H = 0, so this is the nilsoliton fit Ric = c I + S(D1).
+    ``ders`` replaces ``dec.derivations_n()`` as the basis of the D1
+    family; those with S(D1) = 0 cannot move the fit and are dropped.
+    ``c`` is fitted unless given.  The certificate's D1 is the fitted
+    S(D1).  The min-norm solution is lstsq's; a wide sparse design (from
+    FIT_BLOCK_MIN_COLS columns, a nice basis) is solved per block of its
+    column graph (``tensor._least_squares``).
     """
     ders = dec.derivations_n() if ders is None else ders
     basis = np.zeros((len(ders), dec.dim, dec.dim))
@@ -196,10 +209,33 @@ def _canonical_fit(
     x = np.zeros(0)
     if len(cols):
         x = _least_squares(cols.T, target.reshape(-1))
+    c_from = "fit" if c is None else "given"
     if c is None:
         c, x = float(x[0]), x[1:]
     fitted = np.tensordot(x, basis, axes=1)
-    return _certificate(dec, c, offset + fitted, sym(fitted[dec.sn, dec.sn]))
+    d1 = sym(fitted[dec.sn, dec.sn])
+    return _certificate(dec, c, offset + fitted, d1, family="canonical", c_from=c_from)
+
+
+def _closed_form(dec: MetricDecomposition, c: float | None = None) -> SolitonCertificate:
+    """The structure theorem's certificate D = -ad H + diag(0, 0, Ric_n - c I), measured.
+
+    With an h block the residual is affine in c and vanishes off it, so c
+    is tr(Ric - S(-ad_p H))|_h / dim h.  Without one, tr(Ric_n D1) = 0 for
+    a derivation D1 gives c = tr Ric_n^2 / tr Ric_n, or 0 when tr Ric_n = 0
+    (n abelian).  ``c``, when given, is used instead.
+    """
+    ric_n = dec.n_decomposition().ricci().matrix
+    c_from = "given"
+    if c is None and dec.dim_h:
+        c_from = "h-block"
+        ric_h = dec.ricci().matrix[dec.sh_p, dec.sh_p] + dec.ad_mean_curvature()[dec.sh, dec.sh]
+        c = float(np.trace(ric_h)) / dec.dim_h
+    elif c is None:
+        c_from, tr = "trace", float(np.trace(ric_n))
+        c = float(np.sum(ric_n * ric_n)) / tr if tr else 0.0
+    d1 = ric_n - c * np.eye(dec.dim_n)
+    return _certificate(dec, c, _canonical_derivation(dec, d1), d1, family="closed-form", c_from=c_from)
 
 
 def nilsoliton_fit(
@@ -221,13 +257,17 @@ def nilsoliton_fit(
 def soliton_fit(dec: MetricDecomposition) -> SolitonCertificate:
     """Best certificate Ric = c I + S(D_p) over the canonical family -ad H + diag(0, 0, D1).
 
-    The normal form is proved for n the nilradical: when the fit fails on
-    a decomposition with a k or h block whose n is not the nilradical
-    (``dec.n_is_nilradical``), the split is refused with a
+    The closed form D1 = Ric_n - c I is the certificate when it tags a
+    soliton, and no Der(n) is computed; otherwise the least-squares fit
+    over Der(n) is.  The normal form is proved for n the nilradical: when
+    the fit fails on a decomposition with a k or h block whose n is not
+    the nilradical (``dec.n_is_nilradical``), the split is refused with a
     DecompositionError ``n-not-nilradical`` instead.  Made once per
     decomposition and cached with ``d_full`` and ``d1`` read-only (``_once``).
     """
-    cert = _canonical_fit(dec)
+    cert = _closed_form(dec)
+    if not cert.is_soliton:
+        cert = _canonical_fit(dec)
     # without an h or k block n is all of g, its own nilradical
     if not cert.is_soliton and dec.dim_k + dec.dim_h and not dec.n_is_nilradical:
         detail = "declared n is not the nilradical; the canonical family does not certify the split"
@@ -287,11 +327,12 @@ def structure_battery(
     The report is purely descriptive for c >= 0 (the forward statement
     assumes an expanding constant; the converse computations still run).
 
-    (iii) is fitted over ``dec.derivations_n()`` with c fixed, except on a
-    decomposition that is its own nilpotent part (no k, no h) given a
-    certificate at ``soliton_fit(dec).c``: there the cached canonical
-    certificate is that fit (same family, H = 0, c at the free optimum,
-    so the same minimizer up to roundoff) and is read instead.
+    (iii) is the nilpotent part's closed form D1 = Ric_n - c I at the
+    certificate's c when that tags a soliton, else the fit over
+    ``dec.derivations_n()`` with c fixed; its check names the ``family``.
+    A decomposition that is its own nilpotent part (no k, no h) given a
+    certificate at ``soliton_fit(dec).c`` reads that cached certificate
+    instead: it is the same certificate (H = 0, the same c).
     """
     c = cert.c
     bb = dec.blocks()
@@ -307,10 +348,11 @@ def structure_battery(
     if ndec is dec and soliton_fit(dec).c == c:
         nfit = soliton_fit(dec)
     else:
-        nfit = _canonical_fit(ndec, c, dec.derivations_n())
-    checks.append(
-        dec.check("nilpotent-part-soliton", "Ric_n = c I + D1, D1 in Der(n)", nfit.residual, 2)
-    )
+        nfit = _closed_form(ndec, c)
+        if not nfit.is_soliton:
+            nfit = _canonical_fit(ndec, c, dec.derivations_n())
+    anchor = "Ric_n = c I + D1, D1 in Der(n)"
+    checks.append(dec.check("nilpotent-part-soliton", anchor, nfit.residual, 2, family=nfit.family))
 
     r4 = _commutator_sum(a_eta)
     r4b = max((derivation_residual(mu, a.T) for a in a_eta), default=0.0)

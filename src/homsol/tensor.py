@@ -240,13 +240,15 @@ class AlgebraTensor:
         return math.sqrt(self._norm_sq)  # type: ignore[attr-defined]
 
     def range_fault(self) -> tuple[str, str] | None:
-        """(code, detail) when (|mu|^2)^2 leaves the float range, else None.
+        """(code, detail) when an entry is not finite or (|mu|^2)^2 leaves the float range, else None.
 
         The library forms quantities of degree 4 in mu (c^2, tr F^2); a nonzero
         bracket whose ones round to 0 would pass as an abelian or Einstein one.
         """
         sq = self._norm_sq * self._norm_sq  # type: ignore[attr-defined]
         if not math.isfinite(sq):
+            if not all(math.isfinite(e[3]) for e in self.entries):
+                return "bracket-not-finite", "an entry of the bracket is NaN or infinite"
             return "bracket-norm-overflow", "(|mu|^2)^2 of the bracket is not finite"
         if self.entries and sq < sys.float_info.min:
             return "bracket-norm-underflow", "(|mu|^2)^2 of the nonzero bracket is below the normal range"

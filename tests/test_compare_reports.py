@@ -472,7 +472,7 @@ def test_compare_prints_one_summary_per_report_that_differs(tmp_path, capsys):
     assert compare_reports.main(["compare", *map(str, paths)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[:3] == compare_reports.differences(old, new)
-    assert lines[3] == "3 vs 3 reports, 3 differences"
+    assert lines[3] == "3 vs 3 reports, 3 differences (1 verdict-level, 2 floats, 0 other)"
     assert lines[4:] == [
         "summary fit a: floats moved 2, max |delta| 3e-07, max |value| 2e+08",
         "summary fit c: floats moved 0, max |delta| 0, max |value| 0.5, other differences 1",
@@ -482,17 +482,26 @@ def test_compare_prints_one_summary_per_report_that_differs(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["3 vs 3 reports, 0 differences"]
 
 
-def test_a_nilpotent_decomposition_is_fitted_once(capsys, monkeypatch):
-    # fit's certificate and its nilpotent part's are one canonical fit when the
-    # decomposition is its own nilpotent part, also on nil7, which it does not certify
-    from homsol import cli, soliton
+@pytest.mark.usefixtures("cold_commands")
+def test_a_certified_fit_or_battery_solves_no_least_squares(tmp_path, capsys, monkeypatch):
+    # a soliton is certified in closed form: neither Der(n) nor the canonical fit is
+    # computed; a document it does not certify is fitted once, battery included
+    from homsol import cli, soliton, tensor
     from homsol.cli import main
 
-    calls = count_calls(monkeypatch, {"fit": soliton._canonical_fit})
-    for target, want in (("heis3", 1), ("fil4", 1), ("nil7", 1)):
-        calls.clear()
-        main(["fit", target, "--json"])
-        assert calls["fit"] == want, target
+    calls = count_calls(monkeypatch, {"fit": soliton._canonical_fit, "der": tensor.derivation_algebra})
+    targets = sorted(catalog.names()) + one_document_per_ladder_family(tmp_path)
+    fitted = []
+    for target in targets:
+        for command in ("fit", "battery"):
+            calls.clear()
+            code = main([command, target, "--json"])
+            if code == 0:
+                assert calls["fit"] == calls["der"] == 0, (command, target)
+            else:
+                assert calls["fit"] == calls["der"] == 1, (command, target)
+                fitted.append(target)
+    assert [Path(t).stem for t in fitted] == ["nil7", "nil7", "unit-n5", "unit-n5"]
 
     verify_one = cli._verify_one
     per_entry = {}
@@ -505,7 +514,8 @@ def test_a_nilpotent_decomposition_is_fitted_once(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "_verify_one", counted_entry)
     main(["verify-all", "--json"])
-    assert per_entry["nil7"] == 1  # nilsoliton-negative reuses soliton_fit's canonical fit
+    assert per_entry.pop("nil7") == 1  # nilsoliton-negative reuses soliton_fit's canonical fit
+    assert set(per_entry.values()) == {0}
     capsys.readouterr()
 
 
@@ -607,6 +617,33 @@ def test_a_refit_served_from_the_memo_prints_what_a_cold_refit_prints(tmp_path, 
         assert refit(out, cold=False) == cold, argv
         served[argv[0] if argv[0] == "build" else argv[3]] += 1
     assert sorted(served) == ["build", *compare_reports.VARIANTS], served
+
+
+def test_compare_counts_verdict_level_differences_apart_from_floats(tmp_path, capsys):
+    old = {
+        "fit a": {"exit": 0, "report": {"c": -1.5, "passed": True, "checks": [{"name": "x", "value": 0.1}]}},
+        "fit b": {"exit": 1, "report": {"errors": [{"code": "jacobi"}], "n": 3}},
+        "fit c": {"exit": 0, "report": {"c": -1.5}},
+    }
+    new = json.loads(json.dumps(old))
+    new["fit a"]["report"]["checks"][0]["value"] = 0.1 + 1e-9  # roundoff beyond 1e-12
+    new["fit c"]["report"]["residual"] = 0.0  # a key in one dump only
+    old["fit c"]["report"]["input"] = {"sha256": "1"}
+    new["fit c"]["report"]["input"] = {"sha256": "2"}  # a printed document read back
+    kinds = compare_reports.difference_kinds(old, new)
+    assert kinds == {"float": 1, "other": 2}
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    for path, dump in zip(paths, (old, new)):
+        path.write_text(json.dumps(dump))
+    assert compare_reports.main(["compare", *map(str, paths)]) == 1
+    assert "3 vs 3 reports, 3 differences (0 verdict-level, 1 floats, 2 other)" in capsys.readouterr().out
+    # an exit code, a tag or an error code, a verdict: each is verdict-level; an integer is not
+    new["fit a"]["report"]["passed"] = False
+    new["fit b"] = {"exit": 2, "report": {"errors": [{"code": "n-not-ideal"}], "n": 4}}
+    new["fit c"]["report"]["tag"] = "Einstein"
+    old["fit c"]["report"]["tag"] = "NotDetected"
+    kinds = compare_reports.difference_kinds(old, new)
+    assert kinds == {"verdict": 4, "float": 1, "other": 3}
 
 
 def test_compare_flags_a_text_that_differs_where_the_values_do_not(tmp_path, capsys):

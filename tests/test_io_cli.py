@@ -407,6 +407,15 @@ def test_cli_overflowing_bracket_exit_2(capsys, tmp_path):
     assert_refused_in_the_report(capsys, ["fit", str(f)], "bracket-norm-overflow")
 
 
+def test_cli_a_frame_that_overflows_an_entry_exit_2(capsys, tmp_path):
+    # the listed entry is finite, but in the orthonormal frame of ip it is 1e313: an entry
+    # that is not finite is named as such, apart from a finite bracket whose norm overflows
+    ip = [[1e-8, 0.0, 0.0], [0.0, 1e-8, 0.0], [0.0, 0.0, 1.0]]
+    f = tmp_path / "frame-inf.json"
+    f.write_text(json.dumps(doc_dict(bracket=[{"i": 0, "j": 1, "k": 2, "c": 1e305}], ip=ip)))
+    assert_refused_in_the_report(capsys, ["fit", str(f)], "bracket-not-finite")
+
+
 # not nilpotent: [e0,e1] = e2, [e1,e2] = e0 spans a copy of the Euclidean algebra
 NOT_NILPOTENT = [{"i": 0, "j": 1, "k": 2, "c": 1.0}, {"i": 1, "j": 2, "k": 0, "c": 1.0}]
 

@@ -696,3 +696,72 @@ def test_a_certificate_at_another_constant_is_refitted():
     assert refit["nilpotent-part-soliton"] != reused["nilpotent-part-soliton"]
     forced = forced_nilpotent_part_records(dec, shifted.c)
     assert {name: refit[name] for name in NILPOTENT_PART_RECORDS} == forced
+
+
+# ---------------------------------------------------------------------------
+# the closed form D1 = Ric_n - c I against the least-squares fit over Der(n)
+# ---------------------------------------------------------------------------
+
+def test_the_closed_form_agrees_with_the_canonical_fit():
+    # the same tag everywhere, and on a soliton the same c, at three bracket scales
+    from homsol import catalog
+
+    entries = [catalog.get(name) for name in catalog.names()] + catalog.ladder()
+    assert len(entries) == 17 + 33
+    routes = set()
+    for entry in entries:
+        for s in (1e-4, 1.0, 1e4):
+            dec = decompose(entry.tensor().scale(s), entry.dim_k, entry.dim_h, entry.dim_n)
+            closed, fitted = soliton._closed_form(dec), soliton._canonical_fit(dec)
+            assert closed.tag == fitted.tag, (entry.name, s)
+            if closed.is_soliton:
+                scale = max(abs(fitted.c), dec.bracket_on.norm**2)
+                assert abs(closed.c - fitted.c) <= 1e-12 * scale, (entry.name, s)
+            routes.add((closed.tag != TAG_NONE, closed.c_from))
+    assert routes == {(True, "h-block"), (True, "trace"), (False, "trace")}
+
+
+def rotated_n_document(entry, seed: int) -> dict:
+    """entry's document with n written in a random orthonormal basis, the QR factor of a Gaussian."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((entry.dim_n, entry.dim_n)))
+    frame = np.eye(entry.dim)
+    frame[entry.dim - entry.dim_n :, entry.dim - entry.dim_n :] = q
+    mu = entry.tensor().map_basis(frame)
+    dims = {"dim": entry.dim, "dim_k": entry.dim_k, "dim_h": entry.dim_h, "dim_n": entry.dim_n}
+    bracket = [{"i": i, "j": j, "k": k, "c": c} for i, j, k, c in mu.entries]
+    return {"name": f"{entry.name}-rotated-{seed}", **dims, "bracket": bracket}
+
+
+@pytest.mark.usefixtures("cold_commands")
+def test_fit_in_a_generic_basis_needs_no_derivation_algebra(tmp_path, capsys, monkeypatch):
+    # a nilsoliton, or an extension of one, listed in a rotated basis of n or with an inner
+    # product is certified in closed form, with the adapted basis's tag and c
+    from homsol import cli
+    from homsol.decomposition import orthonormal_frame
+
+    from test_compare_reports import count_calls
+
+    cases = []  # (document, tag and c of the canonical fit in an adapted basis)
+    for entry in (heis(8), fil(14), ext(7)):
+        adapted = soliton._canonical_fit(entry.decomposition())
+        cases += [(rotated_n_document(entry, seed), adapted) for seed in range(5)]
+    lower = np.array([[1.0, 0.0, 0.0], [0.7, 1.3, 0.0], [0.2, -0.4, 0.9]])
+    heis3 = get("heis3")
+    listed = {"name": "heis3-ip", "dim": 3, "dim_k": 0, "dim_h": 0, "dim_n": 3}
+    listed["bracket"] = [{"i": i, "j": j, "k": k, "c": c} for i, j, k, c in heis3.entries]
+    listed["ip"] = (lower @ lower.T).tolist()
+    frame = orthonormal_frame(lower @ lower.T)
+    cases.append((listed, soliton._canonical_fit(decompose(heis3.tensor().map_basis(frame), 0, 0, 3))))
+
+    calls = count_calls(monkeypatch, {"der": tensor.derivation_algebra})
+    for doc, adapted in cases:
+        path = tmp_path / f"{doc['name']}.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["fit", str(path), "--json"]) == 0, doc["name"]
+        report = json.loads(capsys.readouterr().out)
+        assert report["classification"] == adapted.tag, doc["name"]
+        assert report["results"]["c"] == pytest.approx(adapted.c, rel=1e-12), doc["name"]
+        route = report["checks"][0]["info"]
+        assert route["family"] == "closed-form", doc["name"]
+        assert route["derivation_defect"] <= 1e-9 * route["derivation_bound"], doc["name"]
+    assert calls["der"] == 0

@@ -18,7 +18,6 @@ OUTSIDE_READERS = {
     "MinNormResult.iterations": "bench/tracer.py records it for each min_norm_point call",
     "MinNormResult.coefficients": "tests/test_strata.py checks the convex weights, which "
     "ROADMAP item 5 (the pre-Einstein derivation) needs",
-    "SolitonCertificate.derivation_defect": "tests/test_acceptance.py sets it by keyword",
     "SolitonCertificate.sym_derivation_defect": "tests/test_acceptance.py sets it by keyword",
     "AlgebraTensor.scale": "tests/conftest.py rescales brackets with it, which "
     "tests/test_acceptance.py reaches",

@@ -829,7 +829,7 @@ def test_from_dense_keeps_a_non_finite_entry_for_range_fault_to_refuse():
             for zero_tol in (0.0, 1e-8):
                 mu = AlgebraTensor.from_dense(t, zero_tol=zero_tol)
                 assert [e[:3] for e in mu.entries] == [(0, 1, 2), (0, 2, 1)], bad
-                assert mu.range_fault()[0] == "bracket-norm-overflow", bad
+                assert mu.range_fault()[0] == "bracket-not-finite", bad
 
 
 # ---------------------------------------------------------------------------

@@ -69,8 +69,12 @@ floats equal to 1e-12 absolute or relative.  It prints each difference,
 then the totals, then one summary line per report that differs (the
 number of floats that moved, the largest |delta| and the largest |value|
 in that report, so roundoff can be told from a change of scale), and
-exits 1 if there is any difference, 0 otherwise.  A report whose values
-are exactly equal in both dumps but whose text hashes differ is printed
+exits 1 if there is any difference, 0 otherwise.  The totals count the
+differences by kind: verdict-level ones (exit codes, strings such as tags,
+check names and error codes, and booleans), floats that moved, and others
+(a key in one dump only, a list length, an integer, an input's sha256),
+so a change that moves only roundoff shows "0 verdict-level" in one line.
+A report whose values are exactly equal in both dumps but whose text hashes differ is printed
 as ``text differs`` and counts as a difference too, so a change that
 claims byte-identical reports can show it; a dump without hashes, or
 without the standard-error hash, is compared on what it has.  Either command exits 141 (the shell's code
@@ -89,6 +93,7 @@ import math
 import os
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -486,7 +491,12 @@ def dump(src: str) -> dict:
 
 
 def differences(a, b, path: str = "") -> list[str]:
-    return [text for text, _ in _walk(a, b, path)]
+    return [text for text, _, _ in _walk(a, b, path)]
+
+
+def difference_kinds(a, b) -> Counter:
+    """The differences of two dumps counted by kind: "verdict", "float" and "other"."""
+    return Counter(kind for _, _, kind in _walk(a, b, ""))
 
 
 def _values(run: dict) -> dict:
@@ -506,15 +516,23 @@ def text_differences(old: dict, new: dict) -> list[str]:
 
 
 def _walk(a, b, path: str, tol: float = TOL):
-    """(text, |a - b|) of each difference beyond tol; the second item is None unless two floats moved."""
+    """(text, |a - b|, kind) of each difference beyond tol.
+
+    The second item is None unless two floats moved.  The kind is "float"
+    for two floats that moved, "verdict" for an exit code, a string (a tag,
+    a check name, an error code) or a boolean (a verdict), and "other" for a
+    key in one dump only, a list length, an integer, a type or the sha256 of
+    an input document, which moves with the floats of a document a command
+    printed.
+    """
     if isinstance(a, dict) and isinstance(b, dict):
         for k in sorted(set(a) ^ set(b)):
-            yield f"{path}/{k}: only in one dump", None
+            yield f"{path}/{k}: only in one dump", None, "other"
         for k in sorted(set(a) & set(b)):
             yield from _walk(a[k], b[k], f"{path}/{k}", tol)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
-            yield f"{path}: length {len(a)} != {len(b)}", None
+            yield f"{path}: length {len(a)} != {len(b)}", None, "other"
         else:
             for i, (x, y) in enumerate(zip(a, b)):
                 yield from _walk(x, y, f"{path}[{i}]", tol)
@@ -524,9 +542,11 @@ def _walk(a, b, path: str, tol: float = TOL):
             return
         if math.isnan(a) and math.isnan(b):
             return
-        yield f"{path}: {a!r} != {b!r}", gap
+        yield f"{path}: {a!r} != {b!r}", gap, "float"
     elif type(a) is not type(b) or a != b:
-        yield f"{path}: {a!r} != {b!r}", None
+        verdict = path.endswith("/exit") or any(isinstance(x, (str, bool)) for x in (a, b))
+        verdict = verdict and not path.endswith("/sha256")
+        yield f"{path}: {a!r} != {b!r}", None, "verdict" if verdict else "other"
 
 
 def _max_abs(x) -> float:
@@ -545,7 +565,7 @@ def summaries(old: dict, new: dict) -> list[str]:
         found = list(_walk(old[name], new[name], ""))
         if not found:
             continue
-        gaps = [gap for _, gap in found if gap is not None]
+        gaps = [gap for _, gap, _ in found if gap is not None]
         line = (
             f"summary {name}: floats moved {len(gaps)}, max |delta| {max(gaps, default=0.0):.3g}, "
             f"max |value| {max(_max_abs(old[name]), _max_abs(new[name])):.3g}"
@@ -599,6 +619,9 @@ def _command(argv) -> int:
     for line in diffs + texts:
         print(line)
     totals = f"{len(old)} vs {len(new)} reports, {len(diffs)} differences"
+    if diffs:
+        kinds = difference_kinds(old, new)
+        totals += f" ({kinds['verdict']} verdict-level, {kinds['float']} floats, {kinds['other']} other)"
     print(totals + (f", {len(texts)} text differs" if hashed else ""))
     for line in summaries(old, new):
         print(line)
