@@ -15,8 +15,9 @@ which is the normal form the structure theory proves for n the nilradical
 The theory also forces D1: the metric on n is a nilsoliton with the
 soliton's own constant, Ric_n = c I + D1.  So a certificate is first
 written in closed form, D1 = Ric_n - c I with c read off the h block or
-the trace of Ric_n, and only when that does not certify is it found by
-least squares over Der(n).
+the trace of Ric_n, and only when that does not certify, with D a
+derivation to min(tol, CLOSED_FORM_TOL) |mu|^3, is it found by least
+squares over Der(n) (``_certify``).
 A decomposition whose canonical fit fails and whose declared n is not the
 nilradical is refused (``n-not-nilradical``) rather than fitted over
 another family.  Every certificate is tagged by one classifier.  All
@@ -49,6 +50,7 @@ seven equivalences use EQUIVALENCE_TOL, and the bracket pairing of
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +70,10 @@ from .tensor import (
 
 SOLITON_RESIDUAL_TOL = 1e-6
 EQUIVALENCE_TOL = 1e-8  # the seven equivalences' bound, tol |mu|^degree
+# A closed-form D certifies only as a derivation to this |mu|^3 (and to dec.tol |mu|^3),
+# three orders under SOLITON_RESIDUAL_TOL: such a D1 is within the fit's residual bound
+# wherever D -> pi(D) mu is conditioned better than 1e-3 |mu| off Der(n) (5e-2 |mu| on fil(14)).
+CLOSED_FORM_TOL = 1e-9
 
 TAG_EINSTEIN = "Einstein"
 TAG_ALGEBRAIC = "AlgebraicSoliton"
@@ -217,13 +223,15 @@ def _canonical_fit(
     return _certificate(dec, c, offset + fitted, d1, family="canonical", c_from=c_from)
 
 
-def _closed_form(dec: MetricDecomposition, c: float | None = None) -> SolitonCertificate:
-    """The structure theorem's certificate D = -ad H + diag(0, 0, Ric_n - c I), measured.
+def _closed_form(dec: MetricDecomposition, c: float | None = None) -> SolitonCertificate | None:
+    """The structure theorem's certificate D = -ad H + diag(0, 0, Ric_n - c I), or None.
 
     With an h block the residual is affine in c and vanishes off it, so c
     is tr(Ric - S(-ad_p H))|_h / dim h.  Without one, tr(Ric_n D1) = 0 for
     a derivation D1 gives c = tr Ric_n^2 / tr Ric_n, or 0 when tr Ric_n = 0
-    (n abelian).  ``c``, when given, is used instead.
+    (n abelian).  ``c``, when given, is used instead.  None unless D is a
+    derivation to min(dec.tol, CLOSED_FORM_TOL) |mu|^3, which is measured
+    first, and the certificate tags a soliton.
     """
     ric_n = dec.n_decomposition().ricci().matrix
     c_from = "given"
@@ -235,7 +243,18 @@ def _closed_form(dec: MetricDecomposition, c: float | None = None) -> SolitonCer
         c_from, tr = "trace", float(np.trace(ric_n))
         c = float(np.sum(ric_n * ric_n)) / tr if tr else 0.0
     d1 = ric_n - c * np.eye(dec.dim_n)
-    return _certificate(dec, c, _canonical_derivation(dec, d1), d1, family="closed-form", c_from=c_from)
+    d = _canonical_derivation(dec, d1)
+    if not dec.derivation_residual_on(d) <= min(dec.tol, CLOSED_FORM_TOL) * dec.bracket_on.norm**3:
+        return None
+    cert = _certificate(dec, c, d, d1, family="closed-form", c_from=c_from)
+    return cert if cert.is_soliton else None
+
+
+def _certify(
+    dec: MetricDecomposition, c: float | None = None, ders: Callable[[], np.ndarray] | None = None
+) -> SolitonCertificate:
+    """The closed form when it certifies, else ``_canonical_fit`` with ``ders()`` as its Der(n)."""
+    return _closed_form(dec, c) or _canonical_fit(dec, c, ders() if ders else None)
 
 
 def nilsoliton_fit(
@@ -257,17 +276,15 @@ def nilsoliton_fit(
 def soliton_fit(dec: MetricDecomposition) -> SolitonCertificate:
     """Best certificate Ric = c I + S(D_p) over the canonical family -ad H + diag(0, 0, D1).
 
-    The closed form D1 = Ric_n - c I is the certificate when it tags a
-    soliton, and no Der(n) is computed; otherwise the least-squares fit
-    over Der(n) is.  The normal form is proved for n the nilradical: when
+    The closed form D1 = Ric_n - c I is the certificate when it certifies,
+    and no Der(n) is computed; otherwise the least-squares fit over Der(n)
+    is (``_certify``).  The normal form is proved for n the nilradical: when
     the fit fails on a decomposition with a k or h block whose n is not
     the nilradical (``dec.n_is_nilradical``), the split is refused with a
     DecompositionError ``n-not-nilradical`` instead.  Made once per
     decomposition and cached with ``d_full`` and ``d1`` read-only (``_once``).
     """
-    cert = _closed_form(dec)
-    if not cert.is_soliton:
-        cert = _canonical_fit(dec)
+    cert = _certify(dec)
     # without an h or k block n is all of g, its own nilradical
     if not cert.is_soliton and dec.dim_k + dec.dim_h and not dec.n_is_nilradical:
         detail = "declared n is not the nilradical; the canonical family does not certify the split"
@@ -328,8 +345,9 @@ def structure_battery(
     assumes an expanding constant; the converse computations still run).
 
     (iii) is the nilpotent part's closed form D1 = Ric_n - c I at the
-    certificate's c when that tags a soliton, else the fit over
-    ``dec.derivations_n()`` with c fixed; its check names the ``family``.
+    certificate's c when that certifies (``_closed_form``, held to tol),
+    else the fit over ``dec.derivations_n()`` with c fixed (``_certify``);
+    its check names the ``family`` and D1's ``derivation_defect``.
     A decomposition that is its own nilpotent part (no k, no h) given a
     certificate at ``soliton_fit(dec).c`` reads that cached certificate
     instead: it is the same certificate (H = 0, the same c).
@@ -348,11 +366,10 @@ def structure_battery(
     if ndec is dec and soliton_fit(dec).c == c:
         nfit = soliton_fit(dec)
     else:
-        nfit = _closed_form(ndec, c)
-        if not nfit.is_soliton:
-            nfit = _canonical_fit(ndec, c, dec.derivations_n())
+        nfit = _certify(ndec, c, dec.derivations_n)
     anchor = "Ric_n = c I + D1, D1 in Der(n)"
-    checks.append(dec.check("nilpotent-part-soliton", anchor, nfit.residual, 2, family=nfit.family))
+    route = {"family": nfit.family, "derivation_defect": nfit.derivation_defect}
+    checks.append(dec.check("nilpotent-part-soliton", anchor, nfit.residual, 2, **route))
 
     r4 = _commutator_sum(a_eta)
     r4b = max((derivation_residual(mu, a.T) for a in a_eta), default=0.0)

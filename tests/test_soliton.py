@@ -703,7 +703,7 @@ def test_a_certificate_at_another_constant_is_refitted():
 # ---------------------------------------------------------------------------
 
 def test_the_closed_form_agrees_with_the_canonical_fit():
-    # the same tag everywhere, and on a soliton the same c, at three bracket scales
+    # it certifies exactly where the fit does, with its tag and c, at three bracket scales
     from homsol import catalog
 
     entries = [catalog.get(name) for name in catalog.names()] + catalog.ladder()
@@ -713,12 +713,56 @@ def test_the_closed_form_agrees_with_the_canonical_fit():
         for s in (1e-4, 1.0, 1e4):
             dec = decompose(entry.tensor().scale(s), entry.dim_k, entry.dim_h, entry.dim_n)
             closed, fitted = soliton._closed_form(dec), soliton._canonical_fit(dec)
-            assert closed.tag == fitted.tag, (entry.name, s)
-            if closed.is_soliton:
+            assert (closed is not None) == fitted.is_soliton, (entry.name, s)
+            if closed is not None:
+                assert closed.tag == fitted.tag, (entry.name, s)
                 scale = max(abs(fitted.c), dec.bracket_on.norm**2)
                 assert abs(closed.c - fitted.c) <= 1e-12 * scale, (entry.name, s)
-            routes.add((closed.tag != TAG_NONE, closed.c_from))
-    assert routes == {(True, "h-block"), (True, "trace"), (False, "trace")}
+            routes.add(closed and closed.c_from)
+    assert routes == {"h-block", "trace", None}
+
+
+def perturbed_decomposition(entry, eps: float, tol: float = soliton.DEFAULT_TOL):
+    """entry's decomposition with the metric on n moved by eps: ip = I + eps S, |S| = 1 symmetric.
+
+    A near-soliton: the bracket stays a Lie bracket, and the metric is about
+    eps from the soliton one.
+    """
+    s = sym(np.random.default_rng(7).standard_normal((entry.dim_n, entry.dim_n)))
+    ip = np.eye(entry.dim_h + entry.dim_n)
+    ip[entry.dim_h :, entry.dim_h :] += eps * s / np.linalg.norm(s)
+    return decompose(entry.tensor(), entry.dim_k, entry.dim_h, entry.dim_n, ip=ip, tol=tol)
+
+
+def test_a_near_soliton_gets_the_canonical_fits_tag():
+    # the closed form certifies only what the least squares over Der(n) certifies too
+    routes = set()
+    for entry in (heis(4), ext(3), ext(7), fil(6), fil(10), fil(14)):
+        for eps in (1e-10, 1e-8, 1e-6, 1e-4):
+            dec = perturbed_decomposition(entry, eps)
+            cert, fitted = soliton._certify(dec), soliton._canonical_fit(dec)
+            assert cert.tag == fitted.tag, (entry.name, eps)
+            routes.add((cert.family, cert.is_soliton))
+    assert routes == {("closed-form", True), ("canonical", True), ("canonical", False)}
+
+
+def test_the_nilpotent_part_check_holds_a_near_soliton_to_tol():
+    # condition (iii) is the fit at the certificate's c, held to tol |mu|^2, whenever
+    # D1 = Ric_n - c I is a derivation only to within the perturbation
+    for entry in (fil(8), ext(3)):
+        for eps, tol in ((0.0, 1e-9), (1e-7, 1e-9), (1e-11, 1e-13)):
+            dec = perturbed_decomposition(entry, eps, tol)
+            cert = soliton_fit(dec)
+            record = structure_battery(dec, cert).condition("nilpotent-part-soliton")
+            if not eps:
+                assert record.passed and record.info["family"] == "closed-form", entry.name
+                continue
+            # on g = n the battery reads soliton_fit's certificate, the fit at its own c
+            ndec = dec.n_decomposition()
+            fitted = soliton._canonical_fit(ndec, None if ndec is dec else cert.c, dec.derivations_n())
+            assert not record.passed, (entry.name, eps)
+            assert record.info["family"] == "canonical", (entry.name, eps)
+            assert record.value == fitted.residual, (entry.name, eps)
 
 
 def rotated_n_document(entry, seed: int) -> dict:

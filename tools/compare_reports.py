@@ -494,11 +494,6 @@ def differences(a, b, path: str = "") -> list[str]:
     return [text for text, _, _ in _walk(a, b, path)]
 
 
-def difference_kinds(a, b) -> Counter:
-    """The differences of two dumps counted by kind: "verdict", "float" and "other"."""
-    return Counter(kind for _, _, kind in _walk(a, b, ""))
-
-
 def _values(run: dict) -> dict:
     """A run of a dump without its text hashes."""
     return {k: v for k, v in run.items() if k not in HASHES}
@@ -615,17 +610,17 @@ def _command(argv) -> int:
     hashed = all(any("sha256" in run for run in dump.values()) for dump in (old, new))
     old = {name: _values(run) for name, run in old.items()}
     new = {name: _values(run) for name, run in new.items()}
-    diffs = differences(old, new)
-    for line in diffs + texts:
+    found = list(_walk(old, new, ""))
+    for line in [text for text, _, _ in found] + texts:
         print(line)
-    totals = f"{len(old)} vs {len(new)} reports, {len(diffs)} differences"
-    if diffs:
-        kinds = difference_kinds(old, new)
+    totals = f"{len(old)} vs {len(new)} reports, {len(found)} differences"
+    if found:
+        kinds = Counter(kind for _, _, kind in found)
         totals += f" ({kinds['verdict']} verdict-level, {kinds['float']} floats, {kinds['other']} other)"
     print(totals + (f", {len(texts)} text differs" if hashed else ""))
     for line in summaries(old, new):
         print(line)
-    return 1 if diffs or texts else 0
+    return 1 if found or texts else 0
 
 
 if __name__ == "__main__":
